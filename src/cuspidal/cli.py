@@ -2,7 +2,8 @@
 
 Output is either human-readable text or a single deterministic JSON document
 {"config": ..., "results": [...], "failures": [...]}.  Exit codes: 0 all
-checks passed, 1 verification failure, 2 usage error.
+checks passed, 1 verification failure, 2 usage error, 3 inconclusive (a
+search ran out of budget, or finite-field ranks disagreed across primes).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 
 from .abelian import abelianization, commutator_abelianization_rank
 from .alexander import alexander_polynomial, cyclotomic_target
-from .errors import InvalidParameter, SplittingFailure, VerificationFailure
+from .errors import (BudgetExceeded, InvalidParameter, RankDeficiencySuspect,
+                     SplittingFailure, VerificationFailure)
 from .geometry import (PrimeField, choose_prime, milnor_ratio,
                        singular_points,
                        singular_points_scan, splitting_check_n2,
@@ -345,6 +347,9 @@ def main(argv=None) -> int:
     except (VerificationFailure, SplittingFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except (BudgetExceeded, RankDeficiencySuspect) as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     return run.emit(args.format)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from .errors import (InvalidParameter, NotSingular, RankDeficiencySuspect,
                      SplittingFailure, VerificationFailure)
@@ -90,7 +91,7 @@ class PrimeField:
             k += 1
             if k >= p:
                 raise InvalidParameter("value is zero or not in the group")
-        if k % _gcd(n, p - 1):
+        if k % gcd(n, p - 1):
             return []
         step = (p - 1) // n
         base = (k // n) % (p - 1)
@@ -100,22 +101,19 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def choose_prime(n: int, minimum: int = 2, *, mod4: bool = False) -> PrimeField:
     """Smallest prime p >= minimum with p = 1 mod 2n (and 1 mod 4 on request),
     so F_p contains the 2n-th roots of unity."""
     if n < 2:
         raise InvalidParameter("n must be >= 2")
+    step = 2 * n
+    # the first candidate >= max(minimum, 3) that is 1 mod 2n
     p = max(minimum, 3)
+    p += (1 - p) % step
     while p < 2**31:
-        if p % (2 * n) == 1 and (not mod4 or p % 4 == 1) and is_prime(p):
+        if (not mod4 or p % 4 == 1) and is_prime(p):
             return PrimeField(p)
-        p += 1
+        p += step
     raise VerificationFailure("no admissible prime below 2^31")
 
 
@@ -210,21 +208,6 @@ def curve_form(n: int, field: PrimeField) -> TernaryForm:
         (n, 0, n): 2, (n, n, 0): -2, (0, n, n): 2,
     }
     return TernaryForm(2 * n, field, coeffs)
-
-
-def oka_form(n: int, field: PrimeField) -> TernaryForm:
-    """(y^n - z^n)^2 + (x^2 - y^2)^n, for documentation-level construction."""
-    if n < 2:
-        raise InvalidParameter("n must be >= 2")
-    yz = TernaryForm(n, field, {(0, n, 0): 1, (0, 0, n): -1})
-    out = yz.multiply(yz)
-    xy = TernaryForm(2, field, {(2, 0, 0): 1, (0, 2, 0): -1})
-    acc = TernaryForm(0, field, {(0, 0, 0): 1})
-    for _ in range(n):
-        acc = acc.multiply(xy)
-    total = {m: (out.coeffs.get(m, 0) + acc.coeffs.get(m, 0)) % field.p
-             for m in graded_lex_monomials(2 * n)}
-    return TernaryForm(2 * n, field, total)
 
 
 def singular_points(n: int, field: PrimeField) -> list[ProjectivePoint]:

@@ -1,18 +1,31 @@
-"""Brute-force homomorphism counting into small symmetric groups.
+"""Homomorphism counting into small symmetric groups.
 
 Permutations on k symbols are tuples of length k.  Words act left to right:
 the image of u*v is image(u) followed by image(v), i.e.
 compose(a, b)[x] = b[a[x]].
 
-The search assigns generator images one at a time along a statically planned
+The search numbers S_k as 0..k!-1 (lexicographic order, so 0 is the
+identity) and works on that numbering only: a multiplication table, an
+inverse table and the conjugacy classes are built once per k, on first use.
+Each relator is compiled once into an array of slots, one slot per letter,
+and evaluated by walking the multiplication table.
+
+Generator images are assigned one at a time along a statically planned
 order.  A generator that occurs exactly once in a relator whose other
 generators are already assigned is *determined*: its image is solved for
 directly instead of enumerated.  Relators are verified as soon as all their
 generators have images.
+
+Hom(G, S_k) is closed under conjugation, and conjugation preserves
+surjectivity and whether a word maps to the identity.  So the first
+enumerated generator, when every generator assigned before it is the
+identity, runs over conjugacy-class representatives only, and each hom found
+below a representative stands for as many homs as the class has elements.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -58,12 +71,46 @@ class HomCountReport:
     surjective: int | None = None
 
 
-def _word_image_partial(w: Word, images, k: int) -> Permutation:
-    out = identity_perm(k)
-    for x in w:
-        p = images[abs(x) - 1]
-        out = compose(out, p if x > 0 else invert_perm(p))
-    return out
+class _SymmetricGroup:
+    """S_k numbered 0..k!-1: elements[i] is the permutation with index i,
+    mul[a][b] the index of compose(elements[a], elements[b]), inv[a] that
+    of its inverse, and classes the (representative, size) pairs of the
+    conjugacy classes, each representative the least index of its class.
+    Get one through _symmetric_group, which builds each k once."""
+
+    def __init__(self, k: int):
+        self.elements = tuple(itertools.permutations(range(k)))
+        index = {perm: i for i, perm in enumerate(self.elements)}
+        self.mul = tuple(tuple(index[compose(a, b)] for b in self.elements)
+                         for a in self.elements)
+        self.inv = tuple(index[invert_perm(a)] for a in self.elements)
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for i, perm in enumerate(self.elements):
+            classes.setdefault(_cycle_type(perm), []).append(i)
+        self.classes = tuple(sorted((members[0], len(members))
+                                    for members in classes.values()))
+
+
+def _cycle_type(perm: Permutation) -> tuple[int, ...]:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+@functools.cache
+def _symmetric_group(k: int) -> _SymmetricGroup:
+    if not 2 <= k <= 5:
+        raise InvalidParameter("symbol count must be between 2 and 5")
+    return _SymmetricGroup(k)
 
 
 def _build_plan(p: Presentation):
@@ -122,92 +169,133 @@ def _build_plan(p: Presentation):
     return plan, empty_ok
 
 
-def _solve_determined(relator: Word, pos: int, images, k: int) -> Permutation:
-    """Solve u * g^s * v = id for the image of g."""
-    u = _word_image_partial(relator[:pos], images, k)
-    v = _word_image_partial(relator[pos + 1:], images, k)
-    x = compose(invert_perm(u), invert_perm(v))
-    return x if relator[pos] > 0 else invert_perm(x)
+def _compile(w: Word) -> tuple[int, ...]:
+    """Slots of a word: generator g (0-based) reads slot 2g, its inverse
+    slot 2g + 1."""
+    return tuple(2 * (abs(x) - 1) + (x < 0) for x in w)
 
 
-def iter_homs(p: Presentation, k: int, budget: int = 10**9):
-    """Yield every relator-respecting assignment (tuple of Permutations,
-    aligned with p.generators)."""
-    if not 2 <= k <= 5:
-        raise InvalidParameter("symbol count must be between 2 and 5")
-    perms = list(itertools.permutations(range(k)))
+def _evaluate(code, slots, mul) -> int:
+    acc = 0
+    for s in code:
+        acc = mul[acc][slots[s]]
+    return acc
+
+
+def _search(p: Presentation, k: int, budget: int, reduce: bool):
+    """Yield (images, weight) for the homs of p into S_k: images is the list
+    of generator image indices, aligned with p.generators; it is reused, so
+    read it before the next item.  With reduce, the first enumerated
+    generator runs over class representatives when every generator assigned
+    before it is the identity, and weight is the number of homs the yielded
+    one stands for; otherwise every hom is yielded with weight 1."""
+    group = _symmetric_group(k)
+    mul, inv = group.mul, group.inv
+    every_element = tuple((x, 1) for x in range(len(group.elements)))
     plan, _ = _build_plan(p)
+    codes = [_compile(r) for r in p.relators]
+    steps = []
+    for step in plan:
+        checks = tuple(codes[ri] for ri in step[-1])
+        if step[0] == "det":
+            _, g, ri, pos, _ = step
+            r = p.relators[ri]
+            # u g^s v = 1 solves to g^s = (v u)^-1
+            steps.append((g, checks, _compile(r[pos + 1:] + r[:pos]),
+                          r[pos] > 0))
+        else:
+            steps.append((step[1], checks, None, None))
+    first_enum = next((i for i, step in enumerate(plan)
+                       if step[0] == "enum"), None)
     ngen = len(p.generators)
-    images: list[Permutation | None] = [None] * ngen
+    images = [0] * ngen
+    slots = [0] * (2 * ngen)
+    depth = len(steps)
+    if not depth:
+        yield images, 1
+        return
+
+    def candidates(step: int):
+        _, _, solve, positive = steps[step]
+        if solve is not None:
+            x = _evaluate(solve, slots, mul)
+            return iter(((inv[x] if positive else x, 1),))
+        if (reduce and step == first_enum
+                and not any(images[plan[i][1]] for i in range(step))):
+            return iter(group.classes)
+        return iter(every_element)
+
+    # depth-first, one candidate iterator per step on the current path
     nodes = 0
-
-    def ok(checks) -> bool:
-        ident = identity_perm(k)
-        for ri in checks:
-            if _word_image_partial(p.relators[ri], images, k) != ident:
-                return False
-        return True
-
-    def rec(step: int):
-        nonlocal nodes
-        if step == len(plan):
-            yield tuple(images)
-            return
-        kind = plan[step][0]
-        if kind == "det":
-            _, g, ri, pos, checks = plan[step]
+    weights = [1] * depth
+    pending = [None] * depth
+    pending[0] = candidates(0)
+    step = 0
+    while step >= 0:
+        g, checks, _, _ = steps[step]
+        for x, size in pending[step]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"node budget {budget} exceeded")
-            images[g] = _solve_determined(p.relators[ri], pos, images, k)
-            if ok(checks):
-                yield from rec(step + 1)
-            images[g] = None
+            images[g] = x
+            slots[2 * g] = x
+            slots[2 * g + 1] = inv[x]
+            if any(_evaluate(code, slots, mul) for code in checks):
+                continue
+            weight = weights[step] * size
+            if step + 1 == depth:
+                yield images, weight
+            else:
+                step += 1
+                weights[step] = weight
+                pending[step] = candidates(step)
+                break
         else:
-            _, g, checks = plan[step]
-            for perm in perms:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"node budget {budget} exceeded")
-                images[g] = perm
-                if ok(checks):
-                    yield from rec(step + 1)
-            images[g] = None
-
-    if ngen == 0:
-        yield ()
-        return
-    yield from rec(0)
+            step -= 1
 
 
-def count_homs(p: Presentation, k: int, budget: int = 10**9,
-               count_surjective: bool = False) -> HomCountReport:
-    """Exact number of homomorphisms into the symmetric group on k symbols."""
-    total = 0
-    surj = 0
-    for images in iter_homs(p, k, budget):
-        total += 1
-        if count_surjective:
-            if _generates_sym(images, k):
-                surj += 1
-    return HomCountReport(k, total, surj if count_surjective else None)
-
-
-def _generates_sym(perms, k: int) -> bool:
-    import math
-    seen = {identity_perm(k)}
-    frontier = list(seen)
-    gens = [p for p in perms]
+def _generates_sym(images, k: int) -> bool:
+    group = _symmetric_group(k)
+    seen = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for a in frontier:
-            for g in gens:
-                b = compose(a, g)
+            for g in images:
+                b = group.mul[a][g]
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
-    return len(seen) == math.factorial(k)
+    return len(seen) == len(group.elements)
+
+
+def iter_homs(p: Presentation, k: int, budget: int = 10**9):
+    """Yield every relator-respecting assignment (tuple of Permutations,
+    aligned with p.generators).
+
+    The budget caps the search nodes: each image tried for an enumerated
+    generator and each image solved for a determined one is one node.
+    BudgetExceeded is raised when the search would pass it."""
+    elements = _symmetric_group(k).elements
+    for images, _ in _search(p, k, budget, reduce=False):
+        yield tuple(elements[x] for x in images)
+
+
+def count_homs(p: Presentation, k: int, budget: int = 10**9,
+               count_surjective: bool = False) -> HomCountReport:
+    """Exact number of homomorphisms into the symmetric group on k symbols.
+
+    The budget caps the search nodes as in iter_homs, except that the search
+    tries conjugacy-class representatives where it can: each representative
+    tried is one node."""
+    total = 0
+    surj = 0
+    for images, weight in _search(p, k, budget, reduce=True):
+        total += weight
+        if count_surjective and _generates_sym(images, k):
+            surj += weight
+    return HomCountReport(k, total, surj if count_surjective else None)
 
 
 @dataclass(frozen=True)
@@ -230,23 +318,31 @@ def relator_triviality_check(m: GroupMap, kmax: int,
     """Necessary condition for a GroupMap to be a homomorphism.
 
     For every homomorphism of the target into S_k (k <= kmax), every source
-    relator's image word must evaluate to the identity.
+    relator's image word must evaluate to the identity.  homs_checked counts
+    every homomorphism; witnesses are listed up to conjugation: each
+    homomorphism that sends a relator image off the identity is conjugate to
+    a witness for that relator.  The budget caps the search nodes of each k
+    as in count_homs.
     """
     if not 2 <= kmax <= 5:
         raise InvalidParameter("kmax must be between 2 and 5")
-    relator_images = [m.apply(r) for r in m.source.relators]
+    relator_images = [(ri, _compile(w))
+                      for ri, w in enumerate(m.apply(r)
+                                             for r in m.source.relators)
+                      if w]
     witnesses = []
     homs_checked = {}
     for k in range(2, kmax + 1):
-        ident = identity_perm(k)
+        group = _symmetric_group(k)
         count = 0
-        for images in iter_homs(m.target, k, budget):
-            count += 1
-            for ri, w in enumerate(relator_images):
-                if not w:
-                    continue
-                got = _word_image_partial(w, images, k)
-                if got != ident:
-                    witnesses.append(TrivialityWitness(k, ri, images, got))
+        for images, weight in _search(m.target, k, budget, reduce=True):
+            count += weight
+            slots = [y for x in images for y in (x, group.inv[x])]
+            for ri, code in relator_images:
+                got = _evaluate(code, slots, group.mul)
+                if got:
+                    witnesses.append(TrivialityWitness(
+                        k, ri, tuple(group.elements[x] for x in images),
+                        group.elements[got]))
         homs_checked[k] = count
     return TrivialityReport(not witnesses, homs_checked, tuple(witnesses))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from cuspidal import cli
 from cuspidal.cli import main
+from cuspidal.errors import RankDeficiencySuspect
 
 
 def run(capsys, *argv):
@@ -109,3 +111,29 @@ def test_milnor_and_split(capsys):
                        "--format", "structured")
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+def test_budget_exhaustion_is_inconclusive(capsys):
+    code, out, err = run(capsys, "homcount", "--family", "pi1", "--n", "3",
+                         "--k", "4", "--budget", "10")
+    assert code == 3
+    assert err.startswith("inconclusive: ")
+    assert out == ""
+
+
+def test_rank_disagreement_is_inconclusive(capsys, monkeypatch):
+    def disagree(n, primes=None):
+        raise RankDeficiencySuspect("ranks 5 and 6 across primes")
+
+    monkeypatch.setattr(cli, "superabundance_multi", disagree)
+    code, _, err = run(capsys, "superabundance", "--n", "3")
+    assert code == 3
+    assert err == "inconclusive: ranks 5 and 6 across primes\n"
+
+
+def test_compare_reaches_k5(capsys):
+    code, out, _ = run(capsys, "compare", "pi1", "zariski3", "--n", "3",
+                       "--kmax", "5", "--format", "structured")
+    assert code == 0
+    checks = {e["check"]: e for e in json.loads(out)["results"]}
+    assert checks["hom_count_k5"]["value"] == {"a": 7386, "b": 7386}

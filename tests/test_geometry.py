@@ -36,6 +36,22 @@ def test_choose_prime_congruence():
     assert f.p % 4 == 1
 
 
+def test_choose_prime_is_the_smallest_admissible_prime():
+    # oracle: try every integer from the minimum up
+    def smallest(n, minimum, mod4):
+        p = max(minimum, 3)
+        while not (p % (2 * n) == 1 and (not mod4 or p % 4 == 1)
+                   and is_prime(p)):
+            p += 1
+        return p
+
+    for n in range(2, 12):
+        for minimum in list(range(0, 120, 7)) + [10_000, 10**6]:
+            for mod4 in (False, True):
+                assert choose_prime(n, minimum, mod4=mod4).p == \
+                    smallest(n, minimum, mod4)
+
+
 def test_graded_lex_monomials():
     monos = graded_lex_monomials(2)
     assert len(monos) == 6

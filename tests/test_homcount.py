@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,16 +10,41 @@ from cuspidal.homcount import (compose, count_homs, identity_perm, invert_perm,
 from cuspidal.words import GroupMap, Presentation
 
 
-def naive_count(p: Presentation, k: int) -> int:
-    """Try every assignment of permutations to generators."""
+def naive_homs(p: Presentation, k: int) -> list:
+    """Try every assignment of permutations to generators; keep the homs."""
     perms = list(itertools.permutations(range(k)))
     ident = identity_perm(k)
-    total = 0
+    homs = []
     for assignment in itertools.product(perms, repeat=len(p.generators)):
         asg = {i + 1: perm for i, perm in enumerate(assignment)}
         if all((not r) or word_image(r, asg) == ident for r in p.relators):
-            total += 1
-    return total
+            homs.append(assignment)
+    return homs
+
+
+def naive_count(p: Presentation, k: int) -> int:
+    return len(naive_homs(p, k))
+
+
+def naive_generates_sym(perms, k: int) -> bool:
+    """Closure of the identity under right multiplication by perms."""
+    seen = {identity_perm(k)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [b for b in {compose(a, g) for a in frontier
+                                for g in perms} if b not in seen]
+        seen.update(frontier)
+    return len(seen) == math.factorial(k)
+
+
+def hom_image(w, h, k: int):
+    """Image of the word w under the hom with generator images h."""
+    return word_image(w, dict(enumerate(h, 1))) if w else identity_perm(k)
+
+
+def conjugate_hom(h, s):
+    """The hom x -> s^-1 h(x) s."""
+    return tuple(compose(compose(invert_perm(s), x), s) for x in h)
 
 
 def random_presentation(rng, ngen=2, nrel=2, maxlen=6):
@@ -103,3 +129,63 @@ def test_triviality_check_flags_bad_maps():
     rep = relator_triviality_check(good, 3)
     assert rep.passed and not rep.witnesses
     assert rep.homs_checked[3] == 3
+
+
+def test_budget_counts_search_nodes():
+    free1 = Presentation(("a",), [])
+    # S_5 has 7 conjugacy classes: one node per representative when counting
+    assert count_homs(free1, 5, budget=7).total == 120
+    with pytest.raises(BudgetExceeded):
+        count_homs(free1, 5, budget=6)
+    # iter_homs lists every hom, one node per image tried
+    assert len(list(iter_homs(free1, 5, budget=120))) == 120
+    with pytest.raises(BudgetExceeded):
+        list(iter_homs(free1, 5, budget=119))
+
+
+def random_word(rng, ngen, maxlen):
+    return tuple(rng.choice([s * g for s in (1, -1)
+                             for g in range(1, ngen + 1)])
+                 for _ in range(rng.randrange(maxlen + 1)))
+
+
+def test_engine_matches_oracle_on_random_presentations():
+    """Counts, surjective counts, iter_homs and relator triviality against
+    brute force over every assignment, on 240 random presentations."""
+    rng = random.Random(2024)
+    for _ in range(240):
+        ngen = rng.randint(1, 3)
+        k = rng.choice((2, 3, 4))
+        p = random_presentation(rng, ngen, rng.randint(1, 3), 6)
+        homs = {j: naive_homs(p, j) for j in range(2, k + 1)}
+        want = homs[k]
+
+        rep = count_homs(p, k, count_surjective=True)
+        assert rep.total == len(want)
+        assert rep.surjective == sum(naive_generates_sym(h, k) for h in want)
+
+        listed = list(iter_homs(p, k))
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(want)
+
+        nsrc = rng.randint(1, 2)
+        source = random_presentation(rng, nsrc, rng.randint(1, 2), 4)
+        m = GroupMap(source, p, tuple(random_word(rng, ngen, 3)
+                                      for _ in range(nsrc)))
+        check = relator_triviality_check(m, k)
+        assert check.homs_checked == {j: len(homs[j]) for j in homs}
+        # witnesses come up to conjugation: conjugating them gives exactly
+        # the failing (hom, relator) pairs of the oracle
+        failing = {(j, ri, h) for j in homs for h in homs[j]
+                   for ri, r in enumerate(source.relators)
+                   if hom_image(m.apply(r), h, j) != identity_perm(j)}
+        conjugates = {(w.symbols, w.relator_index, conjugate_hom(
+                          w.assignment, s))
+                      for w in check.witnesses
+                      for s in itertools.permutations(range(w.symbols))}
+        assert conjugates == failing
+        assert check.passed == (not failing)
+        for w in check.witnesses:
+            relator = source.relators[w.relator_index]
+            assert w.image == hom_image(m.apply(relator), w.assignment,
+                                        w.symbols)

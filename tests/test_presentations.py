@@ -155,3 +155,23 @@ def test_map_check_toy_examples():
     rep = map_check(bad, kmax=3)
     assert not rep.h1_well_defined
     assert not rep.consistent_with_isomorphism
+
+
+def test_hom_counts_reach_k5():
+    # |Hom(G, S_5)| for n = 3 from three presentations
+    for p in (presentation_pi1(3), presentation_zariski3("corrected"),
+              derive_pi1_via_rs(3)):
+        assert count_homs(p, 5).total == 7386
+    # the derivation match one k further at n = 2 and n = 4
+    assert count_homs(derive_pi1_via_rs(2), 5).total == \
+        count_homs(presentation_pi1(2), 5).total
+    assert count_homs(derive_pi1_via_rs(4), 4).total == 11232
+    assert count_homs(presentation_pi1(4), 4).total == 11232
+
+
+def test_zariski_correspondence_reaches_k5():
+    rep = map_check(zariski_iso_candidate("corrected"), kmax=5)
+    assert rep.hom_counts[-1] == (5, 7386, 7386)
+    assert rep.triviality.homs_checked[5] == 7386
+    assert rep.triviality.passed and not rep.triviality.witnesses
+    assert rep.consistent_with_isomorphism
