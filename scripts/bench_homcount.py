@@ -1,6 +1,6 @@
 """Before/after timings of the S_k hom search, written to BENCH_homcount.json.
 
-    python3 scripts/bench_homcount.py --before OLD/src --before-label 1925411
+    python3 scripts/bench_homcount.py --before OLD/src
 
 times the hom-count cases below and `verify-all --n 2..4` on the `cuspidal`
 package under OLD/src and on the one in this checkout's src/, and writes
@@ -8,8 +8,9 @@ the JSON report next to this checkout's README.  Every measurement runs in
 a fresh interpreter and times only the call itself (hom counts: the search,
 after the presentation is built; verify-all: the whole command, stdout
 captured), so the lazily built S_k tables are part of the time.  Runs of the
-two versions alternate, and the median of --repeat runs is reported with
-the exact answers, which must agree.  Standard library only.
+two versions alternate, and the median of REPEAT runs is reported with the
+exact answers, which must agree.  The before version is labelled with the
+git commit OLD is checked out at, if any.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ HOM_CASES = {
     "pi1(3), k = 5": ("presentation_pi1", 3, 5),
 }
 VERIFY_ALL_N = (2, 3, 4)
+REPEAT = 3
 
 
 def child(src: str, case: str) -> None:
@@ -66,12 +68,17 @@ def measure(src: Path, case: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def commit(src: Path) -> str | None:
+    """Short hash of the git commit that src/ is checked out at."""
+    proc = subprocess.run(["git", "-C", str(src), "rev-parse", "--short",
+                           "HEAD"], capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path,
                         help="src/ directory of the version to compare with")
-    parser.add_argument("--before-label", default="before")
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_homcount.json")
     parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -84,7 +91,7 @@ def main(argv=None) -> int:
     cases = list(HOM_CASES) + [str(n) for n in VERIFY_ALL_N]
     times = {(v, c): [] for v in versions for c in cases}
     answers = {}
-    for _ in range(args.repeat):
+    for _ in range(REPEAT):
         for case in cases:
             for version, src in versions.items():
                 run = measure(src, case)
@@ -110,9 +117,9 @@ def main(argv=None) -> int:
                 "hom counts time count_homs only, verify-all the whole "
                 "command; answers (hom counts, verify-all results) are "
                 "identical for both versions",
-        "before": args.before_label if args.before else None,
+        "before": commit(args.before) if args.before else None,
         "after": "this checkout",
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "machine": {"cpus": os.cpu_count(), "system": platform.system(),
                     "release": platform.release(),
                     "python": platform.python_version()},

@@ -17,10 +17,12 @@ directly instead of enumerated.  Relators are verified as soon as all their
 generators have images.
 
 Hom(G, S_k) is closed under conjugation, and conjugation preserves
-surjectivity and whether a word maps to the identity.  So the first
-enumerated generator, when every generator assigned before it is the
-identity, runs over conjugacy-class representatives only, and each hom found
-below a representative stands for as many homs as the class has elements.
+surjectivity and whether a word maps to the identity.  Every generator
+assigned before the first enumerated one is solved from relators in such
+generators alone, so its image is the identity.  The first enumerated
+generator therefore runs over conjugacy-class representatives only, and each
+hom found below a representative stands for as many homs as the class has
+elements.
 """
 
 from __future__ import annotations
@@ -183,12 +185,13 @@ def _evaluate(code, slots, mul) -> int:
 
 
 def _search(p: Presentation, k: int, budget: int, reduce: bool):
-    """Yield (images, weight) for the homs of p into S_k: images is the list
-    of generator image indices, aligned with p.generators; it is reused, so
-    read it before the next item.  With reduce, the first enumerated
-    generator runs over class representatives when every generator assigned
-    before it is the identity, and weight is the number of homs the yielded
-    one stands for; otherwise every hom is yielded with weight 1."""
+    """Yield (images, slots, weight) for the homs of p into S_k: images is
+    the list of generator image indices, aligned with p.generators, and
+    slots holds them in the layout of _compile, ready for _evaluate; both
+    are reused, so read them before the next item.  With reduce, the first
+    enumerated generator runs over class representatives, and weight is the
+    number of homs the yielded one stands for; otherwise every hom is
+    yielded with weight 1."""
     group = _symmetric_group(k)
     mul, inv = group.mul, group.inv
     every_element = tuple((x, 1) for x in range(len(group.elements)))
@@ -212,7 +215,7 @@ def _search(p: Presentation, k: int, budget: int, reduce: bool):
     slots = [0] * (2 * ngen)
     depth = len(steps)
     if not depth:
-        yield images, 1
+        yield images, slots, 1
         return
 
     def candidates(step: int):
@@ -220,8 +223,9 @@ def _search(p: Presentation, k: int, budget: int, reduce: bool):
         if solve is not None:
             x = _evaluate(solve, slots, mul)
             return iter(((inv[x] if positive else x, 1),))
-        if (reduce and step == first_enum
-                and not any(images[plan[i][1]] for i in range(step))):
+        # steps before the first enum are determined by relators in earlier
+        # determined generators alone, so their images are the identity
+        if reduce and step == first_enum:
             return iter(group.classes)
         return iter(every_element)
 
@@ -244,7 +248,7 @@ def _search(p: Presentation, k: int, budget: int, reduce: bool):
                 continue
             weight = weights[step] * size
             if step + 1 == depth:
-                yield images, weight
+                yield images, slots, weight
             else:
                 step += 1
                 weights[step] = weight
@@ -278,7 +282,7 @@ def iter_homs(p: Presentation, k: int, budget: int = 10**9):
     generator and each image solved for a determined one is one node.
     BudgetExceeded is raised when the search would pass it."""
     elements = _symmetric_group(k).elements
-    for images, _ in _search(p, k, budget, reduce=False):
+    for images, _, _ in _search(p, k, budget, reduce=False):
         yield tuple(elements[x] for x in images)
 
 
@@ -291,7 +295,7 @@ def count_homs(p: Presentation, k: int, budget: int = 10**9,
     tried is one node."""
     total = 0
     surj = 0
-    for images, weight in _search(p, k, budget, reduce=True):
+    for images, _, weight in _search(p, k, budget, reduce=True):
         total += weight
         if count_surjective and _generates_sym(images, k):
             surj += weight
@@ -335,9 +339,9 @@ def relator_triviality_check(m: GroupMap, kmax: int,
     for k in range(2, kmax + 1):
         group = _symmetric_group(k)
         count = 0
-        for images, weight in _search(m.target, k, budget, reduce=True):
+        for images, slots, weight in _search(m.target, k, budget,
+                                             reduce=True):
             count += weight
-            slots = [y for x in images for y in (x, group.inv[x])]
             for ri, code in relator_images:
                 got = _evaluate(code, slots, group.mul)
                 if got:
