@@ -1,0 +1,198 @@
+"""Before/after timings of one suite, written to BENCH_<suite>.json.
+
+    python3 scripts/bench.py homcount --before OLD/src
+    python3 scripts/bench.py tietze --before OLD/src
+
+times the suite's cases on the `cuspidal` package under OLD/src and on the
+one in this checkout's src/, and writes the JSON report next to this
+checkout's README.  Every measurement runs in a fresh interpreter and times
+only the call itself, so tables built on first use are part of the time.
+Runs of the two versions alternate, and the median of REPEAT runs is
+reported with the exact answers, which must agree.  The before version is
+labelled with the git commit OLD is checked out at, if any.  Standard
+library only.
+
+homcount: `count_homs` on the cases below (the search only, after the
+presentation is built) and `verify-all --n 2..4` (the whole command, stdout
+captured).
+
+tietze: `derive_pi1_via_rs(n)` for n = 4..7; the answer is a digest of the
+derived presentation's text, and the work counts are summed over the
+Tietze simplification calls the derivation makes: generators eliminated and
+relator letters in and out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (presentation constructor in cuspidal.presentations, argument, k)
+HOM_CASES = {
+    "derived(3), k = 4": ("derive_pi1_via_rs", 3, 4),
+    "pi1(4), k = 4": ("presentation_pi1", 4, 4),
+    "derived(4), k = 3": ("derive_pi1_via_rs", 4, 3),
+    "zariski3, k = 5": ("presentation_zariski3", "corrected", 5),
+    "pi1(3), k = 5": ("presentation_pi1", 3, 5),
+}
+VERIFY_ALL_N = (2, 3, 4)
+DERIVE_N = (4, 5, 6, 7)
+SUITES = {
+    "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
+                                   for n in VERIFY_ALL_N],
+    "tietze": [f"derive_pi1_via_rs({n})" for n in DERIVE_N],
+}
+WHAT = {
+    "homcount": "median wall seconds of one call, fresh interpreter per run; "
+                "hom counts time count_homs only, verify-all the whole "
+                "command; answers (hom counts, verify-all results) are "
+                "identical for both versions",
+    "tietze": "median wall seconds of one derive_pi1_via_rs(n) call, fresh "
+              "interpreter per run; answers (sha256 of format_presentation "
+              "of the result, and the work counts of its simplify calls) are "
+              "identical for both versions",
+}
+REPEAT = 3
+
+
+def time_hom_count(case: str):
+    from cuspidal import presentations
+    from cuspidal.homcount import count_homs
+    build, arg, k = HOM_CASES[case]
+    p = getattr(presentations, build)(arg)
+    start = time.perf_counter()
+    total = count_homs(p, k).total
+    return time.perf_counter() - start, total
+
+
+def time_verify_all(n: int):
+    from cuspidal import cli
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify-all", "--n", str(n),
+                         "--format", "structured"])
+    seconds = time.perf_counter() - start
+    return seconds, {"exit": code,
+                     "results": json.loads(out.getvalue())["results"]}
+
+
+def time_derive(n: int):
+    from cuspidal import presentations, rewriting, words
+    work = {"gens_eliminated": 0, "letters_in": 0, "letters_out": 0}
+
+    def counted(p, budget):
+        q = words.simplify(p, budget)
+        work["gens_eliminated"] += len(p.generators) - len(q.generators)
+        work["letters_in"] += sum(map(len, p.relators))
+        work["letters_out"] += sum(map(len, q.relators))
+        return q
+
+    # both modules call simplify by the name they imported
+    rewriting.simplify = presentations.simplify = counted
+    start = time.perf_counter()
+    p = presentations.derive_pi1_via_rs(n)
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256(words.format_presentation(p).encode())
+    return seconds, {"sha256": digest.hexdigest()[:16],
+                     "generators": len(p.generators), **work}
+
+
+def child(src: str, case: str) -> None:
+    """Run one measurement and print {"seconds", "answer"}."""
+    sys.path.insert(0, src)
+    if case in HOM_CASES:
+        seconds, answer = time_hom_count(case)
+    elif case.startswith("verify-all"):
+        seconds, answer = time_verify_all(int(case.split()[-1]))
+    else:
+        seconds, answer = time_derive(int(case[case.index("(") + 1:-1]))
+    print(json.dumps({"seconds": seconds, "answer": answer}))
+
+
+def measure(src: Path, case: str) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--child", str(src),
+                           case], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def commit(src: Path) -> str | None:
+    """Short hash of the git commit that src/ is checked out at."""
+    proc = subprocess.run(["git", "-C", str(src), "rev-parse", "--short",
+                           "HEAD"], capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("suite", nargs="?", choices=SUITES)
+    parser.add_argument("--before", type=Path,
+                        help="src/ directory of the version to compare with")
+    parser.add_argument("--out", type=Path,
+                        help="report file (default: BENCH_<suite>.json)")
+    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(*args.child)
+        return 0
+    if args.suite is None:
+        parser.error("a suite is required")
+    versions = {"after": ROOT / "src"}
+    if args.before:
+        versions = {"before": args.before, **versions}
+    cases = SUITES[args.suite]
+    times = {(v, c): [] for v in versions for c in cases}
+    answers = {}
+    for _ in range(REPEAT):
+        for case in cases:
+            for version, src in versions.items():
+                run = measure(src, case)
+                times[version, case].append(run["seconds"])
+                answers.setdefault(case, run["answer"])
+                if run["answer"] != answers[case]:
+                    sys.exit(f"{case}: {version} answers differently")
+    rows = []
+    for case in cases:
+        row = {"case": case}
+        if case in HOM_CASES:
+            row["hom_count"] = answers[case]
+        elif case.startswith("verify-all"):
+            row["exit_code"] = answers[case]["exit"]
+        else:
+            row.update(answers[case])
+        for version in versions:
+            row[f"{version}_s"] = round(statistics.median(
+                times[version, case]), 4)
+        if "before" in versions:
+            row["speedup"] = round(row["before_s"] / row["after_s"], 1)
+        rows.append(row)
+    report = {
+        "what": WHAT[args.suite],
+        "before": commit(args.before) if args.before else None,
+        "after": "this checkout",
+        "repeat": REPEAT,
+        "machine": {"cpus": os.cpu_count(), "system": platform.system(),
+                    "release": platform.release(),
+                    "python": platform.python_version()},
+        "cases": rows,
+    }
+    out = args.out or ROOT / f"BENCH_{args.suite}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(json.dumps(rows, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

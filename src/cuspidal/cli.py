@@ -281,7 +281,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    def family_args(p, need_n=True):
+    def family_args(p):
         p.add_argument("--family", choices=FAMILIES, required=True)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--variant", choices=("stated", "corrected"),

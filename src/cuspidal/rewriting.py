@@ -184,11 +184,16 @@ class SchreierSystem:
         self.table: dict[tuple[int, int], SchreierGenerator] = {}
         names = []
         gen_index = {}
+        # per coset, signed source letter -> the coset reached and the signed
+        # kernel letter read on the way (0 for a redundant generator)
+        self._next: list[dict[int, int]] = [{} for _ in elements]
+        self._kernel_letter: list[dict[int, int]] = [{} for _ in elements]
         for ci, el in enumerate(elements):
             rep = transversal.representatives[ci]
             for g in range(1, len(p.generators) + 1):
-                nxt = target.add(el, target.image_of_letter(g))
-                rep_nxt = transversal.representatives[transversal.coset_of(nxt)]
+                cj = transversal.coset_of(
+                    target.add(el, target.image_of_letter(g)))
+                rep_nxt = transversal.representatives[cj]
                 word = multiply(multiply(rep, (g,)), invert(rep_nxt))
                 redundant = not word
                 if not redundant and pre:
@@ -197,9 +202,14 @@ class SchreierSystem:
                 name = f"{p.generators[g - 1]}_{suffix}"
                 sg = SchreierGenerator(ci, g, name, word, redundant)
                 self.table[(ci, g)] = sg
+                letter = 0
                 if not redundant:
                     names.append(name)
-                    gen_index[(ci, g)] = len(names)
+                    letter = gen_index[(ci, g)] = len(names)
+                self._next[ci][g] = cj
+                self._kernel_letter[ci][g] = letter
+                self._next[cj][-g] = ci
+                self._kernel_letter[cj][-g] = -letter
         self.generator_names = tuple(names)
         self._gen_index = gen_index
 
@@ -210,31 +220,16 @@ class SchreierSystem:
 
     def rewrite(self, w: Word, start_coset: int = 0) -> Word:
         """Reidemeister-Schreier rewriting of w starting at a coset."""
-        elements = _row_major_elements(self.target)
         coset = start_coset
         out: list[int] = []
         for x in w:
-            g = abs(x)
-            if x > 0:
-                letter = self.letter_for(coset, g)
-                coset = self.transversal.coset_of(
-                    self.target.add(elements[coset],
-                                    self.target.image_of_letter(g)))
-                if letter is not None:
-                    if out and out[-1] == -letter:
-                        out.pop()
-                    else:
-                        out.append(letter)
-            else:
-                coset = self.transversal.coset_of(
-                    self.target.add(elements[coset],
-                                    self.target.image_of_letter(x)))
-                letter = self.letter_for(coset, g)
-                if letter is not None:
-                    if out and out[-1] == letter:
-                        out.pop()
-                    else:
-                        out.append(-letter)
+            letter = self._kernel_letter[coset][x]
+            coset = self._next[coset][x]
+            if letter:
+                if out and out[-1] == -letter:
+                    out.pop()
+                else:
+                    out.append(letter)
         return tuple(out)
 
     def expand(self, w: Word) -> Word:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from operator import neg
 
 from .errors import NoDefiningRelator
 
@@ -45,7 +47,7 @@ def multiply(w1: Word, w2: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def conjugate(w: Word, by: Word) -> Word:
@@ -68,22 +70,58 @@ def commutator(u: Word, v: Word) -> Word:
 
 
 def cyclic_reduce(w: Word) -> Word:
-    w = reduce_word(w)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    return _cyclic_core(reduce_word(w))
+
+
+def _cyclic_core(w: Word) -> Word:
+    """Cyclic reduction of a freely reduced word."""
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i:j + 1]
+
+
+def _least_rotation(w: Word) -> Word:
+    """Lexicographically least rotation of a nonempty word, in linear time
+    (K. S. Booth, "Lexicographically least circular substrings", IPL 10,
+    1980)."""
+    s = w + w
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # i == -1 here
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return s[k:k + len(w)]
 
 
 def cyclic_normal_form(w: Word) -> Word:
     """Cyclic reduction, then least rotation among the word and its inverse."""
-    w = cyclic_reduce(w)
+    return _least_form(cyclic_reduce(w))
+
+
+def _least_form(w: Word) -> Word:
+    """Least rotation among a cyclically reduced word and its inverse."""
     if not w:
         return w
-    candidates = []
-    for u in (w, invert(w)):
-        for i in range(len(u)):
-            candidates.append(u[i:] + u[:i])
-    return min(candidates)
+    # a least rotation starts with the least letter, and the inverse's least
+    # letter is -max(w), so only a tie needs both rotations
+    lo, inv_lo = min(w), -max(w)
+    if lo < inv_lo:
+        return _least_rotation(w)
+    if inv_lo < lo:
+        return _least_rotation(invert(w))
+    return min(_least_rotation(w), _least_rotation(invert(w)))
 
 
 @dataclass(frozen=True)
@@ -107,7 +145,7 @@ class Presentation:
         norm = []
         g = len(generators)
         for r in relators:
-            r = cyclic_normal_form(reduce_word(r))
+            r = cyclic_normal_form(r)
             for x in r:
                 if not 1 <= abs(x) <= g:
                     raise ValueError(f"relator letter {x} out of range")
@@ -199,17 +237,27 @@ class GroupMap:
 
 
 def _substitute(w: Word, g: int, defining: Word) -> Word:
-    """Replace every occurrence of generator g (1-based) by `defining`."""
+    """Replace every occurrence of generator g (1-based) by `defining`;
+    both words freely reduced."""
     inv = invert(defining)
     out: list[int] = []
-    for x in w:
-        repl = defining if x == g else inv if x == -g else (x,)
-        for y in repl:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
+    start = 0
+    for i in [i for i, x in enumerate(w) if x == g or x == -g]:
+        _append_reduced(out, w[start:i])
+        _append_reduced(out, defining if w[i] == g else inv)
+        start = i + 1
+    _append_reduced(out, w[start:])
     return tuple(out)
+
+
+def _append_reduced(out: list[int], piece: Word) -> None:
+    """Multiply the freely reduced word `out` by the freely reduced `piece`
+    in place: cancel at the junction, then append the rest."""
+    k = 0
+    while k < len(piece) and out and out[-1] == -piece[k]:
+        out.pop()
+        k += 1
+    out.extend(piece[k:])
 
 
 def _drop_generator(w: Word, g: int) -> Word:
@@ -241,6 +289,7 @@ def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
     g = p.generator_index(gen)
     if any(abs(x) == g for x in defining):
         raise NoDefiningRelator(f"defining word contains {gen!r}")
+    defining = reduce_word(defining)
     idx = _find_defining_relator(p, g, defining)
     if idx is None:
         raise NoDefiningRelator(f"no relator defines {gen!r} as the given word")
@@ -251,40 +300,6 @@ def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
             continue
         relators.append(_drop_generator(_substitute(r, g, defining), g))
     return Presentation(gens, relators)
-
-
-def _tidy(generators, relators):
-    """Drop empty and duplicate relators (canonical forms compared)."""
-    seen = set()
-    out = []
-    for r in relators:
-        r = cyclic_normal_form(r)
-        if not r or r in seen:
-            continue
-        seen.add(r)
-        out.append(r)
-    return out
-
-
-def _elimination_candidate(generators, relators):
-    """Best (relator index, 1-based generator) pair for a Tietze elimination.
-
-    A generator qualifies if it occurs exactly once in some relator.  Priority:
-    shortest relator first, then lowest generator index, then relator index.
-    """
-    best = None
-    for ri, r in enumerate(relators):
-        counts: dict[int, int] = {}
-        for x in r:
-            counts[abs(x)] = counts.get(abs(x), 0) + 1
-        for g, c in counts.items():
-            if c == 1:
-                key = (len(r), g, ri)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    return best[2], best[1]
 
 
 def simplify(p: Presentation, budget: int) -> Presentation:
@@ -302,16 +317,50 @@ def simplify_with_map(p: Presentation, budget: int):
     """Like simplify, but also returns each original generator's image word."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    generators = list(p.generators)
-    relators = _tidy(generators, list(p.relators))
-    images: list[Word] = [(i + 1,) for i in range(len(generators))]
-    steps = 0
-    while steps < budget:
-        cand = _elimination_candidate(generators, relators)
-        if cand is None:
+    # Inside the loop generators keep their original 1-based ids; they are
+    # renumbered once at the end.  Eliminating generator g renumbers letters
+    # x -> x - sign(x) for |x| > g, a map that is monotone on signed letters
+    # and commutes with inversion, so it sends a canonical relator to a
+    # canonical one and preserves every comparison the loop makes.  Hence
+    # only the relators that contain g are re-normalized after a step.
+    #
+    # Relators sit in slots that keep their order (a dropped relator leaves
+    # None behind), so among equal relators the one in the lowest slot is
+    # kept, and candidates are ranked by (length, generator, slot).
+    rels: list[Word | None] = []
+    slot_of: dict[Word, int] = {}
+    occurs: dict[int, set[int]] = {}  # generator -> slots of its relators
+    key: dict[int, tuple[int, int, int]] = {}  # slot -> candidate key
+
+    def place(s: int, r: Word) -> None:
+        rels[s] = r
+        slot_of[r] = s
+        counts = Counter(map(abs, r))
+        for g in counts:
+            occurs.setdefault(g, set()).add(s)
+        once = [g for g, c in counts.items() if c == 1]
+        if once:
+            key[s] = (len(r), min(once), s)
+
+    def drop(s: int) -> None:
+        r = rels[s]
+        rels[s] = None
+        del slot_of[r]
+        for g in set(map(abs, r)):
+            occurs[g].discard(s)
+        key.pop(s, None)
+
+    for r in p.relators:
+        if r and r not in slot_of:
+            rels.append(None)
+            place(len(rels) - 1, r)
+    images: list[Word] = [(i + 1,) for i in range(len(p.generators))]
+    alive = set(range(1, len(p.generators) + 1))
+    for _ in range(budget):
+        if not key:
             break
-        ri, g = cand
-        r = relators[ri]
+        _, g, ri = min(key.values())
+        r = rels[ri]
         pos = next(i for i, x in enumerate(r) if abs(x) == g)
         rot = r[pos:] + r[:pos]
         if rot[0] < 0:
@@ -319,13 +368,31 @@ def simplify_with_map(p: Presentation, budget: int):
             rot = rot[-1:] + rot[:-1]
         # rot = g * w, so g is defined by w^-1
         defining = invert(rot[1:])
-        del relators[ri]
-        relators = [_drop_generator(_substitute(w, g, defining), g)
-                    for w in relators]
-        images = [_drop_generator(_substitute(w, g, defining), g)
+        drop(ri)
+        touched = list(occurs[g])
+        old = [rels[s] for s in touched]
+        for s in touched:
+            drop(s)
+        del occurs[g]
+        for s, w in zip(touched, old):
+            w = _least_form(_cyclic_core(_substitute(w, g, defining)))
+            if not w:
+                continue
+            t = slot_of.get(w)
+            if t is not None:
+                if t < s:
+                    continue
+                drop(t)
+            place(s, w)
+        images = [_substitute(w, g, defining) if g in w or -g in w else w
                   for w in images]
-        del generators[g - 1]
-        relators = _tidy(generators, relators)
-        steps += 1
-    result = Presentation(generators, relators)
-    return result, {name: img for name, img in zip(p.generators, images)}
+        alive.discard(g)
+    new_id = {g: i + 1 for i, g in enumerate(sorted(alive))}
+
+    def renumber(w: Word) -> Word:
+        return tuple(new_id[x] if x > 0 else -new_id[-x] for x in w)
+
+    result = Presentation([p.generators[g - 1] for g in sorted(alive)],
+                          [renumber(r) for r in rels if r is not None])
+    return result, {name: renumber(img)
+                    for name, img in zip(p.generators, images)}

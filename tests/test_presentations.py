@@ -77,6 +77,17 @@ def test_derivation_matches_direct_presentation(n):
         assert len(derived.generators) <= n * n
 
 
+@pytest.mark.parametrize("n,expected", [
+    (5, AbelianStructure(0, (10,))),
+    (6, AbelianStructure(3, (3,))),
+])
+def test_derivation_reaches_n5_n6(n, expected):
+    derived = derive_pi1_via_rs(n)
+    assert len(derived.generators) == 4
+    assert abelianization(derived) == expected
+    assert abelianization(presentation_pi1(n)) == expected
+
+
 def test_zariski3_variants():
     stated = presentation_zariski3("stated")
     assert len(stated.generators) == 5

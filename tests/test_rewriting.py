@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from cuspidal.errors import NotGenerating, NotInKernel
 from cuspidal.rewriting import (AbelianTarget, SchreierSystem, Transversal,
                                 build_transversal, rewrite_word,
                                 subgroup_presentation)
-from cuspidal.words import Presentation, invert, multiply, reduce_word
+from cuspidal.words import (Presentation, format_presentation, invert,
+                            multiply, reduce_word)
 
 
 def test_target_validation():
@@ -97,3 +99,54 @@ def test_index_formula_for_relator_count():
     p = Presentation(("a", "b"), [(-1, -2, 1, 2)])
     q = subgroup_presentation(p, t, [], simplify_budget=0)
     assert len(q.relators) == 4
+
+
+def coset_arithmetic_rewrite(system, w, start_coset=0):
+    """Rewriting that recomputes each coset from the target's residues,
+    letter by letter."""
+    target, tr = system.target, system.transversal
+    elements = list(itertools.product(*(range(m) for m in target.moduli)))
+    coset = start_coset
+    out = []
+    for x in w:
+        if x < 0:
+            coset = tr.coset_of(target.add(elements[coset],
+                                           target.image_of_letter(x)))
+        letter = system.letter_for(coset, abs(x))
+        if x > 0:
+            coset = tr.coset_of(target.add(elements[coset],
+                                           target.image_of_letter(x)))
+        if letter is not None:
+            out = list(multiply(out, (letter if x > 0 else -letter,)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("moduli,images,mode", [
+    ((2, 2), ((1, 0), (0, 1), (1, 1)), "bfs"),
+    ((3, 3), ((0, 0), (1, 0), (0, 1)), "bfs"),
+    ((4,), ((1,), (2,), (3,)), "bfs"),
+    ((2, 3), ((1, 0), (0, 1), (0, 0)), "power-basis"),
+])
+def test_rewrite_matches_coset_arithmetic(moduli, images, mode):
+    rng = random.Random(43)
+    t = AbelianTarget(moduli, ("a", "b", "c"), images)
+    tr = build_transversal(t, mode=mode)
+    relators = [reduce_word(tuple(rng.choice((1, -1, 2, -2, 3, -3))
+                                  for _ in range(rng.randrange(1, 10))))
+                for _ in range(6)]
+    relators = [r for r in relators if r]
+    p = Presentation(("a", "b", "c"), relators)
+    system = SchreierSystem(p, t, tr)
+    for _ in range(100):
+        w = reduce_word(tuple(rng.choice((1, -1, 2, -2, 3, -3))
+                              for _ in range(rng.randrange(15))))
+        for ci in range(t.size):
+            assert system.rewrite(w, ci) == coset_arithmetic_rewrite(
+                system, w, ci)
+    # the kernel presentation is built from exactly these rewrites
+    q = subgroup_presentation(p, t, [], transversal_mode=mode,
+                              simplify_budget=0)
+    expected = Presentation(system.generator_names, [
+        coset_arithmetic_rewrite(system, r, ci)
+        for r in p.relators for ci in range(t.size)])
+    assert format_presentation(q) == format_presentation(expected)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -72,6 +73,44 @@ def test_cyclic_normal_form_is_rotation_and_inversion_invariant():
         assert cyclic_normal_form(invert(w)) == nf
 
 
+def naive_cyclic_normal_form(w):
+    """Least of all rotations of the cyclically reduced word and its
+    inverse, listed out (quadratic)."""
+    w = cyclic_reduce(w)
+    if not w:
+        return w
+    return min(u[i:] + u[:i] for u in (w, invert(w)) for i in range(len(u)))
+
+
+def test_cyclic_normal_form_matches_all_rotations_oracle():
+    rng = random.Random(14)
+    words = [random_letters(rng, ngen=rng.randrange(1, 5), maxlen=16)
+             for _ in range(600)]
+    words += [(1, 2) * k for k in range(1, 7)]
+    words += [(2, -1, -1) * k for k in range(1, 5)]
+    words += [(x,) * k for x in (1, -1, 3, -3) for k in range(1, 6)]
+    words += [(1, 2, -1, -2) * k for k in range(1, 4)]
+    words += [(), (1, -1), (2, 1, -1, -2)]
+    for w in words:
+        assert cyclic_normal_form(w) == naive_cyclic_normal_form(w), w
+
+
+def test_cyclic_normal_form_on_every_short_word():
+    # No nonempty cyclically reduced word is a rotation of its inverse (a
+    # nontrivial element of a free group is never conjugate to its
+    # inverse), so the closest case is a tie: the word and its inverse have
+    # the same least letter, and both least rotations must be compared.
+    ties = 0
+    for length in range(8):
+        for w in itertools.product((1, -1, 2, -2), repeat=length):
+            assert cyclic_normal_form(w) == naive_cyclic_normal_form(w), w
+            u = cyclic_reduce(w)
+            if u:
+                assert invert(u) not in {u[i:] + u[:i] for i in range(len(u))}
+                ties += min(u) == -max(u)
+    assert ties > 1000
+
+
 def test_presentation_validation():
     with pytest.raises(ValueError):
         Presentation(("a", "a"), [])
@@ -138,3 +177,103 @@ def test_group_map_apply():
     gm = GroupMap(src, tgt, ((1, 2),))
     assert gm.apply((1, 1)) == (1, 2, 1, 2)
     assert gm.apply((-1,)) == (-2, -1)
+
+
+def full_retidy_simplify_with_map(p, budget):
+    """The Tietze loop that re-normalizes every relator after every
+    elimination and renumbers generators as it goes."""
+    def tidy(relators):
+        seen, out = set(), []
+        for r in relators:
+            r = naive_cyclic_normal_form(r)
+            if r and r not in seen:
+                seen.add(r)
+                out.append(r)
+        return out
+
+    def candidate(relators):
+        best = None
+        for ri, r in enumerate(relators):
+            counts = {}
+            for x in r:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            for g, c in counts.items():
+                if c == 1 and (best is None or (len(r), g, ri) < best):
+                    best = (len(r), g, ri)
+        return None if best is None else (best[2], best[1])
+
+    def substitute(w, g, defining):
+        inv = invert(defining)
+        return reduce_word(y for x in w
+                           for y in (defining if x == g else
+                                     inv if x == -g else (x,)))
+
+    def drop(w, g):
+        return tuple(x if abs(x) < g else x - (1 if x > 0 else -1)
+                     for x in w)
+
+    generators = list(p.generators)
+    relators = tidy(p.relators)
+    images = [(i + 1,) for i in range(len(generators))]
+    for _ in range(budget):
+        cand = candidate(relators)
+        if cand is None:
+            break
+        ri, g = cand
+        r = relators.pop(ri)
+        pos = next(i for i, x in enumerate(r) if abs(x) == g)
+        rot = r[pos:] + r[:pos]
+        if rot[0] < 0:
+            rot = invert(rot)
+            rot = rot[-1:] + rot[:-1]
+        defining = invert(rot[1:])
+        relators = tidy(drop(substitute(w, g, defining), g) for w in relators)
+        images = [drop(substitute(w, g, defining), g) for w in images]
+        del generators[g - 1]
+    return (Presentation(generators, relators),
+            dict(zip(p.generators, images)))
+
+
+def random_presentation(rng):
+    ngen = rng.randrange(1, 7)
+    relators = []
+    for _ in range(rng.randrange(0, 8)):
+        kind = rng.random()
+        if kind < 0.2 and relators:
+            relators.append(rng.choice(relators))  # duplicate
+        elif kind < 0.35:
+            # g = u, then w, something else, and w with g replaced by u:
+            # eliminating g turns w into a copy of a later relator
+            g = rng.randrange(1, ngen + 1)
+            u = tuple(x for x in random_letters(rng, ngen, 3) if abs(x) != g)
+            w = (random_letters(rng, ngen, 6) + (g,)
+                 + random_letters(rng, ngen, 4))
+            inv = invert(u)
+            copy = tuple(y for x in w for y in (u if x == g else inv if x == -g
+                                                else (x,)))
+            relators += [(g,) + inv, w, random_letters(rng, ngen, 6), copy]
+        elif kind < 0.6:
+            g = rng.randrange(1, ngen + 1)
+            others = [x for x in range(1, ngen + 1) if x != g] or [g]
+            body = tuple(rng.choice(others) * rng.choice((1, -1))
+                         for _ in range(rng.randrange(0, 5)))
+            relators.append((g * rng.choice((1, -1)),) + body)
+        else:
+            relators.append(random_letters(rng, ngen, 10))
+    names = [f"x{i}" for i in range(1, ngen + 1)]
+    return Presentation(names, [r for r in relators
+                                if all(abs(x) <= ngen for x in r)])
+
+
+def test_simplify_with_map_matches_full_retidy_oracle():
+    rng = random.Random(15)
+    eliminated = 0
+    for _ in range(300):
+        p = random_presentation(rng)
+        budget = rng.choice((0, 1, 2, 3, 100))
+        q, image_map = simplify_with_map(p, budget)
+        q0, image_map0 = full_retidy_simplify_with_map(p, budget)
+        assert format_presentation(q) == format_presentation(q0)
+        assert image_map == image_map0
+        eliminated += len(p.generators) - len(q.generators)
+    assert eliminated > 300
