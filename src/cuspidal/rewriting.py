@@ -183,7 +183,6 @@ class SchreierSystem:
         elements = _row_major_elements(target)
         self.table: dict[tuple[int, int], SchreierGenerator] = {}
         names = []
-        gen_index = {}
         # per coset, signed source letter -> the coset reached and the signed
         # kernel letter read on the way (0 for a redundant generator)
         self._next: list[dict[int, int]] = [{} for _ in elements]
@@ -205,18 +204,17 @@ class SchreierSystem:
                 letter = 0
                 if not redundant:
                     names.append(name)
-                    letter = gen_index[(ci, g)] = len(names)
+                    letter = len(names)
                 self._next[ci][g] = cj
                 self._kernel_letter[ci][g] = letter
                 self._next[cj][-g] = ci
                 self._kernel_letter[cj][-g] = -letter
         self.generator_names = tuple(names)
-        self._gen_index = gen_index
 
     def letter_for(self, coset: int, g: int) -> int | None:
         """Kernel-word letter for (coset, source generator), or None if the
         Schreier generator is redundant."""
-        return self._gen_index.get((coset, g))
+        return self._kernel_letter[coset].get(g) or None
 
     def rewrite(self, w: Word, start_coset: int = 0) -> Word:
         """Reidemeister-Schreier rewriting of w starting at a coset."""
@@ -235,9 +233,9 @@ class SchreierSystem:
     def expand(self, w: Word) -> Word:
         """Map a kernel word back to the source generators."""
         by_letter = {}
-        for key, sg in self.table.items():
+        for (ci, g), sg in self.table.items():
             if not sg.redundant:
-                by_letter[self._gen_index[key]] = sg.word
+                by_letter[self._kernel_letter[ci][g]] = sg.word
         out: Word = ()
         for x in w:
             word = by_letter[abs(x)]

@@ -387,12 +387,13 @@ def simplify_with_map(p: Presentation, budget: int):
         images = [_substitute(w, g, defining) if g in w or -g in w else w
                   for w in images]
         alive.discard(g)
-    new_id = {g: i + 1 for i, g in enumerate(sorted(alive))}
+    kept = sorted(alive)
+    new_id = {g: i + 1 for i, g in enumerate(kept)}
 
     def renumber(w: Word) -> Word:
         return tuple(new_id[x] if x > 0 else -new_id[-x] for x in w)
 
-    result = Presentation([p.generators[g - 1] for g in sorted(alive)],
+    result = Presentation([p.generators[g - 1] for g in kept],
                           [renumber(r) for r in rels if r is not None])
     return result, {name: renumber(img)
                     for name, img in zip(p.generators, images)}
