@@ -2,6 +2,7 @@
 
     python3 scripts/bench.py homcount --before OLD/src
     python3 scripts/bench.py tietze --before OLD/src
+    python3 scripts/bench.py alexander --before OLD/src
 
 times the suite's cases on the `cuspidal` package under OLD/src and on the
 one in this checkout's src/, and writes the JSON report next to this
@@ -20,6 +21,12 @@ tietze: `derive_pi1_via_rs(n)` for n = 4..7; the answer is a digest of the
 derived presentation's text, and the work counts are summed over the
 Tietze simplification calls the derivation makes: generators eliminated and
 relator letters in and out.
+
+alexander: `alexander_polynomial` of the reduced curve presentation for
+n = 5, 7, 9, 11 (the call only, after the presentation is built; the answer
+is a digest of the polynomial, its degree, the number of (t - 1) factors
+stripped and the Fox matrix size) and `commutator_abelianization_rank(n)` for n = 5, 7, 9 (the whole
+call: Schreier rewriting along Z/2n and the Smith form).
 """
 
 from __future__ import annotations
@@ -49,10 +56,14 @@ HOM_CASES = {
 }
 VERIFY_ALL_N = (2, 3, 4)
 DERIVE_N = (4, 5, 6, 7)
+ALEXANDER_N = (5, 7, 9, 11)
+RANK_N = (5, 7, 9)
 SUITES = {
     "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
                                    for n in VERIFY_ALL_N],
     "tietze": [f"derive_pi1_via_rs({n})" for n in DERIVE_N],
+    "alexander": [f"alexander_polynomial({n})" for n in ALEXANDER_N]
+                 + [f"commutator_abelianization_rank({n})" for n in RANK_N],
 }
 WHAT = {
     "homcount": "median wall seconds of one call, fresh interpreter per run; "
@@ -63,6 +74,12 @@ WHAT = {
               "interpreter per run; answers (sha256 of format_presentation "
               "of the result, and the work counts of its simplify calls) are "
               "identical for both versions",
+    "alexander": "median wall seconds of one call, fresh interpreter per "
+                 "run; alexander_polynomial(n) is the call on "
+                 "presentation_pi1_reduced(n) and times that call only; "
+                 "answers (sha256 of the polynomial's text, its degree, the "
+                 "(t - 1) factors stripped, the Fox matrix size, the "
+                 "commutator rank) are identical for both versions",
 }
 REPEAT = 3
 
@@ -110,6 +127,32 @@ def time_derive(n: int):
                      "generators": len(p.generators), **work}
 
 
+def time_alexander(n: int):
+    from cuspidal.alexander import alexander_polynomial
+    from cuspidal.presentations import presentation_pi1_reduced
+    p = presentation_pi1_reduced(n)
+    start = time.perf_counter()
+    poly, stripped = alexander_polynomial(p)
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256(str(poly).encode())
+    return seconds, {"sha256": digest.hexdigest()[:16],
+                     "degree": poly.degree, "stripped": stripped,
+                     "fox_cells": len(p.relators) * len(p.generators)}
+
+
+def time_commutator_rank(n: int):
+    from cuspidal.abelian import commutator_abelianization_rank
+    start = time.perf_counter()
+    rank = commutator_abelianization_rank(n)
+    return time.perf_counter() - start, rank
+
+
+# case name up to its "(" -> timing function of the integer argument
+CALLS = {"derive_pi1_via_rs": time_derive,
+         "alexander_polynomial": time_alexander,
+         "commutator_abelianization_rank": time_commutator_rank}
+
+
 def child(src: str, case: str) -> None:
     """Run one measurement and print {"seconds", "answer"}."""
     sys.path.insert(0, src)
@@ -118,7 +161,8 @@ def child(src: str, case: str) -> None:
     elif case.startswith("verify-all"):
         seconds, answer = time_verify_all(int(case.split()[-1]))
     else:
-        seconds, answer = time_derive(int(case[case.index("(") + 1:-1]))
+        name, arg = case[:-1].split("(")
+        seconds, answer = CALLS[name](int(arg))
     print(json.dumps({"seconds": seconds, "answer": answer}))
 
 
@@ -170,6 +214,8 @@ def main(argv=None) -> int:
             row["hom_count"] = answers[case]
         elif case.startswith("verify-all"):
             row["exit_code"] = answers[case]["exit"]
+        elif case.startswith("commutator_abelianization_rank"):
+            row["rank"] = answers[case]
         else:
             row.update(answers[case])
         for version in versions:

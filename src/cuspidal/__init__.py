@@ -4,7 +4,7 @@ polynomials, and singular geometry of a family of cuspidal plane curves."""
 from .abelian import (AbelianStructure, IntegerMatrix, abelianization,
                       commutator_abelianization_rank, relator_matrix,
                       smith_normal_form)
-from .alexander import (AlexanderMatrix, LaurentPolynomial, alexander_matrix,
+from .alexander import (LaurentPolynomial, alexander_matrix,
                         alexander_polynomial, cyclotomic_base,
                         cyclotomic_target, elementary_ideal_gcd,
                         fox_derivative, laurent_gcd)

@@ -117,41 +117,53 @@ def _smallest_pivot(a, k, rows, cols):
             v = a[i][j]
             if v and (best is None or abs(v) < best[0]):
                 best = (abs(v), i, j)
+                if best[0] == 1:  # nothing smaller can follow
+                    return i, j
     return None if best is None else (best[1], best[2])
 
 
-def smith_normal_form(m: IntegerMatrix):
-    """Return (D, U, V) with D = U*m*V, U and V unimodular, D diagonal with
-    d1 | d2 | ... and di >= 0.
+def _diagonalize(m: IntegerMatrix, track: bool):
+    """Smith-form elimination of m: returns (diagonal, U, V) with the
+    diagonal d1 | d2 | ... of length min(rows, cols), di >= 0.  With
+    `track`, U and V are the unimodular row and column transforms (as row
+    lists) with U*m*V diagonal; without it they are None and never built.
 
     Pivot strategy: smallest nonzero absolute value in the remaining block.
+    Once pivot k is done, row k and column k are zero off the diagonal, so
+    the operations of later steps touch only the block from (k, k) on.
     """
     rows, cols = m.rows, m.cols
     a = [row[:] for row in m.data]
-    u = IntegerMatrix.identity(rows).data
-    v = IntegerMatrix.identity(cols).data
+    u = IntegerMatrix.identity(rows).data if track else None
+    v = IntegerMatrix.identity(cols).data if track else None
+    k = 0
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        ai, aj = a[i], a[j]
+        for c in range(k, cols):
+            ai[c] -= q * aj[c]
+        if track:
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for r in a:
+        for r in a[k:]:
             r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
+        if track:
+            for r in v:
+                r[i] -= q * r[j]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if track:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for r in a:
+        for r in a[k:]:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        if track:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
 
-    k = 0
     n = min(rows, cols)
     while k < n:
         piv = _smallest_pivot(a, k, rows, cols)
@@ -181,33 +193,38 @@ def smith_normal_form(m: IntegerMatrix):
                         dirty = True
             if not dirty:
                 break
-        # enforce divisibility of the remaining block by the pivot
-        fixed = False
-        for i in range(k + 1, rows):
-            if fixed:
-                break
-            for j in range(k + 1, cols):
-                if a[i][j] % a[k][k]:
-                    row_op(k, i, -1)  # add row i to row k, then redo column k
-                    fixed = True
-                    break
-        if fixed:
-            continue
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
+        # enforce divisibility of the remaining block by the pivot; a unit
+        # pivot divides everything
+        pivot = a[k][k]
+        if abs(pivot) > 1:
+            bad = next((i for i in range(k + 1, rows)
+                        if any(x % pivot for x in a[i][k + 1:])), None)
+            if bad is not None:
+                row_op(k, bad, -1)  # add row i to row k, then redo column k
+                continue
+        if pivot < 0:
+            a[k][k] = -pivot
+            if track:
+                u[k] = [-x for x in u[k]]
         k += 1
+    return [a[i][i] for i in range(n)], u, v
 
-    d = IntegerMatrix(rows, cols)
-    for i in range(n):
-        d.data[i][i] = a[i][i]
-    return (d, IntegerMatrix(rows, rows, u), IntegerMatrix(cols, cols, v))
+
+def smith_normal_form(m: IntegerMatrix):
+    """Return (D, U, V) with D = U*m*V, U and V unimodular, D diagonal with
+    d1 | d2 | ... and di >= 0."""
+    diagonal, u, v = _diagonalize(m, track=True)
+    d = IntegerMatrix(m.rows, m.cols)
+    for i, x in enumerate(diagonal):
+        d.data[i][i] = x
+    return (d, IntegerMatrix(m.rows, m.rows, u),
+            IntegerMatrix(m.cols, m.cols, v))
 
 
 def invariant_factors(m: IntegerMatrix) -> list[int]:
     """Nonzero diagonal entries of the Smith form."""
-    d, _, _ = smith_normal_form(m)
-    return [d.data[i][i] for i in range(min(m.rows, m.cols)) if d.data[i][i]]
+    diagonal, _, _ = _diagonalize(m, track=False)
+    return [x for x in diagonal if x]
 
 
 def abelianization(p: Presentation) -> AbelianStructure:

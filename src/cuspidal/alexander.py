@@ -166,50 +166,84 @@ class LaurentPolynomial:
         return " + ".join(terms)
 
 
+# Dense polynomials over Z, used inside the gcd and elimination code: a
+# list of coefficients from t^0 upward with a nonzero last entry; [] is zero.
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _combine(x: int, a: list[int], y, shift: int, b: list[int]) -> list[int]:
+    """x*a - y*t^shift*b."""
+    out = [x * c for c in a]
+    out.extend([0] * (len(b) + shift - len(out)))
+    for j, c in enumerate(b, shift):
+        out[j] -= y * c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _quotient(a: list[int], b: list[int]):
+    """a / b over Z[t] if b divides a exactly, else None (b nonzero)."""
+    if not a:
+        return []
+    db, lb = len(b) - 1, b[-1]
+    if len(a) <= db:
+        return None
+    a = a[:]
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[i + db], lb)
+        if r:
+            return None
+        q[i] = c
+        if c:
+            for j, bc in enumerate(b, i):
+                a[j] -= c * bc
+    return q if not any(a) else None
+
+
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial):
     """a / b in Z[t, t^-1] if the division is exact, else None."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return LaurentPolynomial.zero()
-    ra = list(a.coeffs)
-    rb = list(b.coeffs)
-    if len(ra) < len(rb):
-        return None
-    q = [0] * (len(ra) - len(rb) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        lead = ra[i + len(rb) - 1]
-        if lead % rb[-1]:
-            return None
-        c = lead // rb[-1]
-        q[i] = c
-        if c:
-            for j, bc in enumerate(rb):
-                ra[i + j] -= c * bc
-    if any(ra):
-        return None
-    return LaurentPolynomial(a.low - b.low, q)
+    q = _quotient(list(a.coeffs), list(b.coeffs))
+    return None if q is None else LaurentPolynomial(a.low - b.low, q)
 
 
 def _poly_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of dense integer polynomial coefficient lists."""
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for j, bc in enumerate(b):
-            a[shift + j] -= la * bc
-        while a and a[-1] == 0:
-            a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a if any(a) else []
+    """Pseudo-remainder of a by nonzero b: a becomes lc(b)*a - lc(a)*t^s*b
+    until its degree is below b's."""
+    while len(a) >= len(b):
+        a = _combine(b[-1], a, a[-1], len(a) - len(b), b)
+    return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, leading coefficient positive."""
+    g = int_gcd(*a)
+    if a and a[-1] < 0:
+        g = -g
+    return [c // g for c in a] if g not in (0, 1) else a
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero dense polynomials over Z (the gcd over
+    Q[t] scaled to a primitive polynomial with positive leading
+    coefficient), by a primitive Euclidean remainder sequence."""
+    pa, pb = _primitive(a), _primitive(b)
+    while pb:
+        # make each remainder primitive to keep coefficients small
+        pa, pb = pb, _primitive(_poly_pseudo_rem(pa, pb))
+    return _primitive(pa)
 
 
 def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial):
@@ -220,19 +254,8 @@ def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial):
     if b.is_zero:
         return a.normalized()
     content = int_gcd(a.content(), b.content())
-    pa = list(a.primitive_part().coeffs)
-    pb = list(b.primitive_part().coeffs)
-    while pb:
-        r = _poly_pseudo_rem(pa, pb)
-        # make the remainder primitive to keep coefficients small
-        g = 0
-        for c in r:
-            g = int_gcd(g, c)
-        if g > 1:
-            r = [c // g for c in r]
-        pa, pb = pb, r
-    prim = LaurentPolynomial(0, pa).primitive_part()
-    return (prim * LaurentPolynomial(0, (content,))).normalized()
+    prim = _primitive_gcd(list(a.coeffs), list(b.coeffs))
+    return LaurentPolynomial(0, [content * c for c in prim]).normalized()
 
 
 def fox_derivative(w: Word, g: int, weights) -> LaurentPolynomial:
@@ -267,43 +290,14 @@ def default_weights(p: Presentation) -> dict[int, int]:
     return {i + 1: 1 for i in range(len(p.generators))}
 
 
-class AlexanderMatrix:
-    """Fox-derivative matrix of a presentation: rows are relators, columns
-    generators."""
-
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-
-
-def alexander_matrix(p: Presentation, weights=None) -> AlexanderMatrix:
+def alexander_matrix(p: Presentation, weights=None):
+    """Fox-derivative matrix of a presentation as a list of rows: one row
+    per relator, one column per generator."""
     if weights is None:
         weights = default_weights(p)
     ngen = len(p.generators)
-    return AlexanderMatrix(
-        [[fox_derivative(r, g, weights) for g in range(1, ngen + 1)]
-         for r in p.relators])
-
-
-def _det(rows) -> LaurentPolynomial:
-    """Cofactor-expansion determinant of a small Laurent-polynomial matrix."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPolynomial.one()
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = LaurentPolynomial.zero()
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = a * _det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    return [[fox_derivative(r, g, weights) for g in range(1, ngen + 1)]
+            for r in p.relators]
 
 
 def _unit_reduce(rows, size):
@@ -337,38 +331,130 @@ def _unit_reduce(rows, size):
     return rows, size
 
 
-def elementary_ideal_gcd(m: AlexanderMatrix, corank: int) -> LaurentPolynomial:
-    """Gcd of all (cols - corank)-sized minors, normalized (no t^k factor,
-    positive leading coefficient).  Zero if all minors vanish."""
-    size = m.cols - corank
+def _det(m: list[list[list[int]]]) -> list[int]:
+    """Fraction-free (Bareiss) determinant of a square matrix over Z[t];
+    every division is exact."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return []
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = _quotient(_combine(1, _mul(row[j], pivot[k]), 1, 0,
+                                            _mul(row[k], pivot[j])), prev)
+        prev = pivot[k]
+    return [sign * c for c in m[n - 1][n - 1]]
+
+
+def _minors(rows, size: int):
+    """The size x size minors of a matrix over Z[t], lazily: column subsets
+    outermost, each in lexicographic order."""
+    for cols in combinations(range(len(rows[0])), size):
+        for subset in combinations(rows, size):
+            yield _det([[row[j] for j in cols] for row in subset])
+
+
+def _divide_content(row: list[list[int]]) -> list[list[int]]:
+    """The row divided by the gcd of all its coefficients."""
+    g = 0
+    for e in row:
+        g = int_gcd(g, *e)
+        if g == 1:
+            return row
+    return [[c // g for c in e] for e in row] if g else row
+
+
+def _echelon(rows: list[list[list[int]]], ncols: int):
+    """Row-echelon form over Q[t] of a matrix over Z[t]; returns its nonzero
+    rows, at most ncols of them.
+
+    Each step replaces a row r by a*r - b*t^s*p, with p the pivot row of the
+    column and a, b nonzero integers, then divides r by its integer content.
+    Every step is invertible over Q[t], so no determinantal ideal over Q[t]
+    changes."""
+    echelon = []
+    for j in range(ncols):
+        live = [r for r in rows if r[j]]
+        rows = [r for r in rows if not r[j]]
+        # Euclid on column j: reduce every live row by the one of least
+        # degree there until a single row is left with a nonzero entry
+        while len(live) > 1:
+            live.sort(key=lambda r: len(r[j]))
+            pivot, rest = live[0], []
+            lead, degree = pivot[j][-1], len(pivot[j])
+            for r in live[1:]:
+                while len(r[j]) >= degree:
+                    g = int_gcd(lead, r[j][-1])
+                    x, y = lead // g, r[j][-1] // g
+                    shift = len(r[j]) - degree
+                    r = _divide_content([_combine(x, e, y, shift, pe)
+                                         for e, pe in zip(r, pivot)])
+                if r[j]:
+                    rest.append(r)
+                elif any(r):
+                    rows.append(r)
+            live = rest + [pivot]
+        echelon += live
+    return echelon
+
+
+def elementary_ideal_gcd(rows, corank: int) -> LaurentPolynomial:
+    """Gcd of all (cols - corank)-sized minors of a Laurent-polynomial matrix
+    (a list of rows), normalized (no t^k factor, positive leading
+    coefficient).  Zero if all minors vanish.
+
+    By Gauss's lemma the gcd over Z[t, t^-1] is c*P, with P the primitive gcd
+    over Q[t] and c the gcd of the minors' integer contents.  P comes from
+    the minors of a row-echelon form over Q[t], which has at most cols rows;
+    c from the minors of the matrix itself, enumerated until the gcd is 1
+    (on the curve presentations, the first nonzero minor already has
+    content 1)."""
+    cols = len(rows[0]) if rows else 0
+    size = cols - corank
     if size < 1:
         raise InvalidParameter("corank leaves no minors to take")
     # deduplicate rows; duplicates contribute only repeated or zero minors
     seen = set()
-    rows = []
-    for row in m.entries:
+    unique = []
+    for row in rows:
         key = tuple((e.low, e.coeffs) for e in row)
         if key in seen or all(e.is_zero for e in row):
             continue
         seen.add(key)
-        rows.append(row)
-    rows, size = _unit_reduce(rows, size)
+        unique.append(row)
+    rows, size = _unit_reduce(unique, size)
     if size == 0:
         return LaurentPolynomial.one()
-    if len(rows) < size or (rows and len(rows[0]) < size):
+    # multiply each row by the unit t^k that puts it into Z[t]
+    dense = []
+    for row in rows:
+        low = min(e.low for e in row if not e.is_zero)
+        dense.append([[0] * (e.low - low) + list(e.coeffs) if e.coeffs else []
+                      for e in row])
+    echelon = _echelon(dense, len(dense[0]) if dense else 0)
+    if len(echelon) < size:
         return LaurentPolynomial.zero()
-    ncols = len(rows[0])
-    acc = LaurentPolynomial.zero()
-    for col_subset in combinations(range(ncols), size):
-        for row_subset in combinations(range(len(rows)), size):
-            sub = [[rows[i][j] for j in col_subset] for i in row_subset]
-            d = _det(sub)
-            if d.is_zero:
-                continue
-            acc = laurent_gcd(acc, d)
-            if acc.is_unit():
-                return acc.normalized()
-    return acc.normalized()
+    prim = None
+    for minor in _minors(echelon, size):
+        if minor:
+            prim = minor if prim is None else _primitive_gcd(prim, minor)
+            if len(prim) == 1:
+                break
+    content = 0
+    for minor in _minors(dense, size):
+        content = int_gcd(content, *minor)
+        if content == 1:
+            break
+    prim = _primitive(prim)
+    return LaurentPolynomial(0, [content * c for c in prim]).normalized()
 
 
 def alexander_polynomial(p: Presentation, strip_t_minus_1: int = 2):
@@ -377,8 +463,7 @@ def alexander_polynomial(p: Presentation, strip_t_minus_1: int = 2):
 
     Returns (polynomial, number of (t - 1) factors stripped).
     """
-    m = alexander_matrix(p)
-    g = elementary_ideal_gcd(m, corank=1)
+    g = elementary_ideal_gcd(alexander_matrix(p), corank=1)
     t_minus_1 = LaurentPolynomial(0, (-1, 1))
     stripped = 0
     while stripped < strip_t_minus_1 and not g.is_zero and not g.is_unit():

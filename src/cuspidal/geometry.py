@@ -361,15 +361,20 @@ def _normalized_linear_forms(field: PrimeField):
 
 
 def _form_vanishes_on_line(form: TernaryForm, line, field: PrimeField) -> bool:
-    # parametrize the line {ax + by + cz = 0} and test all its points
-    a, b, c = line
+    """Whether a quartic vanishes on the line {ax + by + cz = 0}: a binary
+    quartic with 5 distinct projective zeros is zero, so 5 points of the
+    line decide it (a line over F_p has p + 1 >= 6 points for p >= 5)."""
+    a, b, c = line  # normalized: the first nonzero coefficient is 1
+    if a:
+        base, direction = (-b, 1, 0), (-c, 0, 1)
+    elif b:
+        base, direction = (1, 0, 0), (0, -c, 1)
+    else:
+        base, direction = (1, 0, 0), (0, 1, 0)
     p = field.p
-    pts = []
-    for pt in all_projective_points(field):
-        x, y, z = pt.coords
-        if (a * x + b * y + c * z) % p == 0:
-            pts.append(pt)
-    return all(form.evaluate(pt) == 0 for pt in pts)
+    return all(form.evaluate(tuple((x + s * y) % p
+                                   for x, y in zip(base, direction))) == 0
+               for s in range(5))
 
 
 def splitting_check_n2(field: PrimeField) -> SplittingReport:

@@ -8,6 +8,8 @@ from cuspidal.abelian import (AbelianStructure, IntegerMatrix, abelianization,
                               commutator_abelianization_rank,
                               invariant_factors, relator_matrix,
                               smith_normal_form)
+from cuspidal.presentations import presentation_pi1_reduced
+from cuspidal.rewriting import AbelianTarget, subgroup_presentation
 from cuspidal.words import Presentation
 
 
@@ -68,6 +70,31 @@ def test_snf_round_trip_with_unimodular_transforms():
                 assert b == 0
 
 
+def test_invariant_factors_are_the_smith_diagonal():
+    # invariant_factors skips the transforms smith_normal_form records; the
+    # elimination is the same, so the diagonals agree
+    rng = random.Random(23)
+    for _ in range(300):
+        m = random_matrix(rng)
+        d, _, _ = smith_normal_form(m)
+        diagonal = [d.data[i][i] for i in range(min(m.rows, m.cols))]
+        assert invariant_factors(m) == [x for x in diagonal if x]
+
+
+def test_invariant_factors_on_a_kernel_presentation():
+    # the 510 x 31 exponent matrix behind commutator_abelianization_rank(5)
+    p = presentation_pi1_reduced(5)
+    target = AbelianTarget(moduli=(10,), generators=p.generators,
+                           images=tuple((1,) for _ in p.generators))
+    m = relator_matrix(subgroup_presentation(p, target, [],
+                                             simplify_budget=0))
+    d, u, v = smith_normal_form(m)
+    assert (u * m * v).data == d.data
+    diagonal = [d.data[i][i] for i in range(min(m.rows, m.cols))]
+    assert invariant_factors(m) == [x for x in diagonal if x]
+    assert m.cols - len(invariant_factors(m)) == 12
+
+
 def test_invariant_factors_match_determinantal_divisors():
     rng = random.Random(22)
     for _ in range(120):
@@ -99,6 +126,12 @@ def test_abelianization_small_cases(relators, expected):
 def test_abelianization_drops_unit_factors():
     p = Presentation(("a", "b"), [(1,), (2, 2)])
     assert abelianization(p) == AbelianStructure(0, (2,))
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_commutator_abelianization_rank_reach(n):
+    # the free rank of the kernel's H1 is the Alexander degree 3(n - 1)
+    assert commutator_abelianization_rank(n) == 3 * (n - 1)
 
 
 def test_commutator_abelianization_rank_rejects_even():

@@ -1,14 +1,20 @@
+import functools
 import random
+from itertools import combinations
 
 import pytest
 
-from cuspidal.alexander import (LaurentPolynomial, alexander_matrix,
-                                alexander_polynomial, cyclotomic_base,
-                                cyclotomic_target, divide_exact,
-                                elementary_ideal_gcd, fox_derivative,
-                                laurent_gcd)
+from cuspidal.alexander import (LaurentPolynomial, _unit_reduce,
+                                alexander_matrix, alexander_polynomial,
+                                cyclotomic_base, cyclotomic_target,
+                                divide_exact, elementary_ideal_gcd,
+                                fox_derivative, laurent_gcd)
 from cuspidal.errors import InvalidParameter
-from cuspidal.presentations import presentation_pi1_reduced
+from cuspidal.presentations import (derive_pi1_via_rs, oka_quotient,
+                                    presentation_G, presentation_G_raw,
+                                    presentation_oka, presentation_pi1,
+                                    presentation_pi1_reduced,
+                                    presentation_zariski3)
 from cuspidal.words import Presentation, multiply, reduce_word
 
 T = LaurentPolynomial.monomial(1)
@@ -154,3 +160,141 @@ def test_elementary_ideal_unit_shortcut():
     m = alexander_matrix(p)
     g = elementary_ideal_gcd(m, corank=0)
     assert g.is_unit()
+
+
+def minor_gcd(rows, size):
+    """Oracle: gcd of every size x size minor, each a cofactor expansion
+    (sub-expansions shared between minors), folded with `laurent_gcd`."""
+    acc = LaurentPolynomial.zero()
+    if len(rows) < size or len(rows[0]) < size:
+        return acc
+
+    @functools.cache
+    def det(rs, cs):
+        if len(rs) == 1:
+            return rows[rs[0]][cs[0]]
+        out = LaurentPolynomial.zero()
+        for j, c in enumerate(cs):
+            a = rows[rs[0]][c]
+            if not a.is_zero:
+                term = a * det(rs[1:], cs[:j] + cs[j + 1:])
+                out = out + term if j % 2 == 0 else out - term
+        return out
+
+    minors = (det(rs, cs) for cs in combinations(range(len(rows[0])), size)
+              for rs in combinations(range(len(rows)), size))
+    for d in minors:
+        if d.is_zero or (not acc.is_zero
+                         and divide_exact(d, acc) is not None):
+            continue  # gcd(acc, d) = acc when acc divides d
+        acc = laurent_gcd(acc, d)
+        if acc.is_unit():
+            break
+    return acc.normalized()
+
+
+def oracle_elementary_ideal_gcd(rows, corank):
+    """The minor-enumeration route: drop zero and repeated rows, clear unit
+    entries with `_unit_reduce`, then the gcd of all remaining minors."""
+    size = len(rows[0]) - corank
+    seen, unique = set(), []
+    for row in rows:
+        key = tuple((e.low, e.coeffs) for e in row)
+        if key not in seen and any(not e.is_zero for e in row):
+            seen.add(key)
+            unique.append(row)
+    rows, size = _unit_reduce(unique, size)
+    return ONE if size == 0 else minor_gcd(rows, size)
+
+
+CURVE_PRESENTATIONS = {
+    "G": presentation_G,
+    "G-raw": presentation_G_raw,
+    **{f"zariski3-{v}": functools.partial(presentation_zariski3, v)
+       for v in ("stated", "corrected")},
+    **{f"pi1-reduced({n})": functools.partial(presentation_pi1_reduced, n)
+       for n in range(2, 8)},
+    **{f"oka({n})": functools.partial(presentation_oka, n)
+       for n in range(2, 8)},
+    **{f"oka-quotient({n})": functools.partial(lambda n: oka_quotient(n)[1], n)
+       for n in range(2, 8)},
+    # pi1(n) presents the group of pi1-reduced(n); n = 6, 7 would add 6 s
+    **{f"pi1({n})": functools.partial(presentation_pi1, n)
+       for n in range(2, 6)},
+    **{f"derived({n})": functools.partial(derive_pi1_via_rs, n)
+       for n in range(2, 5)},
+}
+
+
+@pytest.mark.parametrize("name", CURVE_PRESENTATIONS)
+def test_elementary_ideals_match_minor_enumeration_on_curves(name):
+    m = alexander_matrix(CURVE_PRESENTATIONS[name]())
+    for corank in (0, 1, 2):
+        if len(m[0]) - corank < 1:
+            continue
+        assert elementary_ideal_gcd(m, corank) == \
+            oracle_elementary_ideal_gcd(m, corank), corank
+
+
+def random_laurent_matrix(rng):
+    """Rows of random Laurent polynomials with negative exponents, zero
+    entries and rows, repeated rows, a row scaled by 2(t + 1) and rows that
+    are combinations of others (rank-deficient)."""
+    nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 5)
+
+    def entry():
+        if rng.random() < 0.3:
+            return LaurentPolynomial.zero()
+        return LaurentPolynomial(rng.randrange(-3, 3), [
+            rng.randrange(-3, 4) for _ in range(rng.randrange(1, 4))])
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    two_t_plus_2 = LaurentPolynomial(0, (2, 2))
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(len(rows))
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows[i] = [LaurentPolynomial.zero()] * ncols
+        elif kind == 1:
+            rows[i] = [two_t_plus_2 * e for e in rows[i]]
+        elif kind == 2:
+            rows.append(list(rows[i]))
+        else:
+            j = rng.randrange(len(rows))
+            f, g = entry(), entry()
+            rows.append([f * a + g * b for a, b in zip(rows[i], rows[j])])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_elementary_ideals_match_minor_enumeration_on_random_matrices():
+    rng = random.Random(54)
+    compared = 0
+    for _ in range(300):
+        rows = random_laurent_matrix(rng)
+        ncols = len(rows[0])
+        for corank in range(3):
+            if ncols - corank < 1:
+                with pytest.raises(InvalidParameter):
+                    elementary_ideal_gcd(rows, corank)
+                continue
+            # the definition itself: no row dropping, no unit reduction
+            assert elementary_ideal_gcd(rows, corank) == \
+                minor_gcd(rows, ncols - corank), (rows, corank)
+            compared += 1
+    assert compared >= 400
+
+
+def test_elementary_ideal_content_is_kept():
+    # every minor of 2(t + 1) * [[t - 1, 3]] is divisible by 2(t + 1)
+    row = [LaurentPolynomial(-1, (-2, 0, 2)), LaurentPolynomial(0, (6, 6))]
+    assert elementary_ideal_gcd([row], 1) == LaurentPolynomial(0, (2, 2))
+    assert elementary_ideal_gcd([row, row], 0).is_zero
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 13, 15])
+def test_curve_alexander_polynomial_reach(n):
+    poly, stripped = alexander_polynomial(presentation_pi1_reduced(n))
+    assert poly == cyclotomic_target(n).normalized()
+    assert poly.degree == 3 * (n - 1)
+    assert stripped == 0

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from cuspidal.errors import InvalidParameter, NotSingular
-from cuspidal.geometry import (PrimeField, ProjectivePoint, choose_prime,
+from cuspidal.geometry import (PrimeField, ProjectivePoint,
+                               _form_vanishes_on_line,
+                               _normalized_linear_forms,
+                               all_projective_points, choose_prime,
                                curve_form, graded_lex_monomials, is_prime,
                                milnor_ratio, singular_points,
                                singular_points_scan, splitting_check_n2,
@@ -141,6 +144,32 @@ def test_quartic_splits_into_four_lines(p):
     assert len(rep.linear_forms) == 4
     assert len(set(rep.linear_forms)) == 4
     assert len(set(rep.intersection_points)) == 6
+
+
+def scan_vanishes_on_line(form, line, field):
+    """Oracle: test the form at every point of P^2(F_p) on the line."""
+    a, b, c = line
+    p = field.p
+    pts = []
+    for pt in all_projective_points(field):
+        x, y, z = pt.coords
+        if (a * x + b * y + c * z) % p == 0:
+            pts.append(pt)
+    return all(form.evaluate(pt) == 0 for pt in pts)
+
+
+@pytest.mark.parametrize("p", [5, 13, 17])
+def test_line_test_matches_full_scan(p):
+    # five points of a line decide whether the quartic F_2 contains it; at
+    # p = 5 a line has only six points
+    field = PrimeField(p)
+    form = curve_form(2, field)
+    found = [ln for ln in _normalized_linear_forms(field)
+             if _form_vanishes_on_line(form, ln, field)]
+    assert found == [ln for ln in _normalized_linear_forms(field)
+                     if scan_vanishes_on_line(form, ln, field)]
+    assert len(found) == 4
+    assert splitting_check_n2(field).linear_forms == tuple(found)
 
 
 def test_splitting_requires_1_mod_4():
