@@ -25,8 +25,9 @@ relator letters in and out.
 alexander: `alexander_polynomial` of the reduced curve presentation for
 n = 5, 7, 9, 11 (the call only, after the presentation is built; the answer
 is a digest of the polynomial, its degree, the number of (t - 1) factors
-stripped and the Fox matrix size) and `commutator_abelianization_rank(n)` for n = 5, 7, 9 (the whole
-call: Schreier rewriting along Z/2n and the Smith form).
+stripped and the Fox matrix size) and `commutator_abelianization_rank(n)`
+for n = 5, 7, 9 (the whole call: Schreier rewriting along Z/2n and the
+Smith form).
 """
 
 from __future__ import annotations

@@ -125,14 +125,6 @@ class LaurentPolynomial:
             g = int_gcd(g, c)
         return g
 
-    def primitive_part(self) -> "LaurentPolynomial":
-        if self.is_zero:
-            return self
-        g = self.content()
-        if self.coeffs[-1] < 0:
-            g = -g
-        return LaurentPolynomial(self.low, tuple(c // g for c in self.coeffs))
-
     def normalized(self) -> "LaurentPolynomial":
         """Strip the t^k unit (set low = 0) and make the leading coefficient
         positive."""
@@ -180,7 +172,8 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _combine(x: int, a: list[int], y, shift: int, b: list[int]) -> list[int]:
+def _combine(x: int, a: list[int], y: int, shift: int,
+             b: list[int]) -> list[int]:
     """x*a - y*t^shift*b."""
     out = [x * c for c in a]
     out.extend([0] * (len(b) + shift - len(out)))

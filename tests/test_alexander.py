@@ -218,7 +218,8 @@ CURVE_PRESENTATIONS = {
        for n in range(2, 8)},
     **{f"oka-quotient({n})": functools.partial(lambda n: oka_quotient(n)[1], n)
        for n in range(2, 8)},
-    # pi1(n) presents the group of pi1-reduced(n); n = 6, 7 would add 6 s
+    # pi1(n) presents the group of pi1-reduced(n); at n = 6, 7 the oracle
+    # alone takes seconds
     **{f"pi1({n})": functools.partial(presentation_pi1, n)
        for n in range(2, 6)},
     **{f"derived({n})": functools.partial(derive_pi1_via_rs, n)
