@@ -21,9 +21,7 @@ from .presentations import (GroupMap, MapCheckReport, derive_pi1_via_rs,
                             presentation_oka, presentation_pi1,
                             presentation_pi1_reduced, presentation_zariski3,
                             zariski_aux_datum, zariski_iso_candidate)
-from .rewriting import (AbelianTarget, SchreierSystem, Transversal,
-                        build_transversal, rewrite_word,
-                        subgroup_presentation)
+from .rewriting import AbelianTarget, SchreierSystem, subgroup_presentation
 from .words import (Presentation, Word, conjugate, invert, multiply,
                     parse_presentation, format_presentation, simplify,
                     tietze_eliminate)

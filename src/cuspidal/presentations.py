@@ -17,9 +17,8 @@ from .abelian import (AbelianStructure, IntegerMatrix, abelianization,
 from .errors import InvalidParameter
 from .homcount import TrivialityReport, count_homs, relator_triviality_check
 from .rewriting import AbelianTarget, subgroup_presentation
-from .words import (GroupMap, Presentation, Word, commutator, invert,
-                    multiply, power, simplify, simplify_with_map,
-                    tietze_eliminate)
+from .words import (GroupMap, Presentation, Word, commutator, conjugate,
+                    invert, multiply, power, simplify_with_map)
 
 
 def presentation_G_raw() -> Presentation:
@@ -88,11 +87,7 @@ def presentation_pi1(n: int) -> Presentation:
             # eps_{i,j+2} = eps_{i,j+1}^-1 eps_{i,j} eps_{i,j+1}
             a, b, c = idx[i, (j + 2) % n], idx[i, (j + 1) % n], idx[i, j]
             relators.append((a, -b, -c, b))
-    long_rel = []
-    for k in range(n):
-        long_rel.append(idx[k, k])
-        long_rel.append(idx[k, (k + 1) % n])
-    relators.append(tuple(long_rel))
+    relators.append(long_relator(n))
     return Presentation(gens, relators)
 
 
@@ -110,7 +105,6 @@ def _reduced_words(n: int) -> dict:
     obtained by expanding the recurrences, j-direction first."""
     w: dict[tuple[int, int], Word] = {
         (0, 0): (1,), (0, 1): (2,), (1, 0): (3,), (1, 1): (4,)}
-    from .words import conjugate
     for i in (0, 1):
         for j in range(2, n):
             w[i, j] = conjugate(w[i, j - 2], w[i, j - 1])
@@ -118,6 +112,14 @@ def _reduced_words(n: int) -> dict:
         for j in range(n):
             w[i, j] = conjugate(w[i - 2, j], w[i - 1, j])
     return w
+
+
+def _reduced_long_relator(n: int, w: dict) -> Word:
+    """long_relator(n) with each eps_i_j replaced by its reduced word."""
+    out: Word = ()
+    for x in long_relator(n):
+        out = multiply(out, w[divmod(x - 1, n)])
+    return out
 
 
 def presentation_pi1_reduced(n: int) -> Presentation:
@@ -130,7 +132,6 @@ def presentation_pi1_reduced(n: int) -> Presentation:
     if n < 2:
         raise InvalidParameter("n must be >= 2")
     w = _reduced_words(n)
-    from .words import conjugate
     relators = []
     for i in range(n):
         for j in range(n):
@@ -140,17 +141,13 @@ def presentation_pi1_reduced(n: int) -> Presentation:
             relators.append(multiply(
                 w[i, (j + 2) % n],
                 invert(conjugate(w[i, j], w[i, (j + 1) % n]))))
-    long_rel: Word = ()
-    for k in range(n):
-        long_rel = multiply(long_rel, w[k, k])
-        long_rel = multiply(long_rel, w[k, (k + 1) % n])
-    relators.append(long_rel)
+    relators.append(_reduced_long_relator(n, w))
     gens = (eps_name(0, 0), eps_name(0, 1), eps_name(1, 0), eps_name(1, 1))
     return Presentation(gens, relators)
 
 
-def derive_pi1_via_rs(n: int, *, simplify_budget: int = 10_000,
-                      line_meridian_mode: str = "post") -> Presentation:
+def derive_pi1_via_rs(n: int, *,
+                      simplify_budget: int = 10_000) -> Presentation:
     """Independent derivation of the curve group: Reidemeister-Schreier on
     the arrangement group along (Z/n)^2, quotienting by the line meridian
     powers l1^n, l2^n and (l2 e^2 l1)^-n, then Tietze simplification."""
@@ -162,17 +159,12 @@ def derive_pi1_via_rs(n: int, *, simplify_budget: int = 10_000,
     e, l1, l2 = ((1,), (2,), (3,))
     l0 = invert(multiply(multiply(l2, power(e, 2)), l1))
     extras = [power(l1, n), power(l2, n), power(l0, n)]
-    result = subgroup_presentation(
-        p, target, extras, generator_order=("l1", "l2", "e"),
-        simplify_budget=simplify_budget, line_meridian_mode=line_meridian_mode)
-    # any surviving l1_i_j generators are eliminable by their commutator
-    # rewrites; a second simplification pass consumes stragglers
-    while any(name.startswith("l1_") for name in result.generators):
-        before = len(result.generators)
-        result = simplify(result, simplify_budget)
-        if len(result.generators) == before:
-            break
-    return result
+    return subgroup_presentation(p, target, extras,
+                                 generator_order=("l1", "l2", "e"),
+                                 simplify_budget=simplify_budget)
+
+
+_ZARISKI3_GENERATORS = ("g2", "g00", "g01", "g10", "g11")
 
 
 def presentation_zariski3(variant: str = "corrected") -> Presentation:
@@ -195,7 +187,6 @@ def presentation_zariski3(variant: str = "corrected") -> Presentation:
     """
     if variant not in ("stated", "corrected"):
         raise InvalidParameter(f"unknown variant: {variant!r}")
-    gens = ("g2", "g00", "g01", "g10", "g11")
     g2: Word = (1,)
     table: dict[tuple[int, int], Word] = {
         (0, 0): (2,), (0, 1): (3,), (1, 0): (4,), (1, 1): (5,)}
@@ -220,56 +211,35 @@ def presentation_zariski3(variant: str = "corrected") -> Presentation:
             relators.append(multiply(lhs, invert(rhs)))
     if variant == "corrected":
         relators.extend(_zariski3_completion())
-    return Presentation(gens, relators)
+    return Presentation(_ZARISKI3_GENERATORS, relators)
+
+
+def _zariski3_images() -> tuple[Word, ...]:
+    """Images of eps_00, eps_01, eps_10, eps_11 (the generators of
+    presentation_pi1_reduced(3), in order) under the candidate map."""
+    g2, g01, g10, g11 = ((1,), (3,), (4,), (5,))
+    return (multiply(multiply(g2, g11), invert(g2)), g10, g2,
+            multiply(multiply(g2, g01), invert(g2)))
 
 
 def _zariski3_completion() -> list[Word]:
     """The two closing relators of the corrected comparison presentation:
     the image of the reduced product relator under the candidate map, and
-    g00^-1 times the image of eps_11 (eps_01^-1 eps_00 eps_01) eps_11^-1."""
+    the image of the auxiliary source word times the inverse of its target
+    word g00."""
     source = presentation_pi1_reduced(3)
-    g2, g00, g01, g10, g11 = ((1,), (2,), (3,), (4,), (5,))
-    images = {
-        eps_name(0, 0): multiply(multiply(g2, g11), invert(g2)),
-        eps_name(1, 0): g2,
-        eps_name(0, 1): g10,
-        eps_name(1, 1): multiply(multiply(g2, g01), invert(g2)),
-    }
-
-    def apply(w: Word) -> Word:
-        out: Word = ()
-        for x in w:
-            img = images[source.generators[abs(x) - 1]]
-            out = multiply(out, img if x > 0 else invert(img))
-        return out
-
-    w = _reduced_words(3)
-    product: Word = ()
-    for k in range(3):
-        product = multiply(product, w[k, k])
-        product = multiply(product, w[k, (k + 1) % 3])
-    e00 = (source.generator_index(eps_name(0, 0)),)
-    e01 = (source.generator_index(eps_name(0, 1)),)
-    e11 = (source.generator_index(eps_name(1, 1)),)
-    inner = multiply(multiply(invert(e01), e00), e01)
-    fifth = multiply(multiply(e11, inner), invert(e11))
-    return [apply(product), multiply(apply(fifth), invert(g00))]
+    m = GroupMap(source, Presentation(_ZARISKI3_GENERATORS, []),
+                 _zariski3_images())
+    fifth, g00 = zariski_aux_datum()
+    return [m.apply(_reduced_long_relator(3, _reduced_words(3))),
+            multiply(m.apply(fifth), invert(g00))]
 
 
 def zariski_iso_candidate(variant: str = "corrected") -> GroupMap:
     """The candidate isomorphism from the reduced curve presentation (n = 3)
     to the comparison presentation."""
-    source = presentation_pi1_reduced(3)
-    target = presentation_zariski3(variant)
-    g2, g01, g10, g11 = ((1,), (3,), (4,), (5,))
-    images = {
-        eps_name(0, 0): multiply(multiply(g2, g11), invert(g2)),
-        eps_name(1, 0): g2,
-        eps_name(0, 1): g10,
-        eps_name(1, 1): multiply(multiply(g2, g01), invert(g2)),
-    }
-    return GroupMap(source, target,
-                    tuple(images[name] for name in source.generators))
+    return GroupMap(presentation_pi1_reduced(3),
+                    presentation_zariski3(variant), _zariski3_images())
 
 
 def zariski_aux_datum(variant: str = "corrected"):

@@ -2,9 +2,9 @@
 abelian groups.
 
 The target is a direct sum of cyclic groups; each source generator is sent to
-a residue tuple.  Coset representatives form a Schreier transversal (every
-prefix of a representative is a representative), built breadth-first in a
-declared generator order, or as power-products in "power-basis" mode.
+a residue tuple.  SchreierSystem owns the coset table: the coset reached by
+each letter, the Schreier transversal and the kernel letter read on each
+edge.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InvalidParameter, NotGenerating, NotInKernel
-from .words import (Presentation, Word, cyclic_normal_form, invert, multiply,
-                    reduce_word, simplify)
+from .words import (Presentation, Word, invert, multiply, reduce_word,
+                    simplify)
 
 
 @dataclass(frozen=True)
@@ -82,134 +82,66 @@ class AbelianTarget:
         return acc
 
 
-@dataclass(frozen=True)
-class Transversal:
-    """Ordered Schreier coset representatives with an element -> index map."""
-
-    representatives: tuple[Word, ...]
-    index: dict
-
-    def coset_of(self, element) -> int:
-        return self.index[element]
-
-
-def build_transversal(target: AbelianTarget, generator_order=None,
-                      mode: str = "bfs") -> Transversal:
-    """Coset representatives for the kernel.
-
-    "bfs": breadth-first products in the declared generator order (default:
-    declaration order).  "power-basis": representatives g1^a1 * g2^a2 * ...
-    over the ordered generators; fails unless this yields each coset once.
-    Both modes produce prefix-closed (Schreier) transversals.
-    """
-    names = list(generator_order or target.generators)
-    order = [target.generators.index(nm) + 1 for nm in names]
-    if mode == "bfs":
-        reps: dict = {target.identity(): ()}
-        queue = deque([target.identity()])
-        while queue:
-            el = queue.popleft()
-            for g in order:
-                img = target.image_of_letter(g)
-                nxt = target.add(el, img)
-                if nxt not in reps:
-                    reps[nxt] = reps[el] + (g,)
-                    queue.append(nxt)
-        if len(reps) != target.size:
-            raise NotGenerating("generator images do not generate the target")
-        ordered = _row_major_elements(target)
-        return Transversal(tuple(reps[el] for el in ordered),
-                           {el: i for i, el in enumerate(ordered)})
-    if mode == "power-basis":
-        active = [g for g in order
-                  if target.image_of_letter(g) != target.identity()]
-        orders = [_element_order(target, target.image_of_letter(g))
-                  for g in active]
-        seen: dict = {}
-        for exps in product(*(range(o) for o in orders)):
-            word: Word = ()
-            for g, e in zip(active, exps):
-                word = multiply(word, (g,) * e)
-            el = target.image_of_word(word)
-            if el in seen:
-                raise NotGenerating(
-                    "power products do not enumerate the cosets")
-            seen[el] = word
-        if len(seen) != target.size:
-            raise NotGenerating("power products do not cover the target")
-        ordered = _row_major_elements(target)
-        return Transversal(tuple(seen[el] for el in ordered),
-                           {el: i for i, el in enumerate(ordered)})
-    raise InvalidParameter(f"unknown transversal mode: {mode!r}")
-
-
-def _row_major_elements(target: AbelianTarget):
-    return list(product(*(range(m) for m in target.moduli)))
-
-
-def _element_order(target: AbelianTarget, el) -> int:
-    acc = el
-    n = 1
-    while acc != target.identity():
-        acc = target.add(acc, el)
-        n += 1
-    return n
-
-
-@dataclass(frozen=True)
-class SchreierGenerator:
-    coset: int
-    source_generator: int  # 1-based index into the source generators
-    name: str
-    word: Word  # t * x * rep(t*x)^-1 expanded in the source generators
-    redundant: bool
-
-
 class SchreierSystem:
-    """The Schreier generators attached to (target, transversal).
+    """The coset table of the kernel of p ->> target and its Schreier
+    generators.
 
-    A generator whose expanded word freely reduces to the identity is
-    redundant and never emitted.  Additional generators can be marked
-    redundant up front ("pre" elimination of known line meridians) by passing
-    kernel words whose conjugacy class they represent.
+    Cosets are the target's elements in row-major order, coset 0 the
+    identity.  The representatives form a Schreier transversal (every prefix
+    of a representative is a representative), built breadth-first from coset
+    0 trying the generators in generator_order (default: declaration order).
+    The Schreier generator of (coset c, generator g) is
+    rep(c) * g * rep(c g)^-1; those that freely reduce to the identity are
+    never emitted, the rest are named <generator>_<residues of c>.
     """
 
     def __init__(self, p: Presentation, target: AbelianTarget,
-                 transversal: Transversal, pre_eliminate=()):
-        self.source = p
+                 generator_order=None):
         self.target = target
-        self.transversal = transversal
-        pre = {cyclic_normal_form(w) for w in pre_eliminate}
-        elements = _row_major_elements(target)
-        self.table: dict[tuple[int, int], SchreierGenerator] = {}
-        names = []
-        # per coset, signed source letter -> the coset reached and the signed
-        # kernel letter read on the way (0 for a redundant generator)
+        elements = list(product(*(range(m) for m in target.moduli)))
+        index = {el: i for i, el in enumerate(elements)}
+        ngen = len(p.generators)
+        # per coset, signed source letter -> the coset reached
         self._next: list[dict[int, int]] = [{} for _ in elements]
-        self._kernel_letter: list[dict[int, int]] = [{} for _ in elements]
         for ci, el in enumerate(elements):
-            rep = transversal.representatives[ci]
-            for g in range(1, len(p.generators) + 1):
-                cj = transversal.coset_of(
-                    target.add(el, target.image_of_letter(g)))
-                rep_nxt = transversal.representatives[cj]
-                word = multiply(multiply(rep, (g,)), invert(rep_nxt))
-                redundant = not word
-                if not redundant and pre:
-                    redundant = cyclic_normal_form(word) in pre
-                suffix = "_".join(str(r) for r in el)
-                name = f"{p.generators[g - 1]}_{suffix}"
-                sg = SchreierGenerator(ci, g, name, word, redundant)
-                self.table[(ci, g)] = sg
-                letter = 0
-                if not redundant:
-                    names.append(name)
-                    letter = len(names)
+            for g in range(1, ngen + 1):
+                cj = index[target.add(el, target.image_of_letter(g))]
                 self._next[ci][g] = cj
-                self._kernel_letter[ci][g] = letter
                 self._next[cj][-g] = ci
+        order = [target.generators.index(name) + 1
+                 for name in generator_order or target.generators]
+        reps: list[Word | None] = [None] * len(elements)
+        reps[0] = ()
+        queue = deque([0])
+        while queue:
+            ci = queue.popleft()
+            for g in order:
+                cj = self._next[ci][g]
+                if reps[cj] is None:
+                    reps[cj] = reps[ci] + (g,)
+                    queue.append(cj)
+        if None in reps:
+            raise NotGenerating("generator images do not generate the target")
+        self.representatives: tuple[Word, ...] = tuple(reps)
+        # per coset, signed source letter -> the signed kernel letter read on
+        # the way (0 for a redundant generator)
+        self._kernel_letter: list[dict[int, int]] = [{} for _ in elements]
+        names: list[str] = []
+        words: list[Word] = []
+        for ci, el in enumerate(elements):
+            suffix = "_".join(str(r) for r in el)
+            for g in range(1, ngen + 1):
+                cj = self._next[ci][g]
+                word = multiply(multiply(reps[ci], (g,)), invert(reps[cj]))
+                letter = 0
+                if word:
+                    names.append(f"{p.generators[g - 1]}_{suffix}")
+                    words.append(word)
+                    letter = len(names)
+                self._kernel_letter[ci][g] = letter
                 self._kernel_letter[cj][-g] = -letter
         self.generator_names = tuple(names)
+        self.generator_words = tuple(words)
 
     def letter_for(self, coset: int, g: int) -> int | None:
         """Kernel-word letter for (coset, source generator), or None if the
@@ -232,39 +164,22 @@ class SchreierSystem:
 
     def expand(self, w: Word) -> Word:
         """Map a kernel word back to the source generators."""
-        by_letter = {}
-        for (ci, g), sg in self.table.items():
-            if not sg.redundant:
-                by_letter[self._kernel_letter[ci][g]] = sg.word
         out: Word = ()
         for x in w:
-            word = by_letter[abs(x)]
+            word = self.generator_words[abs(x) - 1]
             out = multiply(out, word if x > 0 else invert(word))
         return out
 
 
-def rewrite_word(w: Word, transversal: Transversal,
-                 target: AbelianTarget) -> Word:
-    """Rewrite a source word over the Schreier generators, starting at the
-    identity coset.  Convenience wrapper around SchreierSystem.rewrite for a
-    free source on the target's generator names."""
-    free_source = Presentation(target.generators, [])
-    system = SchreierSystem(free_source, target, transversal)
-    return system.rewrite(reduce_word(w))
-
-
 def subgroup_presentation(p: Presentation, target: AbelianTarget,
                           extra_kernel_words, *, generator_order=None,
-                          transversal_mode: str = "bfs",
-                          simplify_budget: int = 10_000,
-                          line_meridian_mode: str = "post") -> Presentation:
+                          simplify_budget: int = 10_000) -> Presentation:
     """Presentation of the kernel, with the normal closures of the extra
     kernel words quotiented out.
 
     Every relator and extra word is rewritten at every coset (conjugation by
-    each transversal representative).  line_meridian_mode "pre" marks the
-    Schreier generators that are conjugates of extra kernel words redundant
-    during rewriting; "post" (default) leaves them to the simplification pass.
+    each representative), then one Tietze pass runs unless simplify_budget
+    is 0.
     """
     if target.generators != p.generators:
         raise ValueError("target images must be indexed by p's generators")
@@ -272,19 +187,10 @@ def subgroup_presentation(p: Presentation, target: AbelianTarget,
     for w in extras:
         if target.image_of_word(w) != target.identity():
             raise NotInKernel(f"extra word has nonzero image: {w}")
-    transversal = build_transversal(target, generator_order, transversal_mode)
-    if line_meridian_mode == "pre":
-        system = SchreierSystem(p, target, transversal, pre_eliminate=extras)
-    elif line_meridian_mode == "post":
-        system = SchreierSystem(p, target, transversal)
-    else:
-        raise InvalidParameter(
-            f"unknown line_meridian_mode: {line_meridian_mode!r}")
-    relators = []
-    ncosets = target.size
-    for r in list(p.relators) + extras:
-        for ci in range(ncosets):
-            relators.append(system.rewrite(r, start_coset=ci))
+    system = SchreierSystem(p, target, generator_order)
+    relators = [system.rewrite(r, start_coset=ci)
+                for r in list(p.relators) + extras
+                for ci in range(target.size)]
     result = Presentation(system.generator_names, relators)
     if simplify_budget:
         result = simplify(result, simplify_budget)

@@ -83,26 +83,27 @@ def _cyclic_core(w: Word) -> Word:
 
 
 def _least_rotation(w: Word) -> Word:
-    """Lexicographically least rotation of a nonempty word, in linear time
-    (K. S. Booth, "Lexicographically least circular substrings", IPL 10,
-    1980)."""
+    """Lexicographically least rotation of a nonempty word, in linear time.
+
+    Two-pointer scan: i is the best start so far, j < len(w) the next
+    candidate and k the length of their common prefix.  A mismatch rules
+    out the k + 1 starts from the loser onwards; k == len(w) means the word
+    is periodic and rotation i is already least."""
+    n = len(w)
     s = w + w
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != s[k + i + 1]:  # i == -1 here
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+        elif a < b:
+            j += k + 1
+            k = 0
         else:
-            fail[j - k] = i + 1
-    return s[k:k + len(w)]
+            i = max(i + k + 1, j)
+            j = i + 1
+            k = 0
+    return s[i:i + n]
 
 
 def cyclic_normal_form(w: Word) -> Word:

@@ -9,7 +9,8 @@ from cuspidal.presentations import (derive_pi1_via_rs, long_relator, map_check,
                                     presentation_pi1, presentation_pi1_reduced,
                                     presentation_zariski3, zariski_aux_datum,
                                     zariski_iso_candidate)
-from cuspidal.words import GroupMap, Presentation
+from cuspidal.words import (GroupMap, Presentation, format_presentation,
+                            simplify)
 
 
 def battery(p: Presentation, kmax: int = 3):
@@ -86,6 +87,15 @@ def test_derivation_reaches_n5_n6(n, expected):
     assert len(derived.generators) == 4
     assert abelianization(derived) == expected
     assert abelianization(presentation_pi1(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_derivation_is_a_tietze_fixed_point(n):
+    # one Tietze pass already stops at a fixed point (an l1_* generator
+    # survives it for n >= 3), so a second pass would change nothing
+    derived = derive_pi1_via_rs(n)
+    again = simplify(derived, 10_000)
+    assert format_presentation(again) == format_presentation(derived)
 
 
 def test_zariski3_variants():

@@ -5,8 +5,7 @@ import pytest
 
 from cuspidal.abelian import abelianization
 from cuspidal.errors import NotGenerating, NotInKernel
-from cuspidal.rewriting import (AbelianTarget, SchreierSystem, Transversal,
-                                build_transversal, rewrite_word,
+from cuspidal.rewriting import (AbelianTarget, SchreierSystem,
                                 subgroup_presentation)
 from cuspidal.words import (Presentation, format_presentation, invert,
                             multiply, reduce_word)
@@ -24,27 +23,40 @@ def test_target_validation():
     assert t.image_of_word((-1,)) == (1,)
 
 
-def transversal_is_prefix_closed(tr: Transversal) -> bool:
-    reps = set(tr.representatives)
-    return all(w[:i] in reps for w in tr.representatives
+def transversal_is_prefix_closed(representatives) -> bool:
+    reps = set(representatives)
+    return all(w[:i] in reps for w in representatives
                for i in range(len(w)))
 
 
-@pytest.mark.parametrize("mode", ["bfs", "power-basis"])
-def test_transversal_schreier_property(mode):
+@pytest.mark.parametrize("order", [None, ("b", "a")],
+                         ids=["bfs", "bfs-reversed"])
+def test_transversal_schreier_property(order):
     t = AbelianTarget((3, 3), ("a", "b"), ((1, 0), (0, 1)))
-    tr = build_transversal(t, mode=mode)
-    assert len(tr.representatives) == 9
-    assert transversal_is_prefix_closed(tr)
-    # representatives hit each coset exactly once
-    assert len({t.image_of_word(w) for w in tr.representatives}) == 9
+    free = Presentation(("a", "b"), [])
+    reps = SchreierSystem(free, t, order).representatives
+    assert len(reps) == 9
+    assert transversal_is_prefix_closed(reps)
+    # representatives hit each coset exactly once, in row-major order
+    assert [t.image_of_word(w) for w in reps] == list(
+        itertools.product(range(3), range(3)))
+    # coset (1, 1) is first reached from the first generator tried
+    first = t.generators.index((order or t.generators)[0]) + 1
+    assert reps[4][0] == first
+
+
+def test_generator_order_must_reach_every_coset():
+    # a alone reaches only the cosets (i, 0) of (Z/3)^2
+    t = AbelianTarget((3, 3), ("a", "b"), ((1, 0), (0, 1)))
+    free = Presentation(("a", "b"), [])
+    with pytest.raises(NotGenerating):
+        SchreierSystem(free, t, ("a",))
 
 
 def test_rewrite_of_kernel_word_expands_back():
     t = AbelianTarget((2, 2), ("a", "b"), ((1, 0), (0, 1)))
-    tr = build_transversal(t)
     free = Presentation(("a", "b"), [])
-    system = SchreierSystem(free, t, tr)
+    system = SchreierSystem(free, t)
     rng = random.Random(41)
     for _ in range(200):
         w = reduce_word(tuple(rng.choice((1, -1, 2, -2))
@@ -77,10 +89,10 @@ def test_extra_words_must_lie_in_kernel():
         subgroup_presentation(p, t, [(1,)])
 
 
-def test_rewrite_word_wrapper():
+def test_rewrite_from_identity_coset():
     t = AbelianTarget((2,), ("a", "b"), ((1,), (0,)))
-    tr = build_transversal(t)
-    w = rewrite_word((1, 1), tr, t)  # a^2 is in the kernel
+    free = Presentation(("a", "b"), [])
+    w = SchreierSystem(free, t).rewrite((1, 1))  # a^2 is in the kernel
     assert w != ()
 
 
@@ -103,40 +115,42 @@ def test_index_formula_for_relator_count():
 
 def coset_arithmetic_rewrite(system, w, start_coset=0):
     """Rewriting that recomputes each coset from the target's residues,
-    letter by letter."""
-    target, tr = system.target, system.transversal
+    letter by letter, with its own row-major coset index."""
+    target = system.target
     elements = list(itertools.product(*(range(m) for m in target.moduli)))
+    index = {el: i for i, el in enumerate(elements)}
     coset = start_coset
     out = []
     for x in w:
         if x < 0:
-            coset = tr.coset_of(target.add(elements[coset],
-                                           target.image_of_letter(x)))
+            coset = index[target.add(elements[coset],
+                                     target.image_of_letter(x))]
         letter = system.letter_for(coset, abs(x))
         if x > 0:
-            coset = tr.coset_of(target.add(elements[coset],
-                                           target.image_of_letter(x)))
+            coset = index[target.add(elements[coset],
+                                     target.image_of_letter(x))]
         if letter is not None:
             out = list(multiply(out, (letter if x > 0 else -letter,)))
     return tuple(out)
 
 
-@pytest.mark.parametrize("moduli,images,mode", [
-    ((2, 2), ((1, 0), (0, 1), (1, 1)), "bfs"),
-    ((3, 3), ((0, 0), (1, 0), (0, 1)), "bfs"),
-    ((4,), ((1,), (2,), (3,)), "bfs"),
-    ((2, 3), ((1, 0), (0, 1), (0, 0)), "power-basis"),
-])
-def test_rewrite_matches_coset_arithmetic(moduli, images, mode):
+# order None is breadth-first in declaration order
+@pytest.mark.parametrize("moduli,images,order", [
+    ((2, 2), ((1, 0), (0, 1), (1, 1)), None),
+    ((3, 3), ((0, 0), (1, 0), (0, 1)), None),
+    ((4,), ((1,), (2,), (3,)), None),
+    ((2, 3), ((1, 0), (0, 1), (0, 0)), ("c", "b", "a")),
+], ids=["moduli0-images0-bfs", "moduli1-images1-bfs", "moduli2-images2-bfs",
+        "moduli3-images3-bfs-reversed"])
+def test_rewrite_matches_coset_arithmetic(moduli, images, order):
     rng = random.Random(43)
     t = AbelianTarget(moduli, ("a", "b", "c"), images)
-    tr = build_transversal(t, mode=mode)
     relators = [reduce_word(tuple(rng.choice((1, -1, 2, -2, 3, -3))
                                   for _ in range(rng.randrange(1, 10))))
                 for _ in range(6)]
     relators = [r for r in relators if r]
     p = Presentation(("a", "b", "c"), relators)
-    system = SchreierSystem(p, t, tr)
+    system = SchreierSystem(p, t, order)
     for _ in range(100):
         w = reduce_word(tuple(rng.choice((1, -1, 2, -2, 3, -3))
                               for _ in range(rng.randrange(15))))
@@ -144,7 +158,7 @@ def test_rewrite_matches_coset_arithmetic(moduli, images, mode):
             assert system.rewrite(w, ci) == coset_arithmetic_rewrite(
                 system, w, ci)
     # the kernel presentation is built from exactly these rewrites
-    q = subgroup_presentation(p, t, [], transversal_mode=mode,
+    q = subgroup_presentation(p, t, [], generator_order=order,
                               simplify_budget=0)
     expected = Presentation(system.generator_names, [
         coset_arithmetic_rewrite(system, r, ci)
