@@ -3,6 +3,7 @@
     python3 scripts/bench.py homcount --before OLD/src
     python3 scripts/bench.py tietze --before OLD/src
     python3 scripts/bench.py alexander --before OLD/src
+    python3 scripts/bench.py kernel --before OLD/src
 
 times the suite's cases on the `cuspidal` package under OLD/src and on the
 one in this checkout's src/, and writes the JSON report next to this
@@ -28,6 +29,13 @@ is a digest of the polynomial, its degree, the number of (t - 1) factors
 stripped and the Fox matrix size) and `commutator_abelianization_rank(n)`
 for n = 5, 7, 9 (the whole call: Schreier rewriting along Z/2n and the
 Smith form).
+
+kernel: `commutator_abelianization_rank(n)` for odd n = 9..21 (the whole
+call).  Next to the times, each side reports its work, counted after the
+timed call: a version with `SchreierSystem.exponent_rows` reports the
+relator walks and the letters they read, the distinct rows, the unit pivots
+and the shape of the dense remainder; an older one the kernel relators it
+rewrote and the shape of its dense exponent matrix.
 """
 
 from __future__ import annotations
@@ -59,12 +67,14 @@ VERIFY_ALL_N = (2, 3, 4)
 DERIVE_N = (4, 5, 6, 7)
 ALEXANDER_N = (5, 7, 9, 11)
 RANK_N = (5, 7, 9)
+KERNEL_N = (9, 11, 13, 15, 17, 19, 21)
 SUITES = {
     "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
                                    for n in VERIFY_ALL_N],
     "tietze": [f"derive_pi1_via_rs({n})" for n in DERIVE_N],
     "alexander": [f"alexander_polynomial({n})" for n in ALEXANDER_N]
                  + [f"commutator_abelianization_rank({n})" for n in RANK_N],
+    "kernel": [f"commutator_abelianization_rank({n})" for n in KERNEL_N],
 }
 WHAT = {
     "homcount": "median wall seconds of one call, fresh interpreter per run; "
@@ -81,6 +91,9 @@ WHAT = {
                  "answers (sha256 of the polynomial's text, its degree, the "
                  "(t - 1) factors stripped, the Fox matrix size, the "
                  "commutator rank) are identical for both versions",
+    "kernel": "median wall seconds of one commutator_abelianization_rank(n) "
+              "call, fresh interpreter per run; the rank is identical for "
+              "both versions; *_work are each version's work counts",
 }
 REPEAT = 3
 
@@ -141,11 +154,40 @@ def time_alexander(n: int):
                      "fox_cells": len(p.relators) * len(p.generators)}
 
 
+
+
+def kernel_work(n: int) -> dict:
+    """The work of commutator_abelianization_rank(n) in this version."""
+    from cuspidal import abelian
+    from cuspidal.presentations import presentation_pi1_reduced
+    from cuspidal.rewriting import AbelianTarget, SchreierSystem
+    p = presentation_pi1_reduced(n)
+    target = AbelianTarget((2 * n,), p.generators,
+                           tuple((1,) for _ in p.generators))
+    system = SchreierSystem(p, target)
+    ncols = len(system.generator_names)
+    if not hasattr(system, "exponent_rows"):
+        rewritten = len(p.relators) * target.size
+        return {"rows_rewritten": rewritten,
+                "dense_matrix": [rewritten, ncols]}
+    rows = list(system.exponent_rows(p.relators))
+    # every relator lies in the kernel, so one whose first row is zero is
+    # walked from one coset only, any other from every coset
+    walks = {r: 1 if not list(system.exponent_rows([r])) else target.size
+             for r in p.relators if r}
+    ones, rest = abelian._unit_pivots(rows, ncols)
+    cols = {j for row in rest for j in row}
+    return {"rows_walked": sum(walks.values()),
+            "letters_walked": sum(k * len(r) for r, k in walks.items()),
+            "distinct_rows": len(rows), "unit_pivots": ones,
+            "dense_remainder": [len(rest), len(cols)]}
+
+
 def time_commutator_rank(n: int):
     from cuspidal.abelian import commutator_abelianization_rank
     start = time.perf_counter()
     rank = commutator_abelianization_rank(n)
-    return time.perf_counter() - start, rank
+    return time.perf_counter() - start, rank, kernel_work(n)
 
 
 # case name up to its "(" -> timing function of the integer argument
@@ -155,7 +197,7 @@ CALLS = {"derive_pi1_via_rs": time_derive,
 
 
 def child(src: str, case: str) -> None:
-    """Run one measurement and print {"seconds", "answer"}."""
+    """Run one measurement and print {"seconds", "answer", "work"}."""
     sys.path.insert(0, src)
     if case in HOM_CASES:
         seconds, answer = time_hom_count(case)
@@ -163,8 +205,9 @@ def child(src: str, case: str) -> None:
         seconds, answer = time_verify_all(int(case.split()[-1]))
     else:
         name, arg = case[:-1].split("(")
-        seconds, answer = CALLS[name](int(arg))
-    print(json.dumps({"seconds": seconds, "answer": answer}))
+        seconds, answer, *work = CALLS[name](int(arg))
+    print(json.dumps({"seconds": seconds, "answer": answer,
+                      "work": work[0] if work else None}))
 
 
 def measure(src: Path, case: str) -> dict:
@@ -199,13 +242,14 @@ def main(argv=None) -> int:
         versions = {"before": args.before, **versions}
     cases = SUITES[args.suite]
     times = {(v, c): [] for v in versions for c in cases}
-    answers = {}
+    answers, work = {}, {}
     for _ in range(REPEAT):
         for case in cases:
             for version, src in versions.items():
                 run = measure(src, case)
                 times[version, case].append(run["seconds"])
                 answers.setdefault(case, run["answer"])
+                work[version, case] = run["work"]
                 if run["answer"] != answers[case]:
                     sys.exit(f"{case}: {version} answers differently")
     rows = []
@@ -224,6 +268,9 @@ def main(argv=None) -> int:
                 times[version, case]), 4)
         if "before" in versions:
             row["speedup"] = round(row["before_s"] / row["after_s"], 1)
+        for version in versions:
+            if work[version, case] is not None:
+                row[f"{version}_work"] = work[version, case]
         rows.append(row)
     report = {
         "what": WHAT[args.suite],

@@ -2,8 +2,8 @@
 polynomials, and singular geometry of a family of cuspidal plane curves."""
 
 from .abelian import (AbelianStructure, IntegerMatrix, abelianization,
-                      commutator_abelianization_rank, relator_matrix,
-                      smith_normal_form)
+                      commutator_abelianization_rank, kernel_abelianization,
+                      relator_matrix, smith_normal_form)
 from .alexander import (LaurentPolynomial, alexander_matrix,
                         alexander_polynomial, cyclotomic_base,
                         cyclotomic_target, elementary_ideal_gcd,

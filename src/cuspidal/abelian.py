@@ -8,6 +8,7 @@ sequence can overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InvalidParameter
 from .words import Presentation
@@ -122,7 +123,7 @@ def _smallest_pivot(a, k, rows, cols):
     return None if best is None else (best[1], best[2])
 
 
-def _diagonalize(m: IntegerMatrix, track: bool):
+def _diagonalize(m: IntegerMatrix, track: bool, modulus: int = 0):
     """Smith-form elimination of m: returns (diagonal, U, V) with the
     diagonal d1 | d2 | ... of length min(rows, cols), di >= 0.  With
     `track`, U and V are the unimodular row and column transforms (as row
@@ -131,23 +132,42 @@ def _diagonalize(m: IntegerMatrix, track: bool):
     Pivot strategy: smallest nonzero absolute value in the remaining block.
     Once pivot k is done, row k and column k are zero off the diagonal, so
     the operations of later steps touch only the block from (k, k) on.
+
+    A nonzero `modulus` D (never with `track`) must be a multiple of the
+    index of m's row lattice in Z^cols.  The lattice then contains D*Z^cols,
+    so entries are kept as residues mod D, of absolute value at most D/2,
+    and the diagonal is returned as gcd(di, D): the Smith form of the
+    lattice spanned by the rows of m and of D*I, which is the same lattice.
+    Each gcd(di, D) divides all later entries and D, hence the next one.
     """
     rows, cols = m.rows, m.cols
     a = [row[:] for row in m.data]
     u = IntegerMatrix.identity(rows).data if track else None
     v = IntegerMatrix.identity(cols).data if track else None
     k = 0
+    half = modulus // 2
+
+    def residue(x):
+        x %= modulus
+        return x - modulus if x > half else x
+
+    if modulus:
+        a = [[residue(x) for x in row] for row in a]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         ai, aj = a[i], a[j]
         for c in range(k, cols):
             ai[c] -= q * aj[c]
+        if modulus:
+            ai[k:] = map(residue, ai[k:])
         if track:
             u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in a[k:]:
             r[i] -= q * r[j]
+            if modulus:
+                r[i] = residue(r[i])
         if track:
             for r in v:
                 r[i] -= q * r[j]
@@ -207,7 +227,10 @@ def _diagonalize(m: IntegerMatrix, track: bool):
             if track:
                 u[k] = [-x for x in u[k]]
         k += 1
-    return [a[i][i] for i in range(n)], u, v
+    diagonal = [a[i][i] for i in range(n)]
+    if modulus:
+        diagonal = [gcd(d, modulus) for d in diagonal]
+    return diagonal, u, v
 
 
 def smith_normal_form(m: IntegerMatrix):
@@ -221,10 +244,119 @@ def smith_normal_form(m: IntegerMatrix):
             IntegerMatrix(m.cols, m.cols, v))
 
 
+def _markowitz_unit(live, where):
+    """The (row, column) of a +-1 entry of least Markowitz cost
+    (r - 1)(c - 1), with r the entries of its row and c of its column, or
+    None if no entry is a unit.  Rows are tried shortest first, and the
+    scan stops once no later row can cost less."""
+    fewest = min(len(w) for w in where if w) - 1
+    best = None
+    for i in sorted(live, key=lambda i: len(live[i])):
+        row = live[i]
+        length = len(row) - 1
+        if best is not None and length * fewest >= best[0]:
+            break
+        for j, x in row.items():
+            if x == 1 or x == -1:
+                cost = length * (len(where[j]) - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+    return None if best is None else best[1:]
+
+
+def _unit_pivots(rows, ncols):
+    """Sparse front end of the Smith form (Havas, Holt and Rees, "Recognizing
+    badly presented Z-modules", 1993).
+
+    rows are dicts column -> nonzero entry, and are consumed.  While some
+    entry is +-1, the cheapest one by Markowitz cost clears its column by
+    row operations; its row and column then split off as an invariant
+    factor 1.  Returns the number of such factors and the rows left, none
+    of them empty; their Smith form supplies the other invariant factors.
+    """
+    live = {i: row for i, row in enumerate(rows) if row}
+    where = [set() for _ in range(ncols)]  # column -> rows with an entry
+    for i, row in live.items():
+        for j in row:
+            where[j].add(i)
+    ones = 0
+    while live:
+        pivot = _markowitz_unit(live, where)
+        if pivot is None:
+            break
+        i, j = pivot
+        prow = live.pop(i)
+        for c in prow:
+            where[c].discard(i)
+        column, where[j] = where[j], set()
+        sign = prow.pop(j)
+        for k in column:
+            row = live[k]
+            q = row.pop(j) * sign  # row -= q * prow zeroes column j
+            for c, x in prow.items():
+                y = row.get(c)
+                if y is None:
+                    row[c] = -q * x
+                    where[c].add(k)
+                elif y - q * x:
+                    row[c] = y - q * x
+                else:
+                    del row[c]
+                    where[c].discard(k)
+            if not row:
+                del live[k]
+        ones += 1
+    return ones, list(live.values())
+
+
+_RANK_PRIME = 2**61 - 1
+
+
+def _lattice_multiple(m: IntegerMatrix) -> int:
+    """A nonzero multiple of the index of m's row lattice in Z^cols, or 0
+    if m has no full column rank mod a large prime.
+
+    The rank is taken mod the prime; rows independent there form a
+    nonsingular square submatrix, whose determinant (exact, Bareiss) the
+    lattice index divides."""
+    if not m.cols or m.rows < m.cols:
+        return 0
+    p = _RANK_PRIME
+    basis = []  # (lead column, reduced row with 1 there), in order found
+    chosen = []
+    for i, row in enumerate(m.data):
+        v = [x % p for x in row]
+        for lead, b in basis:
+            if v[lead]:
+                f = v[lead]
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        basis.append((lead, [x * inv % p for x in v]))
+        chosen.append(m.data[i])
+        if len(chosen) == m.cols:
+            return abs(IntegerMatrix.from_rows(chosen).determinant())
+    return 0
+
+
 def invariant_factors(m: IntegerMatrix) -> list[int]:
-    """Nonzero diagonal entries of the Smith form."""
-    diagonal, _, _ = _diagonalize(m, track=False)
-    return [x for x in diagonal if x]
+    """Nonzero diagonal entries of the Smith form.
+
+    The unit pivots of the sparse front end give the leading 1s.  The rows
+    left, restricted to the columns they still use, go to the dense
+    elimination, with entries bounded by a multiple of the lattice index
+    when they have full column rank.
+    """
+    ones, rest = _unit_pivots(
+        [{j: x for j, x in enumerate(row) if x} for row in m.data], m.cols)
+    cols = sorted({j for row in rest for j in row})
+    remainder = IntegerMatrix(len(rest), len(cols),
+                              [[row.get(j, 0) for j in cols] for row in rest])
+    diagonal, _, _ = _diagonalize(remainder, track=False,
+                                  modulus=_lattice_multiple(remainder))
+    return [1] * ones + [x for x in diagonal if x]
 
 
 def abelianization(p: Presentation) -> AbelianStructure:
@@ -235,21 +367,38 @@ def abelianization(p: Presentation) -> AbelianStructure:
     return AbelianStructure(free_rank, torsion)
 
 
+def kernel_abelianization(p: Presentation, target) -> AbelianStructure:
+    """H1 of the kernel of p ->> target (an AbelianTarget), by abelianized
+    Reidemeister-Schreier: the kernel's exponent-sum rows are read off the
+    Schreier coset table (`SchreierSystem.exponent_rows`) and their Smith
+    form is taken.  No kernel presentation is built."""
+    from .rewriting import SchreierSystem
+
+    system = SchreierSystem(p, target)
+    ncols = len(system.generator_names)
+    rows = [[row.get(j, 0) for j in range(ncols)]
+            for row in system.exponent_rows(p.relators)]
+    factors = invariant_factors(IntegerMatrix(len(rows), ncols, rows))
+    return AbelianStructure(ncols - len(factors),
+                            tuple(d for d in factors if d != 1))
+
+
 def commutator_abelianization_rank(n: int) -> int:
     """Free rank of H1 of the kernel of the total-degree map to Z/2n.
 
-    Rewrites the reduced presentation of the curve group along the map
-    sending every generator to 1 mod 2n (the abelianization for odd n) and
-    returns the free rank of the kernel presentation's abelianization.  For
-    odd n this equals the degree of the curve's Alexander polynomial, 3(n-1).
+    The kernel of the map sending every generator of the reduced curve
+    presentation to 1 mod 2n (the commutator subgroup for odd n, where that
+    map is the abelianization), abelianized by `kernel_abelianization`.  For
+    odd n the rank equals the degree of the curve's Alexander polynomial,
+    3(n-1); the rows come from the coset table alone, not from Fox calculus,
+    so the two checks share no code.
     """
     if n < 3 or n % 2 == 0:
         raise InvalidParameter("n must be odd and >= 3")
     from .presentations import presentation_pi1_reduced
-    from .rewriting import AbelianTarget, subgroup_presentation
+    from .rewriting import AbelianTarget
 
     p = presentation_pi1_reduced(n)
     target = AbelianTarget(moduli=(2 * n,), generators=p.generators,
                            images=tuple((1,) for _ in p.generators))
-    kernel = subgroup_presentation(p, target, [], simplify_budget=0)
-    return abelianization(kernel).free_rank
+    return kernel_abelianization(p, target).free_rank

@@ -135,12 +135,6 @@ class LaurentPolynomial:
             coeffs = tuple(-c for c in coeffs)
         return LaurentPolynomial(0, coeffs)
 
-    def divides(self, other: "LaurentPolynomial") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        q = divide_exact(other, self)
-        return q is not None
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -251,6 +245,15 @@ def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial):
     return LaurentPolynomial(0, [content * c for c in prim]).normalized()
 
 
+def _from_terms(terms: dict[int, int]) -> LaurentPolynomial:
+    """The Laurent polynomial with the given exponent -> coefficient map."""
+    if not terms:
+        return LaurentPolynomial.zero()
+    low = min(terms)
+    return LaurentPolynomial(low, [terms.get(e, 0)
+                                   for e in range(low, max(terms) + 1)])
+
+
 def fox_derivative(w: Word, g: int, weights) -> LaurentPolynomial:
     """Fox derivative of a word by generator g (1-based), specialized at the
     meridian map x -> t^weights[x].
@@ -271,12 +274,7 @@ def fox_derivative(w: Word, g: int, weights) -> LaurentPolynomial:
             exp -= wt
             if a == g:
                 terms[exp] = terms.get(exp, 0) - 1
-    if not terms:
-        return LaurentPolynomial.zero()
-    low = min(terms)
-    high = max(terms)
-    coeffs = [terms.get(e, 0) for e in range(low, high + 1)]
-    return LaurentPolynomial(low, coeffs)
+    return _from_terms(terms)
 
 
 def default_weights(p: Presentation) -> dict[int, int]:
@@ -285,12 +283,26 @@ def default_weights(p: Presentation) -> dict[int, int]:
 
 def alexander_matrix(p: Presentation, weights=None):
     """Fox-derivative matrix of a presentation as a list of rows: one row
-    per relator, one column per generator."""
+    per relator, one column per generator.  Each relator is read once,
+    every letter adding its term to its own generator's column."""
     if weights is None:
         weights = default_weights(p)
     ngen = len(p.generators)
-    return [[fox_derivative(r, g, weights) for g in range(1, ngen + 1)]
-            for r in p.relators]
+    rows = []
+    for r in p.relators:
+        terms: list[dict[int, int]] = [{} for _ in range(ngen + 1)]
+        exp = 0
+        for x in r:
+            if x > 0:
+                column = terms[x]
+                column[exp] = column.get(exp, 0) + 1
+                exp += weights[x]
+            else:
+                exp -= weights[-x]
+                column = terms[-x]
+                column[exp] = column.get(exp, 0) - 1
+        rows.append([_from_terms(t) for t in terms[1:]])
+    return rows
 
 
 def _unit_reduce(rows, size):

@@ -195,9 +195,6 @@ class TernaryForm:
                 out[key] = (out.get(key, 0) + c1 * c2) % p
         return TernaryForm(self.degree + other.degree, self.field, out)
 
-    def coefficient_vector(self) -> list[int]:
-        return [self.coeffs[m] for m in self.monomials]
-
 
 def curve_form(n: int, field: PrimeField) -> TernaryForm:
     """F_n = f(x^n, y^n, z^n), a degree-2n form."""

@@ -242,7 +242,7 @@ def zariski_iso_candidate(variant: str = "corrected") -> GroupMap:
                     presentation_zariski3(variant), _zariski3_images())
 
 
-def zariski_aux_datum(variant: str = "corrected"):
+def zariski_aux_datum():
     """The fifth displayed correspondence, kept as a consistency datum:
     (source word eps_11 * eps_00^{01} * eps_11^-1, target word g00)."""
     source = presentation_pi1_reduced(3)

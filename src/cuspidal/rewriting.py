@@ -4,7 +4,8 @@ abelian groups.
 The target is a direct sum of cyclic groups; each source generator is sent to
 a residue tuple.  SchreierSystem owns the coset table: the coset reached by
 each letter, the Schreier transversal and the kernel letter read on each
-edge.
+edge.  It rewrites words into kernel words, and reads the kernel relators'
+exponent sums straight off the table for the kernel's abelianization.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from operator import neg, sub
+from typing import Iterator
 
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .words import (Presentation, Word, invert, multiply, reduce_word,
@@ -97,17 +100,25 @@ class SchreierSystem:
 
     def __init__(self, p: Presentation, target: AbelianTarget,
                  generator_order=None):
+        if target.generators != p.generators:
+            raise ValueError(
+                "target images must be indexed by p's generators")
         self.target = target
         elements = list(product(*(range(m) for m in target.moduli)))
         index = {el: i for i, el in enumerate(elements)}
         ngen = len(p.generators)
-        # per coset, signed source letter -> the coset reached
-        self._next: list[dict[int, int]] = [{} for _ in elements]
+        # Both tables are flat lists of one block of 2 * ngen + 1 entries per
+        # coset.  The slot of coset c is the middle of its block, so the
+        # entry of (c, signed source letter x) sits at slot + x.
+        width = 2 * ngen + 1
+        self._slots = range(ngen, len(elements) * width, width)
+        # (coset, letter) -> the slot of the coset reached
+        self._next = [0] * (len(elements) * width)
         for ci, el in enumerate(elements):
             for g in range(1, ngen + 1):
                 cj = index[target.add(el, target.image_of_letter(g))]
-                self._next[ci][g] = cj
-                self._next[cj][-g] = ci
+                self._next[self._slots[ci] + g] = self._slots[cj]
+                self._next[self._slots[cj] - g] = self._slots[ci]
         order = [target.generators.index(name) + 1
                  for name in generator_order or target.generators]
         reps: list[Word | None] = [None] * len(elements)
@@ -116,51 +127,97 @@ class SchreierSystem:
         while queue:
             ci = queue.popleft()
             for g in order:
-                cj = self._next[ci][g]
+                cj = self._next[self._slots[ci] + g] // width
                 if reps[cj] is None:
                     reps[cj] = reps[ci] + (g,)
                     queue.append(cj)
         if None in reps:
             raise NotGenerating("generator images do not generate the target")
         self.representatives: tuple[Word, ...] = tuple(reps)
-        # per coset, signed source letter -> the signed kernel letter read on
-        # the way (0 for a redundant generator)
-        self._kernel_letter: list[dict[int, int]] = [{} for _ in elements]
+        # (coset, letter) -> the signed kernel letter read on the way (0 for
+        # a redundant generator)
+        self._kernel_letter = [0] * (len(elements) * width)
         names: list[str] = []
         words: list[Word] = []
         for ci, el in enumerate(elements):
             suffix = "_".join(str(r) for r in el)
             for g in range(1, ngen + 1):
-                cj = self._next[ci][g]
+                cj = self._next[self._slots[ci] + g] // width
                 word = multiply(multiply(reps[ci], (g,)), invert(reps[cj]))
                 letter = 0
                 if word:
                     names.append(f"{p.generators[g - 1]}_{suffix}")
                     words.append(word)
                     letter = len(names)
-                self._kernel_letter[ci][g] = letter
-                self._kernel_letter[cj][-g] = -letter
+                self._kernel_letter[self._slots[ci] + g] = letter
+                self._kernel_letter[self._slots[cj] - g] = -letter
         self.generator_names = tuple(names)
         self.generator_words = tuple(words)
 
     def letter_for(self, coset: int, g: int) -> int | None:
         """Kernel-word letter for (coset, source generator), or None if the
         Schreier generator is redundant."""
-        return self._kernel_letter[coset].get(g) or None
+        return self._kernel_letter[self._slots[coset] + g] or None
 
     def rewrite(self, w: Word, start_coset: int = 0) -> Word:
         """Reidemeister-Schreier rewriting of w starting at a coset."""
-        coset = start_coset
+        slot = self._slots[start_coset]
         out: list[int] = []
         for x in w:
-            letter = self._kernel_letter[coset][x]
-            coset = self._next[coset][x]
+            slot += x
+            letter = self._kernel_letter[slot]
+            slot = self._next[slot]
             if letter:
                 if out and out[-1] == -letter:
                     out.pop()
                 else:
                     out.append(letter)
         return tuple(out)
+
+    def exponent_rows(self, relators) -> Iterator[dict[int, int]]:
+        """Abelianized Reidemeister-Schreier: the exponent-sum rows of the
+        kernel relators, read off the coset table.
+
+        Each relator is walked from every coset through the tables, counting
+        the kernel letters on the way; no rewritten word is built.  A row
+        maps the 0-based index of a kernel generator to its exponent sum.
+        Zero rows are skipped and every row is yielded once, with its first
+        nonzero entry made positive, since a repeated or negated row
+        generates nothing new.  Equal relators give equal rows, so a
+        repeated relator is not walked again.
+
+        A relator whose walk ends at the coset it started from lies in the
+        kernel.  Its row at coset c is then the image of its row at coset 0
+        under conjugation by the representative of c, an automorphism of
+        the kernel's abelianization, so one zero row means that all of its
+        rows are zero, and its other walks are skipped.
+        """
+        nkernel = len(self.generator_names)
+        kernel_letter, next_slot = self._kernel_letter, self._next
+        seen = set()
+        for r in dict.fromkeys(relators):
+            if not r:
+                continue
+            for start in self._slots:
+                slot = start
+                # counts[-j] sits at the far end: no sign test while walking
+                counts = [0] * (2 * nkernel + 1)
+                for x in r:
+                    slot += x
+                    counts[kernel_letter[slot]] += 1
+                    slot = next_slot[slot]
+                row = tuple(map(sub, counts[1:nkernel + 1],
+                                reversed(counts[nkernel + 1:])))
+                first = next(filter(None, row), 0)
+                if not first:
+                    if slot == start:
+                        break
+                    continue
+                if first < 0:
+                    row = tuple(map(neg, row))
+                if row not in seen:
+                    seen.add(row)
+                    yield {j: v for j, v in enumerate(row) if v}
 
     def expand(self, w: Word) -> Word:
         """Map a kernel word back to the source generators."""
@@ -181,8 +238,6 @@ def subgroup_presentation(p: Presentation, target: AbelianTarget,
     each representative), then one Tietze pass runs unless simplify_budget
     is 0.
     """
-    if target.generators != p.generators:
-        raise ValueError("target images must be indexed by p's generators")
     extras = [reduce_word(w) for w in extra_kernel_words]
     for w in extras:
         if target.image_of_word(w) != target.identity():

@@ -1,14 +1,18 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from cuspidal.abelian import (AbelianStructure, IntegerMatrix, abelianization,
+from cuspidal import abelian, words
+from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _diagonalize,
+                              _lattice_multiple, _unit_pivots, abelianization,
                               commutator_abelianization_rank,
-                              invariant_factors, relator_matrix,
-                              smith_normal_form)
-from cuspidal.presentations import presentation_pi1_reduced
+                              invariant_factors, kernel_abelianization,
+                              relator_matrix, smith_normal_form)
+from cuspidal.presentations import (presentation_G, presentation_oka,
+                                    presentation_pi1, presentation_pi1_reduced)
 from cuspidal.rewriting import AbelianTarget, subgroup_presentation
 from cuspidal.words import Presentation
 
@@ -128,10 +132,158 @@ def test_abelianization_drops_unit_factors():
     assert abelianization(p) == AbelianStructure(0, (2,))
 
 
-@pytest.mark.parametrize("n", [7, 9])
+@pytest.mark.parametrize("n", range(7, 22, 2))
 def test_commutator_abelianization_rank_reach(n):
     # the free rank of the kernel's H1 is the Alexander degree 3(n - 1)
     assert commutator_abelianization_rank(n) == 3 * (n - 1)
+
+
+def dense_factors(m: IntegerMatrix) -> list[int]:
+    """The Smith form without the sparse front end or a modulus."""
+    diagonal, _, _ = _diagonalize(m, track=False)
+    return [x for x in diagonal if x]
+
+
+def kernel_abelianization_oracle(p, target) -> AbelianStructure:
+    """The kernel route before abelianized Reidemeister-Schreier: the
+    kernel presentation (every relator rewritten at every coset), its
+    exponent matrix and the dense Smith form."""
+    kernel = subgroup_presentation(p, target, [], simplify_budget=0)
+    factors = dense_factors(relator_matrix(kernel))
+    return AbelianStructure(len(kernel.generators) - len(factors),
+                            tuple(d for d in factors if d != 1))
+
+
+def total_degree_target(p, m):
+    return AbelianTarget((m,), p.generators, tuple((1,) for _ in p.generators))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_kernel_rows_match_the_kernel_presentation(n):
+    p = presentation_pi1_reduced(n)
+    target = total_degree_target(p, 2 * n)
+    got = kernel_abelianization(p, target)
+    assert got == kernel_abelianization_oracle(p, target)
+    assert got.free_rank == 3 * (n - 1)
+
+
+@pytest.mark.parametrize("build,moduli,images", [
+    (lambda: presentation_pi1_reduced(4), (8,), None),
+    (lambda: presentation_pi1(3), (2, 3), None),
+    (presentation_G, (3, 2), ((1, 0), (0, 1), (1, 1))),
+    (lambda: presentation_oka(3), (6,), ((3,), (2,))),
+    (lambda: presentation_oka(4), (2, 4), ((1, 0), (0, 1))),
+], ids=["pi1-reduced(4)-Z8", "pi1(3)-Z2xZ3", "G-Z3xZ2", "oka(3)-Z6",
+        "oka(4)-Z2xZ4"])
+def test_kernel_abelianization_on_other_targets(build, moduli, images):
+    p = build()
+    images = images or tuple((1,) * len(moduli) for _ in p.generators)
+    target = AbelianTarget(moduli, p.generators, images)
+    assert kernel_abelianization(p, target) == \
+        kernel_abelianization_oracle(p, target)
+
+
+def test_commutator_rank_builds_no_kernel_presentation(monkeypatch):
+    source = presentation_pi1_reduced(7).generators
+    built = []
+    init = words.Presentation.__init__
+
+    def recording(self, generators, relators):
+        built.append(tuple(generators))
+        init(self, generators, relators)
+
+    monkeypatch.setattr(words.Presentation, "__init__", recording)
+    assert commutator_abelianization_rank(7) == 18
+    # only the curve presentation itself, never one on kernel generators
+    assert built and all(gens == source for gens in built)
+
+
+def random_sparse_matrix(rng):
+    """A sparse integer matrix with small entries, with zero rows, repeated
+    and negated rows, and sometimes every entry scaled so no unit is left."""
+    nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 7)
+    density = rng.uniform(0.15, 0.6)
+    rows = [[rng.choice((-4, -3, -2, -1, 1, 2, 3, 4, 6))
+             if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    for _ in range(rng.randrange(4)):
+        row = rows[rng.randrange(len(rows))]
+        rows.append(rng.choice(([0] * ncols, list(row), [-x for x in row])))
+    if rng.random() < 0.3:
+        k = rng.choice((2, 3, 6))
+        rows = [[k * x for x in row] for row in rows]
+    rng.shuffle(rows)
+    return IntegerMatrix.from_rows(rows)
+
+
+def test_unit_pivot_front_end_matches_dense_elimination():
+    rng = random.Random(61)
+    seen = {"unit pivots": 0, "bounded remainder": 0,
+            "unbounded remainder": 0, "units only": 0}
+    for _ in range(400):
+        m = random_sparse_matrix(rng)
+        assert invariant_factors(m) == dense_factors(m), m.data
+        ones, rest = _unit_pivots(
+            [{j: x for j, x in enumerate(row) if x} for row in m.data],
+            m.cols)
+        seen["unit pivots"] += ones > 0
+        if not rest:
+            seen["units only"] += 1
+            continue
+        cols = sorted({j for row in rest for j in row})
+        remainder = IntegerMatrix.from_rows(
+            [[row.get(j, 0) for j in cols] for row in rest])
+        if _lattice_multiple(remainder):
+            seen["bounded remainder"] += 1
+        else:
+            seen["unbounded remainder"] += 1
+    # every path of invariant_factors is exercised
+    assert min(seen.values()) >= 40, seen
+
+
+def test_lattice_multiple_is_a_multiple_of_the_index():
+    rng = random.Random(62)
+    checked = 0
+    for _ in range(300):
+        m = random_sparse_matrix(rng)
+        d = _lattice_multiple(m)
+        factors = dense_factors(m)
+        if len(factors) < m.cols:
+            assert d == 0  # no full column rank, no bound
+            continue
+        if d:
+            assert d % math.prod(factors) == 0
+            checked += 1
+    assert checked >= 50
+
+
+def test_dense_remainder_entries_stay_bounded():
+    # on the unbounded elimination this reaches a 290-digit pivot and does
+    # not finish; its determinantal divisors are all 1
+    m = IntegerMatrix.from_rows([
+        [-19, 15, -14, 0, 17], [-5, 20, -6, -30, 15], [-18, -15, 0, 0, -8],
+        [0, -1, 17, 0, -12], [30, 0, 2, 28, -13], [0, -11, -11, -25, 16]])
+    start = time.perf_counter()
+    assert invariant_factors(m) == [1, 1, 1, 1, 1]
+    assert time.perf_counter() - start < 1
+    assert snf_diagonal_oracle(m) == [1, 1, 1, 1, 1]
+
+
+def test_every_smith_caller_runs_the_front_end(monkeypatch):
+    # H1 (9 generators), the AbelianTarget check (one column) and the kernel
+    # rank (its own target, then 19 kernel generators)
+    calls = []
+    front_end = abelian._unit_pivots
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return front_end(rows, ncols)
+
+    monkeypatch.setattr(abelian, "_unit_pivots", counting)
+    abelianization(presentation_pi1(3))
+    total_degree_target(presentation_pi1_reduced(3), 6)
+    commutator_abelianization_rank(3)
+    assert calls == [9, 1, 1, 19]
 
 
 def test_commutator_abelianization_rank_rejects_even():

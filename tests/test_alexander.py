@@ -7,7 +7,8 @@ import pytest
 from cuspidal.alexander import (LaurentPolynomial, _unit_reduce,
                                 alexander_matrix, alexander_polynomial,
                                 cyclotomic_base, cyclotomic_target,
-                                divide_exact, elementary_ideal_gcd,
+                                default_weights, divide_exact,
+                                elementary_ideal_gcd,
                                 fox_derivative, laurent_gcd)
 from cuspidal.errors import InvalidParameter
 from cuspidal.presentations import (derive_pi1_via_rs, oka_quotient,
@@ -152,6 +153,46 @@ def test_curve_alexander_polynomial(n):
     poly, stripped = alexander_polynomial(presentation_pi1_reduced(n))
     assert poly.normalized() == cyclotomic_target(n).normalized()
     assert stripped <= 2
+
+
+def fox_rows(p, weights):
+    """The Fox matrix entry by entry, one fox_derivative call each."""
+    return [[fox_derivative(r, g, weights)
+             for g in range(1, len(p.generators) + 1)] for r in p.relators]
+
+
+FOX_FAMILIES = {
+    "G": presentation_G,
+    "G-raw": presentation_G_raw,
+    "zariski3-stated": functools.partial(presentation_zariski3, "stated"),
+    "zariski3-corrected": functools.partial(presentation_zariski3,
+                                            "corrected"),
+    **{f"{name}({n})": functools.partial(build, n)
+       for name, build in (("pi1", presentation_pi1),
+                           ("pi1-reduced", presentation_pi1_reduced),
+                           ("oka", presentation_oka),
+                           ("oka-quotient", lambda n: oka_quotient(n)[1]))
+       for n in range(2, 10)},
+    # derived(7..9) take 1-4 s each to build
+    **{f"derived({n})": functools.partial(derive_pi1_via_rs, n)
+       for n in range(2, 7)},
+}
+
+
+@pytest.mark.parametrize("name", FOX_FAMILIES)
+def test_alexander_matrix_matches_fox_derivatives(name):
+    p = FOX_FAMILIES[name]()
+    assert alexander_matrix(p) == fox_rows(p, default_weights(p))
+
+
+def test_alexander_matrix_with_weights_matches_fox_derivatives():
+    rng = random.Random(57)
+    for _ in range(200):
+        ngen = rng.randrange(1, 5)
+        p = Presentation(tuple("abcd"[:ngen]), [
+            random_word(rng, ngen, 14) for _ in range(rng.randrange(1, 5))])
+        weights = {g: rng.randrange(-3, 4) for g in range(1, ngen + 1)}
+        assert alexander_matrix(p, weights) == fox_rows(p, weights)
 
 
 def test_elementary_ideal_unit_shortcut():

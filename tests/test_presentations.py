@@ -133,7 +133,7 @@ def test_zariski_correspondence_battery():
 
 
 def test_zariski_aux_datum_consistent():
-    src_word, tgt_word = zariski_aux_datum("corrected")
+    src_word, tgt_word = zariski_aux_datum()
     m = zariski_iso_candidate("corrected")
     # the image of the source word must equal g00 in the target: check the
     # difference word is trivial in every small symmetric quotient

@@ -7,8 +7,8 @@ from cuspidal.abelian import abelianization
 from cuspidal.errors import NotGenerating, NotInKernel
 from cuspidal.rewriting import (AbelianTarget, SchreierSystem,
                                 subgroup_presentation)
-from cuspidal.words import (Presentation, format_presentation, invert,
-                            multiply, reduce_word)
+from cuspidal.words import (Presentation, commutator, format_presentation,
+                            invert, multiply, reduce_word)
 
 
 def test_target_validation():
@@ -164,3 +164,47 @@ def test_rewrite_matches_coset_arithmetic(moduli, images, order):
         coset_arithmetic_rewrite(system, r, ci)
         for r in p.relators for ci in range(t.size)])
     assert format_presentation(q) == format_presentation(expected)
+
+
+def exponent_rows_oracle(system, relators):
+    """Exponent sums of the rewritten words, relator by relator and coset by
+    coset; zero rows dropped, each row kept once up to sign, first nonzero
+    entry positive."""
+    ncols = len(system.generator_names)
+    rows = []
+    for r in relators:
+        for ci in range(system.target.size):
+            row = [0] * ncols
+            for x in coset_arithmetic_rewrite(system, r, ci):
+                row[abs(x) - 1] += 1 if x > 0 else -1
+            if any(row):
+                lead = next(x for x in row if x)
+                row = tuple(x * (1 if lead > 0 else -1) for x in row)
+                if row not in rows:
+                    rows.append(row)
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@pytest.mark.parametrize("moduli,images,order", [
+    ((2, 2), ((1, 0), (0, 1), (1, 1)), None),
+    ((3, 3), ((0, 0), (1, 0), (0, 1)), None),
+    ((4,), ((1,), (2,), (3,)), None),
+    ((2, 3), ((1, 0), (0, 1), (0, 0)), ("c", "b", "a")),
+], ids=["Z2xZ2", "Z3xZ3", "Z4", "Z2xZ3-reversed"])
+def test_exponent_rows_match_rewritten_words(moduli, images, order):
+    rng = random.Random(44)
+    t = AbelianTarget(moduli, ("a", "b", "c"), images)
+    for _ in range(30):
+        relators = [reduce_word(tuple(rng.choice((1, -1, 2, -2, 3, -3))
+                                      for _ in range(rng.randrange(12))))
+                    for _ in range(rng.randrange(1, 6))]
+        # repeated and inverted relators give repeated and negated rows
+        relators += [invert(r) for r in relators[:2]] + relators[:1]
+        # kernel words: a commutator, and a commutator of two of them,
+        # whose rows are zero at every coset
+        u, v = relators[0], relators[-1]
+        relators += [commutator(u, v), commutator(commutator(u, v),
+                                                  commutator(v, invert(u)))]
+        system = SchreierSystem(Presentation(("a", "b", "c"), []), t, order)
+        assert list(system.exponent_rows(relators)) == \
+            exponent_rows_oracle(system, relators)
