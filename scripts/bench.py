@@ -4,6 +4,7 @@
     python3 scripts/bench.py tietze --before OLD/src
     python3 scripts/bench.py alexander --before OLD/src
     python3 scripts/bench.py kernel --before OLD/src
+    python3 scripts/bench.py geometry --before OLD/src
 
 times the suite's cases on the `cuspidal` package under OLD/src and on the
 one in this checkout's src/, and writes the JSON report next to this
@@ -36,6 +37,16 @@ timed call: a version with `SchreierSystem.exponent_rows` reports the
 relator walks and the letters they read, the distinct rows, the unit pivots
 and the shape of the dense remainder; an older one the kernel relators it
 rewrote and the shape of its dense exponent matrix.
+
+geometry: `singular_points_scan(n, p)` at (7, 197) and (9, 307) and
+`superabundance_multi(n)` for n = 15, 25, 31 (the whole call).  The work is
+counted in a second, instrumented call after the timed one: the points of
+P^2(F_p) the scan tests, the evaluations of F_n point by point and of its
+partials, the primes and evaluation matrix shape of the superabundance, and
+the row updates of its rank computation and the matrix entries they
+rewrite.  A version with `geometry._eliminate` counts its calls; for an
+older one the Gauss-Jordan elimination it runs is replayed on the same
+matrix to count them.
 """
 
 from __future__ import annotations
@@ -68,6 +79,8 @@ DERIVE_N = (4, 5, 6, 7)
 ALEXANDER_N = (5, 7, 9, 11)
 RANK_N = (5, 7, 9)
 KERNEL_N = (9, 11, 13, 15, 17, 19, 21)
+SCAN_CASES = ((7, 197), (9, 307))
+SUPERABUNDANCE_N = (15, 25, 31)
 SUITES = {
     "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
                                    for n in VERIFY_ALL_N],
@@ -75,6 +88,8 @@ SUITES = {
     "alexander": [f"alexander_polynomial({n})" for n in ALEXANDER_N]
                  + [f"commutator_abelianization_rank({n})" for n in RANK_N],
     "kernel": [f"commutator_abelianization_rank({n})" for n in KERNEL_N],
+    "geometry": [f"singular_points_scan({n},{p})" for n, p in SCAN_CASES]
+                + [f"superabundance_multi({n})" for n in SUPERABUNDANCE_N],
 }
 WHAT = {
     "homcount": "median wall seconds of one call, fresh interpreter per run; "
@@ -94,6 +109,10 @@ WHAT = {
     "kernel": "median wall seconds of one commutator_abelianization_rank(n) "
               "call, fresh interpreter per run; the rank is identical for "
               "both versions; *_work are each version's work counts",
+    "geometry": "median wall seconds of one call, fresh interpreter per run; "
+                "answers (sha256 of the scanned points, the superabundance "
+                "report) are identical for both versions; *_work are each "
+                "version's work counts, from a second, instrumented call",
 }
 REPEAT = 3
 
@@ -190,10 +209,128 @@ def time_commutator_rank(n: int):
     return time.perf_counter() - start, rank, kernel_work(n)
 
 
-# case name up to its "(" -> timing function of the integer argument
+@contextlib.contextmanager
+def counting(owner, name: str, count, items: bool = False):
+    """Replace owner.name by a wrapper that calls count(args, result), or
+    for a generator function (items=True) count(args, item) per item."""
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        out = original(*args)
+        count(args, out)
+        return out
+
+    def item_wrapper(*args):
+        for item in original(*args):
+            count(args, item)
+            yield item
+
+    setattr(owner, name, item_wrapper if items else wrapper)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def scan_work(n: int, p: int) -> dict:
+    """The work of singular_points_scan(n, p) in this version."""
+    from cuspidal import geometry
+    work = {"points_tested": 0, "curve_evaluations": 0,
+            "partial_evaluations": 0}
+
+    def evaluated(args, out):
+        if args[0].degree == 2 * n:
+            work["curve_evaluations"] += 1
+        elif args[0].degree == 2 * n - 1:
+            work["partial_evaluations"] += 1
+
+    rows = hasattr(geometry, "_plane_rows")
+
+    def tested(args, item):
+        # a row (x, y, zs) of the row scan, or one point of a pointwise scan
+        work["points_tested"] += len(item[2]) if rows else 1
+
+    with counting(geometry, "_plane_rows" if rows else "all_projective_points",
+                  tested, items=True), \
+            counting(geometry.TernaryForm, "evaluate", evaluated):
+        geometry.singular_points_scan(n, geometry.PrimeField(p))
+    return work
+
+
+def time_scan(n: int, p: int):
+    from cuspidal.geometry import PrimeField, singular_points_scan
+    field = PrimeField(p)
+    start = time.perf_counter()
+    points = singular_points_scan(n, field)
+    seconds = time.perf_counter() - start
+    coords = sorted(pt.coords for pt in points)
+    digest = hashlib.sha256(str(coords).encode())
+    return seconds, {"sha256": digest.hexdigest()[:16],
+                     "points": len(coords)}, scan_work(n, p)
+
+
+def gauss_jordan_updates(matrix, p: int) -> int:
+    """The row updates of Gauss-Jordan elimination mod p on matrix."""
+    m = [row[:] for row in matrix]
+    rank = updates = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] % p), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] % p:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+                updates += 1
+        rank += 1
+    return updates
+
+
+def superabundance_work(n: int) -> dict:
+    """The work of superabundance_multi(n) in this version."""
+    from cuspidal import geometry
+    work = {"primes": [], "matrix": None, "row_updates": 0,
+            "entry_updates": 0}
+
+    def ranked(args, out):
+        matrix, p = args
+        work["primes"].append(p)
+        work["matrix"] = [len(matrix), len(matrix[0])]
+        if not hasattr(geometry, "_eliminate"):
+            updates = gauss_jordan_updates(matrix, p)
+            work["row_updates"] += updates
+            work["entry_updates"] += updates * len(matrix[0])
+
+    def eliminated(args, out):
+        work["row_updates"] += 1
+        work["entry_updates"] += len(args[1])
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(counting(geometry, "_rank_mod_p", ranked))
+        if hasattr(geometry, "_eliminate"):
+            stack.enter_context(counting(geometry, "_eliminate", eliminated))
+        geometry.superabundance_multi(n)
+    return work
+
+
+def time_superabundance(n: int):
+    from cuspidal.geometry import superabundance_multi
+    start = time.perf_counter()
+    rep = superabundance_multi(n)
+    seconds = time.perf_counter() - start
+    return seconds, {"s": rep.s, "h0": rep.h0, "rank": rep.rank,
+                     "prime": rep.prime}, superabundance_work(n)
+
+
+# case name up to its "(" -> timing function of the integer arguments
 CALLS = {"derive_pi1_via_rs": time_derive,
          "alexander_polynomial": time_alexander,
-         "commutator_abelianization_rank": time_commutator_rank}
+         "commutator_abelianization_rank": time_commutator_rank,
+         "singular_points_scan": time_scan,
+         "superabundance_multi": time_superabundance}
 
 
 def child(src: str, case: str) -> None:
@@ -204,8 +341,8 @@ def child(src: str, case: str) -> None:
     elif case.startswith("verify-all"):
         seconds, answer = time_verify_all(int(case.split()[-1]))
     else:
-        name, arg = case[:-1].split("(")
-        seconds, answer, *work = CALLS[name](int(arg))
+        name, args = case[:-1].split("(")
+        seconds, answer, *work = CALLS[name](*map(int, args.split(",")))
     print(json.dumps({"seconds": seconds, "answer": answer,
                       "work": work[0] if work else None}))
 

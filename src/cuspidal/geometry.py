@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
 from .errors import (InvalidParameter, NotSingular, RankDeficiencySuspect,
@@ -145,54 +145,42 @@ def graded_lex_monomials(d: int) -> list[tuple[int, int, int]]:
 
 
 class TernaryForm:
-    """Homogeneous ternary form over a prime field, stored as a coefficient
-    per graded-lex monomial."""
+    """Homogeneous ternary form over a prime field, stored as its nonzero
+    coefficients keyed by exponent triple.  A list of coefficients is read
+    in graded-lex order."""
 
     def __init__(self, degree: int, field: PrimeField, coeffs=None):
         self.degree = degree
         self.field = field
-        self.monomials = graded_lex_monomials(degree)
         if coeffs is None:
-            self.coeffs = {m: 0 for m in self.monomials}
-        elif isinstance(coeffs, dict):
-            self.coeffs = {m: coeffs.get(m, 0) % field.p
-                           for m in self.monomials}
-        else:
-            self.coeffs = {m: c % field.p
-                           for m, c in zip(self.monomials, coeffs)}
+            coeffs = {}
+        elif not isinstance(coeffs, dict):
+            coeffs = dict(zip(graded_lex_monomials(degree), coeffs))
+        p = field.p
+        self.coeffs = {m: c % p for m, c in coeffs.items() if c % p}
+        if any(sum(m) != degree for m in self.coeffs):
+            raise InvalidParameter(f"monomial of degree other than {degree}")
 
     def evaluate(self, pt) -> int:
-        coords = pt.coords if isinstance(pt, ProjectivePoint) else pt
+        x, y, z = pt.coords if isinstance(pt, ProjectivePoint) else pt
         p = self.field.p
-        total = 0
-        for (a, b, c), coef in self.coeffs.items():
-            if coef:
-                total += coef * pow(coords[0], a, p) * pow(coords[1], b, p) \
-                    * pow(coords[2], c, p)
-        return total % p
+        return sum(coef * pow(x, a, p) * pow(y, b, p) * pow(z, c, p)
+                   for (a, b, c), coef in self.coeffs.items()) % p
 
     def partial(self, var: int) -> "TernaryForm":
         out: dict[tuple[int, int, int], int] = {}
         for mono, coef in self.coeffs.items():
             e = mono[var]
-            if coef and e:
-                new = list(mono)
-                new[var] = e - 1
-                key = tuple(new)
-                out[key] = (out.get(key, 0) + coef * e) % self.field.p
+            if e:
+                out[mono[:var] + (e - 1,) + mono[var + 1:]] = coef * e
         return TernaryForm(self.degree - 1, self.field, out)
 
     def multiply(self, other: "TernaryForm") -> "TernaryForm":
         out: dict[tuple[int, int, int], int] = {}
-        p = self.field.p
         for m1, c1 in self.coeffs.items():
-            if not c1:
-                continue
             for m2, c2 in other.coeffs.items():
-                if not c2:
-                    continue
                 key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[key] = (out.get(key, 0) + c1 * c2) % p
+                out[key] = out.get(key, 0) + c1 * c2
         return TernaryForm(self.degree + other.degree, self.field, out)
 
 
@@ -230,23 +218,46 @@ def singular_points(n: int, field: PrimeField) -> list[ProjectivePoint]:
     return pts
 
 
-def all_projective_points(field: PrimeField):
-    p = field.p
+def _plane_rows(p: int):
+    """P^2(F_p) as rows of points [x:y:z] with (x, y) fixed: (1, y) for
+    every y, then (0, 1), each with every z, then (0, 0) with z = 1 only."""
     for y in range(p):
-        for z in range(p):
-            yield ProjectivePoint((1, y, z), field)
-    for z in range(p):
-        yield ProjectivePoint((0, 1, z), field)
-    yield ProjectivePoint((0, 0, 1), field)
+        yield 1, y, range(p)
+    yield 0, 1, range(p)
+    yield 0, 0, range(1, 2)
+
+
+def _zeros_in_plane(forms, field: PrimeField) -> list[tuple[int, int, int]]:
+    """The points of P^2(F_p) where every form vanishes, in the order of
+    _plane_rows.  The first form is tested at every point: on each row it
+    collapses to a polynomial in z, evaluated from per-exponent power
+    tables.  The other forms are evaluated only where the first vanishes."""
+    p = field.p
+    first, rest = forms[0], forms[1:]
+    power = {e: [pow(v, e, p) for v in range(p)]
+             for e in {e for mono in first.coeffs for e in mono}}
+    found = []
+    for x, y, zs in _plane_rows(p):
+        by_z: dict[int, int] = {}
+        for (a, b, c), coef in first.coeffs.items():
+            by_z[c] = by_z.get(c, 0) + coef * power[a][x] * power[b][y]
+        values = [0] * p
+        for c, coef in by_z.items():
+            coef %= p
+            if coef:
+                values = [v + coef * w for v, w in zip(values, power[c])]
+        found += [(x, y, z) for z in zs if values[z] % p == 0
+                  and all(f.evaluate((x, y, z)) == 0 for f in rest)]
+    return found
 
 
 def singular_points_scan(n: int, field: PrimeField) -> list[ProjectivePoint]:
-    """Exhaustive-scan oracle over all of P^2(F_p)."""
+    """Exhaustive-scan oracle over all of P^2(F_p): the points where F_n
+    and its three partials vanish, the partials evaluated only where F_n
+    does."""
     form = curve_form(n, field)
-    partials = [form.partial(v) for v in range(3)]
-    return [pt for pt in all_projective_points(field)
-            if form.evaluate(pt) == 0
-            and all(d.evaluate(pt) == 0 for d in partials)]
+    forms = [form] + [form.partial(v) for v in range(3)]
+    return [ProjectivePoint(pt, field) for pt in _zeros_in_plane(forms, field)]
 
 
 def tangent_cone_rank(pt: ProjectivePoint, n: int, field: PrimeField) -> int:
@@ -268,24 +279,35 @@ def tangent_cone_rank(pt: ProjectivePoint, n: int, field: PrimeField) -> int:
     return 2 if det else 1
 
 
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int,
+               p: int) -> None:
+    """row -= row[col] * pivot over F_p, in place, for a sparse pivot row
+    with a 1 at col and no entry left of it."""
+    f = row[col]
+    for j, v in pivot.items():
+        w = (row.get(j, 0) - f * v) % p
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
 def _rank_mod_p(matrix: list[list[int]], p: int) -> int:
-    m = [row[:] for row in matrix]
-    rank = 0
-    col = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] % p:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    """Rank over F_p by forward elimination on sparse rows: each row in
+    turn is reduced by the pivot rows before it, from its leading column
+    on, until it is zero or leads in a new column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in matrix:
+        row = {j: v % p for j, v in enumerate(dense) if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
+                break
+            _eliminate(row, pivot, lead, p)
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -307,9 +329,8 @@ def superabundance(n: int, field: PrimeField) -> SuperabundanceReport:
     p = field.p
     matrix = []
     for pt in pts:
-        x, y, z = pt.coords
-        matrix.append([pow(x, a, p) * pow(y, b, p) * pow(z, c, p) % p
-                       for (a, b, c) in monos])
+        px, py, pz = ([pow(v, e, p) for e in range(n)] for v in pt.coords)
+        matrix.append([px[a] * py[b] * pz[c] % p for a, b, c in monos])
     r = _rank_mod_p(matrix, p)
     ncols = len(monos)
     return SuperabundanceReport(n, p, r, ncols - r, 3 * n - r)
@@ -347,14 +368,15 @@ class SplittingReport:
 
 
 def _normalized_linear_forms(field: PrimeField):
+    """The coefficient triples of the p^2 + p + 1 lines, first nonzero
+    coefficient 1, in lexicographic order."""
     p = field.p
-    for a, b, c in product(range(p), repeat=3):
-        coeffs = (a, b, c)
-        if not any(coeffs):
-            continue
-        if next(x for x in coeffs if x) != 1:
-            continue
-        yield coeffs
+    yield 0, 0, 1
+    for c in range(p):
+        yield 0, 1, c
+    for b in range(p):
+        for c in range(p):
+            yield 1, b, c
 
 
 def _form_vanishes_on_line(form: TernaryForm, line, field: PrimeField) -> bool:
@@ -392,8 +414,8 @@ def splitting_check_n2(field: PrimeField) -> SplittingReport:
     # the product must equal F_2 up to a scalar
     scale = None
     for m in graded_lex_monomials(4):
-        fc = form.coeffs[m]
-        pc = prod_form.coeffs[m]
+        fc = form.coeffs.get(m, 0)
+        pc = prod_form.coeffs.get(m, 0)
         if fc == 0 and pc == 0:
             continue
         if fc == 0 or pc == 0:

@@ -154,11 +154,6 @@ class SchreierSystem:
         self.generator_names = tuple(names)
         self.generator_words = tuple(words)
 
-    def letter_for(self, coset: int, g: int) -> int | None:
-        """Kernel-word letter for (coset, source generator), or None if the
-        Schreier generator is redundant."""
-        return self._kernel_letter[self._slots[coset] + g] or None
-
     def rewrite(self, w: Word, start_coset: int = 0) -> Word:
         """Reidemeister-Schreier rewriting of w starting at a coset."""
         slot = self._slots[start_coset]

@@ -9,7 +9,6 @@ among the relator and its inverse) so that duplicate detection is stable.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -203,17 +202,6 @@ def parse_presentation(text: str) -> Presentation:
     generators = lines[0][len("gens:"):].split()
     relators = [parse_word(ln, generators) for ln in lines[1:]]
     return Presentation(generators, relators)
-
-
-def presentation_to_json(p: Presentation) -> str:
-    doc = {"generators": list(p.generators),
-           "relators": [list(r) for r in p.relators]}
-    return json.dumps(doc, sort_keys=True)
-
-
-def presentation_from_json(text: str) -> Presentation:
-    doc = json.loads(text)
-    return Presentation(doc["generators"], [tuple(r) for r in doc["relators"]])
 
 
 @dataclass(frozen=True)

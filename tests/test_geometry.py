@@ -1,17 +1,123 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from cuspidal.errors import InvalidParameter, NotSingular
-from cuspidal.geometry import (PrimeField, ProjectivePoint,
+from cuspidal.geometry import (PrimeField, ProjectivePoint, TernaryForm,
                                _form_vanishes_on_line,
-                               _normalized_linear_forms,
-                               all_projective_points, choose_prime,
-                               curve_form, graded_lex_monomials, is_prime,
-                               milnor_ratio, singular_points,
-                               singular_points_scan, splitting_check_n2,
-                               superabundance, superabundance_multi,
-                               tangent_cone_rank)
+                               _normalized_linear_forms, _rank_mod_p,
+                               _zeros_in_plane, choose_prime, curve_form,
+                               graded_lex_monomials, is_prime, milnor_ratio,
+                               singular_points, singular_points_scan,
+                               splitting_check_n2, superabundance,
+                               superabundance_multi, tangent_cone_rank)
+
+
+def all_projective_points(field):
+    """Every point of P^2(F_p), one normalized ProjectivePoint each."""
+    p = field.p
+    for y in range(p):
+        for z in range(p):
+            yield ProjectivePoint((1, y, z), field)
+    for z in range(p):
+        yield ProjectivePoint((0, 1, z), field)
+    yield ProjectivePoint((0, 0, 1), field)
+
+
+class DenseForm:
+    """Reference ternary form: a coefficient for every graded-lex monomial,
+    evaluated with three pow calls per monomial."""
+
+    def __init__(self, degree, field, coeffs=None):
+        self.degree = degree
+        self.field = field
+        self.monomials = graded_lex_monomials(degree)
+        coeffs = coeffs or {}
+        self.coeffs = {m: coeffs.get(m, 0) % field.p for m in self.monomials}
+
+    def evaluate(self, pt):
+        coords = pt.coords if isinstance(pt, ProjectivePoint) else pt
+        p = self.field.p
+        total = 0
+        for (a, b, c), coef in self.coeffs.items():
+            if coef:
+                total += coef * pow(coords[0], a, p) * pow(coords[1], b, p) \
+                    * pow(coords[2], c, p)
+        return total % p
+
+    def partial(self, var):
+        out = {}
+        for mono, coef in self.coeffs.items():
+            e = mono[var]
+            if coef and e:
+                new = list(mono)
+                new[var] = e - 1
+                key = tuple(new)
+                out[key] = (out.get(key, 0) + coef * e) % self.field.p
+        return DenseForm(self.degree - 1, self.field, out)
+
+    def multiply(self, other):
+        out = {}
+        p = self.field.p
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                if c1 and c2:
+                    key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+                    out[key] = (out.get(key, 0) + c1 * c2) % p
+        return DenseForm(self.degree + other.degree, self.field, out)
+
+    def nonzero(self):
+        return {m: c for m, c in self.coeffs.items() if c}
+
+
+def dense_curve_form(n, field):
+    return DenseForm(2 * n, field, curve_form(n, field).coeffs)
+
+
+def scan_oracle(n, field):
+    """The exhaustive scan point by point: a ProjectivePoint for every point
+    of P^2(F_p), F_n and its partials by the dense evaluator."""
+    form = dense_curve_form(n, field)
+    partials = [form.partial(v) for v in range(3)]
+    return [pt for pt in all_projective_points(field)
+            if form.evaluate(pt) == 0
+            and all(d.evaluate(pt) == 0 for d in partials)]
+
+
+def gauss_jordan_rank(matrix, p):
+    """Rank mod p by full Gauss-Jordan elimination on dense rows."""
+    m = [row[:] for row in matrix]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] % p), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] % p:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def filtered_linear_forms(field):
+    """Every nonzero triple in lexicographic order whose first nonzero
+    entry is 1."""
+    for coeffs in itertools.product(range(field.p), repeat=3):
+        if any(coeffs) and next(x for x in coeffs if x) == 1:
+            yield coeffs
+
+
+def random_coeffs(rng, degree, p, density):
+    """Sparse random coefficients, some of them multiples of p."""
+    return {m: rng.choice((rng.randrange(-3 * p, 3 * p), p, -2 * p))
+            for m in graded_lex_monomials(degree) if rng.random() < density}
 
 
 def test_is_prime():
@@ -70,7 +176,8 @@ def test_projective_point_normalization():
     assert pt2.coords[1] == 1
 
 
-@pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (3, 13), (4, 17)])
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (3, 13), (4, 17), (7, 197),
+                                 (9, 307)])
 def test_singular_points_match_exhaustive_scan(n, p):
     f = PrimeField(p)
     built = singular_points(n, f)
@@ -78,6 +185,104 @@ def test_singular_points_match_exhaustive_scan(n, p):
     assert len(built) == 3 * n
     assert sorted(pt.coords for pt in built) == \
         sorted(pt.coords for pt in scanned)
+
+
+# admissible primes (p = 1 mod 2n), then two where the locus is smaller
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 13), (5, 31), (7, 29),
+                                 (3, 11), (4, 7)])
+def test_scan_matches_pointwise_oracle(n, p):
+    f = PrimeField(p)
+    scanned = [pt.coords for pt in singular_points_scan(n, f)]
+    assert scanned == [pt.coords for pt in scan_oracle(n, f)]
+    if (p - 1) % (2 * n):
+        assert len(scanned) < 3 * n
+    else:
+        assert len(scanned) == 3 * n
+
+
+def test_zeros_in_plane_matches_pointwise_oracle():
+    rng = random.Random(7)
+    kinds = {"x divides": 0, "vanishes at [0:0:1]": 0, "zero form": 0}
+    for _ in range(240):
+        field = PrimeField(rng.choice((2, 3, 5, 7, 11, 13)))
+        forms = []
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(0, 6)
+            coeffs = random_coeffs(rng, degree, field.p, rng.random())
+            kind = rng.randrange(4)
+            if kind == 0 and degree:
+                # a multiple of x vanishes on the line x = 0
+                coeffs = {m: c for m, c in coeffs.items() if m[0]}
+                kinds["x divides"] += 1
+            elif kind == 1 and degree:
+                coeffs.pop((0, 0, degree), None)
+                kinds["vanishes at [0:0:1]"] += 1
+            elif kind == 2:
+                coeffs = {m: field.p * rng.randint(-2, 2) for m in coeffs}
+                kinds["zero form"] += 1
+            forms.append((TernaryForm(degree, field, coeffs),
+                          DenseForm(degree, field, coeffs)))
+        want = [pt.coords for pt in all_projective_points(field)
+                if all(d.evaluate(pt) == 0 for _, d in forms)]
+        assert _zeros_in_plane([s for s, _ in forms], field) == want
+    assert min(kinds.values()) >= 40
+
+
+def test_sparse_form_matches_dense_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        field = PrimeField(rng.choice((2, 3, 5, 13, 10_009)))
+        p = field.p
+        d1, d2 = rng.randint(0, 5), rng.randint(0, 5)
+        c1 = random_coeffs(rng, d1, p, rng.random())
+        c2 = random_coeffs(rng, d2, p, rng.random())
+        s1, s2 = TernaryForm(d1, field, c1), TernaryForm(d2, field, c2)
+        r1, r2 = DenseForm(d1, field, c1), DenseForm(d2, field, c2)
+        assert s1.coeffs == r1.nonzero()
+        for var in range(3):
+            assert s1.partial(var).coeffs == r1.partial(var).nonzero()
+        assert s1.multiply(s2).coeffs == r1.multiply(r2).nonzero()
+        for _ in range(5):
+            pt = tuple(rng.randrange(p) for _ in range(3))
+            assert s1.evaluate(pt) == r1.evaluate(pt)
+    # a coefficient list is read in graded-lex order
+    f = PrimeField(5)
+    form = TernaryForm(1, f, [1, 5, -1])
+    assert form.coeffs == {(1, 0, 0): 1, (0, 0, 1): 4}
+    with pytest.raises(InvalidParameter):
+        TernaryForm(2, f, {(1, 0, 0): 1})
+
+
+def random_matrix(rng, p):
+    rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+    m = [[rng.randrange(-p, 2 * p) if rng.random() < 0.5 else 0
+          for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        kind = rng.randrange(5)
+        if kind == 0:
+            m[i] = [0] * cols
+        elif kind == 1 and i:
+            m[i] = m[rng.randrange(i)][:]
+        elif kind == 2 and i:
+            # a combination of earlier rows, shifted by multiples of p
+            a, b = rng.randrange(i), rng.randrange(i)
+            s, t = rng.randrange(p), rng.randrange(p)
+            m[i] = [s * x + t * y + p * rng.randint(-1, 1)
+                    for x, y in zip(m[a], m[b])]
+    return m
+
+
+def test_rank_mod_p_matches_gauss_jordan():
+    rng = random.Random(13)
+    shapes = set()
+    for p in (2, 3, 13, 10_009):
+        for _ in range(80):
+            m = random_matrix(rng, p)
+            assert _rank_mod_p(m, p) == gauss_jordan_rank(m, p)
+            shapes.add((len(m) == 0, bool(m) and not m[0]))
+        for m in ([], [[]], [[], [], []], [[0, 0, 0]], [[p, 2 * p]]):
+            assert _rank_mod_p(m, p) == gauss_jordan_rank(m, p) == 0
+    assert shapes == {(True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9])
@@ -108,7 +313,7 @@ def test_tangent_cone_rank_rejects_smooth_point():
             tangent_cone_rank(smooth, 3, f)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 25, 31, 41])
 def test_superabundance(n):
     rep = superabundance_multi(n)
     assert rep.s == 3
@@ -144,6 +349,14 @@ def test_quartic_splits_into_four_lines(p):
     assert len(rep.linear_forms) == 4
     assert len(set(rep.linear_forms)) == 4
     assert len(set(rep.intersection_points)) == 6
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_normalized_linear_forms_match_filter(p):
+    field = PrimeField(p)
+    forms = list(_normalized_linear_forms(field))
+    assert forms == list(filtered_linear_forms(field))
+    assert len(forms) == p * p + p + 1
 
 
 def scan_vanishes_on_line(form, line, field):

@@ -115,17 +115,20 @@ def test_index_formula_for_relator_count():
 
 def coset_arithmetic_rewrite(system, w, start_coset=0):
     """Rewriting that recomputes each coset from the target's residues,
-    letter by letter, with its own row-major coset index."""
+    letter by letter, with its own row-major coset index, and finds each
+    Schreier generator by its name <generator>_<residues of the coset>."""
     target = system.target
     elements = list(itertools.product(*(range(m) for m in target.moduli)))
     index = {el: i for i, el in enumerate(elements)}
+    letters = {name: i for i, name in enumerate(system.generator_names, 1)}
     coset = start_coset
     out = []
     for x in w:
         if x < 0:
             coset = index[target.add(elements[coset],
                                      target.image_of_letter(x))]
-        letter = system.letter_for(coset, abs(x))
+        suffix = "_".join(str(r) for r in elements[coset])
+        letter = letters.get(f"{target.generators[abs(x) - 1]}_{suffix}")
         if x > 0:
             coset = index[target.add(elements[coset],
                                      target.image_of_letter(x))]

