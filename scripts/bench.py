@@ -44,9 +44,11 @@ counted in a second, instrumented call after the timed one: the points of
 P^2(F_p) the scan tests, the evaluations of F_n point by point and of its
 partials, the primes and evaluation matrix shape of the superabundance, and
 the row updates of its rank computation and the matrix entries they
-rewrite.  A version with `geometry._eliminate` counts its calls; for an
-older one the Gauss-Jordan elimination it runs is replayed on the same
-matrix to count them.
+rewrite.  A version with a sparse row update (`abelian._eliminate` under
+the shared `abelian.independent_rows`, or `geometry._eliminate` under
+`geometry._rank_mod_p`) counts its calls; for an older one the
+Gauss-Jordan elimination it runs is replayed on the same matrix to count
+them.
 """
 
 from __future__ import annotations
@@ -291,7 +293,12 @@ def gauss_jordan_updates(matrix, p: int) -> int:
 
 def superabundance_work(n: int) -> dict:
     """The work of superabundance_multi(n) in this version."""
-    from cuspidal import geometry
+    from cuspidal import abelian, geometry
+    # the rank routine as geometry calls it, and the module of its row update
+    if hasattr(abelian, "independent_rows"):
+        rank, home = "independent_rows", abelian
+    else:
+        rank, home = "_rank_mod_p", geometry
     work = {"primes": [], "matrix": None, "row_updates": 0,
             "entry_updates": 0}
 
@@ -299,7 +306,7 @@ def superabundance_work(n: int) -> dict:
         matrix, p = args
         work["primes"].append(p)
         work["matrix"] = [len(matrix), len(matrix[0])]
-        if not hasattr(geometry, "_eliminate"):
+        if not hasattr(home, "_eliminate"):
             updates = gauss_jordan_updates(matrix, p)
             work["row_updates"] += updates
             work["entry_updates"] += updates * len(matrix[0])
@@ -309,9 +316,9 @@ def superabundance_work(n: int) -> dict:
         work["entry_updates"] += len(args[1])
 
     with contextlib.ExitStack() as stack:
-        stack.enter_context(counting(geometry, "_rank_mod_p", ranked))
-        if hasattr(geometry, "_eliminate"):
-            stack.enter_context(counting(geometry, "_eliminate", eliminated))
+        stack.enter_context(counting(geometry, rank, ranked))
+        if hasattr(home, "_eliminate"):
+            stack.enter_context(counting(home, "_eliminate", eliminated))
         geometry.superabundance_multi(n)
     return work
 

@@ -16,8 +16,8 @@ from .geometry import (PrimeField, ProjectivePoint, SplittingReport,
 from .homcount import (HomCountReport, count_homs, relator_triviality_check,
                        word_image)
 from .presentations import (GroupMap, MapCheckReport, derive_pi1_via_rs,
-                            long_relator, map_check, oka_quotient,
-                            presentation_G, presentation_G_raw,
+                            invariant_battery, long_relator, map_check,
+                            oka_quotient, presentation_G, presentation_G_raw,
                             presentation_oka, presentation_pi1,
                             presentation_pi1_reduced, presentation_zariski3,
                             zariski_aux_datum, zariski_iso_candidate)

@@ -61,9 +61,6 @@ class IntegerMatrix:
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
-    def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, self.data)
-
     def determinant(self) -> int:
         """Fraction-free (Bareiss) determinant; square matrices only."""
         if self.rows != self.cols:
@@ -309,6 +306,42 @@ def _unit_pivots(rows, ncols):
     return ones, list(live.values())
 
 
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int,
+               p: int) -> None:
+    """row -= row[col] * pivot over F_p, in place, for a sparse pivot row
+    with a 1 at col and no entry left of it."""
+    f = row[col]
+    for j, v in pivot.items():
+        w = (row.get(j, 0) - f * v) % p
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
+def independent_rows(matrix, p: int) -> list[int]:
+    """The indices of the rows of matrix independent mod the prime p of
+    the rows before them: the first basis of the row space in row order.
+
+    Forward elimination on sparse rows: each row in turn is reduced by the
+    pivot rows before it, from its leading column on, until it is zero or
+    leads in a new column."""
+    pivots: dict[int, dict[int, int]] = {}
+    found = []
+    for i, dense in enumerate(matrix):
+        row = {j: v % p for j, v in enumerate(dense) if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
+                found.append(i)
+                break
+            _eliminate(row, pivot, lead, p)
+    return found
+
+
 _RANK_PRIME = 2**61 - 1
 
 
@@ -316,29 +349,14 @@ def _lattice_multiple(m: IntegerMatrix) -> int:
     """A nonzero multiple of the index of m's row lattice in Z^cols, or 0
     if m has no full column rank mod a large prime.
 
-    The rank is taken mod the prime; rows independent there form a
-    nonsingular square submatrix, whose determinant (exact, Bareiss) the
-    lattice index divides."""
-    if not m.cols or m.rows < m.cols:
+    The rows independent mod the prime form a nonsingular square
+    submatrix, whose determinant (exact, Bareiss) the lattice index
+    divides."""
+    chosen = independent_rows(m.data, _RANK_PRIME)
+    if not m.cols or len(chosen) < m.cols:
         return 0
-    p = _RANK_PRIME
-    basis = []  # (lead column, reduced row with 1 there), in order found
-    chosen = []
-    for i, row in enumerate(m.data):
-        v = [x % p for x in row]
-        for lead, b in basis:
-            if v[lead]:
-                f = v[lead]
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = pow(v[lead], -1, p)
-        basis.append((lead, [x * inv % p for x in v]))
-        chosen.append(m.data[i])
-        if len(chosen) == m.cols:
-            return abs(IntegerMatrix.from_rows(chosen).determinant())
-    return 0
+    return abs(IntegerMatrix.from_rows(
+        [m.data[i] for i in chosen]).determinant())
 
 
 def invariant_factors(m: IntegerMatrix) -> list[int]:

@@ -49,10 +49,6 @@ class LaurentPolynomial:
     def monomial(cls, exponent: int, coefficient: int = 1):
         return cls(exponent, (coefficient,))
 
-    @classmethod
-    def from_coefficients(cls, coeffs, low: int = 0):
-        return cls(low, coeffs)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -109,10 +105,6 @@ class LaurentPolynomial:
             base = base * base
             n >>= 1
         return out
-
-    def shift(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t^k."""
-        return LaurentPolynomial(self.low + k, self.coeffs)
 
     def unit_inverse(self) -> "LaurentPolynomial":
         if not self.is_unit():

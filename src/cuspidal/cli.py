@@ -23,7 +23,8 @@ from .geometry import (PrimeField, choose_prime, milnor_ratio,
                        superabundance, superabundance_multi,
                        tangent_cone_rank)
 from .homcount import count_homs
-from .presentations import (derive_pi1_via_rs, map_check, oka_quotient,
+from .presentations import (derive_pi1_via_rs, invariant_battery,
+                            map_check, oka_quotient,
                             presentation_G, presentation_G_raw,
                             presentation_oka, presentation_pi1,
                             presentation_pi1_reduced, presentation_zariski3,
@@ -143,12 +144,11 @@ def cmd_homcount(args, run: Run) -> None:
 def cmd_compare(args, run: Run) -> None:
     a = build_family(args.family_a, args.n, args.variant)
     b = build_family(args.family_b, args.n, args.variant)
-    ab_a, ab_b = abelianization(a), abelianization(b)
+    battery = invariant_battery(a, b, range(2, args.kmax + 1), args.budget)
+    ab_a, ab_b = battery.h1
     run.record("abelianization",
                {"a": str(ab_a), "b": str(ab_b)}, ab_a == ab_b)
-    for k in range(2, args.kmax + 1):
-        ca = count_homs(a, k, args.budget).total
-        cb = count_homs(b, k, args.budget).total
+    for k, ca, cb in battery.hom_counts:
         run.record(f"hom_count_k{k}", {"a": ca, "b": cb}, ca == cb)
 
 
@@ -208,12 +208,9 @@ def cmd_verify_all(args, run: Run) -> None:
 
     if n <= 4:
         derived = derive_pi1_via_rs(n)
-        ok = abelianization(derived) == ab
-        for k in (3, 4) if n <= 3 else (3,):
-            ok = ok and (count_homs(derived, k).total
-                         == count_homs(pi1, k).total)
-        run.record("derivation_match", {"generators":
-                                        len(derived.generators)}, ok)
+        battery = invariant_battery(derived, pi1, (3, 4) if n <= 3 else (3,))
+        run.record("derivation_match",
+                   {"generators": len(derived.generators)}, battery.agrees)
 
     if n % 2 == 1:
         poly, stripped = alexander_polynomial(presentation_pi1_reduced(n))
@@ -243,14 +240,10 @@ def cmd_verify_all(args, run: Run) -> None:
                                  "forms": len(rep.linear_forms)},
                    len(rep.linear_forms) == 4)
 
-    gm, quotient = oka_quotient(n)
-    oka = presentation_oka(n)
     if n % 2 == 1:
-        ok = abelianization(quotient) == abelianization(oka)
-        for k in (3, 4):
-            ok = ok and (count_homs(quotient, k).total
-                         == count_homs(oka, k).total)
-        run.record("oka_quotient_match", str(abelianization(quotient)), ok)
+        battery = invariant_battery(oka_quotient(n)[1], presentation_oka(n),
+                                    (3, 4))
+        run.record("oka_quotient_match", str(battery.h1[0]), battery.agrees)
 
     if n == 3:
         rep = map_check(zariski_iso_candidate("corrected"), kmax=4)

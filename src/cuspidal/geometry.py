@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
+from .abelian import independent_rows
 from .errors import (InvalidParameter, NotSingular, RankDeficiencySuspect,
                      SplittingFailure, VerificationFailure)
 
@@ -76,26 +76,6 @@ class PrimeField:
 
     def inv(self, a: int) -> int:
         return pow(a % self.p, self.p - 2, self.p)
-
-    def nth_roots_of(self, n: int, value: int) -> list[int]:
-        """All solutions of w^n = value, via the primitive root."""
-        p = self.p
-        if (p - 1) % n:
-            raise InvalidParameter(f"field lacks full {n}-th roots")
-        g = self.primitive_root
-        value %= p
-        # discrete log of value by scan; fields here are small enough
-        acc, k = 1, 0
-        while acc != value:
-            acc = acc * g % p
-            k += 1
-            if k >= p:
-                raise InvalidParameter("value is zero or not in the group")
-        if k % gcd(n, p - 1):
-            return []
-        step = (p - 1) // n
-        base = (k // n) % (p - 1)
-        return sorted({pow(g, base + i * step, p) for i in range(n)})
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -279,37 +259,6 @@ def tangent_cone_rank(pt: ProjectivePoint, n: int, field: PrimeField) -> int:
     return 2 if det else 1
 
 
-def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int,
-               p: int) -> None:
-    """row -= row[col] * pivot over F_p, in place, for a sparse pivot row
-    with a 1 at col and no entry left of it."""
-    f = row[col]
-    for j, v in pivot.items():
-        w = (row.get(j, 0) - f * v) % p
-        if w:
-            row[j] = w
-        else:
-            del row[j]
-
-
-def _rank_mod_p(matrix: list[list[int]], p: int) -> int:
-    """Rank over F_p by forward elimination on sparse rows: each row in
-    turn is reduced by the pivot rows before it, from its leading column
-    on, until it is zero or leads in a new column."""
-    pivots: dict[int, dict[int, int]] = {}
-    for dense in matrix:
-        row = {j: v % p for j, v in enumerate(dense) if v % p}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {j: v * inv % p for j, v in row.items()}
-                break
-            _eliminate(row, pivot, lead, p)
-    return len(pivots)
-
-
 @dataclass(frozen=True)
 class SuperabundanceReport:
     n: int
@@ -331,7 +280,7 @@ def superabundance(n: int, field: PrimeField) -> SuperabundanceReport:
     for pt in pts:
         px, py, pz = ([pow(v, e, p) for e in range(n)] for v in pt.coords)
         matrix.append([px[a] * py[b] * pz[c] % p for a, b, c in monos])
-    r = _rank_mod_p(matrix, p)
+    r = len(independent_rows(matrix, p))
     ncols = len(monos)
     return SuperabundanceReport(n, p, r, ncols - r, 3 * n - r)
 

@@ -167,8 +167,7 @@ def _build_plan(p: Presentation):
                       and all(x in assigned for x in gj)]
             checked.update(checks)
             plan.append(("enum", g, checks))
-    empty_ok = all(r for r in p.relators)  # empty relators always hold
-    return plan, empty_ok
+    return plan
 
 
 def _compile(w: Word) -> tuple[int, ...]:
@@ -195,7 +194,7 @@ def _search(p: Presentation, k: int, budget: int, reduce: bool):
     group = _symmetric_group(k)
     mul, inv = group.mul, group.inv
     every_element = tuple((x, 1) for x in range(len(group.elements)))
-    plan, _ = _build_plan(p)
+    plan = _build_plan(p)
     codes = [_compile(r) for r in p.relators]
     steps = []
     for step in plan:

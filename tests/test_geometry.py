@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from cuspidal.abelian import independent_rows
 from cuspidal.errors import InvalidParameter, NotSingular
 from cuspidal.geometry import (PrimeField, ProjectivePoint, TernaryForm,
                                _form_vanishes_on_line,
-                               _normalized_linear_forms, _rank_mod_p,
+                               _normalized_linear_forms,
                                _zeros_in_plane, choose_prime, curve_form,
                                graded_lex_monomials, is_prime, milnor_ratio,
                                singular_points, singular_points_scan,
@@ -127,14 +128,6 @@ def test_is_prime():
     assert is_prime(10**9 + 7)
     assert not is_prime((10**9 + 7) * (10**9 + 9))
     assert not is_prime(561)  # Carmichael number
-
-
-def test_prime_field_roots():
-    f = PrimeField(13)
-    # 13 = 1 mod 4: i^2 = -1 has solutions
-    roots = f.nth_roots_of(2, 13 - 1)
-    assert sorted(roots) == [5, 8]
-    assert all(r * r % 13 == 12 for r in roots)
 
 
 def test_choose_prime_congruence():
@@ -272,16 +265,27 @@ def random_matrix(rng, p):
     return m
 
 
+def first_independent_rows(matrix, p):
+    """The rows that raise the Gauss-Jordan rank of the rows before them."""
+    ranks = [gauss_jordan_rank(matrix[:i], p) for i in range(len(matrix) + 1)]
+    return [i for i in range(len(matrix)) if ranks[i + 1] > ranks[i]]
+
+
 def test_rank_mod_p_matches_gauss_jordan():
+    # superabundance takes the number of rows found, the Smith form's
+    # lattice bound the determinant of the rows at p = 2^61 - 1
     rng = random.Random(13)
     shapes = set()
-    for p in (2, 3, 13, 10_009):
+    for p in (2, 3, 13, 10_009, 2**61 - 1):
         for _ in range(80):
             m = random_matrix(rng, p)
-            assert _rank_mod_p(m, p) == gauss_jordan_rank(m, p)
+            found = independent_rows(m, p)
+            assert len(found) == gauss_jordan_rank(m, p)
+            assert found == first_independent_rows(m, p)
             shapes.add((len(m) == 0, bool(m) and not m[0]))
         for m in ([], [[]], [[], [], []], [[0, 0, 0]], [[p, 2 * p]]):
-            assert _rank_mod_p(m, p) == gauss_jordan_rank(m, p) == 0
+            assert independent_rows(m, p) == []
+            assert gauss_jordan_rank(m, p) == 0
     assert shapes == {(True, False), (False, True), (False, False)}
 
 

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from cuspidal.abelian import AbelianStructure, abelianization
+from cuspidal.abelian import (AbelianStructure, IntegerMatrix, abelianization,
+                              relator_matrix, smith_normal_form)
 from cuspidal.errors import InvalidParameter
 from cuspidal.homcount import count_homs
 from cuspidal.presentations import (derive_pi1_via_rs, long_relator, map_check,
@@ -164,6 +167,78 @@ def test_oka_quotient_matches_free_product(n):
     rep = map_check(gm, kmax=3)
     assert rep.triviality.passed
     assert rep.h1_surjective
+
+
+def in_row_lattice(vector, matrix: IntegerMatrix) -> bool:
+    """Is the vector an integer combination of the matrix rows?"""
+    d, _, v = smith_normal_form(matrix)
+    # row lattice of m = row lattice of D*V^-1; v in L  <=>  v*V in rows(D)
+    w = [sum(vector[i] * v.data[i][j] for i in range(matrix.cols))
+         for j in range(matrix.cols)]
+    n = min(matrix.rows, matrix.cols)
+    for j in range(matrix.cols):
+        dj = d.data[j][j] if j < n else 0
+        if dj == 0:
+            if w[j] != 0:
+                return False
+        elif w[j] % dj != 0:
+            return False
+    return True
+
+
+def exponent_vector(w, ngen: int) -> list[int]:
+    out = [0] * ngen
+    for x in w:
+        out[abs(x) - 1] += 1 if x > 0 else -1
+    return out
+
+
+def h1_map_oracle(m: GroupMap) -> tuple[bool, bool]:
+    """(well defined, onto) for the map m induces on H1, by row-lattice
+    membership in the target's exponent matrix: each source relator's image
+    must lie in it, and with the generator images added every unit vector
+    must."""
+    ngen = len(m.target.generators)
+    rt = relator_matrix(m.target)
+    well_defined = all(
+        in_row_lattice(exponent_vector(m.apply(r), ngen), rt)
+        for r in m.source.relators)
+    rows = [exponent_vector(img, ngen) for img in m.images] + rt.data
+    stacked = IntegerMatrix(len(rows), ngen, rows)
+    onto = all(in_row_lattice([int(i == j) for i in range(ngen)], stacked)
+               for j in range(ngen))
+    return well_defined, onto
+
+
+def random_word(rng, ngen: int, length: int):
+    return tuple(rng.choice((1, -1)) * rng.randint(1, ngen)
+                 for _ in range(length))
+
+
+def random_group_map(rng) -> GroupMap:
+    def group(names):
+        ngen = rng.randint(1, 3)
+        relators = [random_word(rng, ngen, rng.randint(1, 6))
+                    for _ in range(rng.randint(0, 3))]
+        return Presentation(names[:ngen], relators)
+
+    source, target = group(("a", "b", "c")), group(("x", "y", "z"))
+    ngen = len(target.generators)
+    images = tuple(random_word(rng, ngen, rng.randint(0, 4))
+                   for _ in source.generators)
+    return GroupMap(source, target, images)
+
+
+def test_map_check_h1_matches_row_lattice_oracle():
+    rng = random.Random(8)
+    outcomes = {}
+    for _ in range(1000):
+        m = random_group_map(rng)
+        rep = map_check(m, kmax=2)
+        pair = h1_map_oracle(m)
+        assert (rep.h1_well_defined, rep.h1_surjective) == pair, m
+        outcomes[pair] = outcomes.get(pair, 0) + 1
+    assert len(outcomes) == 4, outcomes
 
 
 def test_map_check_toy_examples():
