@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidParameter
-from .words import Presentation
+from .words import Presentation, Word
 
 
 class IntegerMatrix:
@@ -98,14 +98,19 @@ class AbelianStructure:
         return " + ".join(parts) if parts else "0"
 
 
+def _exponent_sums(r: Word, ngen: int) -> list[int]:
+    """The exponent sum of each of the ngen generators in the word r."""
+    row = [0] * ngen
+    for x in r:
+        row[abs(x) - 1] += 1 if x > 0 else -1
+    return row
+
+
 def relator_matrix(p: Presentation) -> IntegerMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    m = IntegerMatrix(len(p.relators), len(p.generators))
-    for i, r in enumerate(p.relators):
-        row = m.data[i]
-        for x in r:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-    return m
+    ngen = len(p.generators)
+    return IntegerMatrix(len(p.relators), ngen,
+                         [_exponent_sums(r, ngen) for r in p.relators])
 
 
 def _smallest_pivot(a, k, rows, cols):
@@ -359,16 +364,17 @@ def _lattice_multiple(m: IntegerMatrix) -> int:
         [m.data[i] for i in chosen]).determinant())
 
 
-def invariant_factors(m: IntegerMatrix) -> list[int]:
-    """Nonzero diagonal entries of the Smith form.
+def invariant_factors(rows, ncols: int) -> list[int]:
+    """Nonzero diagonal entries of the Smith form of the matrix with the
+    given sparse rows (dicts column -> nonzero entry, consumed) and ncols
+    columns.
 
     The unit pivots of the sparse front end give the leading 1s.  The rows
     left, restricted to the columns they still use, go to the dense
     elimination, with entries bounded by a multiple of the lattice index
     when they have full column rank.
     """
-    ones, rest = _unit_pivots(
-        [{j: x for j, x in enumerate(row) if x} for row in m.data], m.cols)
+    ones, rest = _unit_pivots(rows, ncols)
     cols = sorted({j for row in rest for j in row})
     remainder = IntegerMatrix(len(rest), len(cols),
                               [[row.get(j, 0) for j in cols] for row in rest])
@@ -378,11 +384,14 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
 
 
 def abelianization(p: Presentation) -> AbelianStructure:
-    """Abelian invariants of the group: Smith form of the exponent matrix."""
-    factors = invariant_factors(relator_matrix(p))
-    free_rank = len(p.generators) - len(factors)
-    torsion = tuple(d for d in factors if d != 1)
-    return AbelianStructure(free_rank, torsion)
+    """Abelian invariants of the group: Smith form of the exponent-sum rows,
+    one per relator."""
+    ngen = len(p.generators)
+    factors = invariant_factors(
+        [{j: e for j, e in enumerate(_exponent_sums(r, ngen)) if e}
+         for r in p.relators], ngen)
+    return AbelianStructure(ngen - len(factors),
+                            tuple(d for d in factors if d != 1))
 
 
 def kernel_abelianization(p: Presentation, target) -> AbelianStructure:
@@ -394,9 +403,7 @@ def kernel_abelianization(p: Presentation, target) -> AbelianStructure:
 
     system = SchreierSystem(p, target)
     ncols = len(system.generator_names)
-    rows = [[row.get(j, 0) for j in range(ncols)]
-            for row in system.exponent_rows(p.relators)]
-    factors = invariant_factors(IntegerMatrix(len(rows), ncols, rows))
+    factors = invariant_factors(system.exponent_rows(p.relators), ncols)
     return AbelianStructure(ncols - len(factors),
                             tuple(d for d in factors if d != 1))
 

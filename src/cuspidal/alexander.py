@@ -253,20 +253,26 @@ def fox_derivative(w: Word, g: int, weights) -> LaurentPolynomial:
     Satisfies d(x)/dx = 1, d(x^-1)/dx = -t^-w(x), and the product rule
     d(uv)/dx = du/dx + phi(u)*dv/dx with phi(u) = t^(weighted exponent sum).
     """
-    terms: dict[int, int] = {}
+    terms = _fox_terms(w, max(map(abs, w), default=0), weights)
+    return _from_terms(terms[g] if 0 < g < len(terms) else {})
+
+
+def _fox_terms(w: Word, ngen: int, weights) -> list[dict[int, int]]:
+    """The Fox derivatives of w by generators 1..ngen as exponent ->
+    coefficient maps, at index 1..ngen (index 0 unused).  The word is read
+    once, every letter adding its term to its own generator's map."""
+    terms: list[dict[int, int]] = [{} for _ in range(ngen + 1)]
     exp = 0
     for x in w:
-        a = abs(x)
-        wt = weights[a]
         if x > 0:
-            if a == g:
-                terms[exp] = terms.get(exp, 0) + 1
-            exp += wt
+            column = terms[x]
+            column[exp] = column.get(exp, 0) + 1
+            exp += weights[x]
         else:
-            exp -= wt
-            if a == g:
-                terms[exp] = terms.get(exp, 0) - 1
-    return _from_terms(terms)
+            exp -= weights[-x]
+            column = terms[-x]
+            column[exp] = column.get(exp, 0) - 1
+    return terms
 
 
 def default_weights(p: Presentation) -> dict[int, int]:
@@ -275,26 +281,12 @@ def default_weights(p: Presentation) -> dict[int, int]:
 
 def alexander_matrix(p: Presentation, weights=None):
     """Fox-derivative matrix of a presentation as a list of rows: one row
-    per relator, one column per generator.  Each relator is read once,
-    every letter adding its term to its own generator's column."""
+    per relator, one column per generator."""
     if weights is None:
         weights = default_weights(p)
     ngen = len(p.generators)
-    rows = []
-    for r in p.relators:
-        terms: list[dict[int, int]] = [{} for _ in range(ngen + 1)]
-        exp = 0
-        for x in r:
-            if x > 0:
-                column = terms[x]
-                column[exp] = column.get(exp, 0) + 1
-                exp += weights[x]
-            else:
-                exp -= weights[-x]
-                column = terms[-x]
-                column[exp] = column.get(exp, 0) - 1
-        rows.append([_from_terms(t) for t in terms[1:]])
-    return rows
+    return [[_from_terms(t) for t in _fox_terms(r, ngen, weights)[1:]]
+            for r in p.relators]
 
 
 def _unit_reduce(rows, size):
@@ -454,16 +446,16 @@ def elementary_ideal_gcd(rows, corank: int) -> LaurentPolynomial:
     return LaurentPolynomial(0, [content * c for c in prim]).normalized()
 
 
-def alexander_polynomial(p: Presentation, strip_t_minus_1: int = 2):
+def alexander_polynomial(p: Presentation):
     """First-elementary-ideal gcd of the Fox matrix under the all-meridians
-    map, with up to `strip_t_minus_1` factors of (t - 1) removed.
+    map, with up to two factors of (t - 1) removed.
 
     Returns (polynomial, number of (t - 1) factors stripped).
     """
     g = elementary_ideal_gcd(alexander_matrix(p), corank=1)
     t_minus_1 = LaurentPolynomial(0, (-1, 1))
     stripped = 0
-    while stripped < strip_t_minus_1 and not g.is_zero and not g.is_unit():
+    while stripped < 2 and not g.is_zero and not g.is_unit():
         q = divide_exact(g, t_minus_1)
         if q is None:
             break

@@ -16,9 +16,10 @@ from itertools import product
 from operator import neg, sub
 from typing import Iterator
 
+from .abelian import invariant_factors
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .words import (Presentation, Word, invert, multiply, reduce_word,
-                    simplify)
+                    simplify, substitute)
 
 
 @dataclass(frozen=True)
@@ -31,11 +32,11 @@ class AbelianTarget:
 
     def __init__(self, moduli, generators, images):
         moduli = tuple(moduli)
+        if any(m < 1 for m in moduli):
+            raise InvalidParameter("moduli must be positive")
         generators = tuple(generators)
         images = tuple(tuple(r % m for r, m in zip(img, moduli))
                        for img in images)
-        if any(m < 1 for m in moduli):
-            raise InvalidParameter("moduli must be positive")
         if len(images) != len(generators):
             raise ValueError("one image tuple per generator required")
         if any(len(img) != len(moduli) for img in images):
@@ -43,20 +44,12 @@ class AbelianTarget:
         object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "images", images)
-        if not self._generates():
+        # the images generate the target exactly when they and the rows
+        # moduli[i] * e_i span Z^len(moduli)
+        rows = [{j: r for j, r in enumerate(img) if r} for img in images]
+        rows += [{i: m} for i, m in enumerate(moduli)]
+        if invariant_factors(rows, len(moduli)) != [1] * len(moduli):
             raise NotGenerating("generator images do not generate the target")
-
-    def _generates(self) -> bool:
-        from .abelian import IntegerMatrix, invariant_factors
-        rows = [list(img) for img in self.images]
-        for i, m in enumerate(self.moduli):
-            row = [0] * len(self.moduli)
-            row[i] = m
-            rows.append(row)
-        if not rows:
-            return self.size == 1
-        facs = invariant_factors(IntegerMatrix.from_rows(rows))
-        return len(facs) == len(self.moduli) and all(d == 1 for d in facs)
 
     @property
     def size(self) -> int:
@@ -216,11 +209,7 @@ class SchreierSystem:
 
     def expand(self, w: Word) -> Word:
         """Map a kernel word back to the source generators."""
-        out: Word = ()
-        for x in w:
-            word = self.generator_words[abs(x) - 1]
-            out = multiply(out, word if x > 0 else invert(word))
-        return out
+        return substitute(w, self.generator_words)
 
 
 def subgroup_presentation(p: Presentation, target: AbelianTarget,

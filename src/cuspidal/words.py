@@ -55,12 +55,19 @@ def conjugate(w: Word, by: Word) -> Word:
 
 
 def power(w: Word, n: int) -> Word:
-    if n < 0:
-        return power(invert(w), -n)
-    out: Word = ()
-    for _ in range(n):
-        out = multiply(out, w)
-    return out
+    return substitute((1 if n > 0 else -1,) * abs(n), (reduce_word(w),))
+
+
+def substitute(w: Word, images) -> Word:
+    """The image of w under the map sending generator k to images[k - 1]:
+    each letter +-k becomes images[k - 1] or its inverse.  The images must
+    be freely reduced.  The result is freely reduced, in time linear in the
+    letters appended."""
+    out: list[int] = []
+    for x in w:
+        _append_reduced(out, images[x - 1] if x > 0
+                        else invert(images[-x - 1]))
+    return tuple(out)
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -217,12 +224,13 @@ class GroupMap:
     target: Presentation
     images: tuple[Word, ...]  # aligned with source.generators
 
+    def __post_init__(self):
+        # apply substitutes the images, which must be freely reduced
+        object.__setattr__(self, "images",
+                           tuple(map(reduce_word, self.images)))
+
     def apply(self, w: Word) -> Word:
-        out: Word = ()
-        for x in w:
-            img = self.images[abs(x) - 1]
-            out = multiply(out, img if x > 0 else invert(img))
-        return out
+        return substitute(w, self.images)
 
 
 def _substitute(w: Word, g: int, defining: Word) -> Word:

@@ -25,6 +25,15 @@ def random_matrix(rng, max_dim=5, bound=9):
          for _ in range(rows)])
 
 
+def sparse_rows(m: IntegerMatrix) -> list[dict[int, int]]:
+    """The rows of m as invariant_factors takes them: column -> entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.data]
+
+
+def matrix_factors(m: IntegerMatrix) -> list[int]:
+    return invariant_factors(sparse_rows(m), m.cols)
+
+
 def minors_gcd(m: IntegerMatrix, k: int) -> int:
     """gcd of all k x k minors, the classical determinantal-divisor oracle."""
     g = 0
@@ -82,7 +91,7 @@ def test_invariant_factors_are_the_smith_diagonal():
         m = random_matrix(rng)
         d, _, _ = smith_normal_form(m)
         diagonal = [d.data[i][i] for i in range(min(m.rows, m.cols))]
-        assert invariant_factors(m) == [x for x in diagonal if x]
+        assert matrix_factors(m) == [x for x in diagonal if x]
 
 
 def test_invariant_factors_on_a_kernel_presentation():
@@ -95,15 +104,15 @@ def test_invariant_factors_on_a_kernel_presentation():
     d, u, v = smith_normal_form(m)
     assert (u * m * v).data == d.data
     diagonal = [d.data[i][i] for i in range(min(m.rows, m.cols))]
-    assert invariant_factors(m) == [x for x in diagonal if x]
-    assert m.cols - len(invariant_factors(m)) == 12
+    assert matrix_factors(m) == [x for x in diagonal if x]
+    assert m.cols - len(matrix_factors(m)) == 12
 
 
 def test_invariant_factors_match_determinantal_divisors():
     rng = random.Random(22)
     for _ in range(120):
         m = random_matrix(rng, max_dim=4, bound=6)
-        got = [d for d in invariant_factors(m) if d]
+        got = [d for d in matrix_factors(m) if d]
         assert got == [d for d in snf_diagonal_oracle(m) if d != 0]
 
 
@@ -125,6 +134,30 @@ def test_relator_matrix_shape():
 def test_abelianization_small_cases(relators, expected):
     p = Presentation(("a", "b"), relators)
     assert abelianization(p) == expected
+
+
+def test_abelianization_matches_the_exponent_matrix():
+    # the sparse exponent-sum rows against the Smith form of the exponent
+    # matrix, counted here letter by letter
+    rng = random.Random(25)
+    cases = [presentation_pi1(n) for n in (2, 3, 4)] + [
+        presentation_pi1_reduced(n) for n in (3, 4, 5)] + [presentation_G()]
+    for _ in range(200):
+        ngen = rng.randrange(1, 5)
+        cases.append(Presentation("abcd"[:ngen], [
+            [rng.choice((1, -1)) * rng.randint(1, ngen)
+             for _ in range(rng.randrange(1, 9))]
+            for _ in range(rng.randrange(0, 5))]))
+    for p in cases:
+        ngen = len(p.generators)
+        m = IntegerMatrix(len(p.relators), ngen, [
+            [r.count(g) - r.count(-g) for g in range(1, ngen + 1)]
+            for r in p.relators])
+        d, _, _ = smith_normal_form(m)
+        diagonal = [d.data[i][i] for i in range(min(m.rows, m.cols))]
+        assert abelianization(p) == AbelianStructure(
+            m.cols - sum(1 for x in diagonal if x),
+            tuple(x for x in diagonal if x > 1)), p.relators
 
 
 def test_abelianization_drops_unit_factors():
@@ -222,10 +255,8 @@ def test_unit_pivot_front_end_matches_dense_elimination():
             "unbounded remainder": 0, "units only": 0}
     for _ in range(400):
         m = random_sparse_matrix(rng)
-        assert invariant_factors(m) == dense_factors(m), m.data
-        ones, rest = _unit_pivots(
-            [{j: x for j, x in enumerate(row) if x} for row in m.data],
-            m.cols)
+        assert matrix_factors(m) == dense_factors(m), m.data
+        ones, rest = _unit_pivots(sparse_rows(m), m.cols)
         seen["unit pivots"] += ones > 0
         if not rest:
             seen["units only"] += 1
@@ -264,7 +295,7 @@ def test_dense_remainder_entries_stay_bounded():
         [-19, 15, -14, 0, 17], [-5, 20, -6, -30, 15], [-18, -15, 0, 0, -8],
         [0, -1, 17, 0, -12], [30, 0, 2, 28, -13], [0, -11, -11, -25, 16]])
     start = time.perf_counter()
-    assert invariant_factors(m) == [1, 1, 1, 1, 1]
+    assert matrix_factors(m) == [1, 1, 1, 1, 1]
     assert time.perf_counter() - start < 1
     assert snf_diagonal_oracle(m) == [1, 1, 1, 1, 1]
 

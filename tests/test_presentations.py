@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,8 @@ from cuspidal.abelian import (AbelianStructure, IntegerMatrix, abelianization,
                               relator_matrix, smith_normal_form)
 from cuspidal.errors import InvalidParameter
 from cuspidal.homcount import count_homs
-from cuspidal.presentations import (derive_pi1_via_rs, long_relator, map_check,
+from cuspidal.presentations import (_reduced_words, derive_pi1_via_rs,
+                                    long_relator, map_check,
                                     oka_quotient, presentation_G,
                                     presentation_G_raw, presentation_oka,
                                     presentation_pi1, presentation_pi1_reduced,
@@ -56,6 +58,40 @@ def test_reduced_presentation_is_equivalent(n):
     red = presentation_pi1_reduced(n)
     assert len(red.generators) == 4
     assert battery(full) == battery(red)
+
+
+# sha256 of format_presentation, first 16 hex digits
+PI1_REDUCED_TEXT = {
+    2: "2ee8acca25465daa", 3: "f27dfb2ab09e6181", 4: "763a717af39bbabe",
+    5: "6145d89bf090a7fe", 6: "8f78ce1f6ea14f85", 7: "6e40efa634a32753",
+    8: "300fb09a0fda25ed", 9: "667ccac1c6c3056e"}
+ZARISKI3_TEXT = {"stated": "f16ee5bdbfdf62bb",
+                 "corrected": "dadd3fae2a1e10fa"}
+
+
+def text_digest(p: Presentation) -> str:
+    return hashlib.sha256(format_presentation(p).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n", sorted(PI1_REDUCED_TEXT))
+def test_pi1_reduced_text_is_pinned(n):
+    assert text_digest(presentation_pi1_reduced(n)) == PI1_REDUCED_TEXT[n]
+
+
+@pytest.mark.parametrize("variant", sorted(ZARISKI3_TEXT))
+def test_zariski3_text_is_pinned(variant):
+    assert text_digest(presentation_zariski3(variant)) == \
+        ZARISKI3_TEXT[variant]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pi1_reduced_is_the_image_of_pi1(n):
+    # substituting the recurrence words into the stored (rotated, possibly
+    # inverted) relators of pi1(n) gives the same normalized relators
+    full, reduced = presentation_pi1(n), presentation_pi1_reduced(n)
+    m = GroupMap(full, reduced, tuple(_reduced_words(n)))
+    assert Presentation(reduced.generators,
+                        [m.apply(r) for r in full.relators]) == reduced
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -239,6 +275,19 @@ def test_map_check_h1_matches_row_lattice_oracle():
         assert (rep.h1_well_defined, rep.h1_surjective) == pair, m
         outcomes[pair] = outcomes.get(pair, 0) + 1
     assert len(outcomes) == 4, outcomes
+
+
+def test_map_check_target_counts_are_count_homs():
+    # the target's counts come from the triviality check's search
+    rng = random.Random(9)
+    for _ in range(150):
+        m = random_group_map(rng)
+        rep = map_check(m, kmax=3)
+        assert rep.hom_counts == tuple(
+            (k, count_homs(m.source, k).total, count_homs(m.target, k).total)
+            for k in (2, 3)), m
+    rep = map_check(zariski_iso_candidate("corrected"), kmax=4)
+    assert rep.hom_counts == ((2, 2, 2), (3, 84, 84), (4, 1194, 1194))
 
 
 def test_map_check_toy_examples():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cuspidal.abelian import abelianization
-from cuspidal.errors import NotGenerating, NotInKernel
+from cuspidal.errors import InvalidParameter, NotGenerating, NotInKernel
 from cuspidal.rewriting import (AbelianTarget, SchreierSystem,
                                 subgroup_presentation)
 from cuspidal.words import (Presentation, commutator, format_presentation,
@@ -21,6 +21,19 @@ def test_target_validation():
     assert t.size == 3
     assert t.image_of_word((1, 1)) == (1,)
     assert t.image_of_word((-1,)) == (1,)
+
+
+def test_target_without_moduli_is_accepted():
+    # the trivial group: no rows reach the Smith form, and nothing is missing
+    t = AbelianTarget((), (), ())
+    assert t.size == 1 and t.identity() == ()
+    t = AbelianTarget((), ("a", "b"), ((), ()))
+    assert t.image_of_word((1, -2, 1)) == ()
+
+
+def test_target_rejects_a_zero_modulus():
+    with pytest.raises(InvalidParameter):
+        AbelianTarget((0,), ("a",), ((1,),))
 
 
 def transversal_is_prefix_closed(representatives) -> bool:

@@ -8,7 +8,7 @@ from cuspidal.words import (GroupMap, Presentation, commutator, conjugate,
                             cyclic_normal_form, cyclic_reduce, format_presentation,
                             format_word, invert, multiply, parse_presentation,
                             parse_word, power, reduce_word, simplify,
-                            simplify_with_map, tietze_eliminate)
+                            simplify_with_map, substitute, tietze_eliminate)
 
 
 def presentation_to_json(p):
@@ -188,6 +188,59 @@ def test_group_map_apply():
     gm = GroupMap(src, tgt, ((1, 2),))
     assert gm.apply((1, 1)) == (1, 2, 1, 2)
     assert gm.apply((-1,)) == (-2, -1)
+
+
+def multiply_accumulate_substitute(w, images):
+    """Letter by letter, multiply the image of each letter onto the result
+    (the loop GroupMap.apply, SchreierSystem.expand and power ran before
+    substitute)."""
+    out = ()
+    for x in w:
+        img = images[abs(x) - 1]
+        out = multiply(out, img if x > 0 else invert(img))
+    return out
+
+
+def test_substitute_matches_multiply_accumulate_oracle():
+    rng = random.Random(17)
+    seen = {"empty image": 0, "inverse letter": 0, "unreduced word": 0,
+            "cancels across letters": 0}
+    for _ in range(400):
+        ngen = rng.randrange(1, 5)
+        # images share a random prefix and suffix, so the images of
+        # neighbouring letters often cancel into each other
+        prefix, suffix = random_word(rng, 3, 3), random_word(rng, 3, 3)
+        images = []
+        for _ in range(ngen):
+            kind = rng.random()
+            if kind < 0.15:
+                images.append(())
+            elif kind < 0.3 and images:
+                images.append(invert(rng.choice(images)))
+            else:
+                images.append(reduce_word(prefix + random_word(rng, 3, 4)
+                                          + suffix))
+        w = (random_letters if rng.random() < 0.3 else random_word)(
+            rng, ngen, 10)
+        got = substitute(w, images)
+        assert got == multiply_accumulate_substitute(w, images), (w, images)
+        assert got == reduce_word(got)
+        seen["empty image"] += any(not images[abs(x) - 1] for x in w)
+        seen["inverse letter"] += any(x < 0 for x in w)
+        seen["unreduced word"] += w != reduce_word(w)
+        seen["cancels across letters"] += len(got) < sum(
+            len(images[abs(x) - 1]) for x in reduce_word(w))
+    assert min(seen.values()) >= 50, seen
+
+
+def test_power_matches_multiply_accumulate_oracle():
+    rng = random.Random(18)
+    for _ in range(300):
+        w = random_letters(rng, 3, 6)
+        n = rng.randrange(-4, 5)
+        letters = (1 if n > 0 else -1,) * abs(n)
+        assert power(w, n) == \
+            multiply_accumulate_substitute(letters, (w,)), (w, n)
 
 
 def full_retidy_simplify_with_map(p, budget):
