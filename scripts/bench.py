@@ -33,22 +33,17 @@ Smith form).
 
 kernel: `commutator_abelianization_rank(n)` for odd n = 9..21 (the whole
 call).  Next to the times, each side reports its work, counted after the
-timed call: a version with `SchreierSystem.exponent_rows` reports the
-relator walks and the letters they read, the distinct rows, the unit pivots
-and the shape of the dense remainder; an older one the kernel relators it
-rewrote and the shape of its dense exponent matrix.
+timed call: the relator walks of `SchreierSystem.exponent_rows` and the
+letters they read, the distinct rows, the unit pivots and the shape of the
+dense remainder.
 
 geometry: `singular_points_scan(n, p)` at (7, 197) and (9, 307) and
 `superabundance_multi(n)` for n = 15, 25, 31 (the whole call).  The work is
 counted in a second, instrumented call after the timed one: the points of
 P^2(F_p) the scan tests, the evaluations of F_n point by point and of its
 partials, the primes and evaluation matrix shape of the superabundance, and
-the row updates of its rank computation and the matrix entries they
-rewrite.  A version with a sparse row update (`abelian._eliminate` under
-the shared `abelian.independent_rows`, or `geometry._eliminate` under
-`geometry._rank_mod_p`) counts its calls; for an older one the
-Gauss-Jordan elimination it runs is replayed on the same matrix to count
-them.
+the row updates of its rank computation (the calls of `abelian._eliminate`
+under `abelian.independent_rows`) and the matrix entries they rewrite.
 """
 
 from __future__ import annotations
@@ -175,8 +170,6 @@ def time_alexander(n: int):
                      "fox_cells": len(p.relators) * len(p.generators)}
 
 
-
-
 def kernel_work(n: int) -> dict:
     """The work of commutator_abelianization_rank(n) in this version."""
     from cuspidal import abelian
@@ -187,10 +180,6 @@ def kernel_work(n: int) -> dict:
                            tuple((1,) for _ in p.generators))
     system = SchreierSystem(p, target)
     ncols = len(system.generator_names)
-    if not hasattr(system, "exponent_rows"):
-        rewritten = len(p.relators) * target.size
-        return {"rows_rewritten": rewritten,
-                "dense_matrix": [rewritten, ncols]}
     rows = list(system.exponent_rows(p.relators))
     # every relator lies in the kernel, so one whose first row is zero is
     # walked from one coset only, any other from every coset
@@ -246,14 +235,11 @@ def scan_work(n: int, p: int) -> dict:
         elif args[0].degree == 2 * n - 1:
             work["partial_evaluations"] += 1
 
-    rows = hasattr(geometry, "_plane_rows")
-
     def tested(args, item):
-        # a row (x, y, zs) of the row scan, or one point of a pointwise scan
-        work["points_tested"] += len(item[2]) if rows else 1
+        # a row (x, y, zs) of the row scan
+        work["points_tested"] += len(item[2])
 
-    with counting(geometry, "_plane_rows" if rows else "all_projective_points",
-                  tested, items=True), \
+    with counting(geometry, "_plane_rows", tested, items=True), \
             counting(geometry.TernaryForm, "evaluate", evaluated):
         geometry.singular_points_scan(n, geometry.PrimeField(p))
     return work
@@ -271,34 +257,9 @@ def time_scan(n: int, p: int):
                      "points": len(coords)}, scan_work(n, p)
 
 
-def gauss_jordan_updates(matrix, p: int) -> int:
-    """The row updates of Gauss-Jordan elimination mod p on matrix."""
-    m = [row[:] for row in matrix]
-    rank = updates = 0
-    for col in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] % p:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
-                updates += 1
-        rank += 1
-    return updates
-
-
 def superabundance_work(n: int) -> dict:
     """The work of superabundance_multi(n) in this version."""
     from cuspidal import abelian, geometry
-    # the rank routine as geometry calls it, and the module of its row update
-    if hasattr(abelian, "independent_rows"):
-        rank, home = "independent_rows", abelian
-    else:
-        rank, home = "_rank_mod_p", geometry
     work = {"primes": [], "matrix": None, "row_updates": 0,
             "entry_updates": 0}
 
@@ -306,19 +267,13 @@ def superabundance_work(n: int) -> dict:
         matrix, p = args
         work["primes"].append(p)
         work["matrix"] = [len(matrix), len(matrix[0])]
-        if not hasattr(home, "_eliminate"):
-            updates = gauss_jordan_updates(matrix, p)
-            work["row_updates"] += updates
-            work["entry_updates"] += updates * len(matrix[0])
 
     def eliminated(args, out):
         work["row_updates"] += 1
         work["entry_updates"] += len(args[1])
 
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(counting(geometry, rank, ranked))
-        if hasattr(home, "_eliminate"):
-            stack.enter_context(counting(home, "_eliminate", eliminated))
+    with counting(geometry, "independent_rows", ranked), \
+            counting(abelian, "_eliminate", eliminated):
         geometry.superabundance_multi(n)
     return work
 

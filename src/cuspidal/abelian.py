@@ -62,28 +62,38 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
     def determinant(self) -> int:
-        """Fraction-free (Bareiss) determinant; square matrices only."""
+        """Determinant of a square matrix, by `_bareiss`."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        a = [row[:] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, minor = _bareiss(self.data)
+        return minor if rank == self.rows else 0
+
+
+def _bareiss(rows) -> tuple[int, int]:
+    """(r, minor): the rank r of the matrix with the given integer rows and
+    its last pivot, a nonzero r x r minor (1 when r = 0), by fraction-free
+    elimination with row swaps (Bareiss, Math. Comp. 22, 1968); a column
+    with no pivot is skipped.  Signed by the swaps, the minor of a
+    nonsingular square matrix is its determinant."""
+    a = [list(row) for row in rows]
+    ncols = len(a[0]) if a else 0
+    sign, prev, k = 1, 1, 0
+    for c in range(ncols):
+        i = next((i for i in range(k, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        pivot = a[k]
+        for row in a[k + 1:]:
+            x = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * pivot[c] - x * pivot[j]) // prev
+            row[c] = 0
+        prev = pivot[c]
+        k += 1
+    return k, sign * prev
 
 
 @dataclass(frozen=True)
@@ -135,12 +145,11 @@ def _diagonalize(m: IntegerMatrix, track: bool, modulus: int = 0):
     Once pivot k is done, row k and column k are zero off the diagonal, so
     the operations of later steps touch only the block from (k, k) on.
 
-    A nonzero `modulus` D (never with `track`) must be a multiple of the
-    index of m's row lattice in Z^cols.  The lattice then contains D*Z^cols,
-    so entries are kept as residues mod D, of absolute value at most D/2,
-    and the diagonal is returned as gcd(di, D): the Smith form of the
-    lattice spanned by the rows of m and of D*I, which is the same lattice.
-    Each gcd(di, D) divides all later entries and D, hence the next one.
+    With a nonzero `modulus` D (never with `track`), entries are kept as
+    residues mod D, of absolute value at most D/2, and the diagonal is
+    returned as gcd(di, D): the Smith form of L + D*Z^cols, the lattice
+    spanned by the rows of m and of D*I, with L the row lattice of m.  Each
+    gcd(di, D) divides all later entries and D, hence the next one.
     """
     rows, cols = m.rows, m.cols
     a = [row[:] for row in m.data]
@@ -347,40 +356,27 @@ def independent_rows(matrix, p: int) -> list[int]:
     return found
 
 
-_RANK_PRIME = 2**61 - 1
-
-
-def _lattice_multiple(m: IntegerMatrix) -> int:
-    """A nonzero multiple of the index of m's row lattice in Z^cols, or 0
-    if m has no full column rank mod a large prime.
-
-    The rows independent mod the prime form a nonsingular square
-    submatrix, whose determinant (exact, Bareiss) the lattice index
-    divides."""
-    chosen = independent_rows(m.data, _RANK_PRIME)
-    if not m.cols or len(chosen) < m.cols:
-        return 0
-    return abs(IntegerMatrix.from_rows(
-        [m.data[i] for i in chosen]).determinant())
-
-
 def invariant_factors(rows, ncols: int) -> list[int]:
     """Nonzero diagonal entries of the Smith form of the matrix with the
     given sparse rows (dicts column -> nonzero entry, consumed) and ncols
     columns.
 
     The unit pivots of the sparse front end give the leading 1s.  The rows
-    left, restricted to the columns they still use, go to the dense
-    elimination, with entries bounded by a multiple of the lattice index
-    when they have full column rank.
+    left, restricted to the columns they still use, form the dense
+    remainder, with row lattice L in Z^cols; `_bareiss` gives its rank r
+    and a nonzero r x r minor D.  The product s1...sr of its invariant
+    factors is the gcd of its r x r minors, so it divides D, and so does
+    each si.  Hence L + D*Z^cols has invariant factors (s1, ..., sr, D, ...,
+    D), and the first r diagonal entries of the elimination modulo |D| are
+    s1, ..., sr, every entry bounded by |D|/2 on the way.
     """
     ones, rest = _unit_pivots(rows, ncols)
     cols = sorted({j for row in rest for j in row})
-    remainder = IntegerMatrix(len(rest), len(cols),
-                              [[row.get(j, 0) for j in cols] for row in rest])
-    diagonal, _, _ = _diagonalize(remainder, track=False,
-                                  modulus=_lattice_multiple(remainder))
-    return [1] * ones + [x for x in diagonal if x]
+    dense = [[row.get(j, 0) for j in cols] for row in rest]
+    rank, minor = _bareiss(dense)
+    diagonal, _, _ = _diagonalize(IntegerMatrix(len(rest), len(cols), dense),
+                                  track=False, modulus=abs(minor))
+    return [1] * ones + diagonal[:rank]
 
 
 def abelianization(p: Presentation) -> AbelianStructure:

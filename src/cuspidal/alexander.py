@@ -65,18 +65,12 @@ class LaurentPolynomial:
         return len(self.coeffs) == 1 and abs(self.coeffs[0]) == 1
 
     def __add__(self, other):
-        if self.is_zero:
-            return other
-        if other.is_zero:
+        if not other.coeffs:
             return self
-        low = min(self.low, other.low)
-        high = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        out = [0] * (high - low)
-        for i, c in enumerate(self.coeffs):
-            out[self.low - low + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.low - low + i] += c
-        return LaurentPolynomial(low, out)
+        if self.low > other.low:
+            self, other = other, self
+        return LaurentPolynomial(self.low, _combine(
+            1, list(self.coeffs), -1, other.low - self.low, other.coeffs))
 
     def __neg__(self):
         return LaurentPolynomial(self.low, tuple(-c for c in self.coeffs))
@@ -85,14 +79,8 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return LaurentPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return LaurentPolynomial(self.low + other.low, out)
+        return LaurentPolynomial(self.low + other.low,
+                                 _mul(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -112,10 +100,7 @@ class LaurentPolynomial:
         return LaurentPolynomial(-self.low, (self.coeffs[0],))
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, c)
-        return g
+        return int_gcd(*self.coeffs)
 
     def normalized(self) -> "LaurentPolynomial":
         """Strip the t^k unit (set low = 0) and make the leading coefficient

@@ -20,8 +20,7 @@ from .errors import (BudgetExceeded, InvalidParameter, RankDeficiencySuspect,
 from .geometry import (PrimeField, choose_prime, milnor_ratio,
                        singular_points,
                        singular_points_scan, splitting_check_n2,
-                       superabundance, superabundance_multi,
-                       tangent_cone_rank)
+                       superabundance_multi, tangent_cone_rank)
 from .homcount import count_homs
 from .presentations import (derive_pi1_via_rs, invariant_battery,
                             map_check, oka_quotient,

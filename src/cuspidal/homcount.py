@@ -116,10 +116,13 @@ def _symmetric_group(k: int) -> _SymmetricGroup:
 
 
 def _build_plan(p: Presentation):
-    """Static assignment plan: list of steps, each either
-    ("enum", g, checks) or ("det", g, relator, position, checks),
-    with g a 0-based generator index and checks a list of relator indices
-    that become fully assigned at that step (the solving relator excluded).
+    """The static assignment plan: one step (g, checks, solve, positive) per
+    generator, in the order the search assigns them.  g is a 0-based
+    generator index and checks the compiled relators that become fully
+    assigned at the step.  A determined generator occurs once, as g^s, in a
+    relator u g^s v whose other generators are assigned before it: solve is
+    the compiled v u, so that g^s = (v u)^-1, and positive says s = 1.  An
+    enumerated generator has solve and positive None.
     """
     ngen = len(p.generators)
     gens_of = [sorted({abs(x) - 1 for x in r}) for r in p.relators]
@@ -127,7 +130,15 @@ def _build_plan(p: Presentation):
                    for r in p.relators]
     assigned: set[int] = set()
     checked: set[int] = set()
-    plan = []
+    steps = []
+
+    def completed(g: int) -> list[int]:
+        """The unchecked nonempty relators whose generators are all among
+        the assigned ones and g."""
+        return [ri for ri, gens in enumerate(gens_of)
+                if ri not in checked and gens
+                and all(x in assigned or x == g for x in gens)]
+
     while len(assigned) < ngen:
         det = None
         for ri, gens in enumerate(gens_of):
@@ -140,34 +151,21 @@ def _build_plan(p: Presentation):
                     det = key
         if det is not None:
             _, g, ri = det
-            pos = next(i for i, x in enumerate(p.relators[ri])
-                       if abs(x) - 1 == g)
-            assigned.add(g)
+            r = p.relators[ri]
+            pos = next(i for i, x in enumerate(r) if abs(x) - 1 == g)
             checked.add(ri)
-            checks = [rj for rj, gj in enumerate(gens_of)
-                      if rj not in checked and gj
-                      and all(x in assigned for x in gj)]
-            checked.update(checks)
-            plan.append(("det", g, ri, pos, checks))
+            solve, positive = _compile(r[pos + 1:] + r[:pos]), r[pos] > 0
         else:
-            best = None
-            for g in range(ngen):
-                if g in assigned:
-                    continue
-                completes = sum(1 for ri, gens in enumerate(gens_of)
-                                if ri not in checked and gens
-                                and all(x in assigned or x == g for x in gens))
-                key = (-completes, g)
-                if best is None or key < best:
-                    best = key
-            g = best[1]
-            assigned.add(g)
-            checks = [rj for rj, gj in enumerate(gens_of)
-                      if rj not in checked and gj
-                      and all(x in assigned for x in gj)]
-            checked.update(checks)
-            plan.append(("enum", g, checks))
-    return plan
+            # the generator that completes the most relators, least first
+            g = min((g for g in range(ngen) if g not in assigned),
+                    key=lambda g: (-len(completed(g)), g))
+            solve = positive = None
+        checks = completed(g)
+        assigned.add(g)
+        checked.update(checks)
+        steps.append((g, tuple(_compile(p.relators[ri]) for ri in checks),
+                      solve, positive))
+    return steps
 
 
 def _compile(w: Word) -> tuple[int, ...]:
@@ -194,21 +192,9 @@ def _search(p: Presentation, k: int, budget: int, reduce: bool):
     group = _symmetric_group(k)
     mul, inv = group.mul, group.inv
     every_element = tuple((x, 1) for x in range(len(group.elements)))
-    plan = _build_plan(p)
-    codes = [_compile(r) for r in p.relators]
-    steps = []
-    for step in plan:
-        checks = tuple(codes[ri] for ri in step[-1])
-        if step[0] == "det":
-            _, g, ri, pos, _ = step
-            r = p.relators[ri]
-            # u g^s v = 1 solves to g^s = (v u)^-1
-            steps.append((g, checks, _compile(r[pos + 1:] + r[:pos]),
-                          r[pos] > 0))
-        else:
-            steps.append((step[1], checks, None, None))
-    first_enum = next((i for i, step in enumerate(plan)
-                       if step[0] == "enum"), None)
+    steps = _build_plan(p)
+    first_enum = next((i for i, step in enumerate(steps)
+                       if step[2] is None), None)
     ngen = len(p.generators)
     images = [0] * ngen
     slots = [0] * (2 * ngen)

@@ -257,23 +257,9 @@ def _append_reduced(out: list[int], piece: Word) -> None:
     out.extend(piece[k:])
 
 
-def _drop_generator(w: Word, g: int) -> Word:
-    """Reindex letters after removal of generator g; g must not occur."""
-    out = []
-    for x in w:
-        a = abs(x)
-        assert a != g
-        out.append(x if a < g else (a - 1) * (1 if x > 0 else -1))
-    return tuple(out)
-
-
-def _find_defining_relator(p: Presentation, g: int, defining: Word):
-    """Index of a relator equal (cyclically, up to inversion) to g*defining^-1."""
-    target = cyclic_normal_form(multiply((g,), invert(defining)))
-    for i, r in enumerate(p.relators):
-        if r == target:
-            return i
-    return None
+def _renumber(w: Word, new_id) -> Word:
+    """w with every generator id g replaced by new_id[g], signs kept."""
+    return tuple(new_id[x] if x > 0 else -new_id[-x] for x in w)
 
 
 def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
@@ -287,16 +273,17 @@ def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
     if any(abs(x) == g for x in defining):
         raise NoDefiningRelator(f"defining word contains {gen!r}")
     defining = reduce_word(defining)
-    idx = _find_defining_relator(p, g, defining)
-    if idx is None:
-        raise NoDefiningRelator(f"no relator defines {gen!r} as the given word")
-    gens = p.generators[:g - 1] + p.generators[g:]
-    relators = []
-    for i, r in enumerate(p.relators):
-        if i == idx:
-            continue
-        relators.append(_drop_generator(_substitute(r, g, defining), g))
-    return Presentation(gens, relators)
+    try:
+        idx = p.relators.index(
+            cyclic_normal_form(multiply((g,), invert(defining))))
+    except ValueError:
+        raise NoDefiningRelator(
+            f"no relator defines {gen!r} as the given word") from None
+    new_id = {h: h - (h > g) for h in range(1, len(p.generators) + 1)
+              if h != g}
+    return Presentation(p.generators[:g - 1] + p.generators[g:],
+                        [_renumber(_substitute(r, g, defining), new_id)
+                         for i, r in enumerate(p.relators) if i != idx])
 
 
 def simplify(p: Presentation, budget: int) -> Presentation:
@@ -386,11 +373,7 @@ def simplify_with_map(p: Presentation, budget: int):
         alive.discard(g)
     kept = sorted(alive)
     new_id = {g: i + 1 for i, g in enumerate(kept)}
-
-    def renumber(w: Word) -> Word:
-        return tuple(new_id[x] if x > 0 else -new_id[-x] for x in w)
-
     result = Presentation([p.generators[g - 1] for g in kept],
-                          [renumber(r) for r in rels if r is not None])
-    return result, {name: renumber(img)
+                          [_renumber(r, new_id) for r in rels if r is not None])
+    return result, {name: _renumber(img, new_id)
                     for name, img in zip(p.generators, images)}

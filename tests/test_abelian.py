@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from cuspidal import abelian, words
-from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _diagonalize,
-                              _lattice_multiple, _unit_pivots, abelianization,
+from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _bareiss,
+                              _diagonalize, _unit_pivots, abelianization,
                               commutator_abelianization_rank,
                               invariant_factors, kernel_abelianization,
                               relator_matrix, smith_normal_form)
@@ -251,8 +251,8 @@ def random_sparse_matrix(rng):
 
 def test_unit_pivot_front_end_matches_dense_elimination():
     rng = random.Random(61)
-    seen = {"unit pivots": 0, "bounded remainder": 0,
-            "unbounded remainder": 0, "units only": 0}
+    seen = {"unit pivots": 0, "full column rank": 0, "rank-deficient": 0,
+            "units only": 0}
     for _ in range(400):
         m = random_sparse_matrix(rng)
         assert matrix_factors(m) == dense_factors(m), m.data
@@ -262,30 +262,48 @@ def test_unit_pivot_front_end_matches_dense_elimination():
             seen["units only"] += 1
             continue
         cols = sorted({j for row in rest for j in row})
-        remainder = IntegerMatrix.from_rows(
-            [[row.get(j, 0) for j in cols] for row in rest])
-        if _lattice_multiple(remainder):
-            seen["bounded remainder"] += 1
+        rank, _ = _bareiss([[row.get(j, 0) for j in cols] for row in rest])
+        if rank == len(cols):
+            seen["full column rank"] += 1
         else:
-            seen["unbounded remainder"] += 1
+            seen["rank-deficient"] += 1
     # every path of invariant_factors is exercised
     assert min(seen.values()) >= 40, seen
 
 
-def test_lattice_multiple_is_a_multiple_of_the_index():
+def test_bareiss_minor_is_a_multiple_of_the_factors():
+    # the modulus of the dense remainder: s1...sr divides the r x r minor
     rng = random.Random(62)
-    checked = 0
+    deficient = 0
     for _ in range(300):
         m = random_sparse_matrix(rng)
-        d = _lattice_multiple(m)
+        rank, minor = _bareiss(m.data)
         factors = dense_factors(m)
-        if len(factors) < m.cols:
-            assert d == 0  # no full column rank, no bound
-            continue
-        if d:
-            assert d % math.prod(factors) == 0
-            checked += 1
-    assert checked >= 50
+        assert rank == len(factors), m.data
+        assert minor and minor % math.prod(factors) == 0, m.data
+        deficient += rank < m.cols
+    assert deficient >= 50
+
+
+def test_invariant_factors_match_the_oracle_on_dense_matrices():
+    # dense 1-6 x 1-5 matrices, some with a repeated row and some scaled by
+    # 2, 3 or 6; a rank-deficient one is bounded by a minor smaller than the
+    # matrix
+    rng = random.Random(63)
+    deficient = 0
+    for _ in range(300):
+        cols = rng.randrange(1, 6)
+        rows = [[rng.randrange(-9, 10) for _ in range(cols)]
+                for _ in range(rng.randrange(1, 7))]
+        if rng.random() < 0.4:
+            rows.append(list(rng.choice(rows)))
+        if rng.random() < 0.3:
+            k = rng.choice((2, 3, 6))
+            rows = [[k * x for x in row] for row in rows]
+        m = IntegerMatrix.from_rows(rows)
+        assert matrix_factors(m) == snf_diagonal_oracle(m), m.data
+        deficient += _bareiss(m.data)[0] < m.cols
+    assert deficient >= 50
 
 
 def test_dense_remainder_entries_stay_bounded():
@@ -298,6 +316,18 @@ def test_dense_remainder_entries_stay_bounded():
     assert matrix_factors(m) == [1, 1, 1, 1, 1]
     assert time.perf_counter() - start < 1
     assert snf_diagonal_oracle(m) == [1, 1, 1, 1, 1]
+
+
+def test_rank_deficient_dense_remainder_stays_bounded():
+    # rows 6 and 8 are equal; with no modulus the elimination does not finish
+    m = IntegerMatrix.from_rows([
+        [-5, 1, -7, -7, 4, -8, 7, 5], [6, 0, 2, 8, -3, 8, 8, -6],
+        [8, -8, -4, 4, -8, -3, 5, -3], [0, -4, -9, -9, -5, -6, 4, 2],
+        [2, -8, 6, 7, -7, -6, -9, 0], [4, 5, -9, -1, 0, 0, 2, 8],
+        [-5, 4, -1, -7, -6, -8, -8, -3], [4, 5, -9, -1, 0, 0, 2, 8]])
+    start = time.perf_counter()
+    assert matrix_factors(m) == [1] * 7
+    assert time.perf_counter() - start < 1
 
 
 def test_every_smith_caller_runs_the_front_end(monkeypatch):

@@ -19,8 +19,7 @@ from cuspidal.alexander import (LaurentPolynomial, alexander_polynomial,
 from cuspidal.geometry import (PrimeField, choose_prime, curve_form,
                                milnor_ratio, singular_points,
                                singular_points_scan, splitting_check_n2,
-                               superabundance, superabundance_multi,
-                               tangent_cone_rank)
+                               superabundance_multi, tangent_cone_rank)
 from cuspidal.homcount import count_homs
 from cuspidal.presentations import (derive_pi1_via_rs, map_check, oka_quotient,
                                     presentation_oka, presentation_pi1,

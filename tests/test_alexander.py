@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from itertools import combinations
 
@@ -50,6 +51,69 @@ def test_laurent_arithmetic_basics():
     assert not LaurentPolynomial(0, (2,)).is_unit()
     u = LaurentPolynomial.monomial(5)
     assert (u * u.unit_inverse()) == ONE
+
+
+def oracle_add(a, b):
+    """The sum, one coefficient at a time on a common exponent range."""
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    low = min(a.low, b.low)
+    high = max(a.low + len(a.coeffs), b.low + len(b.coeffs))
+    out = [0] * (high - low)
+    for i, c in enumerate(a.coeffs):
+        out[a.low - low + i] += c
+    for i, c in enumerate(b.coeffs):
+        out[b.low - low + i] += c
+    return LaurentPolynomial(low, out)
+
+
+def oracle_mul(a, b):
+    """The product by the schoolbook double loop."""
+    if a.is_zero or b.is_zero:
+        return LaurentPolynomial.zero()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return LaurentPolynomial(a.low + b.low, out)
+
+
+def oracle_content(a):
+    g = 0
+    for c in a.coeffs:
+        g = math.gcd(g, c)
+    return g
+
+
+def test_laurent_arithmetic_matches_coefficient_loops():
+    rng = random.Random(71)
+    seen = {"zero": 0, "low differs": 0, "cancels": 0}
+    for _ in range(600):
+        a = random_poly(rng)
+        kind = rng.randrange(4)
+        if kind == 0:
+            b = LaurentPolynomial.zero()
+        elif kind == 1:
+            b = -a  # cancels completely
+        elif kind == 2:
+            # cancels at one end only: shares a's top or bottom terms
+            b = LaurentPolynomial(a.low, [-c for c in a.coeffs[:-1]]) \
+                if rng.random() < 0.5 else \
+                LaurentPolynomial(a.low + 1, [-c for c in a.coeffs[1:]])
+        else:
+            b = random_poly(rng)
+        if rng.random() < 0.5:
+            a, b = b, a
+        seen["zero"] += a.is_zero or b.is_zero
+        seen["low differs"] += a.low != b.low
+        seen["cancels"] += (a + b).is_zero and not a.is_zero
+        assert a + b == oracle_add(a, b)
+        assert a - b == oracle_add(a, -b)
+        assert a * b == oracle_mul(a, b)
+        assert a.content() == oracle_content(a)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_divide_exact():

@@ -7,6 +7,9 @@ import pytest
 from cuspidal.errors import BudgetExceeded, InvalidParameter
 from cuspidal.homcount import (compose, count_homs, identity_perm, invert_perm,
                                iter_homs, relator_triviality_check, word_image)
+from cuspidal.presentations import (derive_pi1_via_rs, presentation_G_raw,
+                                    presentation_pi1, presentation_pi1_reduced,
+                                    presentation_zariski3)
 from cuspidal.words import GroupMap, Presentation
 
 
@@ -141,6 +144,28 @@ def test_budget_counts_search_nodes():
     assert len(list(iter_homs(free1, 5, budget=120))) == 120
     with pytest.raises(BudgetExceeded):
         list(iter_homs(free1, 5, budget=119))
+
+
+# (family, k, the least node budget that completes the count): the nodes
+# the plan's search visits, so a change of generator or check order shows
+MINIMAL_BUDGETS = [
+    ("pi1(3)", lambda: presentation_pi1(3), 4, 4869),
+    ("pi1-reduced(3)", lambda: presentation_pi1_reduced(3), 4, 2141),
+    ("zariski3", lambda: presentation_zariski3("corrected"), 4, 2193),
+    ("derived(3)", lambda: derive_pi1_via_rs(3), 4, 12221),
+    ("pi1(4)", lambda: presentation_pi1(4), 3, 4183),
+    ("G-raw", presentation_G_raw, 4, 2306),
+]
+
+
+@pytest.mark.parametrize("build, k, budget",
+                         [case[1:] for case in MINIMAL_BUDGETS],
+                         ids=[case[0] for case in MINIMAL_BUDGETS])
+def test_search_nodes_are_pinned(build, k, budget):
+    p = build()
+    count_homs(p, k, budget=budget)
+    with pytest.raises(BudgetExceeded):
+        count_homs(p, k, budget=budget - 1)
 
 
 def random_word(rng, ngen, maxlen):

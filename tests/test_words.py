@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cuspidal.errors import NoDefiningRelator
 from cuspidal.words import (GroupMap, Presentation, commutator, conjugate,
                             cyclic_normal_form, cyclic_reduce, format_presentation,
                             format_word, invert, multiply, parse_presentation,
@@ -341,3 +342,68 @@ def test_simplify_with_map_matches_full_retidy_oracle():
         assert image_map == image_map0
         eliminated += len(p.generators) - len(q.generators)
     assert eliminated > 300
+
+
+def find_and_drop_tietze_eliminate(p, gen, defining):
+    """Tietze elimination by a linear scan for the defining relator and a
+    letter-by-letter renumbering of the substituted relators."""
+    g = p.generator_index(gen)
+    if any(abs(x) == g for x in defining):
+        raise NoDefiningRelator(f"defining word contains {gen!r}")
+    defining = reduce_word(defining)
+    target = cyclic_normal_form(multiply((g,), invert(defining)))
+    idx = next((i for i, r in enumerate(p.relators) if r == target), None)
+    if idx is None:
+        raise NoDefiningRelator(f"no relator defines {gen!r} as the given word")
+    inv = invert(defining)
+    relators = []
+    for i, r in enumerate(p.relators):
+        if i == idx:
+            continue
+        w = reduce_word(y for x in r for y in (defining if x == g else
+                                               inv if x == -g else (x,)))
+        out = []
+        for x in w:
+            assert abs(x) != g
+            out.append(x if abs(x) < g else x - (1 if x > 0 else -1))
+        relators.append(tuple(out))
+    return Presentation(p.generators[:g - 1] + p.generators[g:], relators)
+
+
+def test_tietze_eliminate_matches_find_and_drop_oracle():
+    rng = random.Random(16)
+    seen = {"eliminated": 0, "no relator": 0, "contains gen": 0}
+    for _ in range(300):
+        p = random_presentation(rng)
+        g = rng.randrange(1, len(p.generators) + 1)
+        kind = rng.random()
+        defining = tuple(x for x in random_letters(rng, len(p.generators), 5)
+                         if abs(x) != g)
+        once = [(r, x) for r in p.relators for x in set(map(abs, r))
+                if sum(abs(y) == x for y in r) == 1]
+        if kind < 0.6 and once:
+            # a relator g^-1 * u defines g as u, as simplify finds it
+            r, g = rng.choice(once)
+            pos = next(i for i, x in enumerate(r) if abs(x) == g)
+            rot = r[pos:] + r[:pos]
+            if rot[0] < 0:
+                rot = invert(rot)
+                rot = rot[-1:] + rot[:-1]
+            defining = invert(rot[1:])
+        elif kind < 0.8:
+            defining = defining + (g * rng.choice((1, -1)),)
+        gen = p.generators[g - 1]
+        try:
+            expected = format_presentation(
+                find_and_drop_tietze_eliminate(p, gen, defining))
+        except NoDefiningRelator as exc:
+            with pytest.raises(NoDefiningRelator) as got:
+                tietze_eliminate(p, gen, defining)
+            assert str(got.value) == str(exc)
+            seen["contains gen" if "contains" in str(exc)
+                 else "no relator"] += 1
+            continue
+        assert format_presentation(tietze_eliminate(p, gen, defining)) \
+            == expected
+        seen["eliminated"] += 1
+    assert min(seen.values()) >= 40, seen
