@@ -3,7 +3,7 @@ polynomials, and singular geometry of a family of cuspidal plane curves."""
 
 from .abelian import (AbelianStructure, IntegerMatrix, abelianization,
                       commutator_abelianization_rank, kernel_abelianization,
-                      relator_matrix, smith_normal_form)
+                      smith_normal_form)
 from .alexander import (LaurentPolynomial, alexander_matrix,
                         alexander_polynomial, cyclotomic_base,
                         cyclotomic_target, elementary_ideal_gcd,
@@ -13,8 +13,7 @@ from .geometry import (PrimeField, ProjectivePoint, SplittingReport,
                        curve_form, milnor_ratio, singular_points,
                        splitting_check_n2, superabundance,
                        superabundance_multi, tangent_cone_rank)
-from .homcount import (HomCountReport, count_homs, relator_triviality_check,
-                       word_image)
+from .homcount import HomCountReport, count_homs, relator_triviality_check
 from .presentations import (GroupMap, MapCheckReport, derive_pi1_via_rs,
                             invariant_battery, long_relator, map_check,
                             oka_quotient, presentation_G, presentation_G_raw,
@@ -23,7 +22,6 @@ from .presentations import (GroupMap, MapCheckReport, derive_pi1_via_rs,
                             zariski_aux_datum, zariski_iso_candidate)
 from .rewriting import AbelianTarget, SchreierSystem, subgroup_presentation
 from .words import (Presentation, Word, conjugate, invert, multiply,
-                    parse_presentation, format_presentation, simplify,
-                    tietze_eliminate)
+                    format_presentation, simplify, tietze_eliminate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -116,13 +116,6 @@ def _exponent_sums(r: Word, ngen: int) -> list[int]:
     return row
 
 
-def relator_matrix(p: Presentation) -> IntegerMatrix:
-    """Exponent-sum matrix: one row per relator, one column per generator."""
-    ngen = len(p.generators)
-    return IntegerMatrix(len(p.relators), ngen,
-                         [_exponent_sums(r, ngen) for r in p.relators])
-
-
 def _smallest_pivot(a, k, rows, cols):
     best = None
     for i in range(k, rows):

@@ -298,7 +298,9 @@ def _unit_reduce(rows, size):
             if k == i or row[j].is_zero:
                 continue
             factor = row[j] * inv
-            rows[k] = [row[c] - factor * prow[c] for c in range(len(row))]
+            # a zero pivot-row entry leaves its column as it is
+            rows[k] = [e if pe.is_zero else e - factor * pe
+                       for e, pe in zip(row, prow)]
         rows = [[row[c] for c in range(len(row)) if c != j]
                 for k, row in enumerate(rows) if k != i]
         size -= 1

@@ -126,16 +126,11 @@ def graded_lex_monomials(d: int) -> list[tuple[int, int, int]]:
 
 class TernaryForm:
     """Homogeneous ternary form over a prime field, stored as its nonzero
-    coefficients keyed by exponent triple.  A list of coefficients is read
-    in graded-lex order."""
+    coefficients keyed by exponent triple."""
 
-    def __init__(self, degree: int, field: PrimeField, coeffs=None):
+    def __init__(self, degree: int, field: PrimeField, coeffs: dict):
         self.degree = degree
         self.field = field
-        if coeffs is None:
-            coeffs = {}
-        elif not isinstance(coeffs, dict):
-            coeffs = dict(zip(graded_lex_monomials(degree), coeffs))
         p = field.p
         self.coeffs = {m: c % p for m, c in coeffs.items() if c % p}
         if any(sum(m) != degree for m in self.coeffs):
@@ -178,6 +173,8 @@ def curve_form(n: int, field: PrimeField) -> TernaryForm:
 def singular_points(n: int, field: PrimeField) -> list[ProjectivePoint]:
     """The 3n singular points: [0:1:w], [1:0:w] with w^n = -1 and [1:w:0]
     with w^n = 1.  Each is verified to kill F_n and its gradient."""
+    if n < 2:
+        raise InvalidParameter("n must be >= 2")
     p = field.p
     if (p - 1) % (2 * n):
         raise InvalidParameter("field lacks primitive 2n-th roots of unity")

@@ -37,10 +37,6 @@ from .words import GroupMap, Presentation, Word
 Permutation = tuple[int, ...]
 
 
-def identity_perm(k: int) -> Permutation:
-    return tuple(range(k))
-
-
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """a then b."""
     return tuple(b[x] for x in a)
@@ -51,19 +47,6 @@ def invert_perm(a: Permutation) -> Permutation:
     for i, x in enumerate(a):
         out[x] = i
     return tuple(out)
-
-
-def word_image(w: Word, assignment) -> Permutation:
-    """Image of a word; assignment maps 1-based generator index to Permutation."""
-    if not w:
-        raise ValueError("cannot infer symbol count from the empty word "
-                         "without an assignment")
-    k = len(assignment[abs(w[0])])
-    out = identity_perm(k)
-    for x in w:
-        p = assignment[abs(x)]
-        out = compose(out, p if x > 0 else invert_perm(p))
-    return out
 
 
 @dataclass(frozen=True)
@@ -181,14 +164,13 @@ def _evaluate(code, slots, mul) -> int:
     return acc
 
 
-def _search(p: Presentation, k: int, budget: int, reduce: bool):
-    """Yield (images, slots, weight) for the homs of p into S_k: images is
-    the list of generator image indices, aligned with p.generators, and
-    slots holds them in the layout of _compile, ready for _evaluate; both
-    are reused, so read them before the next item.  With reduce, the first
-    enumerated generator runs over class representatives, and weight is the
-    number of homs the yielded one stands for; otherwise every hom is
-    yielded with weight 1."""
+def _search(p: Presentation, k: int, budget: int):
+    """Yield (images, slots, weight) for the homs of p into S_k up to
+    conjugation: images is the list of generator image indices, aligned
+    with p.generators, and slots holds them in the layout of _compile, ready
+    for _evaluate; both are reused, so read them before the next item.  The
+    first enumerated generator runs over class representatives, and weight
+    is the number of homs the yielded one stands for."""
     group = _symmetric_group(k)
     mul, inv = group.mul, group.inv
     every_element = tuple((x, 1) for x in range(len(group.elements)))
@@ -210,7 +192,7 @@ def _search(p: Presentation, k: int, budget: int, reduce: bool):
             return iter(((inv[x] if positive else x, 1),))
         # steps before the first enum are determined by relators in earlier
         # determined generators alone, so their images are the identity
-        if reduce and step == first_enum:
+        if step == first_enum:
             return iter(group.classes)
         return iter(every_element)
 
@@ -259,28 +241,17 @@ def _generates_sym(images, k: int) -> bool:
     return len(seen) == len(group.elements)
 
 
-def iter_homs(p: Presentation, k: int, budget: int = 10**9):
-    """Yield every relator-respecting assignment (tuple of Permutations,
-    aligned with p.generators).
-
-    The budget caps the search nodes: each image tried for an enumerated
-    generator and each image solved for a determined one is one node.
-    BudgetExceeded is raised when the search would pass it."""
-    elements = _symmetric_group(k).elements
-    for images, _, _ in _search(p, k, budget, reduce=False):
-        yield tuple(elements[x] for x in images)
-
-
 def count_homs(p: Presentation, k: int, budget: int = 10**9,
                count_surjective: bool = False) -> HomCountReport:
     """Exact number of homomorphisms into the symmetric group on k symbols.
 
-    The budget caps the search nodes as in iter_homs, except that the search
-    tries conjugacy-class representatives where it can: each representative
-    tried is one node."""
+    The budget caps the search nodes: each image tried for an enumerated
+    generator (a class representative for the first one) and each image
+    solved for a determined one is one node.  BudgetExceeded is raised when
+    the search would pass it."""
     total = 0
     surj = 0
-    for images, _, weight in _search(p, k, budget, reduce=True):
+    for images, _, weight in _search(p, k, budget):
         total += weight
         if count_surjective and _generates_sym(images, k):
             surj += weight
@@ -324,8 +295,7 @@ def relator_triviality_check(m: GroupMap, kmax: int,
     for k in range(2, kmax + 1):
         group = _symmetric_group(k)
         count = 0
-        for images, slots, weight in _search(m.target, k, budget,
-                                             reduce=True):
+        for images, slots, weight in _search(m.target, k, budget):
             count += weight
             for ri, code in relator_images:
                 got = _evaluate(code, slots, group.mul)

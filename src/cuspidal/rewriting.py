@@ -19,7 +19,7 @@ from typing import Iterator
 from .abelian import invariant_factors
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .words import (Presentation, Word, invert, multiply, reduce_word,
-                    simplify, substitute)
+                    simplify)
 
 
 @dataclass(frozen=True)
@@ -207,20 +207,16 @@ class SchreierSystem:
                     seen.add(row)
                     yield {j: v for j, v in enumerate(row) if v}
 
-    def expand(self, w: Word) -> Word:
-        """Map a kernel word back to the source generators."""
-        return substitute(w, self.generator_words)
-
 
 def subgroup_presentation(p: Presentation, target: AbelianTarget,
-                          extra_kernel_words, *, generator_order=None,
-                          simplify_budget: int = 10_000) -> Presentation:
+                          extra_kernel_words, *,
+                          generator_order=None) -> Presentation:
     """Presentation of the kernel, with the normal closures of the extra
     kernel words quotiented out.
 
     Every relator and extra word is rewritten at every coset (conjugation by
-    each representative), then one Tietze pass runs unless simplify_budget
-    is 0.
+    each representative), then one Tietze pass runs with a budget of 10 000
+    eliminations.
     """
     extras = [reduce_word(w) for w in extra_kernel_words]
     for w in extras:
@@ -230,7 +226,4 @@ def subgroup_presentation(p: Presentation, target: AbelianTarget,
     relators = [system.rewrite(r, start_coset=ci)
                 for r in list(p.relators) + extras
                 for ci in range(target.size)]
-    result = Presentation(system.generator_names, relators)
-    if simplify_budget:
-        result = simplify(result, simplify_budget)
-    return result
+    return simplify(Presentation(system.generator_names, relators), 10_000)

@@ -164,27 +164,9 @@ class Presentation:
         """1-based index of a generator name."""
         return self.generators.index(name) + 1
 
-    def word(self, text: str) -> Word:
-        """Parse a whitespace-separated word, tokens ``name`` or ``name^-1``."""
-        return parse_word(text, self.generators)
-
     def __repr__(self):
         return (f"Presentation({len(self.generators)} generators, "
                 f"{len(self.relators)} relators)")
-
-
-def parse_word(text: str, generators) -> Word:
-    index = {name: i + 1 for i, name in enumerate(generators)}
-    letters = []
-    for tok in text.split():
-        if tok.endswith("^-1"):
-            name, sign = tok[:-3], -1
-        else:
-            name, sign = tok, 1
-        if name not in index:
-            raise ValueError(f"unknown generator: {name!r}")
-        letters.append(sign * index[name])
-    return reduce_word(letters)
 
 
 def format_word(w: Word, generators) -> str:
@@ -200,15 +182,6 @@ def format_presentation(p: Presentation) -> str:
     lines = ["gens: " + " ".join(p.generators)]
     lines.extend(format_word(r, p.generators) for r in p.relators)
     return "\n".join(lines) + "\n"
-
-
-def parse_presentation(text: str) -> Presentation:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("gens:"):
-        raise ValueError("presentation text must start with a 'gens:' line")
-    generators = lines[0][len("gens:"):].split()
-    relators = [parse_word(ln, generators) for ln in lines[1:]]
-    return Presentation(generators, relators)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,32 @@ from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _bareiss,
                               _diagonalize, _unit_pivots, abelianization,
                               commutator_abelianization_rank,
                               invariant_factors, kernel_abelianization,
-                              relator_matrix, smith_normal_form)
+                              smith_normal_form)
 from cuspidal.presentations import (presentation_G, presentation_oka,
                                     presentation_pi1, presentation_pi1_reduced)
-from cuspidal.rewriting import AbelianTarget, subgroup_presentation
+from cuspidal.rewriting import AbelianTarget, SchreierSystem
 from cuspidal.words import Presentation
+
+
+def relator_matrix(p: Presentation) -> IntegerMatrix:
+    """Exponent-sum matrix: one row per relator, one column per generator."""
+    ngen = len(p.generators)
+    rows = []
+    for r in p.relators:
+        row = [0] * ngen
+        for x in r:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+        rows.append(row)
+    return IntegerMatrix(len(p.relators), ngen, rows)
+
+
+def raw_kernel(p, target, order=None):
+    """The kernel presentation before any Tietze step: every relator
+    rewritten at every coset."""
+    system = SchreierSystem(p, target, order)
+    return Presentation(system.generator_names,
+                        [system.rewrite(r, ci) for r in p.relators
+                         for ci in range(target.size)])
 
 
 def random_matrix(rng, max_dim=5, bound=9):
@@ -99,8 +120,7 @@ def test_invariant_factors_on_a_kernel_presentation():
     p = presentation_pi1_reduced(5)
     target = AbelianTarget(moduli=(10,), generators=p.generators,
                            images=tuple((1,) for _ in p.generators))
-    m = relator_matrix(subgroup_presentation(p, target, [],
-                                             simplify_budget=0))
+    m = relator_matrix(raw_kernel(p, target))
     d, u, v = smith_normal_form(m)
     assert (u * m * v).data == d.data
     diagonal = [d.data[i][i] for i in range(min(m.rows, m.cols))]
@@ -181,7 +201,7 @@ def kernel_abelianization_oracle(p, target) -> AbelianStructure:
     """The kernel route before abelianized Reidemeister-Schreier: the
     kernel presentation (every relator rewritten at every coset), its
     exponent matrix and the dense Smith form."""
-    kernel = subgroup_presentation(p, target, [], simplify_budget=0)
+    kernel = raw_kernel(p, target)
     factors = dense_factors(relator_matrix(kernel))
     return AbelianStructure(len(kernel.generators) - len(factors),
                             tuple(d for d in factors if d != 1))

@@ -119,6 +119,10 @@ def test_budget_exhaustion_is_inconclusive(capsys):
     assert code == 3
     assert err.startswith("inconclusive: ")
     assert out == ""
+    code, _, err = run(capsys, "homcount", "--family", "pi1", "--n", "3",
+                       "--budget", "0")
+    assert code == 3
+    assert err.startswith("inconclusive: ")
 
 
 def test_rank_disagreement_is_inconclusive(capsys, monkeypatch):
@@ -137,3 +141,44 @@ def test_compare_reaches_k5(capsys):
     assert code == 0
     checks = {e["check"]: e for e in json.loads(out)["results"]}
     assert checks["hom_count_k5"]["value"] == {"a": 7386, "b": 7386}
+
+
+MALFORMED = [
+    ("singular-points", "--n", "0", "--prime", "13"),
+    ("singular-points", "--n", "-1", "--prime", "13"),
+    ("singular-points", "--n", "1", "--prime", "13"),
+    ("singular-points", "--n", "3", "--prime", "2"),
+    ("superabundance", "--n", "0"),
+    ("superabundance", "--n", "1"),
+    ("superabundance", "--n", "4"),
+    ("superabundance", "--n", "3", "--primes", ","),
+    ("derive", "--n", "1"),
+    ("milnor-ratio", "--n", "0"),
+    ("homcount", "--family", "pi1", "--n", "3", "--k", "1"),
+    ("homcount", "--family", "pi1", "--n", "3", "--k", "6"),
+    ("compare", "G", "G", "--kmax", "6"),
+    ("split-check", "--prime", "0"),
+    ("split-check", "--prime", "1"),
+    ("split-check", "--prime", "2"),
+    ("split-check", "--prime", "-13"),
+    ("verify-all", "--n", "0"),
+    ("verify-all", "--n", "1"),
+    ("present", "--family", "zariski3", "--n", "4"),
+    ("present", "--family", "pi1"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    # an exception escaping main fails the test
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "1"])
+def test_singular_points_needs_n_at_least_2(capsys, n):
+    code, _, err = run(capsys, "singular-points", "--n", n, "--prime", "13")
+    assert code == 2
+    assert err == "error: n must be >= 2\n"

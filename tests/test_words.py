@@ -5,11 +5,27 @@ import random
 import pytest
 
 from cuspidal.errors import NoDefiningRelator
+from cuspidal.homcount import relator_triviality_check
 from cuspidal.words import (GroupMap, Presentation, commutator, conjugate,
                             cyclic_normal_form, cyclic_reduce, format_presentation,
-                            format_word, invert, multiply, parse_presentation,
-                            parse_word, power, reduce_word, simplify,
-                            simplify_with_map, substitute, tietze_eliminate)
+                            format_word, invert, multiply, power, reduce_word,
+                            simplify, simplify_with_map, substitute,
+                            tietze_eliminate)
+
+
+def parse_word(text, generators):
+    """Inverse of format_word: tokens ``name`` or ``name^-1``."""
+    index = {name: i + 1 for i, name in enumerate(generators)}
+    return tuple(-index[tok[:-3]] if tok.endswith("^-1") else index[tok]
+                 for tok in text.split())
+
+
+def parse_presentation(text):
+    """Inverse of format_presentation."""
+    gens_line, *lines = text.splitlines()
+    generators = gens_line[len("gens:"):].split()
+    return Presentation(generators,
+                        [parse_word(line, generators) for line in lines])
 
 
 def presentation_to_json(p):
@@ -134,7 +150,7 @@ def test_presentation_validation():
 
 def test_word_parsing_round_trip():
     p = Presentation(("a", "b_2", "c"), [])
-    w = p.word("a b_2^-1 c c a^-1")
+    w = parse_word("a b_2^-1 c c a^-1", p.generators)
     assert w == (1, -2, 3, 3, -1)
     assert format_word(w, p.generators) == "a b_2^-1 c c a^-1"
     assert parse_word("", p.generators) == ()
@@ -167,20 +183,13 @@ def test_simplify_eliminates_single_occurrence_generators():
 
 
 def test_simplify_with_map_tracks_images():
-    from cuspidal.homcount import identity_perm, iter_homs, word_image
-
     p = Presentation(("a", "b", "c"), [(3, -1, -2), (1, 1, 1), (2, 2)])
     q, image_map = simplify_with_map(p, 100)
     assert set(image_map) == {"a", "b", "c"}
     gm = GroupMap(p, q, tuple(image_map[g] for g in p.generators))
     # every source relator image must be trivial in the quotient: check in
-    # all homomorphisms of q into the symmetric group on 3 symbols
-    images = [gm.apply(r) for r in p.relators]
-    for h in iter_homs(q, 3):
-        asg = {i + 1: perm for i, perm in enumerate(h)}
-        for w in images:
-            if w:
-                assert word_image(w, asg) == identity_perm(3)
+    # all homomorphisms of q into the symmetric groups on up to 3 symbols
+    assert relator_triviality_check(gm, 3).passed
 
 
 def test_group_map_apply():
@@ -193,8 +202,7 @@ def test_group_map_apply():
 
 def multiply_accumulate_substitute(w, images):
     """Letter by letter, multiply the image of each letter onto the result
-    (the loop GroupMap.apply, SchreierSystem.expand and power ran before
-    substitute)."""
+    (the loop GroupMap.apply and power ran before substitute)."""
     out = ()
     for x in w:
         img = images[abs(x) - 1]
