@@ -17,7 +17,8 @@ library only.
 
 homcount: `count_homs` on the cases below (the search only, after the
 presentation is built) and `verify-all --n 2..4` (the whole command, stdout
-captured).
+captured).  Each count also reports the search nodes its version visited
+(null for a version whose report has no node count).
 
 tietze: `derive_pi1_via_rs(n)` for n = 4..7; the answer is a digest of the
 derived presentation's text, and the work counts are summed over the
@@ -70,6 +71,10 @@ HOM_CASES = {
     "derived(4), k = 3": ("derive_pi1_via_rs", 4, 3),
     "zariski3, k = 5": ("presentation_zariski3", "corrected", 5),
     "pi1(3), k = 5": ("presentation_pi1", 3, 5),
+    "derived(4), k = 4": ("derive_pi1_via_rs", 4, 4),
+    "derived(4), k = 5": ("derive_pi1_via_rs", 4, 5),
+    "derived(6), k = 4": ("derive_pi1_via_rs", 6, 4),
+    "pi1-reduced(4), k = 5": ("presentation_pi1_reduced", 4, 5),
 }
 VERIFY_ALL_N = (2, 3, 4)
 DERIVE_N = (4, 5, 6, 7)
@@ -92,7 +97,8 @@ WHAT = {
     "homcount": "median wall seconds of one call, fresh interpreter per run; "
                 "hom counts time count_homs only, verify-all the whole "
                 "command; answers (hom counts, verify-all results) are "
-                "identical for both versions",
+                "identical for both versions; *_nodes are the search nodes "
+                "each version visited (null where its report has none)",
     "tietze": "median wall seconds of one derive_pi1_via_rs(n) call, fresh "
               "interpreter per run; answers (sha256 of format_presentation "
               "of the result, and the work counts of its simplify calls) are "
@@ -120,8 +126,9 @@ def time_hom_count(case: str):
     build, arg, k = HOM_CASES[case]
     p = getattr(presentations, build)(arg)
     start = time.perf_counter()
-    total = count_homs(p, k).total
-    return time.perf_counter() - start, total
+    rep = count_homs(p, k)
+    seconds = time.perf_counter() - start
+    return seconds, rep.total, getattr(rep, "nodes", None)
 
 
 def time_verify_all(n: int):
@@ -298,8 +305,9 @@ CALLS = {"derive_pi1_via_rs": time_derive,
 def child(src: str, case: str) -> None:
     """Run one measurement and print {"seconds", "answer", "work"}."""
     sys.path.insert(0, src)
+    work = []
     if case in HOM_CASES:
-        seconds, answer = time_hom_count(case)
+        seconds, answer, *work = time_hom_count(case)
     elif case.startswith("verify-all"):
         seconds, answer = time_verify_all(int(case.split()[-1]))
     else:
@@ -368,7 +376,9 @@ def main(argv=None) -> int:
         if "before" in versions:
             row["speedup"] = round(row["before_s"] / row["after_s"], 1)
         for version in versions:
-            if work[version, case] is not None:
+            if case in HOM_CASES:
+                row[f"{version}_nodes"] = work[version, case]
+            elif work[version, case] is not None:
                 row[f"{version}_work"] = work[version, case]
         rows.append(row)
     report = {

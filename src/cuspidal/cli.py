@@ -152,8 +152,13 @@ def cmd_compare(args, run: Run) -> None:
 
 
 def cmd_superabundance(args, run: Run) -> None:
-    primes = ([int(tok) for tok in args.primes.split(",")]
-              if args.primes else None)
+    primes = None
+    if args.primes:
+        try:
+            primes = [int(tok) for tok in args.primes.split(",")]
+        except ValueError:
+            raise InvalidParameter("--primes must be comma-separated "
+                                   f"integers, got {args.primes!r}") from None
     rep = superabundance_multi(args.n, primes)
     run.record("superabundance",
                {"n": rep.n, "prime": rep.prime, "rank": rep.rank,

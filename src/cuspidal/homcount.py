@@ -5,10 +5,10 @@ the image of u*v is image(u) followed by image(v), i.e.
 compose(a, b)[x] = b[a[x]].
 
 The search numbers S_k as 0..k!-1 (lexicographic order, so 0 is the
-identity) and works on that numbering only: a multiplication table, an
-inverse table and the conjugacy classes are built once per k, on first use.
-Each relator is compiled once into an array of slots, one slot per letter,
-and evaluated by walking the multiplication table.
+identity) and works on that numbering only: a multiplication table and an
+inverse table are built once per k, on first use.  Each relator is compiled
+once into an array of slots, one slot per letter, and evaluated by walking
+the multiplication table.
 
 Generator images are assigned one at a time along a statically planned
 order.  A generator that occurs exactly once in a relator whose other
@@ -17,12 +17,15 @@ directly instead of enumerated.  Relators are verified as soon as all their
 generators have images.
 
 Hom(G, S_k) is closed under conjugation, and conjugation preserves
-surjectivity and whether a word maps to the identity.  Every generator
-assigned before the first enumerated one is solved from relators in such
-generators alone, so its image is the identity.  The first enumerated
-generator therefore runs over conjugacy-class representatives only, and each
-hom found below a representative stands for as many homs as the class has
-elements.
+surjectivity and whether a word maps to the identity, so the search walks
+one hom per conjugacy orbit.  It keeps the stabilizer H of the images
+assigned so far: the elements commuting with all of them, S_k at the start.
+An enumerated generator runs over representatives of the orbits of H acting
+on S_k by conjugation, each weighted by its orbit size, and an image x
+shrinks H to its centralizer C_H(x).  A determined image is a word in
+earlier images, so H fixes it and stays as it is.  Each orbit of homs is
+met exactly once, and the product of the orbit sizes along its path is
+|S_k| / |C(images)|, the size of the orbit.
 """
 
 from __future__ import annotations
@@ -54,14 +57,14 @@ class HomCountReport:
     symbols: int
     total: int
     surjective: int | None = None
+    nodes: int = 0  # the search nodes visited, counted as the budget counts
 
 
 class _SymmetricGroup:
     """S_k numbered 0..k!-1: elements[i] is the permutation with index i,
-    mul[a][b] the index of compose(elements[a], elements[b]), inv[a] that
-    of its inverse, and classes the (representative, size) pairs of the
-    conjugacy classes, each representative the least index of its class.
-    Get one through _symmetric_group, which builds each k once."""
+    mul[a][b] the index of compose(elements[a], elements[b]) and inv[a]
+    that of its inverse.  Get one through _symmetric_group, which builds
+    each k once."""
 
     def __init__(self, k: int):
         self.elements = tuple(itertools.permutations(range(k)))
@@ -69,26 +72,31 @@ class _SymmetricGroup:
         self.mul = tuple(tuple(index[compose(a, b)] for b in self.elements)
                          for a in self.elements)
         self.inv = tuple(index[invert_perm(a)] for a in self.elements)
-        classes: dict[tuple[int, ...], list[int]] = {}
-        for i, perm in enumerate(self.elements):
-            classes.setdefault(_cycle_type(perm), []).append(i)
-        self.classes = tuple(sorted((members[0], len(members))
-                                    for members in classes.values()))
+        self.whole = frozenset(range(len(self.elements)))
+        self._orbits: dict[frozenset[int], tuple] = {}
+        self._subgroups = {self.whole: self.whole}
 
-
-def _cycle_type(perm: Permutation) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
+    def orbits(self, h: frozenset[int]) -> tuple:
+        """The orbits of the subgroup h acting on S_k by conjugation, as
+        (representative, orbit size, stabilizer) triples in increasing
+        order of representative, each the least index of its orbit; the
+        stabilizer of x is its centralizer in h.  Built on first use for
+        each h and kept, with every stabilizer interned so that equal
+        subgroups are one object."""
+        table = self._orbits.get(h)
+        if table is None:
+            mul, inv = self.mul, self.inv
+            seen: set[int] = set()
+            table = []
+            for x in range(len(self.elements)):
+                if x not in seen:
+                    orbit = {mul[mul[inv[g]][x]][g] for g in h}
+                    seen |= orbit
+                    stab = frozenset(g for g in h if mul[g][x] == mul[x][g])
+                    table.append((x, len(orbit),
+                                  self._subgroups.setdefault(stab, stab)))
+            table = self._orbits[h] = tuple(table)
+        return table
 
 
 @functools.cache
@@ -164,19 +172,18 @@ def _evaluate(code, slots, mul) -> int:
     return acc
 
 
-def _search(p: Presentation, k: int, budget: int):
-    """Yield (images, slots, weight) for the homs of p into S_k up to
-    conjugation: images is the list of generator image indices, aligned
+def _search(p: Presentation, k: int, budget: int,
+            visited: list[int] | None = None):
+    """Yield (images, slots, weight) for the homs of p into S_k, one per
+    conjugacy orbit: images is the list of generator image indices, aligned
     with p.generators, and slots holds them in the layout of _compile, ready
-    for _evaluate; both are reused, so read them before the next item.  The
-    first enumerated generator runs over class representatives, and weight
-    is the number of homs the yielded one stands for."""
+    for _evaluate; both are reused, so read them before the next item.
+    weight is the size of the orbit, the number of homs the yielded one
+    stands for.  When the search ends, visited[0] (if given) is set to the
+    nodes it visited."""
     group = _symmetric_group(k)
     mul, inv = group.mul, group.inv
-    every_element = tuple((x, 1) for x in range(len(group.elements)))
     steps = _build_plan(p)
-    first_enum = next((i for i, step in enumerate(steps)
-                       if step[2] is None), None)
     ngen = len(p.generators)
     images = [0] * ngen
     slots = [0] * (2 * ngen)
@@ -185,26 +192,23 @@ def _search(p: Presentation, k: int, budget: int):
         yield images, slots, 1
         return
 
-    def candidates(step: int):
+    def candidates(step: int, h: frozenset[int]):
+        """(image, orbit size, stabilizer) for each image to try."""
         _, _, solve, positive = steps[step]
-        if solve is not None:
-            x = _evaluate(solve, slots, mul)
-            return iter(((inv[x] if positive else x, 1),))
-        # steps before the first enum are determined by relators in earlier
-        # determined generators alone, so their images are the identity
-        if step == first_enum:
-            return iter(group.classes)
-        return iter(every_element)
+        if solve is None:
+            return iter(group.orbits(h))
+        x = _evaluate(solve, slots, mul)
+        return iter(((inv[x] if positive else x, 1, h),))
 
     # depth-first, one candidate iterator per step on the current path
     nodes = 0
     weights = [1] * depth
     pending = [None] * depth
-    pending[0] = candidates(0)
+    pending[0] = candidates(0, group.whole)
     step = 0
     while step >= 0:
         g, checks, _, _ = steps[step]
-        for x, size in pending[step]:
+        for x, size, stab in pending[step]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"node budget {budget} exceeded")
@@ -219,10 +223,12 @@ def _search(p: Presentation, k: int, budget: int):
             else:
                 step += 1
                 weights[step] = weight
-                pending[step] = candidates(step)
+                pending[step] = candidates(step, stab)
                 break
         else:
             step -= 1
+    if visited is not None:
+        visited[0] = nodes
 
 
 def _generates_sym(images, k: int) -> bool:
@@ -246,16 +252,19 @@ def count_homs(p: Presentation, k: int, budget: int = 10**9,
     """Exact number of homomorphisms into the symmetric group on k symbols.
 
     The budget caps the search nodes: each image tried for an enumerated
-    generator (a class representative for the first one) and each image
+    generator (one per orbit of the current stabilizer) and each image
     solved for a determined one is one node.  BudgetExceeded is raised when
-    the search would pass it."""
+    the search would pass it; otherwise the report's nodes is the number
+    visited."""
     total = 0
     surj = 0
-    for images, _, weight in _search(p, k, budget):
+    visited = [0]
+    for images, _, weight in _search(p, k, budget, visited):
         total += weight
         if count_surjective and _generates_sym(images, k):
             surj += weight
-    return HomCountReport(k, total, surj if count_surjective else None)
+    return HomCountReport(k, total, surj if count_surjective else None,
+                          visited[0])
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,7 @@ def test_criterion_2_derivation_matches():
         direct = presentation_pi1(n)
         assert abelianization(derived) == abelianization(direct)
         assert count_homs(derived, 3).total == count_homs(direct, 3).total
-        if n in (2, 3):
-            assert count_homs(derived, 4).total == \
-                count_homs(direct, 4).total
+        assert count_homs(derived, 4).total == count_homs(direct, 4).total
 
 
 # --- 3. Alexander polynomial equals the cubed cyclotomic factor ------------

@@ -177,6 +177,16 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("primes", [",", "7,x"])
+def test_malformed_primes_name_the_option(capsys, primes):
+    code, out, err = run(capsys, "superabundance", "--n", "3",
+                         "--primes", primes)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --primes must be comma-separated integers, "
+                   f"got {primes!r}\n")
+
+
 @pytest.mark.parametrize("n", ["0", "-1", "1"])
 def test_singular_points_needs_n_at_least_2(capsys, n):
     code, _, err = run(capsys, "singular-points", "--n", n, "--prime", "13")

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from cuspidal.errors import BudgetExceeded, InvalidParameter
-from cuspidal.homcount import (compose, count_homs, invert_perm,
+from cuspidal.homcount import (_search, _symmetric_group, compose,
+                               count_homs, invert_perm,
                                relator_triviality_check)
 from cuspidal.presentations import (derive_pi1_via_rs, presentation_G_raw,
                                     presentation_pi1, presentation_pi1_reduced,
@@ -142,20 +143,68 @@ def test_triviality_check_flags_bad_maps():
 def test_budget_counts_search_nodes():
     free1 = Presentation(("a",), [])
     # S_5 has 7 conjugacy classes: one node per representative when counting
-    assert count_homs(free1, 5, budget=7).total == 120
+    rep = count_homs(free1, 5, budget=7)
+    assert (rep.total, rep.nodes) == (120, 7)
     with pytest.raises(BudgetExceeded):
         count_homs(free1, 5, budget=6)
+
+
+def partitions(k: int) -> int:
+    """The number of partitions of k, the conjugacy classes of S_k."""
+    ways = [1] + [0] * k
+    for part in range(1, k + 1):
+        for total in range(part, k + 1):
+            ways[total] += ways[total - part]
+    return ways[k]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_closed_form_counts(k):
+    # a free group of rank r: every r-tuple of permutations
+    for rank in (2, 3):
+        free = Presentation(tuple(f"g{i}" for i in range(rank)), [])
+        assert count_homs(free, k).total == math.factorial(k) ** rank
+    # Z^2: commuting pairs, k! times the number of classes
+    z2 = Presentation(("a", "b"), [(1, 2, -1, -2)])
+    assert count_homs(z2, k).total == math.factorial(k) * partitions(k)
+    assert count_homs(z2, k).total == {4: 120, 5: 840}[k]
+
+
+def centralizer_size(h, k: int) -> int:
+    return sum(all(compose(s, x) == compose(x, s) for x in h)
+               for s in itertools.permutations(range(k)))
+
+
+def test_search_yields_one_hom_per_conjugacy_orbit():
+    """On random presentations the yielded homs are pairwise non-conjugate
+    and meet every orbit, and each weight is the size of its orbit,
+    k! / |C(images)|."""
+    rng = random.Random(77)
+    for _ in range(200):
+        k = rng.choice((2, 3, 4))
+        p = random_presentation(rng, rng.randint(1, 3), rng.randint(0, 3), 6)
+        elements = _symmetric_group(k).elements
+        orbits = set()
+        for images, _, weight in _search(p, k, 10**9):
+            h = tuple(elements[x] for x in images)
+            orbit = frozenset(conjugate_hom(h, s)
+                              for s in itertools.permutations(range(k)))
+            assert orbit not in orbits
+            orbits.add(orbit)
+            assert weight * centralizer_size(h, k) == math.factorial(k)
+            assert weight == len(orbit)
+        assert sum(map(len, orbits)) == naive_count(p, k)
 
 
 # (family, k, the least node budget that completes the count): the nodes
 # the plan's search visits, so a change of generator or check order shows
 MINIMAL_BUDGETS = [
-    ("pi1(3)", lambda: presentation_pi1(3), 4, 4869),
-    ("pi1-reduced(3)", lambda: presentation_pi1_reduced(3), 4, 2141),
-    ("zariski3", lambda: presentation_zariski3("corrected"), 4, 2193),
-    ("derived(3)", lambda: derive_pi1_via_rs(3), 4, 12221),
-    ("pi1(4)", lambda: presentation_pi1(4), 3, 4183),
-    ("G-raw", presentation_G_raw, 4, 2306),
+    ("pi1(3)", lambda: presentation_pi1(3), 4, 1389),
+    ("pi1-reduced(3)", lambda: presentation_pi1_reduced(3), 4, 614),
+    ("zariski3", lambda: presentation_zariski3("corrected"), 4, 636),
+    ("derived(3)", lambda: derive_pi1_via_rs(3), 4, 3138),
+    ("pi1(4)", lambda: presentation_pi1(4), 3, 1604),
+    ("G-raw", presentation_G_raw, 4, 606),
 ]
 
 
@@ -164,7 +213,7 @@ MINIMAL_BUDGETS = [
                          ids=[case[0] for case in MINIMAL_BUDGETS])
 def test_search_nodes_are_pinned(build, k, budget):
     p = build()
-    count_homs(p, k, budget=budget)
+    assert count_homs(p, k, budget=budget).nodes == budget
     with pytest.raises(BudgetExceeded):
         count_homs(p, k, budget=budget - 1)
 
@@ -175,39 +224,53 @@ def random_word(rng, ngen, maxlen):
                  for _ in range(rng.randrange(maxlen + 1)))
 
 
+def check_against_oracle(rng, p, k):
+    """Counts, surjective counts and relator triviality of p into S_k
+    against brute force over every assignment."""
+    ngen = len(p.generators)
+    homs = {j: naive_homs(p, j) for j in range(2, k + 1)}
+    want = homs[k]
+
+    rep = count_homs(p, k, count_surjective=True)
+    assert rep.total == len(want)
+    assert rep.surjective == sum(naive_generates_sym(h, k) for h in want)
+
+    nsrc = rng.randint(1, 2)
+    source = random_presentation(rng, nsrc, rng.randint(1, 2), 4)
+    m = GroupMap(source, p, tuple(random_word(rng, ngen, 3)
+                                  for _ in range(nsrc)))
+    check = relator_triviality_check(m, k)
+    assert check.homs_checked == {j: len(homs[j]) for j in homs}
+    # witnesses come up to conjugation: conjugating them gives exactly
+    # the failing (hom, relator) pairs of the oracle
+    failing = {(j, ri, h) for j in homs for h in homs[j]
+               for ri, r in enumerate(source.relators)
+               if hom_image(m.apply(r), h, j) != identity_perm(j)}
+    conjugates = {(w.symbols, w.relator_index, conjugate_hom(
+                      w.assignment, s))
+                  for w in check.witnesses
+                  for s in itertools.permutations(range(w.symbols))}
+    assert conjugates == failing
+    assert check.passed == (not failing)
+    for w in check.witnesses:
+        relator = source.relators[w.relator_index]
+        assert w.image == hom_image(m.apply(relator), w.assignment,
+                                    w.symbols)
+
+
 def test_engine_matches_oracle_on_random_presentations():
-    """Counts, surjective counts and relator triviality against
-    brute force over every assignment, on 240 random presentations."""
+    """The oracle on 240 random presentations into S_2, S_3 and S_4."""
     rng = random.Random(2024)
     for _ in range(240):
         ngen = rng.randint(1, 3)
         k = rng.choice((2, 3, 4))
         p = random_presentation(rng, ngen, rng.randint(1, 3), 6)
-        homs = {j: naive_homs(p, j) for j in range(2, k + 1)}
-        want = homs[k]
+        check_against_oracle(rng, p, k)
 
-        rep = count_homs(p, k, count_surjective=True)
-        assert rep.total == len(want)
-        assert rep.surjective == sum(naive_generates_sym(h, k) for h in want)
 
-        nsrc = rng.randint(1, 2)
-        source = random_presentation(rng, nsrc, rng.randint(1, 2), 4)
-        m = GroupMap(source, p, tuple(random_word(rng, ngen, 3)
-                                      for _ in range(nsrc)))
-        check = relator_triviality_check(m, k)
-        assert check.homs_checked == {j: len(homs[j]) for j in homs}
-        # witnesses come up to conjugation: conjugating them gives exactly
-        # the failing (hom, relator) pairs of the oracle
-        failing = {(j, ri, h) for j in homs for h in homs[j]
-                   for ri, r in enumerate(source.relators)
-                   if hom_image(m.apply(r), h, j) != identity_perm(j)}
-        conjugates = {(w.symbols, w.relator_index, conjugate_hom(
-                          w.assignment, s))
-                      for w in check.witnesses
-                      for s in itertools.permutations(range(w.symbols))}
-        assert conjugates == failing
-        assert check.passed == (not failing)
-        for w in check.witnesses:
-            relator = source.relators[w.relator_index]
-            assert w.image == hom_image(m.apply(relator), w.assignment,
-                                        w.symbols)
+def test_engine_matches_oracle_into_s5():
+    """The oracle into S_5 on 20 random two-generator presentations."""
+    rng = random.Random(5)
+    for _ in range(20):
+        p = random_presentation(rng, 2, rng.randint(1, 3), 6)
+        check_against_oracle(rng, p, 5)

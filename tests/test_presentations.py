@@ -126,6 +126,9 @@ def test_derivation_reaches_n5_n6(n, expected):
     assert len(derived.generators) == 4
     assert abelianization(derived) == expected
     assert abelianization(presentation_pi1(n)) == expected
+    homs_s4 = {5: 10, 6: 6216}[n]
+    assert count_homs(derived, 4).total == homs_s4
+    assert count_homs(presentation_pi1_reduced(n), 4).total == homs_s4
 
 
 @pytest.mark.parametrize("n", range(2, 7))
