@@ -20,10 +20,12 @@ presentation is built) and `verify-all --n 2..4` (the whole command, stdout
 captured).  Each count also reports the search nodes its version visited
 (null for a version whose report has no node count).
 
-tietze: `derive_pi1_via_rs(n)` for n = 4..7; the answer is a digest of the
+tietze: `derive_pi1_via_rs(n)` for n = 4..8; the answer is a digest of the
 derived presentation's text, and the work counts are summed over the
 Tietze simplification calls the derivation makes: generators eliminated and
-relator letters in and out.
+relator letters in and out.  Next to the times, each side reports the
+cyclic normal forms it computed, counted in a second, instrumented call:
+the calls of `words._least_rotation` and the letters they scan.
 
 alexander: `alexander_polynomial` of the reduced curve presentation for
 n = 5, 7, 9, 11 (the call only, after the presentation is built; the answer
@@ -77,7 +79,7 @@ HOM_CASES = {
     "pi1-reduced(4), k = 5": ("presentation_pi1_reduced", 4, 5),
 }
 VERIFY_ALL_N = (2, 3, 4)
-DERIVE_N = (4, 5, 6, 7)
+DERIVE_N = (4, 5, 6, 7, 8)
 ALEXANDER_N = (5, 7, 9, 11)
 RANK_N = (5, 7, 9)
 KERNEL_N = (9, 11, 13, 15, 17, 19, 21)
@@ -102,7 +104,9 @@ WHAT = {
     "tietze": "median wall seconds of one derive_pi1_via_rs(n) call, fresh "
               "interpreter per run; answers (sha256 of format_presentation "
               "of the result, and the work counts of its simplify calls) are "
-              "identical for both versions",
+              "identical for both versions; *_work are each version's "
+              "least-rotation calls and the letters they scan, from a "
+              "second, instrumented call",
     "alexander": "median wall seconds of one call, fresh interpreter per "
                  "run; alexander_polynomial(n) is the call on "
                  "presentation_pi1_reduced(n) and times that call only; "
@@ -160,8 +164,24 @@ def time_derive(n: int):
     p = presentations.derive_pi1_via_rs(n)
     seconds = time.perf_counter() - start
     digest = hashlib.sha256(words.format_presentation(p).encode())
-    return seconds, {"sha256": digest.hexdigest()[:16],
-                     "generators": len(p.generators), **work}
+    answer = {"sha256": digest.hexdigest()[:16],
+              "generators": len(p.generators), **work}
+    return seconds, answer, tietze_work(n)
+
+
+def tietze_work(n: int) -> dict:
+    """The cyclic normal forms derive_pi1_via_rs(n) computes in this
+    version: least-rotation calls and the letters they scan."""
+    from cuspidal import presentations, words
+    work = {"least_rotation_calls": 0, "least_rotation_letters": 0}
+
+    def scanned(args, out):
+        work["least_rotation_calls"] += 1
+        work["least_rotation_letters"] += len(args[0])
+
+    with counting(words, "_least_rotation", scanned):
+        presentations.derive_pi1_via_rs(n)
+    return work
 
 
 def time_alexander(n: int):

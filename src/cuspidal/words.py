@@ -153,9 +153,10 @@ class Presentation:
         g = len(generators)
         for r in relators:
             r = cyclic_normal_form(r)
-            for x in r:
-                if not 1 <= abs(x) <= g:
-                    raise ValueError(f"relator letter {x} out of range")
+            # no letter is 0 (reduce_word rejects it), so the extremes decide
+            if r and (min(r) < -g or max(r) > g):
+                bad = next(x for x in r if abs(x) > g)
+                raise ValueError(f"relator letter {bad} out of range")
             norm.append(r)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", tuple(norm))
@@ -263,36 +264,61 @@ def simplify(p: Presentation, budget: int) -> Presentation:
     """Deterministic Tietze simplification driver.
 
     Each step eliminates one generator that occurs exactly once in some
-    relator; empty and duplicate relators are dropped between steps.  At most
-    `budget` eliminations are performed; the generator count never increases.
+    relator.  Empty relators and repeated input relators are dropped at
+    once; relators that the steps turn into cyclic copies of one another are
+    merged only at the end, keeping the first.  At most `budget`
+    eliminations are performed; the generator count never increases.
     """
-    q, _ = simplify_with_map(p, budget)
-    return q
+    return _tietze(p, budget)[0]
 
 
 def simplify_with_map(p: Presentation, budget: int):
-    """Like simplify, but also returns each original generator's image word."""
+    """Like simplify, with the same result and the same duplicate merging
+    at the end, but also returns each original generator's image word: the
+    eliminations are replayed on the generators, then renumbered."""
+    q, log = _tietze(p, budget)
+    images: list[Word] = [(i + 1,) for i in range(len(p.generators))]
+    for g, defining in log:
+        images = [_substitute(w, g, defining) if g in w or -g in w else w
+                  for w in images]
+    new_id = _survivor_ids(len(p.generators), log)
+    return q, {name: _renumber(img, new_id)
+               for name, img in zip(p.generators, images)}
+
+
+def _survivor_ids(ngen: int, log) -> dict[int, int]:
+    """Original id -> final id of the generators that no step eliminated."""
+    gone = {g for g, _ in log}
+    kept = [g for g in range(1, ngen + 1) if g not in gone]
+    return {g: i + 1 for i, g in enumerate(kept)}
+
+
+def _tietze(p: Presentation, budget: int):
+    """The Tietze loop of simplify: the result and the list of its steps,
+    (eliminated generator, its defining word), ids as in p."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
     # Inside the loop generators keep their original 1-based ids; they are
-    # renumbered once at the end.  Eliminating generator g renumbers letters
-    # x -> x - sign(x) for |x| > g, a map that is monotone on signed letters
-    # and commutes with inversion, so it sends a canonical relator to a
-    # canonical one and preserves every comparison the loop makes.  Hence
-    # only the relators that contain g are re-normalized after a step.
+    # renumbered once at the end.  A relator is stored as whichever cyclic
+    # word its last substitution left, not in cyclic normal form: no
+    # decision depends on the rotation or inversion stored.  The candidate
+    # key depends only on the letter counts, the defining word is read from
+    # the rotation that starts at the eliminated generator, and substituting
+    # then cyclically reducing commutes with rotation and inversion up to
+    # rotation.  So relators that are cyclically equal stay equal, the one
+    # in the lower slot always wins the key tie, and consuming it empties
+    # its twin; the copies left over are merged after the loop.
     #
     # Relators sit in slots that keep their order (a dropped relator leaves
-    # None behind), so among equal relators the one in the lowest slot is
-    # kept, and candidates are ranked by (length, generator, slot).
+    # None behind), and candidates are ranked by (length, generator, slot).
     rels: list[Word | None] = []
-    slot_of: dict[Word, int] = {}
+    gen_counts: dict[int, Counter] = {}  # slot -> generator counts
     occurs: dict[int, set[int]] = {}  # generator -> slots of its relators
     key: dict[int, tuple[int, int, int]] = {}  # slot -> candidate key
 
     def place(s: int, r: Word) -> None:
         rels[s] = r
-        slot_of[r] = s
-        counts = Counter(map(abs, r))
+        counts = gen_counts[s] = Counter(map(abs, r))
         for g in counts:
             occurs.setdefault(g, set()).add(s)
         once = [g for g, c in counts.items() if c == 1]
@@ -300,19 +326,17 @@ def simplify_with_map(p: Presentation, budget: int):
             key[s] = (len(r), min(once), s)
 
     def drop(s: int) -> None:
-        r = rels[s]
         rels[s] = None
-        del slot_of[r]
-        for g in set(map(abs, r)):
+        for g in gen_counts.pop(s):
             occurs[g].discard(s)
         key.pop(s, None)
 
-    for r in p.relators:
-        if r and r not in slot_of:
+    # p's relators are in cyclic normal form, so a copy is an equal tuple
+    for r in dict.fromkeys(p.relators):
+        if r:
             rels.append(None)
             place(len(rels) - 1, r)
-    images: list[Word] = [(i + 1,) for i in range(len(p.generators))]
-    alive = set(range(1, len(p.generators) + 1))
+    log: list[tuple[int, Word]] = []
     for _ in range(budget):
         if not key:
             break
@@ -332,21 +356,11 @@ def simplify_with_map(p: Presentation, budget: int):
             drop(s)
         del occurs[g]
         for s, w in zip(touched, old):
-            w = _least_form(_cyclic_core(_substitute(w, g, defining)))
-            if not w:
-                continue
-            t = slot_of.get(w)
-            if t is not None:
-                if t < s:
-                    continue
-                drop(t)
-            place(s, w)
-        images = [_substitute(w, g, defining) if g in w or -g in w else w
-                  for w in images]
-        alive.discard(g)
-    kept = sorted(alive)
-    new_id = {g: i + 1 for i, g in enumerate(kept)}
-    result = Presentation([p.generators[g - 1] for g in kept],
-                          [_renumber(r, new_id) for r in rels if r is not None])
-    return result, {name: _renumber(img, new_id)
-                    for name, img in zip(p.generators, images)}
+            w = _cyclic_core(_substitute(w, g, defining))
+            if w:
+                place(s, w)
+        log.append((g, defining))
+    new_id = _survivor_ids(len(p.generators), log)
+    relators = dict.fromkeys(_least_form(_renumber(r, new_id))
+                             for r in rels if r is not None)
+    return Presentation([p.generators[g - 1] for g in new_id], relators), log
