@@ -5,6 +5,7 @@
     python3 scripts/bench.py alexander --before OLD/src
     python3 scripts/bench.py kernel --before OLD/src
     python3 scripts/bench.py geometry --before OLD/src
+    python3 scripts/bench.py verify --before OLD/src
 
 times the suite's cases on the `cuspidal` package under OLD/src and on the
 one in this checkout's src/, and writes the JSON report next to this
@@ -37,8 +38,8 @@ Smith form).
 kernel: `commutator_abelianization_rank(n)` for odd n = 9..21 (the whole
 call).  Next to the times, each side reports its work, counted after the
 timed call: the relator walks of `SchreierSystem.exponent_rows` and the
-letters they read, the distinct rows, the unit pivots and the shape of the
-dense remainder.
+letters they read (the reads of the coset table, one per letter walked),
+the distinct rows, the unit pivots and the shape of the dense remainder.
 
 geometry: `singular_points_scan(n, p)` at (7, 197) and (9, 307) and
 `superabundance_multi(n)` for n = 15, 25, 31 (the whole call).  The work is
@@ -47,6 +48,13 @@ P^2(F_p) the scan tests, the evaluations of F_n point by point and of its
 partials, the primes and evaluation matrix shape of the superabundance, and
 the row updates of its rank computation (the calls of `abelian._eliminate`
 under `abelian.independent_rows`) and the matrix entries they rewrite.
+
+verify: the whole `verify-all --n N` command for N = 2..13, stdout
+captured; the answer is its exit code and structured results.  Next to the
+times, each side reports the pieces of work it builds, counted in a second,
+instrumented run of the command: hom-search plans (`homcount._build_plan`),
+reduced curve presentations (`presentation_pi1_reduced`) and curve forms
+(`geometry.curve_form`).
 """
 
 from __future__ import annotations
@@ -85,6 +93,7 @@ RANK_N = (5, 7, 9)
 KERNEL_N = (9, 11, 13, 15, 17, 19, 21)
 SCAN_CASES = ((7, 197), (9, 307))
 SUPERABUNDANCE_N = (15, 25, 31)
+VERIFY_N = tuple(range(2, 14))
 SUITES = {
     "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
                                    for n in VERIFY_ALL_N],
@@ -94,6 +103,7 @@ SUITES = {
     "kernel": [f"commutator_abelianization_rank({n})" for n in KERNEL_N],
     "geometry": [f"singular_points_scan({n},{p})" for n, p in SCAN_CASES]
                 + [f"superabundance_multi({n})" for n in SUPERABUNDANCE_N],
+    "verify": [f"verify-all --n {n}" for n in VERIFY_N],
 }
 WHAT = {
     "homcount": "median wall seconds of one call, fresh interpreter per run; "
@@ -120,6 +130,11 @@ WHAT = {
                 "answers (sha256 of the scanned points, the superabundance "
                 "report) are identical for both versions; *_work are each "
                 "version's work counts, from a second, instrumented call",
+    "verify": "median wall seconds of one verify-all --n N command, fresh "
+              "interpreter per run, stdout captured; answers (exit code and "
+              "structured results) are identical for both versions; *_work "
+              "are the plans, reduced presentations and curve forms each "
+              "version builds, from a second, instrumented run",
 }
 REPEAT = 3
 
@@ -135,16 +150,41 @@ def time_hom_count(case: str):
     return seconds, rep.total, getattr(rep, "nodes", None)
 
 
-def time_verify_all(n: int):
+def run_verify_all(n: int):
     from cuspidal import cli
     out = io.StringIO()
-    start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = cli.main(["verify-all", "--n", str(n),
                          "--format", "structured"])
+    return code, out.getvalue()
+
+
+def time_verify_all(n: int):
+    start = time.perf_counter()
+    code, out = run_verify_all(n)
     seconds = time.perf_counter() - start
     return seconds, {"exit": code,
-                     "results": json.loads(out.getvalue())["results"]}
+                     "results": json.loads(out)["results"]}, verify_work(n)
+
+
+def verify_work(n: int) -> dict:
+    """The pieces of work verify-all --n n builds in this version."""
+    from cuspidal import cli, geometry, homcount, presentations
+    work = {"plans": 0, "pi1_reduced": 0, "curve_forms": 0}
+
+    def tally(key):
+        def count(args, out):
+            work[key] += 1
+        return count
+
+    # cli calls presentation_pi1_reduced by the name it imported
+    with counting(homcount, "_build_plan", tally("plans")), \
+            counting(presentations, "presentation_pi1_reduced",
+                     tally("pi1_reduced")), \
+            counting(cli, "presentation_pi1_reduced", tally("pi1_reduced")), \
+            counting(geometry, "curve_form", tally("curve_forms")):
+        run_verify_all(n)
+    return work
 
 
 def time_derive(n: int):
@@ -202,20 +242,33 @@ def kernel_work(n: int) -> dict:
     from cuspidal import abelian
     from cuspidal.presentations import presentation_pi1_reduced
     from cuspidal.rewriting import AbelianTarget, SchreierSystem
+
+    class Reads(list):
+        """A coset table that counts its reads: one per letter walked."""
+        count = 0
+
+        def __getitem__(self, i):
+            Reads.count += 1
+            return list.__getitem__(self, i)
+
     p = presentation_pi1_reduced(n)
     target = AbelianTarget((2 * n,), p.generators,
                            tuple((1,) for _ in p.generators))
     system = SchreierSystem(p, target)
     ncols = len(system.generator_names)
     rows = list(system.exponent_rows(p.relators))
-    # every relator lies in the kernel, so one whose first row is zero is
-    # walked from one coset only, any other from every coset
-    walks = {r: 1 if not list(system.exponent_rows([r])) else target.size
-             for r in p.relators if r}
+    # each distinct relator on its own, to split the reads into walks
+    table, walks, letters = system._next, 0, 0
+    system._next = Reads(table)
+    for r in dict.fromkeys(r for r in p.relators if r):
+        Reads.count = 0
+        list(system.exponent_rows([r]))
+        walks += Reads.count // len(r)
+        letters += Reads.count
+    system._next = table
     ones, rest = abelian._unit_pivots(rows, ncols)
     cols = {j for row in rest for j in row}
-    return {"rows_walked": sum(walks.values()),
-            "letters_walked": sum(k * len(r) for r, k in walks.items()),
+    return {"rows_walked": walks, "letters_walked": letters,
             "distinct_rows": len(rows), "unit_pivots": ones,
             "dense_remainder": [len(rest), len(cols)]}
 
@@ -329,7 +382,7 @@ def child(src: str, case: str) -> None:
     if case in HOM_CASES:
         seconds, answer, *work = time_hom_count(case)
     elif case.startswith("verify-all"):
-        seconds, answer = time_verify_all(int(case.split()[-1]))
+        seconds, answer, *work = time_verify_all(int(case.split()[-1]))
     else:
         name, args = case[:-1].split("(")
         seconds, answer, *work = CALLS[name](*map(int, args.split(",")))

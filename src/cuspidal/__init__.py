@@ -3,7 +3,7 @@ polynomials, and singular geometry of a family of cuspidal plane curves."""
 
 from .abelian import (AbelianStructure, IntegerMatrix, abelianization,
                       commutator_abelianization_rank, kernel_abelianization,
-                      smith_normal_form)
+                      smith_normal_form, total_degree_kernel)
 from .alexander import (LaurentPolynomial, alexander_matrix,
                         alexander_polynomial, cyclotomic_base,
                         cyclotomic_target, elementary_ideal_gcd,

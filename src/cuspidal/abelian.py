@@ -397,12 +397,22 @@ def kernel_abelianization(p: Presentation, target) -> AbelianStructure:
                             tuple(d for d in factors if d != 1))
 
 
+def total_degree_kernel(p: Presentation, m: int) -> AbelianStructure:
+    """H1 of the kernel of the total-degree map p ->> Z/m, which sends
+    every generator to 1, by `kernel_abelianization`."""
+    from .rewriting import AbelianTarget
+
+    target = AbelianTarget(moduli=(m,), generators=p.generators,
+                           images=tuple((1,) for _ in p.generators))
+    return kernel_abelianization(p, target)
+
+
 def commutator_abelianization_rank(n: int) -> int:
     """Free rank of H1 of the kernel of the total-degree map to Z/2n.
 
     The kernel of the map sending every generator of the reduced curve
     presentation to 1 mod 2n (the commutator subgroup for odd n, where that
-    map is the abelianization), abelianized by `kernel_abelianization`.  For
+    map is the abelianization), abelianized by `total_degree_kernel`.  For
     odd n the rank equals the degree of the curve's Alexander polynomial,
     3(n-1); the rows come from the coset table alone, not from Fox calculus,
     so the two checks share no code.
@@ -410,9 +420,5 @@ def commutator_abelianization_rank(n: int) -> int:
     if n < 3 or n % 2 == 0:
         raise InvalidParameter("n must be odd and >= 3")
     from .presentations import presentation_pi1_reduced
-    from .rewriting import AbelianTarget
 
-    p = presentation_pi1_reduced(n)
-    target = AbelianTarget(moduli=(2 * n,), generators=p.generators,
-                           images=tuple((1,) for _ in p.generators))
-    return kernel_abelianization(p, target).free_rank
+    return total_degree_kernel(presentation_pi1_reduced(n), 2 * n).free_rank

@@ -13,14 +13,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .abelian import abelianization, commutator_abelianization_rank
+from .abelian import abelianization, total_degree_kernel
 from .alexander import alexander_polynomial, cyclotomic_target
 from .errors import (BudgetExceeded, InvalidParameter, RankDeficiencySuspect,
                      SplittingFailure, VerificationFailure)
 from .geometry import (PrimeField, choose_prime, milnor_ratio,
                        singular_points,
                        singular_points_scan, splitting_check_n2,
-                       superabundance_multi, tangent_cone_rank)
+                       superabundance_multi, tangent_cone_ranks)
 from .homcount import count_homs
 from .presentations import (derive_pi1_via_rs, invariant_battery,
                             map_check, oka_quotient,
@@ -141,6 +141,9 @@ def cmd_homcount(args, run: Run) -> None:
 
 
 def cmd_compare(args, run: Run) -> None:
+    if not 2 <= args.kmax <= 5:
+        raise InvalidParameter(
+            f"--kmax must be between 2 and 5, got {args.kmax}")
     a = build_family(args.family_a, args.n, args.variant)
     b = build_family(args.family_b, args.n, args.variant)
     battery = invariant_battery(a, b, range(2, args.kmax + 1), args.budget)
@@ -176,8 +179,8 @@ def cmd_singular_points(args, run: Run) -> None:
         run.record("exhaustive_scan_agrees", {"count": len(scan)},
                    sorted(pt.coords for pt in pts)
                    == sorted(pt.coords for pt in scan))
-    ranks = sorted({tangent_cone_rank(pt, args.n, field) for pt in pts})
-    run.record("tangent_cone_ranks", ranks)
+    run.record("tangent_cone_ranks",
+               sorted(set(tangent_cone_ranks(pts, args.n, field))))
 
 
 def cmd_milnor_ratio(args, run: Run) -> None:
@@ -217,12 +220,14 @@ def cmd_verify_all(args, run: Run) -> None:
                    {"generators": len(derived.generators)}, battery.agrees)
 
     if n % 2 == 1:
-        poly, stripped = alexander_polynomial(presentation_pi1_reduced(n))
+        reduced = presentation_pi1_reduced(n)
+        poly, stripped = alexander_polynomial(reduced)
         target = cyclotomic_target(n)
         run.record("alexander_vs_cyclotomic_cube",
                    {"display": str(poly), "stripped": stripped},
                    poly.normalized() == target.normalized())
-        rank = commutator_abelianization_rank(n)
+        # the commutator subgroup is the kernel of the total-degree map
+        rank = total_degree_kernel(reduced, 2 * n).free_rank
         run.record("commutator_abelianization_rank", rank,
                    rank == 3 * (n - 1))
         rep = superabundance_multi(n)
@@ -232,7 +237,7 @@ def cmd_verify_all(args, run: Run) -> None:
 
     field = choose_prime(n, 100)
     pts = singular_points(n, field)
-    ranks = {tangent_cone_rank(pt, n, field) for pt in pts}
+    ranks = set(tangent_cone_ranks(pts, n, field))
     run.record("singular_points",
                {"prime": field.p, "count": len(pts),
                 "tangent_cone_ranks": sorted(ranks)},

@@ -237,23 +237,38 @@ def singular_points_scan(n: int, field: PrimeField) -> list[ProjectivePoint]:
     return [ProjectivePoint(pt, field) for pt in _zeros_in_plane(forms, field)]
 
 
-def tangent_cone_rank(pt: ProjectivePoint, n: int, field: PrimeField) -> int:
-    """Rank of the Hessian quadratic form of F_n at a singular point, in the
-    affine chart at the point's first unit coordinate: 1 for a double-line
-    tangent cone (A_{n-1}, n >= 3), 2 for a node (n = 2)."""
+def tangent_cone_ranks(pts, n: int, field: PrimeField) -> list[int]:
+    """The rank of the Hessian quadratic form of F_n at each of the given
+    singular points, in the affine chart at the point's first unit
+    coordinate: 1 for a double-line tangent cone (A_{n-1}, n >= 3), 2 for a
+    node (n = 2).  F_n, its partials and its second partials are built once
+    for all the points, each second partial once, since the Hessian is
+    symmetric."""
     form = curve_form(n, field)
     partials = [form.partial(v) for v in range(3)]
-    if any(d.evaluate(pt) for d in partials):
-        raise NotSingular(f"{pt} is not a singular point")
-    chart = next(i for i, x in enumerate(pt.coords) if x == 1)
-    others = [v for v in range(3) if v != chart]
+    # (u, v) with u <= v -> the second partial in u and v, built when a
+    # chart first needs it
+    hessian: dict[tuple[int, int], TernaryForm] = {}
     p = field.p
-    h = [[partials[u].partial(v).evaluate(pt) % p for v in others]
-         for u in others]
-    if not any(h[i][j] for i in range(2) for j in range(2)):
-        return 0
-    det = (h[0][0] * h[1][1] - h[0][1] * h[1][0]) % p
-    return 2 if det else 1
+    ranks = []
+    for pt in pts:
+        if any(d.evaluate(pt) for d in partials):
+            raise NotSingular(f"{pt} is not a singular point")
+        chart = next(i for i, x in enumerate(pt.coords) if x == 1)
+        u, v = (w for w in range(3) if w != chart)
+        h = []
+        for key in ((u, u), (u, v), (v, v)):
+            if key not in hessian:
+                hessian[key] = partials[key[0]].partial(key[1])
+            h.append(hessian[key].evaluate(pt) % p)
+        a, b, c = h
+        ranks.append(2 if (a * c - b * b) % p else 1 if a or b or c else 0)
+    return ranks
+
+
+def tangent_cone_rank(pt: ProjectivePoint, n: int, field: PrimeField) -> int:
+    """`tangent_cone_ranks` at one point."""
+    return tangent_cone_ranks([pt], n, field)[0]
 
 
 @dataclass(frozen=True)

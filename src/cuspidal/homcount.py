@@ -31,6 +31,7 @@ met exactly once, and the product of the orbit sizes along its path is
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -110,51 +111,69 @@ def _build_plan(p: Presentation):
     """The static assignment plan: one step (g, checks, solve, positive) per
     generator, in the order the search assigns them.  g is a 0-based
     generator index and checks the compiled relators that become fully
-    assigned at the step.  A determined generator occurs once, as g^s, in a
-    relator u g^s v whose other generators are assigned before it: solve is
-    the compiled v u, so that g^s = (v u)^-1, and positive says s = 1.  An
-    enumerated generator has solve and positive None.
+    assigned at the step, shortest first, so that a candidate is rejected
+    on its cheapest relator.  A determined generator occurs once, as g^s,
+    in a relator u g^s v whose other generators are assigned before it:
+    solve is the compiled v u, so that g^s = (v u)^-1, and positive says
+    s = 1.  An enumerated generator has solve and positive None.
+
+    The determined generator of least (relator length, generator, relator)
+    is taken first; failing one, the generator that completes the most
+    relators, least first, is enumerated.  Each relator keeps the count of
+    its generators not yet assigned, and each generator the unchecked
+    relators that lack only it, so a step reads these buckets instead of
+    rescanning the relators: the plan costs time linear in the relator
+    letters, plus a pass over the generators per enumerated step.
     """
     ngen = len(p.generators)
-    gens_of = [sorted({abs(x) - 1 for x in r}) for r in p.relators]
-    occurrences = [[sum(1 for x in r if abs(x) - 1 == g) for g in range(ngen)]
-                   for r in p.relators]
-    assigned: set[int] = set()
-    checked: set[int] = set()
+    relators = p.relators
+    gens_of = [{abs(x) - 1 for x in r} for r in relators]
+    relators_of: list[list[int]] = [[] for _ in range(ngen)]
+    for ri, gens in enumerate(gens_of):
+        for g in gens:
+            relators_of[g].append(ri)
+    missing = [len(gens) for gens in gens_of]
+    # g -> the unchecked relators whose only unassigned generator is g
+    lacking: list[set[int]] = [set() for _ in range(ngen)]
+    # (length, g, relator) for each relator that determines g, while unchecked
+    determined: list[tuple[int, int, int]] = []
+    assigned = [False] * ngen
+    checked = [False] * len(relators)
     steps = []
 
-    def completed(g: int) -> list[int]:
-        """The unchecked nonempty relators whose generators are all among
-        the assigned ones and g."""
-        return [ri for ri, gens in enumerate(gens_of)
-                if ri not in checked and gens
-                and all(x in assigned or x == g for x in gens)]
+    def lacks_one(ri: int) -> None:
+        g = next(x for x in gens_of[ri] if not assigned[x])
+        lacking[g].add(ri)
+        r = relators[ri]
+        if sum(1 for x in r if abs(x) - 1 == g) == 1:
+            heapq.heappush(determined, (len(r), g, ri))
 
-    while len(assigned) < ngen:
-        det = None
-        for ri, gens in enumerate(gens_of):
-            if ri in checked:
-                continue
-            missing = [g for g in gens if g not in assigned]
-            if len(missing) == 1 and occurrences[ri][missing[0]] == 1:
-                key = (len(p.relators[ri]), missing[0], ri)
-                if det is None or key < det:
-                    det = key
-        if det is not None:
-            _, g, ri = det
-            r = p.relators[ri]
+    for ri, count in enumerate(missing):
+        if count == 1:
+            lacks_one(ri)
+    while len(steps) < ngen:
+        while determined and checked[determined[0][2]]:
+            heapq.heappop(determined)
+        if determined:
+            _, g, ri = heapq.heappop(determined)
+            r = relators[ri]
             pos = next(i for i, x in enumerate(r) if abs(x) - 1 == g)
-            checked.add(ri)
+            checked[ri] = True
             solve, positive = _compile(r[pos + 1:] + r[:pos]), r[pos] > 0
         else:
-            # the generator that completes the most relators, least first
-            g = min((g for g in range(ngen) if g not in assigned),
-                    key=lambda g: (-len(completed(g)), g))
+            g = min((g for g in range(ngen) if not assigned[g]),
+                    key=lambda g: (-len(lacking[g]), g))
             solve = positive = None
-        checks = completed(g)
-        assigned.add(g)
-        checked.update(checks)
-        steps.append((g, tuple(_compile(p.relators[ri]) for ri in checks),
+        checks = sorted((ri for ri in lacking[g] if not checked[ri]),
+                        key=lambda ri: (len(relators[ri]), ri))
+        assigned[g] = True
+        for ri in checks:
+            checked[ri] = True
+        for ri in relators_of[g]:
+            missing[ri] -= 1
+            if missing[ri] == 1:
+                lacks_one(ri)
+        steps.append((g, tuple(_compile(relators[ri]) for ri in checks),
                       solve, positive))
     return steps
 
@@ -256,6 +275,8 @@ def count_homs(p: Presentation, k: int, budget: int = 10**9,
     solved for a determined one is one node.  BudgetExceeded is raised when
     the search would pass it; otherwise the report's nodes is the number
     visited."""
+    if budget < 0:
+        raise InvalidParameter("budget must be >= 0")
     total = 0
     surj = 0
     visited = [0]
@@ -295,6 +316,8 @@ def relator_triviality_check(m: GroupMap, kmax: int,
     """
     if not 2 <= kmax <= 5:
         raise InvalidParameter("kmax must be between 2 and 5")
+    if budget < 0:
+        raise InvalidParameter("budget must be >= 0")
     relator_images = [(ri, _compile(w))
                       for ri, w in enumerate(m.apply(r)
                                              for r in m.source.relators)

@@ -132,6 +132,9 @@ class SchreierSystem:
         self._kernel_letter = [0] * (len(elements) * width)
         names: list[str] = []
         words: list[Word] = []
+        # the slot of each kernel generator and of its inverse
+        positive: list[int] = []
+        negative: list[int] = []
         for ci, el in enumerate(elements):
             suffix = "_".join(str(r) for r in el)
             for g in range(1, ngen + 1):
@@ -142,10 +145,14 @@ class SchreierSystem:
                     names.append(f"{p.generators[g - 1]}_{suffix}")
                     words.append(word)
                     letter = len(names)
+                    positive.append(self._slots[ci] + g)
+                    negative.append(self._slots[cj] - g)
                 self._kernel_letter[self._slots[ci] + g] = letter
                 self._kernel_letter[self._slots[cj] - g] = -letter
         self.generator_names = tuple(names)
         self.generator_words = tuple(words)
+        self._elements, self._index = elements, index
+        self._generator_slots = (positive, negative)
 
     def rewrite(self, w: Word, start_coset: int = 0) -> Word:
         """Reidemeister-Schreier rewriting of w starting at a coset."""
@@ -164,41 +171,53 @@ class SchreierSystem:
 
     def exponent_rows(self, relators) -> Iterator[dict[int, int]]:
         """Abelianized Reidemeister-Schreier: the exponent-sum rows of the
-        kernel relators, read off the coset table.
+        kernel relators, read off the coset table, cosets in order.
 
-        Each relator is walked from every coset through the tables, counting
-        the kernel letters on the way; no rewritten word is built.  A row
-        maps the 0-based index of a kernel generator to its exponent sum.
-        Zero rows are skipped and every row is yielded once, with its first
-        nonzero entry made positive, since a repeated or negated row
+        A row maps the 0-based index of a kernel generator to its exponent
+        sum.  Zero rows are skipped and every row is yielded once, with its
+        first nonzero entry made positive, since a repeated or negated row
         generates nothing new.  Equal relators give equal rows, so a
         repeated relator is not walked again.
+
+        Each relator is walked once, from coset 0, counting the (coset,
+        letter) slots it passes; no rewritten word is built.  The target is
+        abelian, so the walk from coset c passes the slots of that walk
+        translated by c, as often.  The row at coset c is therefore read off
+        the same counts: the entry of a kernel generator is the count at its
+        positive slot minus the count at its negative slot, both translated
+        back by c (Sims, *Computation with Finitely Presented Groups*, 1994,
+        ch. 2).
 
         A relator whose walk ends at the coset it started from lies in the
         kernel.  Its row at coset c is then the image of its row at coset 0
         under conjugation by the representative of c, an automorphism of
         the kernel's abelianization, so one zero row means that all of its
-        rows are zero, and its other walks are skipped.
+        rows are zero, and its other cosets are skipped.
         """
-        nkernel = len(self.generator_names)
-        kernel_letter, next_slot = self._kernel_letter, self._next
+        next_slot, start = self._next, self._slots[0]
+        # coset c -> the positive and the negative slot of each kernel
+        # generator, translated back by c; built as the cosets are reached
+        shifted: list[tuple[list[int], ...]] = []
         seen = set()
         for r in dict.fromkeys(relators):
             if not r:
                 continue
-            for start in self._slots:
-                slot = start
-                # counts[-j] sits at the far end: no sign test while walking
-                counts = [0] * (2 * nkernel + 1)
-                for x in r:
-                    slot += x
-                    counts[kernel_letter[slot]] += 1
-                    slot = next_slot[slot]
-                row = tuple(map(sub, counts[1:nkernel + 1],
-                                reversed(counts[nkernel + 1:])))
+            slot = start
+            counts = [0] * len(next_slot)
+            for x in r:
+                slot += x
+                counts[slot] += 1
+                slot = next_slot[slot]
+            closed = slot == start
+            for c in range(len(self._slots)):
+                if c == len(shifted):
+                    shifted.append(self._translated_slots(c))
+                positive, negative = shifted[c]
+                row = tuple(map(sub, map(counts.__getitem__, positive),
+                                map(counts.__getitem__, negative)))
                 first = next(filter(None, row), 0)
                 if not first:
-                    if slot == start:
+                    if closed:
                         break
                     continue
                 if first < 0:
@@ -206,6 +225,16 @@ class SchreierSystem:
                 if row not in seen:
                     seen.add(row)
                     yield {j: v for j, v in enumerate(row) if v}
+
+    def _translated_slots(self, c: int) -> tuple[list[int], ...]:
+        """The positive and the negative slot of each kernel generator,
+        each moved from its coset d to the coset d - c."""
+        width = 2 * len(self.target.generators) + 1
+        minus_c = self.target.neg(self._elements[c])
+        back = [self._index[self.target.add(el, minus_c)]
+                for el in self._elements]
+        return tuple([back[s // width] * width + s % width for s in slots]
+                     for slots in self._generator_slots)
 
 
 def subgroup_presentation(p: Presentation, target: AbelianTarget,

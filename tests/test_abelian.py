@@ -10,7 +10,7 @@ from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _bareiss,
                               _diagonalize, _unit_pivots, abelianization,
                               commutator_abelianization_rank,
                               invariant_factors, kernel_abelianization,
-                              smith_normal_form)
+                              smith_normal_form, total_degree_kernel)
 from cuspidal.presentations import (presentation_G, presentation_oka,
                                     presentation_pi1, presentation_pi1_reduced)
 from cuspidal.rewriting import AbelianTarget, SchreierSystem
@@ -218,6 +218,18 @@ def test_kernel_rows_match_the_kernel_presentation(n):
     got = kernel_abelianization(p, target)
     assert got == kernel_abelianization_oracle(p, target)
     assert got.free_rank == 3 * (n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_total_degree_kernel_for_every_divisor_of_2n(n):
+    p = presentation_pi1_reduced(n)
+    for m in range(2, 2 * n + 1):
+        if 2 * n % m == 0:
+            assert total_degree_kernel(p, m) == \
+                kernel_abelianization_oracle(p, total_degree_target(p, m))
+    if n % 2:
+        assert total_degree_kernel(p, 2 * n).free_rank == \
+            commutator_abelianization_rank(n)
 
 
 @pytest.mark.parametrize("build,moduli,images", [

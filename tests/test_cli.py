@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cuspidal import cli
+from cuspidal import cli, presentations
 from cuspidal.cli import main
 from cuspidal.errors import RankDeficiencySuspect
 
@@ -157,6 +157,9 @@ MALFORMED = [
     ("homcount", "--family", "pi1", "--n", "3", "--k", "1"),
     ("homcount", "--family", "pi1", "--n", "3", "--k", "6"),
     ("compare", "G", "G", "--kmax", "6"),
+    ("compare", "G", "G", "--kmax", "1"),
+    ("compare", "G", "G", "--kmax", "2", "--budget", "-1"),
+    ("homcount", "--family", "pi1", "--n", "3", "--budget", "-1"),
     ("split-check", "--prime", "0"),
     ("split-check", "--prime", "1"),
     ("split-check", "--prime", "2"),
@@ -192,3 +195,29 @@ def test_singular_points_needs_n_at_least_2(capsys, n):
     code, _, err = run(capsys, "singular-points", "--n", n, "--prime", "13")
     assert code == 2
     assert err == "error: n must be >= 2\n"
+
+
+@pytest.mark.parametrize("kmax", ["-1", "1", "6"])
+def test_compare_kmax_out_of_range_names_the_option(capsys, kmax):
+    code, out, err = run(capsys, "compare", "pi1", "zariski3", "--n", "3",
+                         "--kmax", kmax)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --kmax must be between 2 and 5, got {kmax}\n"
+
+
+def test_verify_all_builds_the_reduced_presentation_once(capsys,
+                                                         monkeypatch):
+    built = []
+    build = presentations.presentation_pi1_reduced
+
+    def counting(n):
+        built.append(n)
+        return build(n)
+
+    # cli holds the name it imported; abelian looks it up in presentations
+    monkeypatch.setattr(presentations, "presentation_pi1_reduced", counting)
+    monkeypatch.setattr(cli, "presentation_pi1_reduced", counting)
+    code, _, _ = run(capsys, "verify-all", "--n", "7")
+    assert code == 0
+    assert built == [7]

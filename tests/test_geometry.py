@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspidal import geometry
 from cuspidal.abelian import independent_rows
 from cuspidal.errors import InvalidParameter, NotSingular
 from cuspidal.geometry import (PrimeField, ProjectivePoint, TernaryForm,
@@ -13,7 +14,8 @@ from cuspidal.geometry import (PrimeField, ProjectivePoint, TernaryForm,
                                graded_lex_monomials, is_prime, milnor_ratio,
                                singular_points, singular_points_scan,
                                splitting_check_n2, superabundance,
-                               superabundance_multi, tangent_cone_rank)
+                               superabundance_multi, tangent_cone_rank,
+                               tangent_cone_ranks)
 
 
 def all_projective_points(field):
@@ -302,6 +304,24 @@ def test_tangent_cone_ranks():
         f = choose_prime(n, 100)
         ranks = {tangent_cone_rank(pt, n, f) for pt in singular_points(n, f)}
         assert ranks == {expected}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_tangent_cone_ranks_build_the_curve_once_per_call(monkeypatch, n):
+    f = choose_prime(n, 100)
+    pts = singular_points(n, f)
+    want = [tangent_cone_rank(pt, n, f) for pt in pts]
+    built = []
+    build = geometry.curve_form
+
+    def counting(n, field):
+        built.append(n)
+        return build(n, field)
+
+    monkeypatch.setattr(geometry, "curve_form", counting)
+    assert tangent_cone_ranks(pts, n, f) == want
+    assert built == [n]
+    assert tangent_cone_ranks([], n, f) == []
 
 
 def test_tangent_cone_rank_rejects_smooth_point():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,11 +6,13 @@ import random
 import pytest
 
 from cuspidal.errors import BudgetExceeded, InvalidParameter
-from cuspidal.homcount import (_search, _symmetric_group, compose,
-                               count_homs, invert_perm,
-                               relator_triviality_check)
-from cuspidal.presentations import (derive_pi1_via_rs, presentation_G_raw,
-                                    presentation_pi1, presentation_pi1_reduced,
+from cuspidal.homcount import (_build_plan, _compile, _search,
+                               _symmetric_group, compose, count_homs,
+                               invert_perm, relator_triviality_check)
+from cuspidal.presentations import (derive_pi1_via_rs, oka_quotient,
+                                    presentation_G, presentation_G_raw,
+                                    presentation_oka, presentation_pi1,
+                                    presentation_pi1_reduced,
                                     presentation_zariski3)
 from cuspidal.words import GroupMap, Presentation
 
@@ -274,3 +277,94 @@ def test_engine_matches_oracle_into_s5():
     for _ in range(20):
         p = random_presentation(rng, 2, rng.randint(1, 3), 6)
         check_against_oracle(rng, p, 5)
+
+
+def quadratic_plan(p: Presentation):
+    """The assignment plan by rescanning every relator at every step, with
+    each step's checks in relator order."""
+    ngen = len(p.generators)
+    gens_of = [sorted({abs(x) - 1 for x in r}) for r in p.relators]
+    occurrences = [[sum(1 for x in r if abs(x) - 1 == g) for g in range(ngen)]
+                   for r in p.relators]
+    assigned, checked, steps = set(), set(), []
+
+    def completed(g):
+        return [ri for ri, gens in enumerate(gens_of)
+                if ri not in checked and gens
+                and all(x in assigned or x == g for x in gens)]
+
+    while len(assigned) < ngen:
+        det = None
+        for ri, gens in enumerate(gens_of):
+            if ri in checked:
+                continue
+            missing = [g for g in gens if g not in assigned]
+            if len(missing) == 1 and occurrences[ri][missing[0]] == 1:
+                key = (len(p.relators[ri]), missing[0], ri)
+                if det is None or key < det:
+                    det = key
+        if det is not None:
+            _, g, ri = det
+            r = p.relators[ri]
+            pos = next(i for i, x in enumerate(r) if abs(x) - 1 == g)
+            checked.add(ri)
+            solve, positive = _compile(r[pos + 1:] + r[:pos]), r[pos] > 0
+        else:
+            g = min((g for g in range(ngen) if g not in assigned),
+                    key=lambda g: (-len(completed(g)), g))
+            solve = positive = None
+        checks = completed(g)
+        assigned.add(g)
+        checked.update(checks)
+        steps.append((g, [_compile(p.relators[ri]) for ri in checks],
+                      solve, positive))
+    return steps
+
+
+def shortest_checks_first(plan):
+    """The plan with each step's checks stably sorted by length."""
+    return [(g, tuple(sorted(checks, key=len)), solve, positive)
+            for g, checks, solve, positive in plan]
+
+
+SHIPPED = [
+    ("G", presentation_G), ("G-raw", presentation_G_raw),
+    ("zariski3-stated", lambda: presentation_zariski3("stated")),
+    ("zariski3", lambda: presentation_zariski3("corrected")),
+    ("oka(3)", lambda: presentation_oka(3)),
+    ("oka(4)", lambda: presentation_oka(4)),
+    ("oka-quotient(3)", lambda: oka_quotient(3)[1]),
+] + [(f"pi1({n})", functools.partial(presentation_pi1, n))
+     for n in (2, 3, 4, 5)] \
+  + [(f"pi1-reduced({n})", functools.partial(presentation_pi1_reduced, n))
+     for n in (2, 3, 4, 5, 7)] \
+  + [(f"derived({n})", functools.partial(derive_pi1_via_rs, n))
+     for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("build", [case[1] for case in SHIPPED],
+                         ids=[case[0] for case in SHIPPED])
+def test_plan_matches_quadratic_oracle_on_shipped_presentations(build):
+    p = build()
+    assert _build_plan(p) == shortest_checks_first(quadratic_plan(p))
+
+
+def test_plan_matches_quadratic_oracle_on_random_presentations():
+    rng = random.Random(1729)
+    for _ in range(300):
+        p = random_presentation(rng, rng.randint(1, 6), rng.randint(0, 8),
+                                rng.randint(1, 8))
+        if rng.random() < 0.3:  # repeated relators and an empty one
+            p = Presentation(p.generators, list(p.relators) * 2 + [()])
+        assert _build_plan(p) == shortest_checks_first(quadratic_plan(p))
+
+
+def test_negative_budget_is_rejected():
+    p = Presentation(("a",), [(1, 1)])
+    with pytest.raises(InvalidParameter):
+        count_homs(p, 3, budget=-1)
+    with pytest.raises(InvalidParameter):
+        relator_triviality_check(GroupMap(p, p, ((1,),)), 3, budget=-1)
+    # a zero budget is a search that stops at its first node
+    with pytest.raises(BudgetExceeded):
+        count_homs(p, 3, budget=0)

@@ -5,6 +5,7 @@ import pytest
 
 from cuspidal.abelian import abelianization
 from cuspidal.errors import InvalidParameter, NotGenerating, NotInKernel
+from cuspidal.presentations import presentation_pi1_reduced
 from cuspidal.rewriting import (AbelianTarget, SchreierSystem,
                                 subgroup_presentation)
 from cuspidal.words import (Presentation, commutator, format_presentation,
@@ -236,3 +237,79 @@ def test_exponent_rows_match_rewritten_words(moduli, images, order):
         system = SchreierSystem(Presentation(("a", "b", "c"), []), t, order)
         assert list(system.exponent_rows(relators)) == \
             exponent_rows_oracle(system, relators)
+
+
+def walk_every_coset_rows(system, relators):
+    """The rows as the table gives them walking each relator from every
+    coset in turn: the kernel letters read on each walk are counted, and a
+    closed walk with a zero row ends the relator's walks."""
+    nkernel = len(system.generator_names)
+    seen, rows = set(), []
+    for r in dict.fromkeys(relators):
+        if not r:
+            continue
+        for start in system._slots:
+            slot = start
+            counts = [0] * (2 * nkernel + 1)
+            for x in r:
+                slot += x
+                counts[system._kernel_letter[slot]] += 1
+                slot = system._next[slot]
+            row = tuple(a - b for a, b in zip(counts[1:nkernel + 1],
+                                              reversed(counts[nkernel + 1:])))
+            first = next(filter(None, row), 0)
+            if not first:
+                if slot == start:
+                    break
+                continue
+            if first < 0:
+                row = tuple(-x for x in row)
+            if row not in seen:
+                seen.add(row)
+                rows.append({j: v for j, v in enumerate(row) if v})
+    return rows
+
+
+def curve_kernel_system(p, moduli, images=None):
+    """The coset table of the kernel of p onto the sum of Z/moduli, by
+    default with every generator sent to 1 in each summand; given images
+    are repeated along the generators."""
+    images = images or ((1,) * len(moduli),)
+    return SchreierSystem(p, AbelianTarget(
+        moduli, p.generators,
+        tuple(images[i % len(images)] for i in range(len(p.generators)))))
+
+
+@pytest.mark.parametrize("n,moduli,images", [
+    (3, (6,), None), (5, (10,), None), (7, (14,), None), (9, (18,), None),
+    (5, (2, 5), None), (4, (2, 4), ((1, 0), (0, 1), (1, 1))),
+], ids=["3-Z6", "5-Z10", "7-Z14", "9-Z18", "5-Z2xZ5", "4-Z2xZ4"])
+def test_translated_rows_match_walks_from_every_coset(n, moduli, images):
+    p = presentation_pi1_reduced(n)
+    system = curve_kernel_system(p, moduli, images)
+    relators = list(p.relators) + [invert(r) for r in p.relators[:3]]
+    rows = list(system.exponent_rows(relators))
+    # the same rows in the same order, dict keys in the same order too
+    assert [list(row.items()) for row in rows] == \
+        [list(row.items()) for row in walk_every_coset_rows(system,
+                                                            relators)]
+
+
+def test_exponent_rows_walk_each_distinct_relator_once():
+    """The coset table is read once per letter of each distinct nonempty
+    relator, however many cosets there are."""
+
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountingList.reads += 1
+            return list.__getitem__(self, i)
+
+    p = presentation_pi1_reduced(7)
+    system = curve_kernel_system(p, (14,))
+    system._next = CountingList(system._next)
+    relators = list(p.relators) * 2 + [()]
+    assert list(system.exponent_rows(relators))
+    distinct = {r for r in p.relators if r}
+    assert CountingList.reads == sum(map(len, distinct))
