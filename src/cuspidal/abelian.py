@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidParameter
+from .rewriting import AbelianTarget, SchreierSystem
 from .words import Presentation, Word
 
 
@@ -128,24 +129,26 @@ def _smallest_pivot(a, k, rows, cols):
     return None if best is None else (best[1], best[2])
 
 
-def _diagonalize(m: IntegerMatrix, track: bool, modulus: int = 0):
+def _diagonalize(m: IntegerMatrix, modulus: int = 0):
     """Smith-form elimination of m: returns (diagonal, U, V) with the
-    diagonal d1 | d2 | ... of length min(rows, cols), di >= 0.  With
-    `track`, U and V are the unimodular row and column transforms (as row
-    lists) with U*m*V diagonal; without it they are None and never built.
+    diagonal d1 | d2 | ... of length min(rows, cols), di >= 0.  Without a
+    modulus, U and V are the unimodular row and column transforms (as row
+    lists) with U*m*V diagonal.
 
     Pivot strategy: smallest nonzero absolute value in the remaining block.
     Once pivot k is done, row k and column k are zero off the diagonal, so
     the operations of later steps touch only the block from (k, k) on.
 
-    With a nonzero `modulus` D (never with `track`), entries are kept as
-    residues mod D, of absolute value at most D/2, and the diagonal is
-    returned as gcd(di, D): the Smith form of L + D*Z^cols, the lattice
-    spanned by the rows of m and of D*I, with L the row lattice of m.  Each
-    gcd(di, D) divides all later entries and D, hence the next one.
+    With a nonzero `modulus` D, entries are kept as residues mod D, of
+    absolute value at most D/2, and the diagonal is returned as gcd(di, D):
+    the Smith form of L + D*Z^cols, the lattice spanned by the rows of m
+    and of D*I, with L the row lattice of m.  Each gcd(di, D) divides all
+    later entries and D, hence the next one.  Transforms taken mod D are
+    not unimodular over Z, so U and V are then None and never built.
     """
     rows, cols = m.rows, m.cols
     a = [row[:] for row in m.data]
+    track = not modulus
     u = IntegerMatrix.identity(rows).data if track else None
     v = IntegerMatrix.identity(cols).data if track else None
     k = 0
@@ -240,7 +243,7 @@ def _diagonalize(m: IntegerMatrix, track: bool, modulus: int = 0):
 def smith_normal_form(m: IntegerMatrix):
     """Return (D, U, V) with D = U*m*V, U and V unimodular, D diagonal with
     d1 | d2 | ... and di >= 0."""
-    diagonal, u, v = _diagonalize(m, track=True)
+    diagonal, u, v = _diagonalize(m)
     d = IntegerMatrix(m.rows, m.cols)
     for i, x in enumerate(diagonal):
         d.data[i][i] = x
@@ -368,7 +371,7 @@ def invariant_factors(rows, ncols: int) -> list[int]:
     dense = [[row.get(j, 0) for j in cols] for row in rest]
     rank, minor = _bareiss(dense)
     diagonal, _, _ = _diagonalize(IntegerMatrix(len(rest), len(cols), dense),
-                                  track=False, modulus=abs(minor))
+                                  abs(minor))
     return [1] * ones + diagonal[:rank]
 
 
@@ -388,8 +391,6 @@ def kernel_abelianization(p: Presentation, target) -> AbelianStructure:
     Reidemeister-Schreier: the kernel's exponent-sum rows are read off the
     Schreier coset table (`SchreierSystem.exponent_rows`) and their Smith
     form is taken.  No kernel presentation is built."""
-    from .rewriting import SchreierSystem
-
     system = SchreierSystem(p, target)
     ncols = len(system.generator_names)
     factors = invariant_factors(system.exponent_rows(p.relators), ncols)
@@ -400,8 +401,6 @@ def kernel_abelianization(p: Presentation, target) -> AbelianStructure:
 def total_degree_kernel(p: Presentation, m: int) -> AbelianStructure:
     """H1 of the kernel of the total-degree map p ->> Z/m, which sends
     every generator to 1, by `kernel_abelianization`."""
-    from .rewriting import AbelianTarget
-
     target = AbelianTarget(moduli=(m,), generators=p.generators,
                            images=tuple((1,) for _ in p.generators))
     return kernel_abelianization(p, target)

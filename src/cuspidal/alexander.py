@@ -1,9 +1,9 @@
 """Laurent polynomials over Z, Fox calculus, and Alexander polynomials via
 elementary-ideal gcds.
 
-The meridian specialization sends generator x to t^weight(x); every weight
-defaults to 1, since all generators of the curve presentations are meridians
-of the same curve.
+The meridian specialization sends generator x to t^weight(x).  The Fox
+matrix takes every weight to be 1, since all generators of the curve
+presentations are meridians of the same curve.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class LaurentPolynomial:
         return cls(0, (1,))
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1):
-        return cls(exponent, (coefficient,))
+    def monomial(cls, exponent: int) -> "LaurentPolynomial":
+        return cls(exponent, (1,))
 
     @property
     def is_zero(self) -> bool:
@@ -260,16 +260,12 @@ def _fox_terms(w: Word, ngen: int, weights) -> list[dict[int, int]]:
     return terms
 
 
-def default_weights(p: Presentation) -> dict[int, int]:
-    return {i + 1: 1 for i in range(len(p.generators))}
-
-
-def alexander_matrix(p: Presentation, weights=None):
-    """Fox-derivative matrix of a presentation as a list of rows: one row
-    per relator, one column per generator."""
-    if weights is None:
-        weights = default_weights(p)
+def alexander_matrix(p: Presentation):
+    """Fox-derivative matrix of a presentation under the all-meridians map
+    (every generator to t), as a list of rows: one row per relator, one
+    column per generator."""
     ngen = len(p.generators)
+    weights = [1] * (ngen + 1)
     return [[_from_terms(t) for t in _fox_terms(r, ngen, weights)[1:]]
             for r in p.relators]
 

@@ -298,15 +298,17 @@ def superabundance(n: int, field: PrimeField) -> SuperabundanceReport:
 
 
 def superabundance_multi(n: int, primes=None) -> SuperabundanceReport:
-    """Run over three admissible primes >= 10^4 and require agreement."""
+    """Run over the given distinct primes, by default the three least
+    admissible primes >= 10^4, and require agreement."""
     if primes is None:
-        primes = []
-        minimum = 10_000
-        while len(primes) < 3:
-            f = choose_prime(n, minimum)
-            primes.append(f.p)
-            minimum = f.p + 1
-    reports = [superabundance(n, PrimeField(p)) for p in primes]
+        fields = [choose_prime(n, 10_000)]
+        while len(fields) < 3:
+            fields.append(choose_prime(n, fields[-1].p + 1))
+    elif len(set(primes)) != len(primes):
+        raise InvalidParameter(f"primes must be distinct, got {primes}")
+    else:
+        fields = map(PrimeField, primes)
+    reports = [superabundance(n, field) for field in fields]
     if len({(r.s, r.h0, r.rank) for r in reports}) != 1:
         raise RankDeficiencySuspect(
             f"superabundance disagrees across primes: {reports}")
@@ -372,20 +374,11 @@ def splitting_check_n2(field: PrimeField) -> SplittingReport:
     for a, b, c in lines:
         prod_form = prod_form.multiply(
             TernaryForm(1, field, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}))
-    # the product must equal F_2 up to a scalar
-    scale = None
-    for m in graded_lex_monomials(4):
-        fc = form.coeffs.get(m, 0)
-        pc = prod_form.coeffs.get(m, 0)
-        if fc == 0 and pc == 0:
-            continue
-        if fc == 0 or pc == 0:
-            raise SplittingFailure("factor product has wrong support")
-        ratio = fc * field.inv(pc) % p
-        if scale is None:
-            scale = ratio
-        elif scale != ratio:
-            raise SplittingFailure("factor product does not match F_2")
+    # the product must be F_2 times the scalar that matches F_2's first term
+    mono, coef = next(iter(form.coeffs.items()))
+    scale = coef * field.inv(prod_form.coeffs.get(mono, 0))
+    if {m: c * scale % p for m, c in prod_form.coeffs.items()} != form.coeffs:
+        raise SplittingFailure("factor product does not match F_2")
     points = set()
     for l1, l2 in combinations(lines, 2):
         pt = _line_intersection(l1, l2, field)

@@ -40,6 +40,9 @@ from .words import GroupMap, Presentation, Word
 
 Permutation = tuple[int, ...]
 
+# count_homs's default budget, and relator_triviality_check's for each k
+_NODE_CAP = 10**9
+
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """a then b."""
@@ -266,7 +269,7 @@ def _generates_sym(images, k: int) -> bool:
     return len(seen) == len(group.elements)
 
 
-def count_homs(p: Presentation, k: int, budget: int = 10**9,
+def count_homs(p: Presentation, k: int, budget: int = _NODE_CAP,
                count_surjective: bool = False) -> HomCountReport:
     """Exact number of homomorphisms into the symmetric group on k symbols.
 
@@ -303,21 +306,18 @@ class TrivialityReport:
     witnesses: tuple[TrivialityWitness, ...]
 
 
-def relator_triviality_check(m: GroupMap, kmax: int,
-                             budget: int = 10**9) -> TrivialityReport:
+def relator_triviality_check(m: GroupMap, kmax: int) -> TrivialityReport:
     """Necessary condition for a GroupMap to be a homomorphism.
 
     For every homomorphism of the target into S_k (k <= kmax), every source
     relator's image word must evaluate to the identity.  homs_checked counts
     every homomorphism; witnesses are listed up to conjugation: each
     homomorphism that sends a relator image off the identity is conjugate to
-    a witness for that relator.  The budget caps the search nodes of each k
-    as in count_homs.
+    a witness for that relator.  The search of each k is capped at
+    count_homs's default budget.
     """
     if not 2 <= kmax <= 5:
         raise InvalidParameter("kmax must be between 2 and 5")
-    if budget < 0:
-        raise InvalidParameter("budget must be >= 0")
     relator_images = [(ri, _compile(w))
                       for ri, w in enumerate(m.apply(r)
                                              for r in m.source.relators)
@@ -327,7 +327,7 @@ def relator_triviality_check(m: GroupMap, kmax: int,
     for k in range(2, kmax + 1):
         group = _symmetric_group(k)
         count = 0
-        for images, slots, weight in _search(m.target, k, budget):
+        for images, slots, weight in _search(m.target, k, _NODE_CAP):
             count += weight
             for ri, code in relator_images:
                 got = _evaluate(code, slots, group.mul)

@@ -16,7 +16,6 @@ from itertools import product
 from operator import neg, sub
 from typing import Iterator
 
-from .abelian import invariant_factors
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .words import (Presentation, Word, invert, multiply, reduce_word,
                     simplify)
@@ -44,11 +43,15 @@ class AbelianTarget:
         object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "images", images)
-        # the images generate the target exactly when they and the rows
-        # moduli[i] * e_i span Z^len(moduli)
-        rows = [{j: r for j, r in enumerate(img) if r} for img in images]
-        rows += [{i: m} for i, m in enumerate(moduli)]
-        if invariant_factors(rows, len(moduli)) != [1] * len(moduli):
+        # the target is finite, so the images generate it exactly when
+        # every element is a sum of images
+        reached = [self.identity()]
+        seen = set(reached)
+        for el in reached:
+            new = {self.add(el, img) for img in images} - seen
+            seen |= new
+            reached += new
+        if len(reached) != self.size:
             raise NotGenerating("generator images do not generate the target")
 
     @property

@@ -131,6 +131,15 @@ def _least_form(w: Word) -> Word:
     return min(_least_rotation(w), _least_rotation(invert(w)))
 
 
+def _check_letters(words, ngen: int, kind: str) -> None:
+    """Raise ValueError at the first letter of the words not in +-1..ngen."""
+    for w in words:
+        # no letter is 0 (reduce_word rejects it), so the extremes decide
+        if w and (min(w) < -ngen or max(w) > ngen):
+            bad = next(x for x in w if abs(x) > ngen)
+            raise ValueError(f"{kind} letter {bad} out of range")
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A finitely presented group: generator names plus relator words.
@@ -149,15 +158,8 @@ class Presentation:
         for name in generators:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid generator name: {name!r}")
-        norm = []
-        g = len(generators)
-        for r in relators:
-            r = cyclic_normal_form(r)
-            # no letter is 0 (reduce_word rejects it), so the extremes decide
-            if r and (min(r) < -g or max(r) > g):
-                bad = next(x for x in r if abs(x) > g)
-                raise ValueError(f"relator letter {bad} out of range")
-            norm.append(r)
+        norm = [cyclic_normal_form(r) for r in relators]
+        _check_letters(norm, len(generators), "relator")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", tuple(norm))
 
@@ -200,8 +202,12 @@ class GroupMap:
 
     def __post_init__(self):
         # apply substitutes the images, which must be freely reduced
-        object.__setattr__(self, "images",
-                           tuple(map(reduce_word, self.images)))
+        images = tuple(map(reduce_word, self.images))
+        if len(images) != len(self.source.generators):
+            raise ValueError(f"{len(images)} images for "
+                             f"{len(self.source.generators)} generators")
+        _check_letters(images, len(self.target.generators), "image")
+        object.__setattr__(self, "images", images)
 
     def apply(self, w: Word) -> Word:
         return substitute(w, self.images)
@@ -253,8 +259,7 @@ def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
     except ValueError:
         raise NoDefiningRelator(
             f"no relator defines {gen!r} as the given word") from None
-    new_id = {h: h - (h > g) for h in range(1, len(p.generators) + 1)
-              if h != g}
+    new_id = _survivor_ids(len(p.generators), [(g, defining)])
     return Presentation(p.generators[:g - 1] + p.generators[g:],
                         [_renumber(_substitute(r, g, defining), new_id)
                          for i, r in enumerate(p.relators) if i != idx])

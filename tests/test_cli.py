@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cuspidal import cli, presentations
+from cuspidal import cli, geometry, presentations
 from cuspidal.cli import main
 from cuspidal.errors import RankDeficiencySuspect
 
@@ -152,6 +152,7 @@ MALFORMED = [
     ("superabundance", "--n", "1"),
     ("superabundance", "--n", "4"),
     ("superabundance", "--n", "3", "--primes", ","),
+    ("superabundance", "--n", "3", "--primes", "19,19,19"),
     ("derive", "--n", "1"),
     ("milnor-ratio", "--n", "0"),
     ("homcount", "--family", "pi1", "--n", "3", "--k", "1"),
@@ -178,6 +179,17 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+def test_split_check_failure_exits_1(capsys, monkeypatch):
+    # x^4 - y^4 has four lines, all through [0:0:1]
+    monkeypatch.setattr(geometry, "curve_form", lambda n, field: (
+        geometry.TernaryForm(4, field, {(4, 0, 0): 1, (0, 4, 0): -1})))
+    code, out, err = run(capsys, "split-check", "--prime", "13")
+    assert code == 1
+    assert out == ""
+    assert err == ("verification failure: expected 6 distinct intersection "
+                   "points, found 1\n")
 
 
 @pytest.mark.parametrize("primes", [",", "7,x"])

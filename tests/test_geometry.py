@@ -6,7 +6,7 @@ import pytest
 
 from cuspidal import geometry
 from cuspidal.abelian import independent_rows
-from cuspidal.errors import InvalidParameter, NotSingular
+from cuspidal.errors import InvalidParameter, NotSingular, SplittingFailure
 from cuspidal.geometry import (PrimeField, ProjectivePoint, TernaryForm,
                                _form_vanishes_on_line,
                                _normalized_linear_forms,
@@ -350,6 +350,16 @@ def test_superabundance_prime_independence():
         assert (r1.s, r1.h0) == (r2.s, r2.h0)
 
 
+def test_superabundance_primes_must_be_distinct():
+    # a repeated prime would check one prime against itself
+    with pytest.raises(InvalidParameter, match="distinct"):
+        superabundance_multi(3, [19, 19, 19])
+    with pytest.raises(InvalidParameter, match="distinct"):
+        superabundance_multi(3, [19, 31, 19])
+    # a single prime is allowed
+    assert superabundance_multi(3, [19]) == superabundance(3, PrimeField(19))
+
+
 def test_superabundance_rejects_even_n():
     with pytest.raises(InvalidParameter):
         superabundance(4, choose_prime(4, 100))
@@ -404,6 +414,49 @@ def test_line_test_matches_full_scan(p):
                      if scan_vanishes_on_line(form, ln, field)]
     assert len(found) == 4
     assert splitting_check_n2(field).linear_forms == tuple(found)
+
+
+def product_of_lines(lines, field):
+    form = TernaryForm(0, field, {(0, 0, 0): 1})
+    for a, b, c in lines:
+        form = form.multiply(TernaryForm(
+            1, field, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}))
+    return form
+
+
+def test_splitting_fails_without_four_lines(monkeypatch):
+    # the square of the smooth conic x^2 + y^2 + z^2 contains no line
+    field = PrimeField(13)
+    conic = TernaryForm(2, field, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    monkeypatch.setattr(geometry, "curve_form",
+                        lambda n, f: conic.multiply(conic))
+    with pytest.raises(SplittingFailure, match="found 0$"):
+        splitting_check_n2(field)
+
+
+def test_splitting_fails_on_concurrent_lines(monkeypatch):
+    # four lines through [0:0:1] meet in one point, not in six
+    field = PrimeField(13)
+    lines = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 12, 0)]
+    monkeypatch.setattr(geometry, "curve_form",
+                        lambda n, f: product_of_lines(lines, f))
+    with pytest.raises(SplittingFailure,
+                       match="6 distinct intersection points, found 1$"):
+        splitting_check_n2(field)
+
+
+@pytest.mark.parametrize("lines", [
+    # their product lacks F_2's first monomial x^4
+    [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)],
+    # their product has x^4 with F_2's coefficient, and differs elsewhere
+    [(1, 0, 1), (1, 1, 0), (1, 2, 3), (1, 5, 7)],
+])
+def test_splitting_fails_when_the_lines_are_not_the_factors(monkeypatch,
+                                                             lines):
+    monkeypatch.setattr(geometry, "_form_vanishes_on_line",
+                        lambda form, line, field: line in lines)
+    with pytest.raises(SplittingFailure, match="does not match F_2$"):
+        splitting_check_n2(PrimeField(13))
 
 
 def test_splitting_requires_1_mod_4():

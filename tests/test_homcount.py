@@ -363,8 +363,6 @@ def test_negative_budget_is_rejected():
     p = Presentation(("a",), [(1, 1)])
     with pytest.raises(InvalidParameter):
         count_homs(p, 3, budget=-1)
-    with pytest.raises(InvalidParameter):
-        relator_triviality_check(GroupMap(p, p, ((1,),)), 3, budget=-1)
     # a zero budget is a search that stops at its first node
     with pytest.raises(BudgetExceeded):
         count_homs(p, 3, budget=0)

@@ -311,6 +311,20 @@ def test_map_check_toy_examples():
     assert not rep.consistent_with_isomorphism
 
 
+def test_map_check_needs_a_well_defined_map_for_an_isomorphism():
+    # <a, c | a^7, c> -> <b | b^7>, a -> b, c -> b: onto and both H1 are Z/7,
+    # but c = 1 maps to b, so the map is no homomorphism; no hom into S_k
+    # with k <= 5 sees Z/7, so the finite quotients cannot tell
+    source = Presentation(("a", "c"), [(1,) * 7, (2,)])
+    target = Presentation(("b",), [(1,) * 7])
+    rep = map_check(GroupMap(source, target, ((1,), (1,))), kmax=5)
+    assert rep.source_h1 == rep.target_h1 == AbelianStructure(0, (7,))
+    assert rep.h1_surjective and rep.triviality.passed
+    assert not rep.h1_well_defined
+    assert not rep.h1_isomorphism
+    assert not rep.consistent_with_isomorphism
+
+
 def test_hom_counts_reach_k5():
     # |Hom(G, S_5)| for n = 3 from three presentations
     for p in (presentation_pi1(3), presentation_zariski3("corrected"),

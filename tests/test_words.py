@@ -205,6 +205,20 @@ def test_group_map_apply():
     assert gm.apply((-1,)) == (-2, -1)
 
 
+def test_group_map_validation():
+    src = Presentation(("a", "b"), [])
+    tgt = Presentation(("x",), [])
+    with pytest.raises(ValueError, match=r"^3 images for 2 generators$"):
+        GroupMap(src, tgt, ((1,), (1,), (1,)))
+    with pytest.raises(ValueError, match=r"^1 images for 2 generators$"):
+        GroupMap(src, tgt, ((1,),))
+    # the message names the first letter out of range, after free reduction
+    with pytest.raises(ValueError, match=r"^image letter -2 out of range$"):
+        GroupMap(src, tgt, ((1, 3, -3, -2), (2,)))
+    with pytest.raises(ValueError, match=r"^image letter 2 out of range$"):
+        GroupMap(src, tgt, ((1,), (2,)))
+
+
 def multiply_accumulate_substitute(w, images):
     """Letter by letter, multiply the image of each letter onto the result
     (the loop GroupMap.apply and power ran before substitute)."""
