@@ -81,9 +81,9 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def choose_prime(n: int, minimum: int = 2, *, mod4: bool = False) -> PrimeField:
-    """Smallest prime p >= minimum with p = 1 mod 2n (and 1 mod 4 on request),
-    so F_p contains the 2n-th roots of unity."""
+def choose_prime(n: int, minimum: int = 2) -> PrimeField:
+    """Smallest prime p >= minimum with p = 1 mod 2n, so F_p contains the
+    2n-th roots of unity."""
     if n < 2:
         raise InvalidParameter("n must be >= 2")
     step = 2 * n
@@ -91,7 +91,7 @@ def choose_prime(n: int, minimum: int = 2, *, mod4: bool = False) -> PrimeField:
     p = max(minimum, 3)
     p += (1 - p) % step
     while p < 2**31:
-        if (not mod4 or p % 4 == 1) and is_prime(p):
+        if is_prime(p):
             return PrimeField(p)
         p += step
     raise VerificationFailure("no admissible prime below 2^31")
@@ -304,6 +304,8 @@ def superabundance_multi(n: int, primes=None) -> SuperabundanceReport:
         fields = [choose_prime(n, 10_000)]
         while len(fields) < 3:
             fields.append(choose_prime(n, fields[-1].p + 1))
+    elif not primes:
+        raise InvalidParameter("at least one prime is required")
     elif len(set(primes)) != len(primes):
         raise InvalidParameter(f"primes must be distinct, got {primes}")
     else:

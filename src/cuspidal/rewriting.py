@@ -4,8 +4,9 @@ abelian groups.
 The target is a direct sum of cyclic groups; each source generator is sent to
 a residue tuple.  SchreierSystem owns the coset table: the coset reached by
 each letter, the Schreier transversal and the kernel letter read on each
-edge.  It rewrites words into kernel words, and reads the kernel relators'
-exponent sums straight off the table for the kernel's abelianization.
+edge.  It rewrites words of the kernel, and reads the kernel relators'
+exponent sums straight off the table for the kernel's abelianization; a
+word whose walk does not end at the coset it started from raises NotInKernel.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from operator import neg, sub
 from typing import Iterator
 
 from .errors import InvalidParameter, NotGenerating, NotInKernel
-from .words import (Presentation, Word, invert, multiply, reduce_word,
-                    simplify)
+from .words import Presentation, Word, invert, multiply, simplify
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,6 @@ class AbelianTarget:
         img = self.images[abs(x) - 1]
         return img if x > 0 else self.neg(img)
 
-    def image_of_word(self, w: Word) -> tuple[int, ...]:
-        acc = self.identity()
-        for x in w:
-            acc = self.add(acc, self.image_of_letter(x))
-        return acc
-
 
 class SchreierSystem:
     """The coset table of the kernel of p ->> target and its Schreier
@@ -88,7 +82,9 @@ class SchreierSystem:
     Cosets are the target's elements in row-major order, coset 0 the
     identity.  The representatives form a Schreier transversal (every prefix
     of a representative is a representative), built breadth-first from coset
-    0 trying the generators in generator_order (default: declaration order).
+    0 trying the generators in generator_order, each once (default:
+    declaration order); the images generate the target, so it reaches every
+    coset.
     The Schreier generator of (coset c, generator g) is
     rep(c) * g * rep(c g)^-1; those that freely reduce to the identity are
     never emitted, the rest are named <generator>_<residues of c>.
@@ -115,8 +111,11 @@ class SchreierSystem:
                 cj = index[target.add(el, target.image_of_letter(g))]
                 self._next[self._slots[ci] + g] = self._slots[cj]
                 self._next[self._slots[cj] - g] = self._slots[ci]
-        order = [target.generators.index(name) + 1
-                 for name in generator_order or target.generators]
+        names = generator_order or target.generators
+        if sorted(names) != sorted(target.generators):
+            raise InvalidParameter(
+                f"generator_order must list each of {target.generators} once")
+        order = [target.generators.index(name) + 1 for name in names]
         reps: list[Word | None] = [None] * len(elements)
         reps[0] = ()
         queue = deque([0])
@@ -127,8 +126,6 @@ class SchreierSystem:
                 if reps[cj] is None:
                     reps[cj] = reps[ci] + (g,)
                     queue.append(cj)
-        if None in reps:
-            raise NotGenerating("generator images do not generate the target")
         self.representatives: tuple[Word, ...] = tuple(reps)
         # (coset, letter) -> the signed kernel letter read on the way (0 for
         # a redundant generator)
@@ -158,8 +155,9 @@ class SchreierSystem:
         self._generator_slots = (positive, negative)
 
     def rewrite(self, w: Word, start_coset: int = 0) -> Word:
-        """Reidemeister-Schreier rewriting of w starting at a coset."""
-        slot = self._slots[start_coset]
+        """Reidemeister-Schreier rewriting of the kernel word w starting at
+        a coset."""
+        slot = start = self._slots[start_coset]
         out: list[int] = []
         for x in w:
             slot += x
@@ -170,6 +168,8 @@ class SchreierSystem:
                     out.pop()
                 else:
                     out.append(letter)
+        if slot != start:
+            raise NotInKernel(f"a word of length {len(w)} is not in the kernel")
         return tuple(out)
 
     def exponent_rows(self, relators) -> Iterator[dict[int, int]]:
@@ -191,16 +191,16 @@ class SchreierSystem:
         back by c (Sims, *Computation with Finitely Presented Groups*, 1994,
         ch. 2).
 
-        A relator whose walk ends at the coset it started from lies in the
-        kernel.  Its row at coset c is then the image of its row at coset 0
-        under conjugation by the representative of c, an automorphism of
-        the kernel's abelianization, so one zero row means that all of its
-        rows are zero, and its other cosets are skipped.
+        Every relator must lie in the kernel (NotInKernel otherwise).  Its
+        row at coset c is then the image of its row at coset 0 under
+        conjugation by the representative of c, an automorphism of the
+        kernel's abelianization, so a zero row at coset 0 means that all of
+        its rows are zero, and its other cosets are skipped.
         """
         next_slot, start = self._next, self._slots[0]
         # coset c -> the positive and the negative slot of each kernel
-        # generator, translated back by c; built as the cosets are reached
-        shifted: list[tuple[list[int], ...]] = []
+        # generator, translated back by c
+        shifted = [self._translated_slots(c) for c in range(len(self._slots))]
         seen = set()
         for r in dict.fromkeys(relators):
             if not r:
@@ -211,18 +211,15 @@ class SchreierSystem:
                 slot += x
                 counts[slot] += 1
                 slot = next_slot[slot]
-            closed = slot == start
-            for c in range(len(self._slots)):
-                if c == len(shifted):
-                    shifted.append(self._translated_slots(c))
-                positive, negative = shifted[c]
+            if slot != start:
+                raise NotInKernel(
+                    f"a relator of length {len(r)} is not in the kernel")
+            for positive, negative in shifted:
                 row = tuple(map(sub, map(counts.__getitem__, positive),
                                 map(counts.__getitem__, negative)))
                 first = next(filter(None, row), 0)
                 if not first:
-                    if closed:
-                        break
-                    continue
+                    break
                 if first < 0:
                     row = tuple(map(neg, row))
                 if row not in seen:
@@ -247,15 +244,12 @@ def subgroup_presentation(p: Presentation, target: AbelianTarget,
     kernel words quotiented out.
 
     Every relator and extra word is rewritten at every coset (conjugation by
-    each representative), then one Tietze pass runs with a budget of 10 000
+    each representative), so one that is not in the kernel raises
+    NotInKernel; then one Tietze pass runs with a budget of 10 000
     eliminations.
     """
-    extras = [reduce_word(w) for w in extra_kernel_words]
-    for w in extras:
-        if target.image_of_word(w) != target.identity():
-            raise NotInKernel(f"extra word has nonzero image: {w}")
     system = SchreierSystem(p, target, generator_order)
     relators = [system.rewrite(r, start_coset=ci)
-                for r in list(p.relators) + extras
+                for r in [*p.relators, *extra_kernel_words]
                 for ci in range(target.size)]
     return simplify(Presentation(system.generator_names, relators), 10_000)

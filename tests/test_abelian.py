@@ -11,8 +11,10 @@ from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _bareiss,
                               commutator_abelianization_rank,
                               invariant_factors, kernel_abelianization,
                               smith_normal_form, total_degree_kernel)
-from cuspidal.presentations import (presentation_G, presentation_oka,
-                                    presentation_pi1, presentation_pi1_reduced)
+from cuspidal.errors import NotInKernel
+from cuspidal.presentations import (derive_pi1_via_rs, presentation_G,
+                                    presentation_oka, presentation_pi1,
+                                    presentation_pi1_reduced)
 from cuspidal.rewriting import AbelianTarget, SchreierSystem
 from cuspidal.words import Presentation
 
@@ -246,6 +248,30 @@ def test_kernel_abelianization_on_other_targets(build, moduli, images):
     target = AbelianTarget(moduli, p.generators, images)
     assert kernel_abelianization(p, target) == \
         kernel_abelianization_oracle(p, target)
+
+
+@pytest.mark.parametrize("m", [3, 4, 7])
+def test_total_degree_kernel_needs_relators_of_degree_0_mod_m(m):
+    # pi1-reduced(5) has relators of total degree 10, so the map to Z/m is a
+    # homomorphism only for m dividing 10
+    with pytest.raises(NotInKernel):
+        total_degree_kernel(presentation_pi1_reduced(5), m)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_total_degree_kernel_refuses_derived_presentations(n):
+    # not every generator of the derived presentation is a meridian: some
+    # relators have a total degree that is not 0 mod 2n
+    with pytest.raises(NotInKernel):
+        total_degree_kernel(derive_pi1_via_rs(n), 2 * n)
+
+
+def test_kernel_abelianization_refuses_a_map_that_is_not_a_homomorphism():
+    # Oka(3) = <a, b | a^2, b^3>: a -> 1, b -> 0 in Z/4 sends a^2 to 2
+    p = presentation_oka(3)
+    with pytest.raises(NotInKernel):
+        kernel_abelianization(p, AbelianTarget((4,), p.generators,
+                                               ((1,), (0,))))
 
 
 def test_commutator_rank_builds_no_kernel_presentation(monkeypatch):

@@ -1,0 +1,95 @@
+"""Smoke test of scripts/bench.py: one small case of each suite, run the way
+the script runs its measurements, in a fresh interpreter
+(`python3 scripts/bench.py --child src CASE`).
+
+Each run must exit 0, give the known answer, and read a nonzero value on
+every work counter that counts work done.  The counters patch private
+names of the package (`SchreierSystem._next`, `abelian._eliminate`,
+`words._least_rotation`, `homcount._build_plan`, `geometry._plane_rows`),
+so a change to the code they patch shows here.  The children run in
+subprocesses because a measurement may leave the package patched
+(`time_derive` rebinds `rewriting.simplify`).
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from cuspidal.presentations import derive_pi1_via_rs
+from cuspidal.words import format_presentation
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child(case: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--child",
+         str(ROOT / "src"), case], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["seconds"] > 0
+    return run
+
+
+def test_homcount_suite():
+    run = child("derived(3), k = 4")
+    assert run["answer"] == 1194
+    assert run["work"] > 0  # search nodes
+
+
+def test_tietze_suite():
+    run = child("derive_pi1_via_rs(4)")
+    answer, work = run["answer"], run["work"]
+    digest = hashlib.sha256(
+        format_presentation(derive_pi1_via_rs(4)).encode()).hexdigest()
+    assert answer["sha256"] == digest[:16]
+    assert answer["generators"] == 4
+    for key in ("gens_eliminated", "letters_in", "letters_out"):
+        assert answer[key] > 0, key
+    for key in ("least_rotation_calls", "least_rotation_letters"):
+        assert work[key] > 0, key
+
+
+def test_alexander_suite():
+    run = child("alexander_polynomial(5)")
+    # degree 3(n - 1), no (t - 1) factor stripped
+    assert run["answer"]["degree"] == 12
+    assert run["answer"]["stripped"] == 0
+    assert run["work"] is None
+
+
+def test_kernel_suite():
+    run = child("commutator_abelianization_rank(9)")
+    assert run["answer"] == 24
+    for key in ("rows_walked", "letters_walked", "distinct_rows",
+                "unit_pivots"):
+        assert run["work"][key] > 0, key
+
+
+def test_geometry_suite_scan():
+    run = child("singular_points_scan(7,197)")
+    assert run["answer"]["points"] == 21  # 3n singular points
+    # the row scan evaluates F_n on its collapsed rows, not through
+    # TernaryForm.evaluate, so curve_evaluations counts nothing
+    for key in ("points_tested", "partial_evaluations"):
+        assert run["work"][key] > 0, key
+
+
+def test_geometry_suite_superabundance():
+    run = child("superabundance_multi(5)")
+    answer, work = run["answer"], run["work"]
+    assert (answer["s"], answer["h0"]) == (3, 3)  # h0 = (n - 3)(n - 2)/2
+    assert len(work["primes"]) == 3
+    for key in ("row_updates", "entry_updates"):
+        assert work[key] > 0, key
+
+
+def test_verify_suite():
+    run = child("verify-all --n 3")
+    assert run["answer"]["exit"] == 0
+    assert all(entry.get("passed", True)
+               for entry in run["answer"]["results"])
+    for key in ("plans", "pi1_reduced", "curve_forms"):
+        assert run["work"][key] > 0, key

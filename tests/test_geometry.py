@@ -136,24 +136,19 @@ def test_choose_prime_congruence():
     for n in (2, 3, 5, 7):
         f = choose_prime(n, 10_000)
         assert f.p >= 10_000 and f.p % (2 * n) == 1
-    f = choose_prime(2, 10, mod4=True)
-    assert f.p % 4 == 1
 
 
 def test_choose_prime_is_the_smallest_admissible_prime():
     # oracle: try every integer from the minimum up
-    def smallest(n, minimum, mod4):
+    def smallest(n, minimum):
         p = max(minimum, 3)
-        while not (p % (2 * n) == 1 and (not mod4 or p % 4 == 1)
-                   and is_prime(p)):
+        while not (p % (2 * n) == 1 and is_prime(p)):
             p += 1
         return p
 
     for n in range(2, 12):
         for minimum in list(range(0, 120, 7)) + [10_000, 10**6]:
-            for mod4 in (False, True):
-                assert choose_prime(n, minimum, mod4=mod4).p == \
-                    smallest(n, minimum, mod4)
+            assert choose_prime(n, minimum).p == smallest(n, minimum)
 
 
 def test_graded_lex_monomials():
@@ -358,6 +353,12 @@ def test_superabundance_primes_must_be_distinct():
         superabundance_multi(3, [19, 31, 19])
     # a single prime is allowed
     assert superabundance_multi(3, [19]) == superabundance(3, PrimeField(19))
+
+
+def test_superabundance_needs_a_prime():
+    # no prime is a usage error, not a disagreement across primes
+    with pytest.raises(InvalidParameter, match="at least one prime"):
+        superabundance_multi(3, [])
 
 
 def test_superabundance_rejects_even_n():

@@ -5,12 +5,34 @@ import pytest
 
 from cuspidal.abelian import abelianization
 from cuspidal.errors import InvalidParameter, NotGenerating, NotInKernel
-from cuspidal.presentations import presentation_pi1_reduced
+from cuspidal.presentations import presentation_oka, presentation_pi1_reduced
 from cuspidal.rewriting import (AbelianTarget, SchreierSystem,
                                 subgroup_presentation)
 from cuspidal.words import (Presentation, commutator, format_presentation,
                             invert, multiply, reduce_word, simplify,
                             substitute)
+
+
+def image_of_word(target, w):
+    """The image of a word in the target, letter by letter."""
+    acc = target.identity()
+    for x in w:
+        acc = target.add(acc, target.image_of_letter(x))
+    return acc
+
+
+def kernel_word(target, w):
+    """w followed by a correcting word, a shortest word in the positive
+    generators whose image cancels w's: a word of the kernel."""
+    words = {target.identity(): ()}
+    queue = [target.identity()]
+    for el in queue:
+        for g in range(1, len(target.generators) + 1):
+            reached = target.add(el, target.image_of_letter(g))
+            if reached not in words:
+                words[reached] = words[el] + (g,)
+                queue.append(reached)
+    return reduce_word(w + words[target.neg(image_of_word(target, w))])
 
 
 def raw_kernel(p, target, order=None):
@@ -30,8 +52,8 @@ def test_target_validation():
     t = AbelianTarget((3,), ("a",), ((5,),))
     assert t.images == ((2,),)
     assert t.size == 3
-    assert t.image_of_word((1, 1)) == (1,)
-    assert t.image_of_word((-1,)) == (1,)
+    assert image_of_word(t, (1, 1)) == (1,)
+    assert image_of_word(t, (-1,)) == (1,)
 
 
 def test_target_without_moduli_is_accepted():
@@ -39,7 +61,7 @@ def test_target_without_moduli_is_accepted():
     t = AbelianTarget((), (), ())
     assert t.size == 1 and t.identity() == ()
     t = AbelianTarget((), ("a", "b"), ((), ()))
-    assert t.image_of_word((1, -2, 1)) == ()
+    assert image_of_word(t, (1, -2, 1)) == ()
 
 
 def test_target_rejects_a_zero_modulus():
@@ -62,7 +84,7 @@ def test_transversal_schreier_property(order):
     assert len(reps) == 9
     assert transversal_is_prefix_closed(reps)
     # representatives hit each coset exactly once, in row-major order
-    assert [t.image_of_word(w) for w in reps] == list(
+    assert [image_of_word(t, w) for w in reps] == list(
         itertools.product(range(3), range(3)))
     # coset (1, 1) is first reached from the first generator tried
     first = t.generators.index((order or t.generators)[0]) + 1
@@ -73,8 +95,18 @@ def test_generator_order_must_reach_every_coset():
     # a alone reaches only the cosets (i, 0) of (Z/3)^2
     t = AbelianTarget((3, 3), ("a", "b"), ((1, 0), (0, 1)))
     free = Presentation(("a", "b"), [])
-    with pytest.raises(NotGenerating):
+    with pytest.raises(InvalidParameter):
         SchreierSystem(free, t, ("a",))
+
+
+@pytest.mark.parametrize("order", [("a", "b", "b"), ("b", "b"), ("a", "c")])
+def test_generator_order_lists_each_generator_once(order):
+    # the images generate (Z/2)^2, but an order that misses, repeats or
+    # invents a generator is a usage error
+    t = AbelianTarget((2, 2), ("a", "b"), ((1, 0), (0, 1)))
+    free = Presentation(("a", "b"), [])
+    with pytest.raises(InvalidParameter, match="once"):
+        SchreierSystem(free, t, order)
 
 
 def test_rewrite_of_kernel_word_expands_back():
@@ -86,12 +118,12 @@ def test_rewrite_of_kernel_word_expands_back():
         w = reduce_word(tuple(rng.choice((1, -1, 2, -2))
                               for _ in range(rng.randrange(12))))
         # force w into the kernel by appending a correction
-        img = t.image_of_word(w)
+        img = image_of_word(t, w)
         corr = tuple([1] * img[0] + [2] * img[1])
         w = multiply(w, invert(corr)) if any(img) else w
-        if t.image_of_word(w) != t.identity():
+        if image_of_word(t, w) != t.identity():
             w = multiply(w, w)  # even power is always in the kernel here
-        assert t.image_of_word(w) == t.identity()
+        assert image_of_word(t, w) == t.identity()
         rewritten = system.rewrite(w)
         assert substitute(rewritten, system.generator_words) == w
 
@@ -111,6 +143,27 @@ def test_extra_words_must_lie_in_kernel():
     p = Presentation(("a", "b"), [])
     with pytest.raises(NotInKernel):
         subgroup_presentation(p, t, [(1,)])
+
+
+def test_words_outside_the_kernel_are_refused():
+    # a is sent to 1 in Z/2, so a and a b a^-1 b a are not in the kernel
+    t = AbelianTarget((2,), ("a", "b"), ((1,), (0,)))
+    system = SchreierSystem(Presentation(("a", "b"), []), t)
+    for w in ((1,), (1, 2, -1, 2, 1)):
+        for ci in range(t.size):
+            with pytest.raises(NotInKernel, match=f"length {len(w)} "):
+                system.rewrite(w, ci)
+        with pytest.raises(NotInKernel, match=f"length {len(w)} "):
+            list(system.exponent_rows([(1, 1), w]))
+
+
+def test_relators_must_lie_in_kernel():
+    # Oka(3) = <a, b | a^2, b^3>; a -> 1, b -> 0 in Z/4 is not a
+    # homomorphism, since a^2 goes to 2
+    p = presentation_oka(3)
+    t = AbelianTarget((4,), p.generators, ((1,), (0,)))
+    with pytest.raises(NotInKernel):
+        subgroup_presentation(p, t, [])
 
 
 def test_rewrite_from_identity_coset():
@@ -172,15 +225,15 @@ def coset_arithmetic_rewrite(system, w, start_coset=0):
 def test_rewrite_matches_coset_arithmetic(moduli, images, order):
     rng = random.Random(43)
     t = AbelianTarget(moduli, ("a", "b", "c"), images)
-    relators = [reduce_word(tuple(rng.choice((1, -1, 2, -2, 3, -3))
-                                  for _ in range(rng.randrange(1, 10))))
+    relators = [kernel_word(t, tuple(rng.choice((1, -1, 2, -2, 3, -3))
+                                     for _ in range(rng.randrange(1, 10))))
                 for _ in range(6)]
     relators = [r for r in relators if r]
     p = Presentation(("a", "b", "c"), relators)
     system = SchreierSystem(p, t, order)
     for _ in range(100):
-        w = reduce_word(tuple(rng.choice((1, -1, 2, -2, 3, -3))
-                              for _ in range(rng.randrange(15))))
+        w = kernel_word(t, tuple(rng.choice((1, -1, 2, -2, 3, -3))
+                                 for _ in range(rng.randrange(15))))
         for ci in range(t.size):
             assert system.rewrite(w, ci) == coset_arithmetic_rewrite(
                 system, w, ci)
@@ -224,8 +277,8 @@ def test_exponent_rows_match_rewritten_words(moduli, images, order):
     rng = random.Random(44)
     t = AbelianTarget(moduli, ("a", "b", "c"), images)
     for _ in range(30):
-        relators = [reduce_word(tuple(rng.choice((1, -1, 2, -2, 3, -3))
-                                      for _ in range(rng.randrange(12))))
+        relators = [kernel_word(t, tuple(rng.choice((1, -1, 2, -2, 3, -3))
+                                         for _ in range(rng.randrange(12))))
                     for _ in range(rng.randrange(1, 6))]
         # repeated and inverted relators give repeated and negated rows
         relators += [invert(r) for r in relators[:2]] + relators[:1]
