@@ -272,8 +272,9 @@ def alexander_matrix(p: Presentation):
 
 def _unit_reduce(rows, size):
     """Sound pre-reduction: a unit entry lets us clear its column, delete its
-    row and column, and lower the minor size by one (the presented module is
-    unchanged and elementary ideals are indexed by corank)."""
+    row and column, and lower the minor size by one: the presented module is
+    unchanged, so the size-s minors of the matrix generate the same ideal as
+    the size-(s - 1) minors of what is left."""
     rows = [row[:] for row in rows]
     while size > 0:
         rows = [row for row in rows if any(not e.is_zero for e in row)]
@@ -378,10 +379,12 @@ def _echelon(rows: list[list[list[int]]], ncols: int):
     return echelon
 
 
-def elementary_ideal_gcd(rows, corank: int) -> LaurentPolynomial:
-    """Gcd of all (cols - corank)-sized minors of a Laurent-polynomial matrix
-    (a list of rows), normalized (no t^k factor, positive leading
-    coefficient).  Zero if all minors vanish.
+def elementary_ideal_gcd(rows) -> LaurentPolynomial:
+    """Gcd of all (cols - 1)-sized minors of a Laurent-polynomial matrix (a
+    list of rows), the minors that generate its first elementary ideal;
+    normalized (no t^k factor, positive leading coefficient).  Zero if all
+    minors vanish.  A matrix of at most one column has no such minors and
+    raises InvalidParameter.
 
     By Gauss's lemma the gcd over Z[t, t^-1] is c*P, with P the primitive gcd
     over Q[t] and c the gcd of the minors' integer contents.  P comes from
@@ -390,9 +393,10 @@ def elementary_ideal_gcd(rows, corank: int) -> LaurentPolynomial:
     (on the curve presentations, the first nonzero minor already has
     content 1)."""
     cols = len(rows[0]) if rows else 0
-    size = cols - corank
+    size = cols - 1
     if size < 1:
-        raise InvalidParameter("corank leaves no minors to take")
+        raise InvalidParameter(
+            f"a matrix of {cols} columns has no (cols - 1)-sized minors")
     # deduplicate rows; duplicates contribute only repeated or zero minors
     seen = set()
     unique = []
@@ -435,7 +439,7 @@ def alexander_polynomial(p: Presentation):
 
     Returns (polynomial, number of (t - 1) factors stripped).
     """
-    g = elementary_ideal_gcd(alexander_matrix(p), corank=1)
+    g = elementary_ideal_gcd(alexander_matrix(p))
     t_minus_1 = LaurentPolynomial(0, (-1, 1))
     stripped = 0
     while stripped < 2 and not g.is_zero and not g.is_unit():

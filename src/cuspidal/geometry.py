@@ -197,7 +197,9 @@ def singular_points(n: int, field: PrimeField) -> list[ProjectivePoint]:
 
 def _plane_rows(p: int):
     """P^2(F_p) as rows of points [x:y:z] with (x, y) fixed: (1, y) for
-    every y, then (0, 1), each with every z, then (0, 0) with z = 1 only."""
+    every y, then (0, 1), each with every z, then (0, 0) with z = 1 only.
+    Every triple has first nonzero coordinate 1, so the same rows list the
+    lines of the plane by their normalized coefficient triples."""
     for y in range(p):
         yield 1, y, range(p)
     yield 0, 1, range(p)
@@ -332,18 +334,6 @@ class SplittingReport:
     intersection_points: tuple[tuple[int, int, int], ...]
 
 
-def _normalized_linear_forms(field: PrimeField):
-    """The coefficient triples of the p^2 + p + 1 lines, first nonzero
-    coefficient 1, in lexicographic order."""
-    p = field.p
-    yield 0, 0, 1
-    for c in range(p):
-        yield 0, 1, c
-    for b in range(p):
-        for c in range(p):
-            yield 1, b, c
-
-
 def _form_vanishes_on_line(form: TernaryForm, line, field: PrimeField) -> bool:
     """Whether a quartic vanishes on the line {ax + by + cz = 0}: a binary
     quartic with 5 distinct projective zeros is zero, so 5 points of the
@@ -368,8 +358,8 @@ def splitting_check_n2(field: PrimeField) -> SplittingReport:
     if p % 4 != 1:
         raise InvalidParameter("p must be 1 mod 4")
     form = curve_form(2, field)
-    lines = [ln for ln in _normalized_linear_forms(field)
-             if _form_vanishes_on_line(form, ln, field)]
+    lines = sorted((a, b, c) for a, b, cs in _plane_rows(p) for c in cs
+                   if _form_vanishes_on_line(form, (a, b, c), field))
     if len(lines) != 4:
         raise SplittingFailure(f"expected 4 linear factors, found {len(lines)}")
     prod_form = TernaryForm(0, field, {(0, 0, 0): 1})

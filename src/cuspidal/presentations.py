@@ -144,8 +144,7 @@ def derive_pi1_via_rs(n: int) -> Presentation:
     e, l1, l2 = ((1,), (2,), (3,))
     l0 = invert(multiply(multiply(l2, power(e, 2)), l1))
     extras = [power(l1, n), power(l2, n), power(l0, n)]
-    return subgroup_presentation(p, target, extras,
-                                 generator_order=("l1", "l2", "e"))
+    return subgroup_presentation(p, target, extras)
 
 
 _ZARISKI3_GENERATORS = ("g2", "g00", "g01", "g10", "g11")
@@ -247,7 +246,7 @@ def oka_quotient(n: int):
         for j in range(1, n):
             relators.append((i * n + j + 1, -(i * n + 1)))
     raw = Presentation(p.generators, relators)
-    quotient, image_map = simplify_with_map(raw, 10_000)
+    quotient, image_map = simplify_with_map(raw)
     images = tuple(image_map[name] for name in p.generators)
     return GroupMap(p, quotient, images), quotient
 

@@ -82,16 +82,14 @@ class SchreierSystem:
     Cosets are the target's elements in row-major order, coset 0 the
     identity.  The representatives form a Schreier transversal (every prefix
     of a representative is a representative), built breadth-first from coset
-    0 trying the generators in generator_order, each once (default:
-    declaration order); the images generate the target, so it reaches every
-    coset.
+    0 trying the generators in declaration order; the images generate the
+    target, so it reaches every coset.
     The Schreier generator of (coset c, generator g) is
     rep(c) * g * rep(c g)^-1; those that freely reduce to the identity are
     never emitted, the rest are named <generator>_<residues of c>.
     """
 
-    def __init__(self, p: Presentation, target: AbelianTarget,
-                 generator_order=None):
+    def __init__(self, p: Presentation, target: AbelianTarget):
         if target.generators != p.generators:
             raise ValueError(
                 "target images must be indexed by p's generators")
@@ -111,17 +109,12 @@ class SchreierSystem:
                 cj = index[target.add(el, target.image_of_letter(g))]
                 self._next[self._slots[ci] + g] = self._slots[cj]
                 self._next[self._slots[cj] - g] = self._slots[ci]
-        names = generator_order or target.generators
-        if sorted(names) != sorted(target.generators):
-            raise InvalidParameter(
-                f"generator_order must list each of {target.generators} once")
-        order = [target.generators.index(name) + 1 for name in names]
         reps: list[Word | None] = [None] * len(elements)
         reps[0] = ()
         queue = deque([0])
         while queue:
             ci = queue.popleft()
-            for g in order:
+            for g in range(1, ngen + 1):
                 cj = self._next[self._slots[ci] + g] // width
                 if reps[cj] is None:
                     reps[cj] = reps[ci] + (g,)
@@ -154,7 +147,7 @@ class SchreierSystem:
         self._elements, self._index = elements, index
         self._generator_slots = (positive, negative)
 
-    def rewrite(self, w: Word, start_coset: int = 0) -> Word:
+    def rewrite(self, w: Word, start_coset: int) -> Word:
         """Reidemeister-Schreier rewriting of the kernel word w starting at
         a coset."""
         slot = start = self._slots[start_coset]
@@ -238,18 +231,16 @@ class SchreierSystem:
 
 
 def subgroup_presentation(p: Presentation, target: AbelianTarget,
-                          extra_kernel_words, *,
-                          generator_order=None) -> Presentation:
+                          extra_kernel_words) -> Presentation:
     """Presentation of the kernel, with the normal closures of the extra
     kernel words quotiented out.
 
     Every relator and extra word is rewritten at every coset (conjugation by
     each representative), so one that is not in the kernel raises
-    NotInKernel; then one Tietze pass runs with a budget of 10 000
-    eliminations.
+    NotInKernel; then Tietze simplification runs to its fixed point.
     """
-    system = SchreierSystem(p, target, generator_order)
-    relators = [system.rewrite(r, start_coset=ci)
+    system = SchreierSystem(p, target)
+    relators = [system.rewrite(r, ci)
                 for r in [*p.relators, *extra_kernel_words]
                 for ci in range(target.size)]
-    return simplify(Presentation(system.generator_names, relators), 10_000)
+    return simplify(Presentation(system.generator_names, relators))

@@ -265,23 +265,24 @@ def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
                          for i, r in enumerate(p.relators) if i != idx])
 
 
-def simplify(p: Presentation, budget: int) -> Presentation:
-    """Deterministic Tietze simplification driver.
+def simplify(p: Presentation) -> Presentation:
+    """Deterministic Tietze simplification driver, run to its fixed point.
 
     Each step eliminates one generator that occurs exactly once in some
-    relator.  Empty relators and repeated input relators are dropped at
+    relator, and the steps go on until no relator has such a generator;
+    every step removes a generator, so there are at most as many steps as
+    generators.  Empty relators and repeated input relators are dropped at
     once; relators that the steps turn into cyclic copies of one another are
-    merged only at the end, keeping the first.  At most `budget`
-    eliminations are performed; the generator count never increases.
+    merged only at the end, keeping the first.
     """
-    return _tietze(p, budget)[0]
+    return _tietze(p)[0]
 
 
-def simplify_with_map(p: Presentation, budget: int):
+def simplify_with_map(p: Presentation):
     """Like simplify, with the same result and the same duplicate merging
     at the end, but also returns each original generator's image word: the
     eliminations are replayed on the generators, then renumbered."""
-    q, log = _tietze(p, budget)
+    q, log = _tietze(p)
     images: list[Word] = [(i + 1,) for i in range(len(p.generators))]
     for g, defining in log:
         images = [_substitute(w, g, defining) if g in w or -g in w else w
@@ -298,11 +299,9 @@ def _survivor_ids(ngen: int, log) -> dict[int, int]:
     return {g: i + 1 for i, g in enumerate(kept)}
 
 
-def _tietze(p: Presentation, budget: int):
+def _tietze(p: Presentation):
     """The Tietze loop of simplify: the result and the list of its steps,
     (eliminated generator, its defining word), ids as in p."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
     # Inside the loop generators keep their original 1-based ids; they are
     # renumbered once at the end.  A relator is stored as whichever cyclic
     # word its last substitution left, not in cyclic normal form: no
@@ -342,9 +341,7 @@ def _tietze(p: Presentation, budget: int):
             rels.append(None)
             place(len(rels) - 1, r)
     log: list[tuple[int, Word]] = []
-    for _ in range(budget):
-        if not key:
-            break
+    while key:
         _, g, ri = min(key.values())
         r = rels[ri]
         pos = next(i for i, x in enumerate(r) if abs(x) == g)

@@ -31,10 +31,10 @@ def relator_matrix(p: Presentation) -> IntegerMatrix:
     return IntegerMatrix(len(p.relators), ngen, rows)
 
 
-def raw_kernel(p, target, order=None):
+def raw_kernel(p, target):
     """The kernel presentation before any Tietze step: every relator
     rewritten at every coset."""
-    system = SchreierSystem(p, target, order)
+    system = SchreierSystem(p, target)
     return Presentation(system.generator_names,
                         [system.rewrite(r, ci) for r in p.relators
                          for ci in range(target.size)])

@@ -178,7 +178,7 @@ def test_criterion_10b_tietze_invariance():
         assert _battery(bigger) == before
         back = tietze_eliminate(bigger, "h", extra)
         assert _battery(back) == before
-        assert _battery(simplify(bigger, 100)) == before
+        assert _battery(simplify(bigger)) == before
         done += 1
 
 

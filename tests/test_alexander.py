@@ -285,9 +285,9 @@ def test_alexander_matrix_matches_fox_derivatives(name):
 
 def test_elementary_ideal_unit_shortcut():
     # a presentation of the trivial group: ideals are the whole ring
-    p = Presentation(("a",), [(1,)])
+    p = Presentation(("a", "b"), [(1,), (2,)])
     m = alexander_matrix(p)
-    g = elementary_ideal_gcd(m, corank=0)
+    g = elementary_ideal_gcd(m)
     assert g.is_unit()
 
 
@@ -322,10 +322,11 @@ def minor_gcd(rows, size):
     return acc.normalized()
 
 
-def oracle_elementary_ideal_gcd(rows, corank):
+def oracle_elementary_ideal_gcd(rows):
     """The minor-enumeration route: drop zero and repeated rows, clear unit
-    entries with `_unit_reduce`, then the gcd of all remaining minors."""
-    size = len(rows[0]) - corank
+    entries with `_unit_reduce`, then the gcd of all remaining minors of
+    size cols - 1."""
+    size = len(rows[0]) - 1
     seen, unique = set(), []
     for row in rows:
         key = tuple((e.low, e.coeffs) for e in row)
@@ -359,18 +360,14 @@ CURVE_PRESENTATIONS = {
 @pytest.mark.parametrize("name", CURVE_PRESENTATIONS)
 def test_elementary_ideals_match_minor_enumeration_on_curves(name):
     m = alexander_matrix(CURVE_PRESENTATIONS[name]())
-    for corank in (0, 1, 2):
-        if len(m[0]) - corank < 1:
-            continue
-        assert elementary_ideal_gcd(m, corank) == \
-            oracle_elementary_ideal_gcd(m, corank), corank
+    assert elementary_ideal_gcd(m) == oracle_elementary_ideal_gcd(m)
 
 
 def random_laurent_matrix(rng):
     """Rows of random Laurent polynomials with negative exponents, zero
     entries and rows, repeated rows, a row scaled by 2(t + 1) and rows that
     are combinations of others (rank-deficient)."""
-    nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 5)
+    nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
 
     def entry():
         if rng.random() < 0.3:
@@ -400,26 +397,27 @@ def random_laurent_matrix(rng):
 def test_elementary_ideals_match_minor_enumeration_on_random_matrices():
     rng = random.Random(54)
     compared = 0
-    for _ in range(300):
+    for _ in range(520):
         rows = random_laurent_matrix(rng)
         ncols = len(rows[0])
-        for corank in range(3):
-            if ncols - corank < 1:
-                with pytest.raises(InvalidParameter):
-                    elementary_ideal_gcd(rows, corank)
-                continue
-            # the definition itself: no row dropping, no unit reduction
-            assert elementary_ideal_gcd(rows, corank) == \
-                minor_gcd(rows, ncols - corank), (rows, corank)
-            compared += 1
+        if ncols < 2:
+            with pytest.raises(InvalidParameter):
+                elementary_ideal_gcd(rows)
+            continue
+        # the definition itself: no row dropping, no unit reduction
+        assert elementary_ideal_gcd(rows) == minor_gcd(rows, ncols - 1), rows
+        compared += 1
     assert compared >= 400
 
 
 def test_elementary_ideal_content_is_kept():
     # every minor of 2(t + 1) * [[t - 1, 3]] is divisible by 2(t + 1)
     row = [LaurentPolynomial(-1, (-2, 0, 2)), LaurentPolynomial(0, (6, 6))]
-    assert elementary_ideal_gcd([row], 1) == LaurentPolynomial(0, (2, 2))
-    assert elementary_ideal_gcd([row, row], 0).is_zero
+    assert elementary_ideal_gcd([row]) == LaurentPolynomial(0, (2, 2))
+    # every 2 x 2 minor of a matrix of rank 1 vanishes
+    wide = row + [LaurentPolynomial(0, (1, 1))]
+    t = LaurentPolynomial(1, (1,))
+    assert elementary_ideal_gcd([wide, [t * e for e in wide]]).is_zero
 
 
 @pytest.mark.parametrize("n", [7, 9, 11, 13, 15])

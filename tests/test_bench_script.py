@@ -71,10 +71,9 @@ def test_kernel_suite():
 def test_geometry_suite_scan():
     run = child("singular_points_scan(7,197)")
     assert run["answer"]["points"] == 21  # 3n singular points
-    # the row scan evaluates F_n on its collapsed rows, not through
-    # TernaryForm.evaluate, so curve_evaluations counts nothing
-    for key in ("points_tested", "partial_evaluations"):
-        assert run["work"][key] > 0, key
+    assert run["work"]
+    for key, count in run["work"].items():
+        assert count > 0, key
 
 
 def test_geometry_suite_superabundance():

@@ -8,8 +8,7 @@ from cuspidal import geometry
 from cuspidal.abelian import independent_rows
 from cuspidal.errors import InvalidParameter, NotSingular, SplittingFailure
 from cuspidal.geometry import (PrimeField, ProjectivePoint, TernaryForm,
-                               _form_vanishes_on_line,
-                               _normalized_linear_forms,
+                               _form_vanishes_on_line, _plane_rows,
                                _zeros_in_plane, choose_prime, curve_form,
                                graded_lex_monomials, is_prime, milnor_ratio,
                                singular_points, singular_points_scan,
@@ -383,11 +382,17 @@ def test_quartic_splits_into_four_lines(p):
     assert len(set(rep.intersection_points)) == 6
 
 
+def plane_triples(p):
+    """The triples of _plane_rows, in the order the rows give them."""
+    return [(x, y, z) for x, y, zs in _plane_rows(p) for z in zs]
+
+
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
 def test_normalized_linear_forms_match_filter(p):
-    field = PrimeField(p)
-    forms = list(_normalized_linear_forms(field))
-    assert forms == list(filtered_linear_forms(field))
+    # the normalized coefficient triples of the lines are the points of the
+    # dual plane, so the plane's rows list them too
+    forms = sorted(plane_triples(p))
+    assert forms == list(filtered_linear_forms(PrimeField(p)))
     assert len(forms) == p * p + p + 1
 
 
@@ -409,9 +414,9 @@ def test_line_test_matches_full_scan(p):
     # p = 5 a line has only six points
     field = PrimeField(p)
     form = curve_form(2, field)
-    found = [ln for ln in _normalized_linear_forms(field)
-             if _form_vanishes_on_line(form, ln, field)]
-    assert found == [ln for ln in _normalized_linear_forms(field)
+    lines = sorted(plane_triples(p))
+    found = [ln for ln in lines if _form_vanishes_on_line(form, ln, field)]
+    assert found == [ln for ln in lines
                      if scan_vanishes_on_line(form, ln, field)]
     assert len(found) == 4
     assert splitting_check_n2(field).linear_forms == tuple(found)
