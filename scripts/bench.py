@@ -41,13 +41,17 @@ timed call: the relator walks of `SchreierSystem.exponent_rows` and the
 letters they read (the reads of the coset table, one per letter walked),
 the distinct rows, the unit pivots and the shape of the dense remainder.
 
-geometry: `singular_points_scan(n, p)` at (7, 197) and (9, 307) and
-`superabundance_multi(n)` for n = 15, 25, 31 (the whole call).  The work is
-counted in a second, instrumented call after the timed one: the points of
-P^2(F_p) the scan tests (F_n is evaluated once at each, on the rows the scan
-collapses), the evaluations of its partials, the primes and evaluation
-matrix shape of the superabundance, and the row updates of its rank
-computation (the calls of `abelian._eliminate` under
+geometry: `singular_points_scan(n, p)` at (7, 197), (9, 307) and
+(7, 2003), `splitting_check_n2(p)` at p = 29, 101, 1009 and
+`superabundance_multi(n)` for n = 15, 25, 31, 41, 61 (the whole call).  The
+work is counted in a second, instrumented call after the timed one: the
+values of F_n the scan computes (one per row of P^2(F_p) and value of z^d,
+for the d of `geometry._power_fibres`; one per row and z in a version
+without it) and the evaluations of its partials; the lines the splitting
+check tests (`geometry._form_vanishes_on_line`) and the rows of lines it
+skips untested; the primes of the superabundance, its evaluation matrix as
+rows x used columns (those with an entry nonzero mod p), and the row
+updates of its rank computation (the calls of `abelian._eliminate` under
 `abelian.independent_rows`) and the matrix entries they rewrite.
 
 verify: the whole `verify-all --n N` command for N = 2..13, stdout
@@ -92,8 +96,9 @@ DERIVE_N = (4, 5, 6, 7, 8)
 ALEXANDER_N = (5, 7, 9, 11)
 RANK_N = (5, 7, 9)
 KERNEL_N = (9, 11, 13, 15, 17, 19, 21)
-SCAN_CASES = ((7, 197), (9, 307))
-SUPERABUNDANCE_N = (15, 25, 31)
+SCAN_CASES = ((7, 197), (9, 307), (7, 2003))
+SPLITTING_P = (29, 101, 1009)
+SUPERABUNDANCE_N = (15, 25, 31, 41, 61)
 VERIFY_N = tuple(range(2, 14))
 SUITES = {
     "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
@@ -103,6 +108,7 @@ SUITES = {
                  + [f"commutator_abelianization_rank({n})" for n in RANK_N],
     "kernel": [f"commutator_abelianization_rank({n})" for n in KERNEL_N],
     "geometry": [f"singular_points_scan({n},{p})" for n, p in SCAN_CASES]
+                + [f"splitting_check_n2({p})" for p in SPLITTING_P]
                 + [f"superabundance_multi({n})" for n in SUPERABUNDANCE_N],
     "verify": [f"verify-all --n {n}" for n in VERIFY_N],
 }
@@ -128,9 +134,10 @@ WHAT = {
               "call, fresh interpreter per run; the rank is identical for "
               "both versions; *_work are each version's work counts",
     "geometry": "median wall seconds of one call, fresh interpreter per run; "
-                "answers (sha256 of the scanned points, the superabundance "
-                "report) are identical for both versions; *_work are each "
-                "version's work counts, from a second, instrumented call",
+                "answers (sha256 of the scanned points, of the lines and "
+                "meeting points of the splitting, the superabundance report) "
+                "are identical for both versions; *_work are each version's "
+                "work counts, from a second, instrumented call",
     "verify": "median wall seconds of one verify-all --n N command, fresh "
               "interpreter per run, stdout captured; answers (exit code and "
               "structured results) are identical for both versions; *_work "
@@ -308,18 +315,28 @@ def counting(owner, name: str, count, items: bool = False):
 def scan_work(n: int, p: int) -> dict:
     """The work of singular_points_scan(n, p) in this version."""
     from cuspidal import geometry
-    work = {"points_tested": 0, "partial_evaluations": 0}
+    work = {"values_evaluated": 0, "partial_evaluations": 0}
+    # values of F_n per row: one per value of z^d, or, in a version without
+    # _power_fibres, one per z
+    per_row = [p]
+
+    def fibred(args, out):
+        per_row[0] = len(out)
+
+    def row(args, item):
+        work["values_evaluated"] += per_row[0]
 
     def evaluated(args, out):
         if args[0].degree == 2 * n - 1:
             work["partial_evaluations"] += 1
 
-    def tested(args, item):
-        # a row (x, y, zs) of the row scan
-        work["points_tested"] += len(item[2])
-
-    with counting(geometry, "_plane_rows", tested, items=True), \
-            counting(geometry.TernaryForm, "evaluate", evaluated):
+    with contextlib.ExitStack() as stack:
+        if hasattr(geometry, "_power_fibres"):
+            stack.enter_context(counting(geometry, "_power_fibres", fibred))
+        stack.enter_context(counting(geometry, "_plane_rows", row,
+                                     items=True))
+        stack.enter_context(counting(geometry.TernaryForm, "evaluate",
+                                     evaluated))
         geometry.singular_points_scan(n, geometry.PrimeField(p))
     return work
 
@@ -336,6 +353,37 @@ def time_scan(n: int, p: int):
                      "points": len(coords)}, scan_work(n, p)
 
 
+def splitting_work(p: int) -> dict:
+    """The work of splitting_check_n2(p) in this version."""
+    from cuspidal import geometry
+    rows, tested = [], []
+
+    def row(args, item):
+        rows.append(item[:2])
+
+    def line(args, out):
+        tested.append(args[1])
+
+    with counting(geometry, "_plane_rows", row, items=True), \
+            counting(geometry, "_form_vanishes_on_line", line):
+        geometry.splitting_check_n2(geometry.PrimeField(p))
+    reached = {(a, b) for a, b, _ in tested}
+    return {"lines_tested": len(tested),
+            "rows_skipped": sum(r not in reached for r in rows)}
+
+
+def time_splitting(p: int):
+    from cuspidal.geometry import PrimeField, splitting_check_n2
+    field = PrimeField(p)
+    start = time.perf_counter()
+    rep = splitting_check_n2(field)
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256(
+        str((rep.linear_forms, rep.intersection_points)).encode())
+    return seconds, {"sha256": digest.hexdigest()[:16],
+                     "lines": len(rep.linear_forms)}, splitting_work(p)
+
+
 def superabundance_work(n: int) -> dict:
     """The work of superabundance_multi(n) in this version."""
     from cuspidal import abelian, geometry
@@ -343,9 +391,13 @@ def superabundance_work(n: int) -> dict:
             "entry_updates": 0}
 
     def ranked(args, out):
-        matrix, p = args
+        # dict rows, or dense lists in a version that ranks those
+        rows, p = args
         work["primes"].append(p)
-        work["matrix"] = [len(matrix), len(matrix[0])]
+        used = {j for row in rows
+                for j, v in (row.items() if isinstance(row, dict)
+                             else enumerate(row)) if v % p}
+        work["matrix"] = [len(rows), len(used)]
 
     def eliminated(args, out):
         work["row_updates"] += 1
@@ -371,6 +423,7 @@ CALLS = {"derive_pi1_via_rs": time_derive,
          "alexander_polynomial": time_alexander,
          "commutator_abelianization_rank": time_commutator_rank,
          "singular_points_scan": time_scan,
+         "splitting_check_n2": time_splitting,
          "superabundance_multi": time_superabundance}
 
 

@@ -7,7 +7,9 @@ sequence can overflow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .errors import InvalidParameter
@@ -329,17 +331,24 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int,
             del row[j]
 
 
-def independent_rows(matrix, p: int) -> list[int]:
-    """The indices of the rows of matrix independent mod the prime p of
-    the rows before them: the first basis of the row space in row order.
+def independent_rows(rows, p: int) -> list[int]:
+    """The indices of the rows independent mod the prime p of the rows
+    before them: the first basis of the row space in row order.
 
-    Forward elimination on sparse rows: each row in turn is reduced by the
+    The rows are sparse, dicts column -> entry (not consumed); a column is
+    any hashable key.  The columns are renumbered fewest-touched-first (by
+    the rows with the key, ties in the order the rows first use them),
+    since a pivot in a column few rows touch leaves few rows to update;
+    row independence does not depend on the column order, so neither do
+    the indices.  Forward elimination: each row in turn is reduced by the
     pivot rows before it, from its leading column on, until it is zero or
     leads in a new column."""
+    touched = Counter(chain.from_iterable(rows))  # column -> rows with it
+    order = {j: k for k, j in enumerate(sorted(touched, key=touched.get))}
     pivots: dict[int, dict[int, int]] = {}
     found = []
-    for i, dense in enumerate(matrix):
-        row = {j: v % p for j, v in enumerate(dense) if v % p}
+    for i, sparse in enumerate(rows):
+        row = {order[j]: v % p for j, v in sparse.items() if v % p}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

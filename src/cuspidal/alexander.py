@@ -379,12 +379,13 @@ def _echelon(rows: list[list[list[int]]], ncols: int):
     return echelon
 
 
-def elementary_ideal_gcd(rows) -> LaurentPolynomial:
+def elementary_ideal_gcd(rows, cols: int) -> LaurentPolynomial:
     """Gcd of all (cols - 1)-sized minors of a Laurent-polynomial matrix (a
-    list of rows), the minors that generate its first elementary ideal;
-    normalized (no t^k factor, positive leading coefficient).  Zero if all
-    minors vanish.  A matrix of at most one column has no such minors and
-    raises InvalidParameter.
+    list of rows, each of cols entries), the minors that generate its first
+    elementary ideal; normalized (no t^k factor, positive leading
+    coefficient).  Zero if all minors vanish, as for a matrix with no rows.
+    A matrix of at most one column has no such minors and raises
+    InvalidParameter.
 
     By Gauss's lemma the gcd over Z[t, t^-1] is c*P, with P the primitive gcd
     over Q[t] and c the gcd of the minors' integer contents.  P comes from
@@ -392,7 +393,6 @@ def elementary_ideal_gcd(rows) -> LaurentPolynomial:
     c from the minors of the matrix itself, enumerated until the gcd is 1
     (on the curve presentations, the first nonzero minor already has
     content 1)."""
-    cols = len(rows[0]) if rows else 0
     size = cols - 1
     if size < 1:
         raise InvalidParameter(
@@ -439,7 +439,7 @@ def alexander_polynomial(p: Presentation):
 
     Returns (polynomial, number of (t - 1) factors stripped).
     """
-    g = elementary_ideal_gcd(alexander_matrix(p))
+    g = elementary_ideal_gcd(alexander_matrix(p), len(p.generators))
     t_minus_1 = LaurentPolynomial(0, (-1, 1))
     stripped = 0
     while stripped < 2 and not g.is_zero and not g.is_unit():

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .abelian import independent_rows
 from .errors import (InvalidParameter, NotSingular, RankDeficiencySuspect,
@@ -139,8 +140,10 @@ class TernaryForm:
     def evaluate(self, pt) -> int:
         x, y, z = pt.coords if isinstance(pt, ProjectivePoint) else pt
         p = self.field.p
-        return sum(coef * pow(x, a, p) * pow(y, b, p) * pow(z, c, p)
-                   for (a, b, c), coef in self.coeffs.items()) % p
+        total = 0
+        for (a, b, c), coef in self.coeffs.items():
+            total += coef * pow(x, a, p) * pow(y, b, p) * pow(z, c, p)
+        return total % p
 
     def partial(self, var: int) -> "TernaryForm":
         out: dict[tuple[int, int, int], int] = {}
@@ -206,26 +209,45 @@ def _plane_rows(p: int):
     yield 0, 0, range(1, 2)
 
 
+def _power_fibres(d: int, p: int) -> dict[int, list[int]]:
+    """The fibres of z -> z^d on F_p: each value u, in the order of its
+    least preimage, with its preimages in increasing order.  For d = 0 the
+    one value is 1."""
+    fibres: dict[int, list[int]] = {}
+    for z in range(p):
+        fibres.setdefault(pow(z, d, p), []).append(z)
+    return fibres
+
+
 def _zeros_in_plane(forms, field: PrimeField) -> list[tuple[int, int, int]]:
     """The points of P^2(F_p) where every form vanishes, in the order of
-    _plane_rows.  The first form is tested at every point: on each row it
-    collapses to a polynomial in z, evaluated from per-exponent power
-    tables.  The other forms are evaluated only where the first vanishes."""
+    _plane_rows.  On each row the first form collapses to a polynomial in
+    u = z^d, with d the gcd of its z-exponents, which is evaluated once per
+    value of u from u-power tables; the row's zeros are read off the fibres
+    of z -> z^d.  The other forms are evaluated only where the first
+    vanishes."""
     p = field.p
     first, rest = forms[0], forms[1:]
+    d = gcd(*(c for _, _, c in first.coeffs))
+    fibres = _power_fibres(d, p)
     power = {e: [pow(v, e, p) for v in range(p)]
-             for e in {e for mono in first.coeffs for e in mono}}
+             for e in {e for a, b, _ in first.coeffs for e in (a, b)}}
+    # z-exponent c -> (z^d)^(c/d) at each value of z^d
+    upower = {c: [pow(u, c // d if d else 0, p) for u in fibres]
+              for c in {c for _, _, c in first.coeffs}}
     found = []
     for x, y, zs in _plane_rows(p):
         by_z: dict[int, int] = {}
         for (a, b, c), coef in first.coeffs.items():
             by_z[c] = by_z.get(c, 0) + coef * power[a][x] * power[b][y]
-        values = [0] * p
+        values = [0] * len(fibres)
         for c, coef in by_z.items():
             coef %= p
             if coef:
-                values = [v + coef * w for v, w in zip(values, power[c])]
-        found += [(x, y, z) for z in zs if values[z] % p == 0
+                values = [v + coef * w for v, w in zip(values, upower[c])]
+        zeros = sorted(z for u, v in zip(fibres, values) if v % p == 0
+                       for z in fibres[u])
+        found += [(x, y, z) for z in zeros if z in zs
                   and all(f.evaluate((x, y, z)) == 0 for f in rest)]
     return found
 
@@ -290,11 +312,21 @@ def superabundance(n: int, field: PrimeField) -> SuperabundanceReport:
     pts = singular_points(n, field)
     monos = graded_lex_monomials(n - 1)
     p = field.p
-    matrix = []
+    # the zero coordinates of a point -> the monomials nonzero there: those
+    # with no positive exponent on a zero coordinate
+    supported: dict[tuple[bool, bool, bool], list] = {}
+    rows = []
     for pt in pts:
-        px, py, pz = ([pow(v, e, p) for e in range(n)] for v in pt.coords)
-        matrix.append([px[a] * py[b] * pz[c] % p for a, b, c in monos])
-    r = len(independent_rows(matrix, p))
+        x, y, z = pt.coords
+        zero = zx, zy, zz = x == 0, y == 0, z == 0
+        if zero not in supported:
+            supported[zero] = [(j, a, b, c)
+                               for j, (a, b, c) in enumerate(monos)
+                               if not (zx and a or zy and b or zz and c)]
+        px, py, pz = ([pow(v, e, p) for e in range(n)] for v in (x, y, z))
+        rows.append({j: px[a] * py[b] * pz[c] % p
+                     for j, a, b, c in supported[zero]})
+    r = len(independent_rows(rows, p))
     ncols = len(monos)
     return SuperabundanceReport(n, p, r, ncols - r, 3 * n - r)
 
@@ -351,6 +383,21 @@ def _form_vanishes_on_line(form: TernaryForm, line, field: PrimeField) -> bool:
                for s in range(5))
 
 
+def _lines_on(form: TernaryForm, field: PrimeField):
+    """The lines a quartic vanishes on, as sorted normalized coefficient
+    triples.  The lines (a, b, c) of a row of _plane_rows share their first
+    test point, (-b, 1, 0), or (1, 0, 0) when a = 0, so a row is skipped
+    when the quartic does not vanish there."""
+    p = field.p
+    lines = []
+    for a, b, cs in _plane_rows(p):
+        if form.evaluate((-b % p, 1, 0) if a else (1, 0, 0)):
+            continue
+        lines += [(a, b, c) for c in cs
+                  if _form_vanishes_on_line(form, (a, b, c), field)]
+    return sorted(lines)
+
+
 def splitting_check_n2(field: PrimeField) -> SplittingReport:
     """Check that F_2 splits into 4 distinct linear forms over F_p
     (p = 1 mod 4) meeting in 6 distinct points."""
@@ -358,8 +405,7 @@ def splitting_check_n2(field: PrimeField) -> SplittingReport:
     if p % 4 != 1:
         raise InvalidParameter("p must be 1 mod 4")
     form = curve_form(2, field)
-    lines = sorted((a, b, c) for a, b, cs in _plane_rows(p) for c in cs
-                   if _form_vanishes_on_line(form, (a, b, c), field))
+    lines = _lines_on(form, field)
     if len(lines) != 4:
         raise SplittingFailure(f"expected 4 linear factors, found {len(lines)}")
     prod_form = TernaryForm(0, field, {(0, 0, 0): 1})

@@ -287,7 +287,7 @@ def test_elementary_ideal_unit_shortcut():
     # a presentation of the trivial group: ideals are the whole ring
     p = Presentation(("a", "b"), [(1,), (2,)])
     m = alexander_matrix(p)
-    g = elementary_ideal_gcd(m)
+    g = elementary_ideal_gcd(m, 2)
     assert g.is_unit()
 
 
@@ -360,7 +360,8 @@ CURVE_PRESENTATIONS = {
 @pytest.mark.parametrize("name", CURVE_PRESENTATIONS)
 def test_elementary_ideals_match_minor_enumeration_on_curves(name):
     m = alexander_matrix(CURVE_PRESENTATIONS[name]())
-    assert elementary_ideal_gcd(m) == oracle_elementary_ideal_gcd(m)
+    assert elementary_ideal_gcd(m, len(m[0])) == \
+        oracle_elementary_ideal_gcd(m)
 
 
 def random_laurent_matrix(rng):
@@ -402,22 +403,38 @@ def test_elementary_ideals_match_minor_enumeration_on_random_matrices():
         ncols = len(rows[0])
         if ncols < 2:
             with pytest.raises(InvalidParameter):
-                elementary_ideal_gcd(rows)
+                elementary_ideal_gcd(rows, ncols)
             continue
         # the definition itself: no row dropping, no unit reduction
-        assert elementary_ideal_gcd(rows) == minor_gcd(rows, ncols - 1), rows
+        assert elementary_ideal_gcd(rows, ncols) == \
+            minor_gcd(rows, ncols - 1), rows
         compared += 1
     assert compared >= 400
+
+
+def test_free_group_has_alexander_polynomial_zero():
+    # F_2 with no relators and with the trivial relator a a^-1: the Fox
+    # matrix has two columns and no nonzero row, so every 1-minor vanishes
+    for relators in ([], [(1, -1)]):
+        poly, stripped = alexander_polynomial(Presentation(("a", "b"),
+                                                           relators))
+        assert poly.is_zero and stripped == 0
+    assert elementary_ideal_gcd([], 2).is_zero
+    # one column has no 0-sized minors, with or without rows
+    with pytest.raises(InvalidParameter):
+        alexander_polynomial(Presentation(("a",), []))
+    with pytest.raises(InvalidParameter):
+        elementary_ideal_gcd([[LaurentPolynomial(0, (1, -1))]], 1)
 
 
 def test_elementary_ideal_content_is_kept():
     # every minor of 2(t + 1) * [[t - 1, 3]] is divisible by 2(t + 1)
     row = [LaurentPolynomial(-1, (-2, 0, 2)), LaurentPolynomial(0, (6, 6))]
-    assert elementary_ideal_gcd([row]) == LaurentPolynomial(0, (2, 2))
+    assert elementary_ideal_gcd([row], 2) == LaurentPolynomial(0, (2, 2))
     # every 2 x 2 minor of a matrix of rank 1 vanishes
     wide = row + [LaurentPolynomial(0, (1, 1))]
     t = LaurentPolynomial(1, (1,))
-    assert elementary_ideal_gcd([wide, [t * e for e in wide]]).is_zero
+    assert elementary_ideal_gcd([wide, [t * e for e in wide]], 3).is_zero
 
 
 @pytest.mark.parametrize("n", [7, 9, 11, 13, 15])

@@ -5,8 +5,9 @@ the script runs its measurements, in a fresh interpreter
 Each run must exit 0, give the known answer, and read a nonzero value on
 every work counter that counts work done.  The counters patch private
 names of the package (`SchreierSystem._next`, `abelian._eliminate`,
-`words._least_rotation`, `homcount._build_plan`, `geometry._plane_rows`),
-so a change to the code they patch shows here.  The children run in
+`words._least_rotation`, `homcount._build_plan`, `geometry._plane_rows`,
+`geometry._power_fibres`, `geometry._form_vanishes_on_line`), so a change
+to the code they patch shows here.  The children run in
 subprocesses because a measurement may leave the package patched
 (`time_derive` rebinds `rewriting.simplify`).
 """
@@ -76,11 +77,19 @@ def test_geometry_suite_scan():
         assert count > 0, key
 
 
+def test_geometry_suite_splitting():
+    run = child("splitting_check_n2(13)")
+    assert run["answer"]["lines"] == 4
+    # F_2 vanishes at the rows' first test point on two rows of 13 lines
+    assert run["work"] == {"lines_tested": 26, "rows_skipped": 13}
+
+
 def test_geometry_suite_superabundance():
     run = child("superabundance_multi(5)")
     answer, work = run["answer"], run["work"]
     assert (answer["s"], answer["h0"]) == (3, 3)  # h0 = (n - 3)(n - 2)/2
     assert len(work["primes"]) == 3
+    assert work["matrix"] == [15, 12]  # 3n rows, 3n - 3 used columns
     for key in ("row_updates", "entry_updates"):
         assert work[key] > 0, key
 

@@ -113,6 +113,18 @@ def test_milnor_and_split(capsys):
     assert json.loads(out)["failures"] == []
 
 
+def test_split_check_reach(capsys):
+    # the four lines of F_2 over F_1009 meet in its six nodes
+    code, out, _ = run(capsys, "split-check", "--prime", "1009",
+                       "--format", "structured")
+    assert code == 0
+    value = json.loads(out)["results"][0]["value"]
+    assert len(value["linear_forms"]) == 4
+    field = geometry.PrimeField(1009)
+    assert value["intersection_points"] == sorted(
+        list(pt.coords) for pt in geometry.singular_points(2, field))
+
+
 def test_budget_exhaustion_is_inconclusive(capsys):
     code, out, err = run(capsys, "homcount", "--family", "pi1", "--n", "3",
                          "--k", "4", "--budget", "10")

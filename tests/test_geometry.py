@@ -8,7 +8,7 @@ from cuspidal import geometry
 from cuspidal.abelian import independent_rows
 from cuspidal.errors import InvalidParameter, NotSingular, SplittingFailure
 from cuspidal.geometry import (PrimeField, ProjectivePoint, TernaryForm,
-                               _form_vanishes_on_line, _plane_rows,
+                               _form_vanishes_on_line, _lines_on, _plane_rows,
                                _zeros_in_plane, choose_prime, curve_form,
                                graded_lex_monomials, is_prime, milnor_ratio,
                                singular_points, singular_points_scan,
@@ -86,6 +86,77 @@ def scan_oracle(n, field):
     return [pt for pt in all_projective_points(field)
             if form.evaluate(pt) == 0
             and all(d.evaluate(pt) == 0 for d in partials)]
+
+
+def row_scan_zeros(forms, field):
+    """The common zeros of the forms, row by row as _plane_rows gives them:
+    on each row the first form is a polynomial in z, evaluated at every z
+    from per-exponent power tables; the other forms are evaluated only
+    where the first vanishes."""
+    p = field.p
+    first, rest = forms[0], forms[1:]
+    power = {e: [pow(v, e, p) for v in range(p)]
+             for e in {e for mono in first.coeffs for e in mono}}
+    found = []
+    for x, y, zs in _plane_rows(p):
+        by_z = {}
+        for (a, b, c), coef in first.coeffs.items():
+            by_z[c] = by_z.get(c, 0) + coef * power[a][x] * power[b][y]
+        values = [0] * p
+        for c, coef in by_z.items():
+            values = [v + coef * w for v, w in zip(values, power[c])]
+        found += [(x, y, z) for z in zs if values[z] % p == 0
+                  and all(f.evaluate((x, y, z)) == 0 for f in rest)]
+    return found
+
+
+def all_lines_on(form, field):
+    """Every line of P^2(F_p) tested with the five-point test, sorted."""
+    return sorted(line for line in plane_triples(field.p)
+                  if _form_vanishes_on_line(form, line, field))
+
+
+def graded_lex_rank_rows(n, field):
+    """The superabundance evaluation matrix, dense: one row per singular
+    point, one column per degree-(n - 1) monomial in graded-lex order."""
+    p = field.p
+    monos = graded_lex_monomials(n - 1)
+    matrix = []
+    for pt in singular_points(n, field):
+        px, py, pz = ([pow(v, e, p) for e in range(n)] for v in pt.coords)
+        matrix.append([px[a] * py[b] * pz[c] % p for a, b, c in monos])
+    return matrix
+
+
+def graded_lex_independent_rows(matrix, p):
+    """The rows independent of the rows before them, by forward elimination
+    with the columns in their given order: each row is reduced by the pivot
+    rows from its leading column on."""
+    pivots, found = {}, []
+    for i, dense in enumerate(matrix):
+        row = {j: v % p for j, v in enumerate(dense) if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
+                found.append(i)
+                break
+            f = row[lead]
+            for j, v in pivot.items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return found
+
+
+def sparse_rows(matrix):
+    """The rows as dicts column -> entry, keeping the entries that are
+    multiples of p but not the zeros."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
 
 
 def gauss_jordan_rank(matrix, p):
@@ -217,6 +288,40 @@ def test_zeros_in_plane_matches_pointwise_oracle():
     assert min(kinds.values()) >= 40
 
 
+def test_zeros_in_plane_matches_row_scan():
+    # forms without z, with a z-exponent gcd above 1 and with coefficients
+    # that are multiples of p, over fields where z -> z^d is and is not one
+    # to one; at p = 197 one form, not the zero form, since the forms after
+    # the first are evaluated point by point wherever the first vanishes
+    rng = random.Random(19)
+    kinds = {"no z": 0, "z-gcd above 1": 0, "multiples of p": 0}
+    for _ in range(150):
+        field = PrimeField(rng.choice((2, 3, 5, 13, 197)))
+        p = field.p
+        forms = []
+        for _ in range(rng.randint(1, 3) if p < 197 else 1):
+            degree = rng.randint(0, 8 if p < 197 else 6)
+            coeffs = random_coeffs(rng, degree, p, rng.random())
+            kind = rng.randrange(4)
+            if kind == 0:
+                coeffs = {m: c for m, c in coeffs.items() if not m[2]}
+                kinds["no z"] += 1
+            elif kind == 1:
+                d = rng.choice((2, 3, 4, 6))
+                coeffs = {m: c for m, c in coeffs.items() if m[2] % d == 0}
+                coeffs[(0, degree % d, degree - degree % d)] = 1
+                kinds["z-gcd above 1"] += 1
+            elif kind == 2:
+                coeffs = {m: p * rng.randint(-2, 2) for m in coeffs}
+                coeffs[(degree, 0, 0)] = rng.randint(1, p - 1)
+                kinds["multiples of p"] += 1
+            if p == 197 and not any(c % p for c in coeffs.values()):
+                coeffs[(0, 0, degree)] = 1
+            forms.append(TernaryForm(degree, field, coeffs))
+        assert _zeros_in_plane(forms, field) == row_scan_zeros(forms, field)
+    assert min(kinds.values()) >= 30
+
+
 def test_sparse_form_matches_dense_reference():
     rng = random.Random(11)
     for _ in range(200):
@@ -265,21 +370,41 @@ def first_independent_rows(matrix, p):
 
 
 def test_rank_mod_p_matches_gauss_jordan():
-    # superabundance takes the number of rows found, the Smith form's
-    # lattice bound the determinant of the rows at p = 2^61 - 1
+    # superabundance takes the number of rows found; the rows are sparse,
+    # with entries that are multiples of p left in
     rng = random.Random(13)
     shapes = set()
     for p in (2, 3, 13, 10_009, 2**61 - 1):
         for _ in range(80):
             m = random_matrix(rng, p)
-            found = independent_rows(m, p)
+            rows = sparse_rows(m)
+            found = independent_rows(rows, p)
+            assert rows == sparse_rows(m)  # not consumed
             assert len(found) == gauss_jordan_rank(m, p)
             assert found == first_independent_rows(m, p)
             shapes.add((len(m) == 0, bool(m) and not m[0]))
-        for m in ([], [[]], [[], [], []], [[0, 0, 0]], [[p, 2 * p]]):
-            assert independent_rows(m, p) == []
-            assert gauss_jordan_rank(m, p) == 0
+        for rows in ([], [{}], [{}, {}, {}], [{0: 0, 1: 0, 2: 0}],
+                     [{0: p, 1: 2 * p}]):
+            assert independent_rows(rows, p) == []
     assert shapes == {(True, False), (False, True), (False, False)}
+
+
+def test_rank_does_not_depend_on_the_column_order():
+    # relabelling the columns, and listing each row's entries in another
+    # order, keeps the rows found
+    rng = random.Random(17)
+    for p in (2, 13, 10_009):
+        for _ in range(40):
+            m = random_matrix(rng, p)
+            label = list(range(len(m[0]) if m else 0))
+            rng.shuffle(label)
+            relabelled = []
+            for row in sparse_rows(m):
+                entries = [(label[j], v) for j, v in row.items()]
+                rng.shuffle(entries)
+                relabelled.append(dict(entries))
+            assert independent_rows(relabelled, p) == \
+                first_independent_rows(m, p)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9])
@@ -328,12 +453,35 @@ def test_tangent_cone_rank_rejects_smooth_point():
             tangent_cone_rank(smooth, 3, f)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 25, 31, 41])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 25, 31, 41, 61])
 def test_superabundance(n):
     rep = superabundance_multi(n)
     assert rep.s == 3
     assert rep.h0 == (n - 3) * (n - 2) // 2
     assert rep.prime >= 10_000
+
+
+def test_superabundance_matches_dense_graded_lex_matrix(monkeypatch):
+    # the sparse rows are the dense graded-lex evaluation matrix's nonzero
+    # entries, and ranking them fewest-touched-column-first keeps the rows
+    # the graded-lex elimination keeps
+    ranked = []
+
+    def record(rows, p):
+        ranked.append(([dict(row) for row in rows], independent_rows(rows, p)))
+        return ranked[-1][1]
+
+    monkeypatch.setattr(geometry, "independent_rows", record)
+    for n in range(3, 42, 2):
+        field = choose_prime(n, 100)
+        dense = graded_lex_rank_rows(n, field)
+        rep = superabundance(n, field)
+        rows, found = ranked.pop()
+        assert rows == sparse_rows(dense)
+        assert found == graded_lex_independent_rows(dense, field.p)
+        rank = len(found)
+        assert (rep.rank, rep.h0, rep.s) == \
+            (rank, n * (n + 1) // 2 - rank, 3 * n - rank)
 
 
 def test_superabundance_prime_independence():
@@ -430,6 +578,34 @@ def product_of_lines(lines, field):
     return form
 
 
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 37, 101])
+def test_lines_on_matches_all_lines_filter(p):
+    # a row of lines is skipped when the quartic does not vanish at the
+    # row's shared first test point; at p = 5 a line has only six points
+    field = PrimeField(p)
+    form = curve_form(2, field)
+    want = all_lines_on(form, field)
+    assert _lines_on(form, field) == want
+    assert splitting_check_n2(field).linear_forms == tuple(want)
+
+
+def test_lines_on_random_quartics_matches_all_lines_filter():
+    # products of random lines, rows with a = 0 among them, and a random
+    # form of the remaining degree
+    rng = random.Random(23)
+    field = PrimeField(13)
+    triples = plane_triples(13)
+    for _ in range(40):
+        k = rng.randint(0, 4)
+        lines = [rng.choice(triples) for _ in range(k)]
+        rest = TernaryForm(4 - k, field, random_coeffs(rng, 4 - k, 13, 0.7))
+        form = product_of_lines(lines, field).multiply(rest)
+        found = _lines_on(form, field)
+        assert found == all_lines_on(form, field)
+        if form.coeffs:
+            assert set(lines) <= set(found)
+
+
 def test_splitting_fails_without_four_lines(monkeypatch):
     # the square of the smooth conic x^2 + y^2 + z^2 contains no line
     field = PrimeField(13)
@@ -459,8 +635,8 @@ def test_splitting_fails_on_concurrent_lines(monkeypatch):
 ])
 def test_splitting_fails_when_the_lines_are_not_the_factors(monkeypatch,
                                                              lines):
-    monkeypatch.setattr(geometry, "_form_vanishes_on_line",
-                        lambda form, line, field: line in lines)
+    monkeypatch.setattr(geometry, "_lines_on",
+                        lambda form, field: sorted(lines))
     with pytest.raises(SplittingFailure, match="does not match F_2$"):
         splitting_check_n2(PrimeField(13))
 
