@@ -26,7 +26,10 @@ derived presentation's text, and the work counts are summed over the
 Tietze simplification calls the derivation makes: generators eliminated and
 relator letters in and out.  Next to the times, each side reports the
 cyclic normal forms it computed, counted in a second, instrumented call:
-the calls of `words._least_rotation` and the letters they scan.
+the calls of `words._least_rotation` and the letters they scan, and the
+relator letters the Tietze loops pass through `Counter` (the letters
+counted in `words`, less the distinct nonempty relators of each
+simplified presentation, which are counted once on input).
 
 alexander: `alexander_polynomial` of the reduced curve presentation for
 n = 5, 7, 9, 11 (the call only, after the presentation is built; the answer
@@ -48,11 +51,12 @@ work is counted in a second, instrumented call after the timed one: the
 values of F_n the scan computes (one per row of P^2(F_p) and value of z^d,
 for the d of `geometry._power_fibres`; one per row and z in a version
 without it) and the evaluations of its partials; the lines the splitting
-check tests (`geometry._form_vanishes_on_line`) and the rows of lines it
-skips untested; the primes of the superabundance, its evaluation matrix as
-rows x used columns (those with an entry nonzero mod p), and the row
-updates of its rank computation (the calls of `abelian._eliminate` under
-`abelian.independent_rows`) and the matrix entries they rewrite.
+check tests (`geometry._form_vanishes_on_line`), the rows of lines it
+skips untested and its evaluations of the quartic; the primes of the
+superabundance, its evaluation matrix as rows x used columns (those with
+an entry nonzero mod p), and the row updates of its rank computation (the
+calls of `abelian._eliminate` under `abelian.independent_rows`) and the
+matrix entries they rewrite.
 
 verify: the whole `verify-all --n N` command for N = 2..13, stdout
 captured; the answer is its exit code and structured results.  Next to the
@@ -122,8 +126,9 @@ WHAT = {
               "interpreter per run; answers (sha256 of format_presentation "
               "of the result, and the work counts of its simplify calls) are "
               "identical for both versions; *_work are each version's "
-              "least-rotation calls and the letters they scan, from a "
-              "second, instrumented call",
+              "least-rotation calls and the letters they scan, and the "
+              "relator letters its Tietze loops pass through Counter, from "
+              "a second, instrumented call",
     "alexander": "median wall seconds of one call, fresh interpreter per "
                  "run; alexander_polynomial(n) is the call on "
                  "presentation_pi1_reduced(n) and times that call only; "
@@ -220,16 +225,35 @@ def time_derive(n: int):
 
 def tietze_work(n: int) -> dict:
     """The cyclic normal forms derive_pi1_via_rs(n) computes in this
-    version: least-rotation calls and the letters they scan."""
-    from cuspidal import presentations, words
-    work = {"least_rotation_calls": 0, "least_rotation_letters": 0}
+    version (least-rotation calls and the letters they scan) and the
+    relator letters its Tietze loops pass through `Counter`: every letter
+    `words` counts with it, less the distinct nonempty input relators,
+    which each simplify call counts once before its loop."""
+    from cuspidal import presentations, rewriting, words
+    work = {"least_rotation_calls": 0, "least_rotation_letters": 0,
+            "counter_letters": 0}
+    counter = words.Counter
 
     def scanned(args, out):
         work["least_rotation_calls"] += 1
         work["least_rotation_letters"] += len(args[0])
 
-    with counting(words, "_least_rotation", scanned):
-        presentations.derive_pi1_via_rs(n)
+    def counted(letters):
+        letters = list(letters)
+        work["counter_letters"] += len(letters)
+        return counter(letters)
+
+    def simplified(args, out):
+        work["counter_letters"] -= sum(
+            map(len, dict.fromkeys(r for r in args[0].relators if r)))
+
+    words.Counter = counted
+    try:
+        with counting(words, "_least_rotation", scanned), \
+                counting(rewriting, "simplify", simplified):
+            presentations.derive_pi1_via_rs(n)
+    finally:
+        words.Counter = counter
     return work
 
 
@@ -356,7 +380,7 @@ def time_scan(n: int, p: int):
 def splitting_work(p: int) -> dict:
     """The work of splitting_check_n2(p) in this version."""
     from cuspidal import geometry
-    rows, tested = [], []
+    rows, tested, evaluations = [], [], []
 
     def row(args, item):
         rows.append(item[:2])
@@ -364,12 +388,17 @@ def splitting_work(p: int) -> dict:
     def line(args, out):
         tested.append(args[1])
 
+    def evaluated(args, out):
+        evaluations.append(args[1])
+
     with counting(geometry, "_plane_rows", row, items=True), \
-            counting(geometry, "_form_vanishes_on_line", line):
+            counting(geometry, "_form_vanishes_on_line", line), \
+            counting(geometry.TernaryForm, "evaluate", evaluated):
         geometry.splitting_check_n2(geometry.PrimeField(p))
     reached = {(a, b) for a, b, _ in tested}
     return {"lines_tested": len(tested),
-            "rows_skipped": sum(r not in reached for r in rows)}
+            "rows_skipped": sum(r not in reached for r in rows),
+            "evaluations": len(evaluations)}
 
 
 def time_splitting(p: int):

@@ -367,9 +367,11 @@ class SplittingReport:
 
 
 def _form_vanishes_on_line(form: TernaryForm, line, field: PrimeField) -> bool:
-    """Whether a quartic vanishes on the line {ax + by + cz = 0}: a binary
-    quartic with 5 distinct projective zeros is zero, so 5 points of the
-    line decide it (a line over F_p has p + 1 >= 6 points for p >= 5)."""
+    """Whether a quartic that vanishes at the line's first test point,
+    (-b, 1, 0), or (1, 0, 0) when a = 0, vanishes on the line
+    {ax + by + cz = 0}: a binary quartic with 5 distinct projective zeros is
+    zero, so that point and 4 more decide it (a line over F_p has p + 1 >= 6
+    points for p >= 5)."""
     a, b, c = line  # normalized: the first nonzero coefficient is 1
     if a:
         base, direction = (-b, 1, 0), (-c, 0, 1)
@@ -380,14 +382,15 @@ def _form_vanishes_on_line(form: TernaryForm, line, field: PrimeField) -> bool:
     p = field.p
     return all(form.evaluate(tuple((x + s * y) % p
                                    for x, y in zip(base, direction))) == 0
-               for s in range(5))
+               for s in range(1, 5))
 
 
 def _lines_on(form: TernaryForm, field: PrimeField):
     """The lines a quartic vanishes on, as sorted normalized coefficient
     triples.  The lines (a, b, c) of a row of _plane_rows share their first
     test point, (-b, 1, 0), or (1, 0, 0) when a = 0, so a row is skipped
-    when the quartic does not vanish there."""
+    when the quartic does not vanish there, and otherwise each of its lines
+    is tested at its other four points."""
     p = field.p
     lines = []
     for a, b, cs in _plane_rows(p):

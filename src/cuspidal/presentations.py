@@ -120,16 +120,27 @@ def _reduced_words(n: int) -> list[Word]:
 def presentation_pi1_reduced(n: int) -> Presentation:
     """The same group on the four generators eps_i_j, i,j in {0,1}: the
     image of every relator of presentation_pi1(n) under the substitution of
-    each eps_i_j by its recurrence word.  The relators that served as
-    definitions reduce to nothing and the wrap-around and cross-consistency
-    ones survive.
+    each eps_i_j by its recurrence word.  The (n + 2)(n - 2) relators that
+    served as definitions, the i-family with i + 2 < n and the j-family
+    with i < 2 and j + 2 < n, reduce to nothing and are written down as
+    such; the wrap-around and cross-consistency ones survive.
     """
     if n < 2:
         raise InvalidParameter("n must be >= 2")
     images = _reduced_words(n)
+    definitions = _definitions(n)
     gens = (eps_name(0, 0), eps_name(0, 1), eps_name(1, 0), eps_name(1, 1))
-    return Presentation(gens, [substitute(r, images)
-                               for r in _pi1_relators(n)])
+    return Presentation(gens, [() if k in definitions
+                               else substitute(r, images)
+                               for k, r in enumerate(_pi1_relators(n))])
+
+
+def _definitions(n: int) -> set[int]:
+    """The positions in _pi1_relators(n) of the recurrences _reduced_words
+    expands: the i-family relator of eps_i_j sits at 2(i*n + j), the
+    j-family one right after it."""
+    return ({2 * (i * n + j) for i in range(n - 2) for j in range(n)}
+            | {2 * (i * n + j) + 1 for i in (0, 1) for j in range(n - 2)})
 
 
 def derive_pi1_via_rs(n: int) -> Presentation:

@@ -163,6 +163,16 @@ class Presentation:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", tuple(norm))
 
+    @classmethod
+    def _from_normal_forms(cls, generators: tuple[str, ...],
+                           relators: tuple[Word, ...]) -> Presentation:
+        """A presentation on checked generator names whose relators are
+        already in cyclic normal form and in range: the Tietze survivors."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "generators", generators)
+        object.__setattr__(p, "relators", relators)
+        return p
+
     def generator_index(self, name: str) -> int:
         """1-based index of a generator name."""
         return self.generators.index(name) + 1
@@ -213,28 +223,53 @@ class GroupMap:
         return substitute(w, self.images)
 
 
-def _substitute(w: Word, g: int, defining: Word) -> Word:
-    """Replace every occurrence of generator g (1-based) by `defining`;
-    both words freely reduced."""
-    inv = invert(defining)
-    out: list[int] = []
+def _substitute(w: Word, g: int, occ: int, defining: Word, inv: Word):
+    """Replace the occ occurrences of generator g (1-based) in w by
+    `defining`, and of g^-1 by inv = defining^-1; all three words freely
+    reduced.  Returns the freely reduced result and the letters that
+    cancelled, one of each cancelled pair."""
+    # tuple.index scans in C; stop once all occ occurrences are found
+    where: list[int] = []
+    for x in (g, -g):
+        i = -1
+        while len(where) < occ:
+            try:
+                i = w.index(x, i + 1)
+            except ValueError:
+                break
+            where.append(i)
+    where.sort()
+    pieces: list[Word] = []
     start = 0
-    for i in [i for i, x in enumerate(w) if x == g or x == -g]:
-        _append_reduced(out, w[start:i])
-        _append_reduced(out, defining if w[i] == g else inv)
+    for i in where:
+        pieces += (w[start:i], defining if w[i] == g else inv)
         start = i + 1
-    _append_reduced(out, w[start:])
-    return tuple(out)
+    pieces.append(w[start:])
+    out: list[int] = []
+    cancelled: list[int] = []
+    for piece in pieces:
+        k = _append_reduced(out, piece)
+        if k:
+            cancelled += piece[:k]
+    return tuple(out), cancelled
 
 
-def _append_reduced(out: list[int], piece: Word) -> None:
+def _replace(w: Word, g: int, defining: Word, inv: Word) -> Word:
+    """w with generator g replaced by `defining` and g^-1 by inv, its
+    occurrences of g counted first."""
+    return _substitute(w, g, w.count(g) + w.count(-g), defining, inv)[0]
+
+
+def _append_reduced(out: list[int], piece: Word) -> int:
     """Multiply the freely reduced word `out` by the freely reduced `piece`
-    in place: cancel at the junction, then append the rest."""
+    in place: cancel at the junction, then append the rest.  Returns the
+    number of cancelled pairs."""
     k = 0
     while k < len(piece) and out and out[-1] == -piece[k]:
         out.pop()
         k += 1
     out.extend(piece[k:])
+    return k
 
 
 def _renumber(w: Word, new_id) -> Word:
@@ -260,8 +295,9 @@ def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
         raise NoDefiningRelator(
             f"no relator defines {gen!r} as the given word") from None
     new_id = _survivor_ids(len(p.generators), [(g, defining)])
+    inv = invert(defining)
     return Presentation(p.generators[:g - 1] + p.generators[g:],
-                        [_renumber(_substitute(r, g, defining), new_id)
+                        [_renumber(_replace(r, g, defining, inv), new_id)
                          for i, r in enumerate(p.relators) if i != idx])
 
 
@@ -285,8 +321,8 @@ def simplify_with_map(p: Presentation):
     q, log = _tietze(p)
     images: list[Word] = [(i + 1,) for i in range(len(p.generators))]
     for g, defining in log:
-        images = [_substitute(w, g, defining) if g in w or -g in w else w
-                  for w in images]
+        inv = invert(defining)
+        images = [_replace(w, g, defining, inv) for w in images]
     new_id = _survivor_ids(len(p.generators), log)
     return q, {name: _renumber(img, new_id)
                for name, img in zip(p.generators, images)}
@@ -315,19 +351,20 @@ def _tietze(p: Presentation):
     #
     # Relators sit in slots that keep their order (a dropped relator leaves
     # None behind), and candidates are ranked by (length, generator, slot).
+    # A step updates each touched relator's generator counts from its
+    # substitution instead of recounting its letters: g's occurrences times
+    # the defining word's counts, less two per cancelled pair.
     rels: list[Word | None] = []
     gen_counts: dict[int, Counter] = {}  # slot -> generator counts
     occurs: dict[int, set[int]] = {}  # generator -> slots of its relators
     key: dict[int, tuple[int, int, int]] = {}  # slot -> candidate key
 
-    def place(s: int, r: Word) -> None:
-        rels[s] = r
-        counts = gen_counts[s] = Counter(map(abs, r))
-        for g in counts:
-            occurs.setdefault(g, set()).add(s)
-        once = [g for g, c in counts.items() if c == 1]
+    def rekey(s: int) -> None:
+        once = [g for g, c in gen_counts[s].items() if c == 1]
         if once:
-            key[s] = (len(r), min(once), s)
+            key[s] = (len(rels[s]), min(once), s)
+        else:
+            key.pop(s, None)
 
     def drop(s: int) -> None:
         rels[s] = None
@@ -338,31 +375,53 @@ def _tietze(p: Presentation):
     # p's relators are in cyclic normal form, so a copy is an equal tuple
     for r in dict.fromkeys(p.relators):
         if r:
-            rels.append(None)
-            place(len(rels) - 1, r)
+            s = len(rels)
+            rels.append(r)
+            gen_counts[s] = Counter(map(abs, r))
+            for g in gen_counts[s]:
+                occurs.setdefault(g, set()).add(s)
+            rekey(s)
     log: list[tuple[int, Word]] = []
     while key:
         _, g, ri = min(key.values())
         r = rels[ri]
-        pos = next(i for i, x in enumerate(r) if abs(x) == g)
+        pos = r.index(g) if g in r else r.index(-g)
         rot = r[pos:] + r[:pos]
         if rot[0] < 0:
             rot = invert(rot)
             rot = rot[-1:] + rot[:-1]
         # rot = g * w, so g is defined by w^-1
-        defining = invert(rot[1:])
+        inv = rot[1:]
+        defining = invert(inv)
+        defining_counts = Counter(map(abs, defining))
         drop(ri)
-        touched = list(occurs[g])
-        old = [rels[s] for s in touched]
-        for s in touched:
-            drop(s)
-        del occurs[g]
-        for s, w in zip(touched, old):
-            w = _cyclic_core(_substitute(w, g, defining))
-            if w:
-                place(s, w)
+        for s in occurs.pop(g):
+            counts = gen_counts[s]
+            occ = counts.pop(g)
+            w, cancelled = _substitute(rels[s], g, occ, defining, inv)
+            core = _cyclic_core(w)
+            if not core:
+                drop(s)
+                continue
+            rels[s] = core
+            # the cyclic-core trim cancels pairs too
+            cancelled += w[:(len(w) - len(core)) // 2]
+            for h, c in defining_counts.items():
+                counts[h] = counts.get(h, 0) + occ * c
+            changed = set(map(abs, cancelled))
+            for h in changed:
+                counts[h] -= 2 * (cancelled.count(h) + cancelled.count(-h))
+            for h in changed.union(defining_counts):
+                if counts[h]:
+                    occurs[h].add(s)
+                else:
+                    del counts[h]
+                    occurs[h].discard(s)
+            rekey(s)
         log.append((g, defining))
     new_id = _survivor_ids(len(p.generators), log)
+    # the survivors' normal forms are the result's, so they are not redone
     relators = dict.fromkeys(_least_form(_renumber(r, new_id))
                              for r in rels if r is not None)
-    return Presentation([p.generators[g - 1] for g in new_id], relators), log
+    return Presentation._from_normal_forms(
+        tuple(p.generators[g - 1] for g in new_id), tuple(relators)), log

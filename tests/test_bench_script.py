@@ -6,7 +6,8 @@ Each run must exit 0, give the known answer, and read a nonzero value on
 every work counter that counts work done.  The counters patch private
 names of the package (`SchreierSystem._next`, `abelian._eliminate`,
 `words._least_rotation`, `homcount._build_plan`, `geometry._plane_rows`,
-`geometry._power_fibres`, `geometry._form_vanishes_on_line`), so a change
+`geometry._power_fibres`, `geometry._form_vanishes_on_line`,
+`geometry.TernaryForm.evaluate`, `words.Counter`), so a change
 to the code they patch shows here.  The children run in
 subprocesses because a measurement may leave the package patched
 (`time_derive` rebinds `rewriting.simplify`).
@@ -49,7 +50,8 @@ def test_tietze_suite():
     assert answer["generators"] == 4
     for key in ("gens_eliminated", "letters_in", "letters_out"):
         assert answer[key] > 0, key
-    for key in ("least_rotation_calls", "least_rotation_letters"):
+    for key in ("least_rotation_calls", "least_rotation_letters",
+                "counter_letters"):
         assert work[key] > 0, key
 
 
@@ -80,8 +82,11 @@ def test_geometry_suite_scan():
 def test_geometry_suite_splitting():
     run = child("splitting_check_n2(13)")
     assert run["answer"]["lines"] == 4
-    # F_2 vanishes at the rows' first test point on two rows of 13 lines
-    assert run["work"] == {"lines_tested": 26, "rows_skipped": 13}
+    # F_2 vanishes at the rows' first test point on two rows of 13 lines;
+    # one evaluation per row of _plane_rows (15 at p = 13), then at most
+    # four per tested line, up to the first that does not vanish
+    assert run["work"] == {"lines_tested": 26, "rows_skipped": 13,
+                           "evaluations": 57}
 
 
 def test_geometry_suite_superabundance():

@@ -110,10 +110,30 @@ def row_scan_zeros(forms, field):
     return found
 
 
+def line_test_points(line, p):
+    """The five test points of a normalized line: the first, (-b, 1, 0), or
+    (1, 0, 0) when a = 0, that _lines_on evaluates once for its row, and
+    the four that _form_vanishes_on_line walks on from it."""
+    a, b, c = line
+    if a:
+        base, direction = (-b, 1, 0), (-c, 0, 1)
+    elif b:
+        base, direction = (1, 0, 0), (0, -c, 1)
+    else:
+        base, direction = (1, 0, 0), (0, 1, 0)
+    return [tuple((x + s * y) % p for x, y in zip(base, direction))
+            for s in range(5)]
+
+
+def five_point_test(form, line, field):
+    """Whether the quartic vanishes at all five test points of the line."""
+    return all(form.evaluate(pt) == 0 for pt in line_test_points(line, field.p))
+
+
 def all_lines_on(form, field):
     """Every line of P^2(F_p) tested with the five-point test, sorted."""
     return sorted(line for line in plane_triples(field.p)
-                  if _form_vanishes_on_line(form, line, field))
+                  if five_point_test(form, line, field))
 
 
 def graded_lex_rank_rows(n, field):
@@ -563,7 +583,7 @@ def test_line_test_matches_full_scan(p):
     field = PrimeField(p)
     form = curve_form(2, field)
     lines = sorted(plane_triples(p))
-    found = [ln for ln in lines if _form_vanishes_on_line(form, ln, field)]
+    found = [ln for ln in lines if five_point_test(form, ln, field)]
     assert found == [ln for ln in lines
                      if scan_vanishes_on_line(form, ln, field)]
     assert len(found) == 4
@@ -604,6 +624,29 @@ def test_lines_on_random_quartics_matches_all_lines_filter():
         assert found == all_lines_on(form, field)
         if form.coeffs:
             assert set(lines) <= set(found)
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_lines_on_needs_all_five_test_points(p):
+    # a product of four lines, each through one of four of a line's five
+    # test points and a point off the line, vanishes at those four points
+    # and nowhere else on the line
+    rng = random.Random(p)
+    field = PrimeField(p)
+    triples = plane_triples(p)
+    for line in rng.sample(triples, 10):
+        points = line_test_points(line, p)
+        for missing in range(5):
+            factors = []
+            for x1, y1, z1 in points[:missing] + points[missing + 1:]:
+                x2, y2, z2 = rng.choice(
+                    [q for q in triples
+                     if sum(a * b for a, b in zip(line, q)) % p])
+                factors.append((y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
+                                x1 * y2 - y1 * x2))
+            form = product_of_lines(factors, field)
+            assert not scan_vanishes_on_line(form, line, field)
+            assert line not in _lines_on(form, field)
 
 
 def test_splitting_fails_without_four_lines(monkeypatch):

@@ -7,7 +7,8 @@ from cuspidal.abelian import (AbelianStructure, IntegerMatrix, abelianization,
                               smith_normal_form)
 from cuspidal.errors import InvalidParameter
 from cuspidal.homcount import count_homs, relator_triviality_check
-from cuspidal.presentations import (_reduced_words, derive_pi1_via_rs,
+from cuspidal.presentations import (_definitions, _pi1_relators,
+                                    _reduced_words, derive_pi1_via_rs,
                                     long_relator, map_check,
                                     oka_quotient, presentation_G,
                                     presentation_G_raw, presentation_oka,
@@ -15,7 +16,7 @@ from cuspidal.presentations import (_reduced_words, derive_pi1_via_rs,
                                     presentation_zariski3, zariski_aux_datum,
                                     zariski_iso_candidate)
 from cuspidal.words import (GroupMap, Presentation, format_presentation,
-                            simplify)
+                            simplify, substitute)
 
 
 def battery(p: Presentation, kmax: int = 3):
@@ -100,6 +101,19 @@ def test_pi1_reduced_is_the_image_of_pi1(n):
     m = GroupMap(full, reduced, tuple(_reduced_words(n)))
     assert Presentation(reduced.generators,
                         [m.apply(r) for r in full.relators]) == reduced
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_definitional_relators_reduce_to_nothing(n):
+    # presentation_pi1_reduced writes () for these without substituting;
+    # substituting reduces exactly them to nothing
+    images = _reduced_words(n)
+    definitions = _definitions(n)
+    assert len(definitions) == (n + 2) * (n - 2)
+    assert {k for k, r in enumerate(_pi1_relators(n))
+            if substitute(r, images) == ()} == definitions
+    reduced = presentation_pi1_reduced(n).relators
+    assert {k for k, r in enumerate(reduced) if r == ()} == definitions
 
 
 @pytest.mark.parametrize("n,expected", [

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from cuspidal import rewriting, words
+from cuspidal import presentations, rewriting, words
 from cuspidal.errors import NoDefiningRelator
 from cuspidal.homcount import relator_triviality_check
 from cuspidal.presentations import derive_pi1_via_rs
@@ -355,6 +355,75 @@ def random_presentation(rng):
                                 if all(abs(x) <= ngen for x in r)])
 
 
+def cancelling_presentation(rng):
+    """A relator g u^-1 that defines g as u, and relators with u^-1 g in
+    the middle or split between their ends: substituting u for g cancels
+    u^-1 u against its neighbours or in the cyclic-core trim."""
+    ngen = rng.randrange(2, 7)
+    g = rng.randrange(1, ngen + 1)
+    others = [x for x in range(1, ngen + 1) if x != g]
+    u = reduce_word(rng.choice(others) * rng.choice((1, -1))
+                    for _ in range(rng.randrange(1, 5)))
+    relators = [(g,) + invert(u)]
+    for _ in range(rng.randrange(1, 4)):
+        a = random_letters(rng, ngen, 4)
+        b = random_letters(rng, ngen, 4)
+        cut = rng.randrange(len(u) + 1)
+        relators += [a + invert(u) + (g,) + b,
+                     invert(u)[cut:] + (g,) + b + invert(u)[:cut]]
+    names = [f"x{i}" for i in range(1, ngen + 1)]
+    return Presentation(names, relators)
+
+
+def watch_cancellations(monkeypatch):
+    """Count, among the substitutions whose result the Tietze loop then
+    cyclically reduces, those where a copy of the defining word or of its
+    inverse cancelled completely, and those the cyclic-core trim shortened.
+    """
+    seen = Counter()
+    last = {}
+    substitute_, append_, core_ = (words._substitute, words._append_reduced,
+                                   words._cyclic_core)
+
+    def substituting(w, g, occ, defining, inv):
+        last["pieces"], last["complete"] = (defining, inv), False
+        out, cancelled = substitute_(w, g, occ, defining, inv)
+        last["out"] = out
+        return out, cancelled
+
+    def appending(out, piece):
+        k = append_(out, piece)
+        if piece and k == len(piece) and piece in last.get("pieces", ()):
+            last["complete"] = True
+        return k
+
+    def core(w):
+        c = core_(w)
+        if w is last.get("out"):
+            seen["defining word cancelled"] += last["complete"]
+            seen["core trimmed"] += len(c) < len(w)
+        return c
+
+    monkeypatch.setattr(words, "_substitute", substituting)
+    monkeypatch.setattr(words, "_append_reduced", appending)
+    monkeypatch.setattr(words, "_cyclic_core", core)
+    return seen
+
+
+def oka_inputs(monkeypatch, ns):
+    """The presentations oka_quotient(n) hands to simplify_with_map."""
+    inputs = []
+
+    def recording(p):
+        inputs.append(p)
+        return simplify_with_map(p)
+
+    monkeypatch.setattr(presentations, "simplify_with_map", recording)
+    for n in ns:
+        presentations.oka_quotient(n)
+    return inputs
+
+
 def schreier_kernels(monkeypatch, ns):
     """The presentations derive_pi1_via_rs(n) hands to simplify: there
     relators become rotated or inverted copies of one another mid-loop."""
@@ -373,8 +442,12 @@ def schreier_kernels(monkeypatch, ns):
 def test_simplify_with_map_matches_full_retidy_oracle(monkeypatch):
     rng = random.Random(15)
     cases = [random_presentation(rng) for _ in range(300)]
+    cases += [cancelling_presentation(rng) for _ in range(100)]
+    cases += schreier_kernels(monkeypatch, (2, 3, 4, 5))
+    cases += oka_inputs(monkeypatch, range(3, 8))
+    seen = watch_cancellations(monkeypatch)
     eliminated = 0
-    for p in cases + schreier_kernels(monkeypatch, (2, 3, 4)):
+    for p in cases:
         q, image_map = simplify_with_map(p)
         q0, image_map0 = full_retidy_simplify_with_map(p)
         assert format_presentation(q) == format_presentation(q0)
@@ -387,28 +460,36 @@ def test_simplify_with_map_matches_full_retidy_oracle(monkeypatch):
         assert simplify(q) == q
         eliminated += len(p.generators) - len(q.generators)
     assert eliminated > 300
+    assert min(seen["defining word cancelled"], seen["core trimmed"]) >= 100, \
+        seen
 
 
 def test_simplify_normalizes_only_its_input_and_output(monkeypatch):
-    # a relator is put in cyclic normal form when the kernel presentation is
-    # built and when the result is, never after each elimination
-    scanned = []
-    least_rotation = words._least_rotation
+    # a relator is put in cyclic normal form once when the kernel
+    # presentation is built and once when it survives the loop, never after
+    # each elimination and never again in the result's constructor
+    scanned, survivors = [], []
+    least_rotation, renumber = words._least_rotation, words._renumber
 
     def counting(w):
         scanned.append(len(w))
         return least_rotation(w)
 
+    def renumbering(w, new_id):  # _tietze renumbers each survivor once
+        survivors.append(len(w))
+        return renumber(w, new_id)
+
     monkeypatch.setattr(words, "_least_rotation", counting)
+    monkeypatch.setattr(words, "_renumber", renumbering)
     (kernel,) = schreier_kernels(monkeypatch, (5,))
     work = sum(scanned)
     letters_in = sum(map(len, kernel.relators))
-    letters_out = sum(map(len, simplify(kernel).relators))
-    # 1170 letters in and 5223 out.  The kernel is normalized when it is
-    # built, and the survivors at the loop's end and again in the result's
-    # constructor, a tie scanning the inverse too; re-normalizing each
-    # touched relator after every elimination scanned 184 722 letters.
-    assert work <= 8 * (letters_in + letters_out), work
+    # 1170 letters in and 6624 in the survivors, merged into 5223 out.  One
+    # normalization scans each letter at most twice (a tie scans the
+    # inverse too): 14 740 letters.  Normalizing the result again in its
+    # constructor scanned 25 186, re-normalizing each touched relator after
+    # every elimination 184 722.
+    assert work <= 2 * (letters_in + sum(survivors)), work
 
 
 def find_and_drop_tietze_eliminate(p, gen, defining):
