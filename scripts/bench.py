@@ -6,15 +6,20 @@
     python3 scripts/bench.py kernel --before OLD/src
     python3 scripts/bench.py geometry --before OLD/src
     python3 scripts/bench.py verify --before OLD/src
+    python3 scripts/bench.py curve --before OLD/src
 
 times the suite's cases on the `cuspidal` package under OLD/src and on the
 one in this checkout's src/, and writes the JSON report next to this
 checkout's README.  Every measurement runs in a fresh interpreter and times
 only the call itself, so tables built on first use are part of the time.
-Runs of the two versions alternate, and the median of REPEAT runs is
-reported with the exact answers, which must agree.  The before version is
-labelled with the git commit OLD is checked out at, if any.  Standard
-library only.
+Runs of the two versions alternate, one run of each making a pair; the
+median of REPEAT runs of each version is reported with the exact answers,
+which must agree.  The speedup is the median over the pairs of the before
+time over the after time, with its quartiles: a pair shares the host's
+state of the moment, which the medians of unpaired runs do not.  A case
+the before version cannot reach (AFTER_ONLY) is run on this checkout only.
+The before version is labelled with the git commit OLD is checked out at,
+if any.  Standard library only.
 
 homcount: `count_homs` on the cases below (the search only, after the
 presentation is built) and `verify-all --n 2..4` (the whole command, stdout
@@ -39,10 +44,13 @@ for n = 5, 7, 9 (the whole call: Schreier rewriting along Z/2n and the
 Smith form).
 
 kernel: `commutator_abelianization_rank(n)` for odd n = 9..21 (the whole
-call).  Next to the times, each side reports its work, counted after the
-timed call: the relator walks of `SchreierSystem.exponent_rows` and the
-letters they read (the reads of the coset table, one per letter walked),
-the distinct rows, the unit pivots and the shape of the dense remainder.
+call).  Next to the times, each side reports its work, counted in a
+second, instrumented call (`kernel_work`): the relators
+`SchreierSystem.exponent_rows` walks, the generator letters they read (the
+reads of the coset table, one per letter walked), the inner nodes of a
+straight-line program composed instead (0 for a version without them),
+the letters of the reduced curve presentations built, the distinct rows,
+the unit pivots and the shape of the dense remainder.
 
 geometry: `singular_points_scan(n, p)` at (7, 197), (9, 307) and
 (7, 2003), `splitting_check_n2(p)` at p = 29, 101, 1009 and
@@ -62,8 +70,21 @@ verify: the whole `verify-all --n N` command for N = 2..13, stdout
 captured; the answer is its exit code and structured results.  Next to the
 times, each side reports the pieces of work it builds, counted in a second,
 instrumented run of the command: hom-search plans (`homcount._build_plan`),
-reduced curve presentations (`presentation_pi1_reduced`) and curve forms
-(`geometry.curve_form`).
+reduced curve presentations (`presentation_pi1_reduced`) and their
+letters, and curve forms (`geometry.curve_form`).
+
+curve: the two odd-n curve checks of verify-all from n alone, the
+Alexander polynomial (`curve_alexander(n)`, n = 7, 15, 31, 61) and the
+commutator rank (`commutator_abelianization_rank(n)`, n = 7, 21, 31), and
+`verify-all --n N` for N = 13, 21, 31.  The Alexander polynomial is taken
+of `presentations.curve_program(n)` in a version that has it, else of
+`presentation_pi1_reduced(n)`, which is then part of the time; n = 61 is
+out of reach of the expanded presentation, so it runs on this checkout
+only.  Next to the times, each side reports its work, counted in a
+second, instrumented call: the letters of the reduced curve presentations
+built, the Fox rows built and those left once rows equal up to a unit are
+dropped, the kernel rows and the unit pivots and dense remainder of their
+Smith form.
 """
 
 from __future__ import annotations
@@ -104,6 +125,12 @@ SCAN_CASES = ((7, 197), (9, 307), (7, 2003))
 SPLITTING_P = (29, 101, 1009)
 SUPERABUNDANCE_N = (15, 25, 31, 41, 61)
 VERIFY_N = tuple(range(2, 14))
+CURVE_ALEXANDER_N = (7, 15, 31, 61)
+CURVE_RANK_N = (7, 21, 31)
+CURVE_VERIFY_N = (13, 21, 31)
+# cases the before version is not run on: pi1-reduced(61) holds about
+# 5 * 10^7 letters
+AFTER_ONLY = {"curve_alexander(61)"}
 SUITES = {
     "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
                                    for n in VERIFY_ALL_N],
@@ -115,6 +142,9 @@ SUITES = {
                 + [f"splitting_check_n2({p})" for p in SPLITTING_P]
                 + [f"superabundance_multi({n})" for n in SUPERABUNDANCE_N],
     "verify": [f"verify-all --n {n}" for n in VERIFY_N],
+    "curve": [f"curve_alexander({n})" for n in CURVE_ALEXANDER_N]
+             + [f"commutator_abelianization_rank({n})" for n in CURVE_RANK_N]
+             + [f"verify-all --n {n}" for n in CURVE_VERIFY_N],
 }
 WHAT = {
     "homcount": "median wall seconds of one call, fresh interpreter per run; "
@@ -148,8 +178,16 @@ WHAT = {
               "structured results) are identical for both versions; *_work "
               "are the plans, reduced presentations and curve forms each "
               "version builds, from a second, instrumented run",
+    "curve": "median wall seconds of one call from n, fresh interpreter per "
+             "run (verify-all: the whole command, stdout captured); answers "
+             "(the polynomial's digest, degree and (t - 1) factors "
+             "stripped, the rank, the verify-all results) are identical for "
+             "both versions; *_work are each version's work counts, from a "
+             "second, instrumented call; speedup is the median over pairs "
+             "of runs of before over after, speedup_quartiles its first and "
+             "third quartiles",
 }
-REPEAT = 3
+REPEAT = 5
 
 
 def time_hom_count(case: str):
@@ -183,18 +221,22 @@ def time_verify_all(n: int):
 def verify_work(n: int) -> dict:
     """The pieces of work verify-all --n n builds in this version."""
     from cuspidal import cli, geometry, homcount, presentations
-    work = {"plans": 0, "pi1_reduced": 0, "curve_forms": 0}
+    work = {"plans": 0, "pi1_reduced": 0, "expanded_letters": 0,
+            "curve_forms": 0}
 
     def tally(key):
         def count(args, out):
             work[key] += 1
         return count
 
+    def built(args, out):
+        work["pi1_reduced"] += 1
+        work["expanded_letters"] += sum(map(len, out.relators))
+
     # cli calls presentation_pi1_reduced by the name it imported
     with counting(homcount, "_build_plan", tally("plans")), \
-            counting(presentations, "presentation_pi1_reduced",
-                     tally("pi1_reduced")), \
-            counting(cli, "presentation_pi1_reduced", tally("pi1_reduced")), \
+            counting(presentations, "presentation_pi1_reduced", built), \
+            counting(cli, "presentation_pi1_reduced", built), \
             counting(geometry, "curve_form", tally("curve_forms")):
         run_verify_all(n)
     return work
@@ -273,37 +315,89 @@ def time_alexander(n: int):
 def kernel_work(n: int) -> dict:
     """The work of commutator_abelianization_rank(n) in this version."""
     from cuspidal import abelian
-    from cuspidal.presentations import presentation_pi1_reduced
-    from cuspidal.rewriting import AbelianTarget, SchreierSystem
+    work = curve_work(lambda: abelian.commutator_abelianization_rank(n))
+    return {key: work[key] for key in (
+        "rows_walked", "letters_walked", "nodes", "expanded_letters",
+        "distinct_rows", "unit_pivots", "dense_remainder")}
+
+
+def curve_work(call) -> dict:
+    """The work of one call in this version, counted by wrapping what it
+    calls: the reduced curve presentations built and their letters, the
+    relators `SchreierSystem.exponent_rows` walks, the generator letters
+    read on the way (the reads of each coset table) and the inner nodes
+    composed, the kernel rows, the Fox rows built and those left once rows
+    equal up to a unit are dropped (the rows `alexander._unit_reduce`
+    receives), and the unit pivots and dense remainder of the last Smith
+    form."""
+    from cuspidal import abelian, alexander, presentations, rewriting
+    work = {"expanded_letters": 0, "rows_walked": 0, "letters_walked": 0,
+            "nodes": 0, "distinct_rows": 0, "fox_rows": 0,
+            "distinct_fox_rows": 0, "unit_pivots": 0,
+            "dense_remainder": None}
 
     class Reads(list):
         """A coset table that counts its reads: one per letter walked."""
-        count = 0
 
         def __getitem__(self, i):
-            Reads.count += 1
+            work["letters_walked"] += 1
             return list.__getitem__(self, i)
 
-    p = presentation_pi1_reduced(n)
-    target = AbelianTarget((2 * n,), p.generators,
-                           tuple((1,) for _ in p.generators))
-    system = SchreierSystem(p, target)
-    ncols = len(system.generator_names)
-    rows = list(system.exponent_rows(p.relators))
-    # each distinct relator on its own, to split the reads into walks
-    table, walks, letters = system._next, 0, 0
-    system._next = Reads(table)
-    for r in dict.fromkeys(r for r in p.relators if r):
-        Reads.count = 0
-        list(system.exponent_rows([r]))
-        walks += Reads.count // len(r)
-        letters += Reads.count
-    system._next = table
-    ones, rest = abelian._unit_pivots(rows, ncols)
-    cols = {j for row in rest for j in row}
-    return {"rows_walked": walks, "letters_walked": letters,
-            "distinct_rows": len(rows), "unit_pivots": ones,
-            "dense_remainder": [len(rest), len(cols)]}
+    def built(args, out):
+        work["expanded_letters"] += sum(map(len, out.relators))
+
+    def walked(args, out):
+        system, relators = args
+        system._next = Reads(system._next)
+        work["rows_walked"] += len({r for r in relators if r})
+        work["nodes"] += len(getattr(system, "_nodes", ()))
+
+    def row(args, item):
+        work["distinct_rows"] += 1
+
+    def fox(args, out):
+        work["fox_rows"] += len(out)
+
+    def reduced(args, out):
+        work["distinct_fox_rows"] += len(args[0])
+
+    def pivoted(args, out):
+        ones, rest = out
+        work["unit_pivots"] = ones
+        work["dense_remainder"] = [len(rest),
+                                   len({j for r in rest for j in r})]
+
+    with counting(presentations, "presentation_pi1_reduced", built), \
+            counting(rewriting.SchreierSystem, "exponent_rows", row,
+                     items=True), \
+            counting(rewriting.SchreierSystem, "exponent_rows", walked), \
+            counting(alexander, "alexander_matrix", fox), \
+            counting(alexander, "_unit_reduce", reduced), \
+            counting(abelian, "_unit_pivots", pivoted):
+        call()
+    return work
+
+
+def time_curve_alexander(n: int):
+    """The Alexander polynomial of the curve from n, in this version: of
+    its straight-line program if it has one, else of pi1-reduced(n)."""
+    from cuspidal import alexander, presentations
+
+    def call():
+        # looked up at each call, so that curve_work sees its wrappers
+        build = getattr(presentations, "curve_program",
+                        presentations.presentation_pi1_reduced)
+        return alexander.alexander_polynomial(build(n))
+
+    start = time.perf_counter()
+    poly, stripped = call()
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256(str(poly).encode())
+    work = curve_work(call)
+    return seconds, {"sha256": digest.hexdigest()[:16],
+                     "degree": poly.degree, "stripped": stripped}, {
+        key: work[key] for key in ("expanded_letters", "fox_rows",
+                                   "distinct_fox_rows")}
 
 
 def time_commutator_rank(n: int):
@@ -450,6 +544,7 @@ def time_superabundance(n: int):
 # case name up to its "(" -> timing function of the integer arguments
 CALLS = {"derive_pi1_via_rs": time_derive,
          "alexander_polynomial": time_alexander,
+         "curve_alexander": time_curve_alexander,
          "commutator_abelianization_rank": time_commutator_rank,
          "singular_points_scan": time_scan,
          "splitting_check_n2": time_splitting,
@@ -507,6 +602,8 @@ def main(argv=None) -> int:
     for _ in range(REPEAT):
         for case in cases:
             for version, src in versions.items():
+                if version == "before" and case in AFTER_ONLY:
+                    continue
                 run = measure(src, case)
                 times[version, case].append(run["seconds"])
                 answers.setdefault(case, run["answer"])
@@ -525,14 +622,19 @@ def main(argv=None) -> int:
         else:
             row.update(answers[case])
         for version in versions:
-            row[f"{version}_s"] = round(statistics.median(
-                times[version, case]), 4)
-        if "before" in versions:
-            row["speedup"] = round(row["before_s"] / row["after_s"], 1)
+            row[f"{version}_s"] = (round(statistics.median(
+                times[version, case]), 4) if times[version, case] else None)
+        if "before" in versions and case not in AFTER_ONLY:
+            ratios = [b / a for b, a in zip(times["before", case],
+                                            times["after", case])]
+            q1, median, q3 = statistics.quantiles(ratios, n=4,
+                                                  method="inclusive")
+            row["speedup"] = round(median, 2)
+            row["speedup_quartiles"] = [round(q1, 2), round(q3, 2)]
         for version in versions:
             if case in HOM_CASES:
-                row[f"{version}_nodes"] = work[version, case]
-            elif work[version, case] is not None:
+                row[f"{version}_nodes"] = work.get((version, case))
+            elif work.get((version, case)) is not None:
                 row[f"{version}_work"] = work[version, case]
         rows.append(row)
     report = {

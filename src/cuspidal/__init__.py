@@ -14,14 +14,17 @@ from .geometry import (PrimeField, ProjectivePoint, SplittingReport,
                        splitting_check_n2, superabundance,
                        superabundance_multi, tangent_cone_rank)
 from .homcount import HomCountReport, count_homs, relator_triviality_check
-from .presentations import (GroupMap, MapCheckReport, derive_pi1_via_rs,
-                            invariant_battery, long_relator, map_check,
-                            oka_quotient, presentation_G, presentation_G_raw,
+from .packing import Packing
+from .presentations import (GroupMap, MapCheckReport, curve_program,
+                            derive_pi1_via_rs, invariant_battery,
+                            long_relator, map_check, oka_quotient,
+                            presentation_G, presentation_G_raw,
                             presentation_oka, presentation_pi1,
                             presentation_pi1_reduced, presentation_zariski3,
                             zariski_aux_datum, zariski_iso_candidate)
 from .rewriting import AbelianTarget, SchreierSystem, subgroup_presentation
-from .words import (Presentation, Word, conjugate, invert, multiply,
-                    format_presentation, simplify, tietze_eliminate)
+from .words import (Presentation, StraightLineProgram, Word, conjugate,
+                    invert, multiply, format_presentation, simplify,
+                    tietze_eliminate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

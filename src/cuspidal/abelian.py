@@ -256,15 +256,15 @@ def smith_normal_form(m: IntegerMatrix):
 def _markowitz_unit(live, where):
     """The (row, column) of a +-1 entry of least Markowitz cost
     (r - 1)(c - 1), with r the entries of its row and c of its column, or
-    None if no entry is a unit.  Rows are tried shortest first, and the
-    scan stops once no later row can cost less."""
+    None if no entry is a unit; the first such entry in row order.  A row
+    that cannot cost less than the best so far, even in the column with
+    fewest entries, is not scanned."""
     fewest = min(len(w) for w in where if w) - 1
     best = None
-    for i in sorted(live, key=lambda i: len(live[i])):
-        row = live[i]
+    for i, row in live.items():
         length = len(row) - 1
         if best is not None and length * fewest >= best[0]:
-            break
+            continue
         for j, x in row.items():
             if x == 1 or x == -1:
                 cost = length * (len(where[j]) - 1)
@@ -395,11 +395,12 @@ def abelianization(p: Presentation) -> AbelianStructure:
                             tuple(d for d in factors if d != 1))
 
 
-def kernel_abelianization(p: Presentation, target) -> AbelianStructure:
+def kernel_abelianization(p, target) -> AbelianStructure:
     """H1 of the kernel of p ->> target (an AbelianTarget), by abelianized
     Reidemeister-Schreier: the kernel's exponent-sum rows are read off the
     Schreier coset table (`SchreierSystem.exponent_rows`) and their Smith
-    form is taken.  No kernel presentation is built."""
+    form is taken.  No kernel presentation is built.  p is a presentation
+    or a straight-line program, read node by node."""
     system = SchreierSystem(p, target)
     ncols = len(system.generator_names)
     factors = invariant_factors(system.exponent_rows(p.relators), ncols)
@@ -407,9 +408,10 @@ def kernel_abelianization(p: Presentation, target) -> AbelianStructure:
                             tuple(d for d in factors if d != 1))
 
 
-def total_degree_kernel(p: Presentation, m: int) -> AbelianStructure:
+def total_degree_kernel(p, m: int) -> AbelianStructure:
     """H1 of the kernel of the total-degree map p ->> Z/m, which sends
-    every generator to 1, by `kernel_abelianization`."""
+    every generator to 1, by `kernel_abelianization`; p is a presentation
+    or a straight-line program."""
     target = AbelianTarget(moduli=(m,), generators=p.generators,
                            images=tuple((1,) for _ in p.generators))
     return kernel_abelianization(p, target)
@@ -420,13 +422,15 @@ def commutator_abelianization_rank(n: int) -> int:
 
     The kernel of the map sending every generator of the reduced curve
     presentation to 1 mod 2n (the commutator subgroup for odd n, where that
-    map is the abelianization), abelianized by `total_degree_kernel`.  For
-    odd n the rank equals the degree of the curve's Alexander polynomial,
-    3(n-1); the rows come from the coset table alone, not from Fox calculus,
-    so the two checks share no code.
+    map is the abelianization), abelianized by `total_degree_kernel`.  The
+    relators are read from the straight-line program `curve_program(n)`,
+    node by node, so the n^4 or so letters of presentation_pi1_reduced(n)
+    are never walked.  For odd n the rank equals the degree of the curve's
+    Alexander polynomial, 3(n-1); the rows come from the coset table alone,
+    not from Fox calculus, so the two checks share no code.
     """
     if n < 3 or n % 2 == 0:
         raise InvalidParameter("n must be odd and >= 3")
-    from .presentations import presentation_pi1_reduced
+    from .presentations import curve_program
 
-    return total_degree_kernel(presentation_pi1_reduced(n), 2 * n).free_rank
+    return total_degree_kernel(curve_program(n), 2 * n).free_rank

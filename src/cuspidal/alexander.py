@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd as int_gcd
+from operator import neg
 
 from .errors import InvalidParameter
-from .words import Presentation, Word
+from .packing import Packing
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -26,16 +28,14 @@ class LaurentPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, low: int = 0, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            low += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            low = 0
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        coeffs = tuple(coeffs)
+        start, end = 0, len(coeffs)
+        while start < end and not coeffs[start]:
+            start += 1
+        while end > start and not coeffs[end - 1]:
+            end -= 1
+        object.__setattr__(self, "low", low + start if start < end else 0)
+        object.__setattr__(self, "coeffs", coeffs[start:end])
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -127,6 +127,9 @@ class LaurentPolynomial:
             else:
                 terms.append(f"{c}*t^{e}")
         return " + ".join(terms)
+
+
+_ZERO = LaurentPolynomial.zero()
 
 
 # Dense polynomials over Z, used inside the gcd and elimination code: a
@@ -225,7 +228,7 @@ def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial):
 def _from_terms(terms: dict[int, int]) -> LaurentPolynomial:
     """The Laurent polynomial with the given exponent -> coefficient map."""
     if not terms:
-        return LaurentPolynomial.zero()
+        return _ZERO
     low = min(terms)
     return LaurentPolynomial(low, [terms.get(e, 0)
                                    for e in range(low, max(terms) + 1)])
@@ -238,36 +241,140 @@ def fox_derivative(w: Word, g: int, weights) -> LaurentPolynomial:
     Satisfies d(x)/dx = 1, d(x^-1)/dx = -t^-w(x), and the product rule
     d(uv)/dx = du/dx + phi(u)*dv/dx with phi(u) = t^(weighted exponent sum).
     """
-    terms = _fox_terms(w, max(map(abs, w), default=0), weights)
+    ngen = max(map(abs, w), default=0)
+    terms, _ = _fox_terms(w, ngen, weights, None)
     return _from_terms(terms[g] if 0 < g < len(terms) else {})
 
 
-def _fox_terms(w: Word, ngen: int, weights) -> list[dict[int, int]]:
-    """The Fox derivatives of w by generators 1..ngen as exponent ->
-    coefficient maps, at index 1..ngen (index 0 unused).  The word is read
-    once, every letter adding its term to its own generator's map."""
+def _fox_terms(w: Word, ngen: int, degree, program):
+    """The Fox derivatives of w, a word over the symbols of a straight-line
+    program, read once: (the terms of its generator letters, as exponent ->
+    coefficient maps by generators 1..ngen at index 1..ngen, index 0
+    unused; the packed sum of the terms of its node letters).  degree holds
+    the weighted exponent sum of every symbol, and program (a `_FoxProgram`,
+    or None for a word of generators) the derivatives of the nodes.
+
+    By the product rule F(uv) = F(u) + t^deg(u) F(v), and F(u^-1) =
+    -t^-deg(u) F(u), each letter adds its own derivatives times t to the
+    exponent reached: a generator letter one term, a node letter its packed
+    vector, moved."""
     terms: list[dict[int, int]] = [{} for _ in range(ngen + 1)]
-    exp = 0
+    packed = exp = 0
     for x in w:
         if x > 0:
-            column = terms[x]
-            column[exp] = column.get(exp, 0) + 1
-            exp += weights[x]
+            if x > ngen:
+                packed += program.moved(x, exp)
+            else:
+                column = terms[x]
+                column[exp] = column.get(exp, 0) + 1
+            exp += degree[x]
         else:
-            exp -= weights[-x]
-            column = terms[-x]
-            column[exp] = column.get(exp, 0) - 1
-    return terms
+            exp -= degree[-x]
+            if x < -ngen:
+                packed -= program.moved(-x, exp)
+            else:
+                column = terms[-x]
+                column[exp] = column.get(exp, 0) - 1
+    return terms, packed
 
 
-def alexander_matrix(p: Presentation):
-    """Fox-derivative matrix of a presentation under the all-meridians map
-    (every generator to t), as a list of rows: one row per relator, one
-    column per generator."""
-    ngen = len(p.generators)
-    weights = [1] * (ngen + 1)
-    return [[_from_terms(t) for t in _fox_terms(r, ngen, weights)[1:]]
-            for r in p.relators]
+class _FoxProgram:
+    """The Fox derivatives of the inner nodes of a straight-line program
+    under the all-meridians map, read node by node, and the Fox rows of
+    its relators.
+
+    A node's derivatives by the ngen generators are one packed vector
+    (`Packing`): the coefficient of t^e in the derivative by generator g
+    sits at place (g - 1) * width + e - low, for a window low..low + width
+    - 1 of exponents that holds every term of a node or of a node letter of
+    a relator.  Multiplying by t^k moves every place by k, so a node letter
+    costs one shift and one addition; a generator letter stays one term.
+    The window comes from each symbol's least and greatest exponent, and
+    the packing is sized by the letters of the expanded words, which bound
+    every coefficient.  A presentation has no nodes, and nothing is packed.
+    """
+
+    def __init__(self, p):
+        ngen = self.ngen = len(p.generators)
+        self.degree = [0] + [1] * ngen
+        self.nodes: list[int] = []
+        # packed derivatives -> their columns, decoded once
+        self._rows: dict[int, list[LaurentPolynomial]] = {}
+        if not p.nodes:
+            return
+        # per symbol: least and greatest exponent of a term, and the
+        # letters of its expansion; a generator's derivative is 1
+        low, high = [0] * (ngen + 1), [0] * (ngen + 1)
+        length = [1] * (ngen + 1)
+        for word in p.nodes:
+            span = self._span(word, low, high, length)
+            self.degree.append(span[0])
+            low.append(span[1])
+            high.append(span[2])
+            length.append(span[3])
+        spans = [self._span(r, low, high, length) for r in p.relators]
+        self.low = min(low + [s[1] for s in spans])
+        self.width = max(high + [s[2] for s in spans]) - self.low + 1
+        self.packing = Packing(ngen * self.width,
+                               max(length + [s[3] for s in spans]))
+        for word in p.nodes:
+            terms, packed = _fox_terms(word, ngen, self.degree, self)
+            for g, column in enumerate(terms[1:]):
+                for e, c in column.items():
+                    packed += c * self.packing.unit(g * self.width + e
+                                                    - self.low)
+            self.nodes.append(packed)
+
+    def _span(self, w: Word, low, high, length):
+        """(degree, least exponent, greatest exponent, expanded letters) of
+        the derivatives of w."""
+        degree = self.degree
+        exp, least, greatest, letters = 0, 0, 0, 0
+        for x in w:
+            s = x if x > 0 else -x
+            if x < 0:
+                exp -= degree[s]
+            if exp + low[s] < least:
+                least = exp + low[s]
+            if exp + high[s] > greatest:
+                greatest = exp + high[s]
+            letters += length[s]
+            if x > 0:
+                exp += degree[s]
+        return exp, least, greatest, letters
+
+    def moved(self, symbol: int, exp: int) -> int:
+        """The packed derivatives of a node symbol times t^exp."""
+        return self.packing.shift(self.nodes[symbol - self.ngen - 1], exp)
+
+    def row(self, w: Word) -> list[LaurentPolynomial]:
+        """The Fox row of w: its derivative by each generator."""
+        terms, packed = _fox_terms(w, self.ngen, self.degree, self)
+        row = [_from_terms(t) for t in terms[1:]] if any(terms) else None
+        if not packed:
+            return row or [_ZERO] * self.ngen
+        if packed not in self._rows:
+            entries = self.packing.unpack(packed)
+            self._rows[packed] = [
+                LaurentPolynomial(self.low, entries[k:k + self.width])
+                for k in range(0, len(entries), self.width)]
+        if row is None:
+            return list(self._rows[packed])
+        return [e + f for e, f in zip(self._rows[packed], row)]
+
+
+def alexander_matrix(p):
+    """Fox-derivative matrix of a presentation, or of a straight-line
+    program, under the all-meridians map (every generator to t), as a list
+    of rows: one row per relator, one column per generator.
+
+    The program is read node by node (`_FoxProgram`): the derivatives of
+    each inner node are composed from those of its letters, and each
+    relator's row from those of its letters, so no word is expanded.  A
+    presentation is a program with no inner nodes, whose relators are read
+    letter by letter."""
+    program = _FoxProgram(p)
+    return [program.row(r) for r in p.relators]
 
 
 def _unit_reduce(rows, size):
@@ -321,8 +428,10 @@ def _det(m: list[list[list[int]]]) -> list[int]:
         pivot = m[k]
         for row in m[k + 1:]:
             for j in range(k + 1, n):
-                row[j] = _quotient(_combine(1, _mul(row[j], pivot[k]), 1, 0,
-                                            _mul(row[k], pivot[j])), prev)
+                entry = _combine(1, _mul(row[j], pivot[k]), 1, 0,
+                                 _mul(row[k], pivot[j]))
+                # the first step divides by 1
+                row[j] = _quotient(entry, prev) if k else entry
         prev = pivot[k]
     return [sign * c for c in m[n - 1][n - 1]]
 
@@ -397,15 +506,22 @@ def elementary_ideal_gcd(rows, cols: int) -> LaurentPolynomial:
     if size < 1:
         raise InvalidParameter(
             f"a matrix of {cols} columns has no (cols - 1)-sized minors")
-    # deduplicate rows; duplicates contribute only repeated or zero minors
+    # keep each row once up to a unit +-t^k: a row that is a unit times an
+    # earlier one contributes only minors that are units times others, or 0
     seen = set()
     unique = []
     for row in rows:
-        key = tuple((e.low, e.coeffs) for e in row)
-        if key in seen or all(e.is_zero for e in row):
+        nonzero = [e for e in row if e.coeffs]
+        if not nonzero:
             continue
-        seen.add(key)
-        unique.append(row)
+        low = min(e.low for e in nonzero)
+        if nonzero[0].coeffs[0] > 0:
+            key = tuple((e.low - low, e.coeffs) for e in row)
+        else:
+            key = tuple((e.low - low, tuple(map(neg, e.coeffs))) for e in row)
+        if key not in seen:
+            seen.add(key)
+            unique.append(row)
     rows, size = _unit_reduce(unique, size)
     if size == 0:
         return LaurentPolynomial.one()
@@ -433,9 +549,10 @@ def elementary_ideal_gcd(rows, cols: int) -> LaurentPolynomial:
     return LaurentPolynomial(0, [content * c for c in prim]).normalized()
 
 
-def alexander_polynomial(p: Presentation):
+def alexander_polynomial(p):
     """First-elementary-ideal gcd of the Fox matrix under the all-meridians
-    map, with up to two factors of (t - 1) removed.
+    map, with up to two factors of (t - 1) removed.  p is a presentation or
+    a straight-line program (`alexander_matrix`).
 
     Returns (polynomial, number of (t - 1) factors stripped).
     """

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .abelian import abelianization, total_degree_kernel
+from .abelian import abelianization, commutator_abelianization_rank
 from .alexander import alexander_polynomial, cyclotomic_target
 from .errors import (BudgetExceeded, InvalidParameter, RankDeficiencySuspect,
                      SplittingFailure, VerificationFailure)
@@ -22,8 +22,8 @@ from .geometry import (PrimeField, choose_prime, milnor_ratio,
                        singular_points_scan, splitting_check_n2,
                        superabundance_multi, tangent_cone_ranks)
 from .homcount import count_homs
-from .presentations import (derive_pi1_via_rs, invariant_battery,
-                            map_check, oka_quotient,
+from .presentations import (curve_program, derive_pi1_via_rs,
+                            invariant_battery, map_check, oka_quotient,
                             presentation_G, presentation_G_raw,
                             presentation_oka, presentation_pi1,
                             presentation_pi1_reduced, presentation_zariski3,
@@ -220,14 +220,12 @@ def cmd_verify_all(args, run: Run) -> None:
                    {"generators": len(derived.generators)}, battery.agrees)
 
     if n % 2 == 1:
-        reduced = presentation_pi1_reduced(n)
-        poly, stripped = alexander_polynomial(reduced)
+        poly, stripped = alexander_polynomial(curve_program(n))
         target = cyclotomic_target(n)
         run.record("alexander_vs_cyclotomic_cube",
                    {"display": str(poly), "stripped": stripped},
                    poly.normalized() == target.normalized())
-        # the commutator subgroup is the kernel of the total-degree map
-        rank = total_degree_kernel(reduced, 2 * n).free_rank
+        rank = commutator_abelianization_rank(n)
         run.record("commutator_abelianization_rank", rank,
                    rank == 3 * (n - 1))
         rep = superabundance_multi(n)

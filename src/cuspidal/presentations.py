@@ -16,8 +16,9 @@ from .abelian import AbelianStructure, abelianization
 from .errors import InvalidParameter
 from .homcount import TrivialityReport, count_homs, relator_triviality_check
 from .rewriting import AbelianTarget, subgroup_presentation
-from .words import (GroupMap, Presentation, Word, commutator, conjugate,
-                    invert, multiply, power, simplify_with_map, substitute)
+from .words import (GroupMap, Presentation, StraightLineProgram, Word,
+                    commutator, conjugate, invert, multiply, power,
+                    simplify_with_map, substitute)
 
 
 def presentation_G_raw() -> Presentation:
@@ -102,37 +103,80 @@ def long_relator(n: int) -> Word:
                  for (i, j) in ((k, k), (k, (k + 1) % n)))
 
 
-def _reduced_words(n: int) -> list[Word]:
-    """Words over (eps_0_0, eps_0_1, eps_1_0, eps_1_1) for every eps_i_j,
-    obtained by expanding the recurrences, j-direction first, indexed like
-    the generators of presentation_pi1(n): eps_i_j's word at i*n + j."""
-    w: dict[tuple[int, int], Word] = {
-        (0, 0): (1,), (0, 1): (2,), (1, 0): (3,), (1, 1): (4,)}
+_CURVE_LEAVES = ((0, 0), (0, 1), (1, 0), (1, 1))
+_CURVE_GENERATORS = tuple(eps_name(i, j) for i, j in _CURVE_LEAVES)
+
+
+def _curve_nodes(n: int) -> tuple[list[Word], list[int]]:
+    """The inner nodes of curve_program(n) and the symbol of each eps_i_j,
+    at i*n + j.  The leaves eps_0_0, eps_0_1, eps_1_0, eps_1_1 are symbols
+    1..4; each other eps_i_j is one node, the recurrence that defines it
+    written as W_u^-1 W_v W_u over earlier symbols, j-direction first."""
+    symbol = {ij: s for s, ij in enumerate(_CURVE_LEAVES, 1)}
+    nodes: list[Word] = []
+
+    def define(ij, v, u):
+        nodes.append(conjugate((symbol[v],), (symbol[u],)))
+        symbol[ij] = len(_CURVE_LEAVES) + len(nodes)
+
     for i in (0, 1):
         for j in range(2, n):
-            w[i, j] = conjugate(w[i, j - 2], w[i, j - 1])
+            define((i, j), (i, j - 2), (i, j - 1))
     for i in range(2, n):
         for j in range(n):
-            w[i, j] = conjugate(w[i - 2, j], w[i - 1, j])
-    return [w[divmod(k, n)] for k in range(n * n)]
+            define((i, j), (i - 2, j), (i - 1, j))
+    return nodes, [symbol[divmod(k, n)] for k in range(n * n)]
+
+
+def curve_program(n: int) -> StraightLineProgram:
+    """The group of presentation_pi1_reduced(n) as a straight-line program
+    over the four generators eps_i_j, i, j in {0, 1}.
+
+    The inner nodes are the recurrences that express every other eps_i_j
+    (`_curve_nodes`).  The relators are the relators of presentation_pi1(n)
+    that are not such definitions, with each eps_i_j written as its symbol,
+    each kept once.  presentation_pi1_reduced(n) is their expansion, so the
+    definitions, which expand to nothing, and the repeats are dropped here
+    at the source; its n^4 or so letters are never built.
+    """
+    if n < 2:
+        raise InvalidParameter("n must be >= 2")
+    nodes, symbols = _curve_nodes(n)
+    definitions = _definitions(n)
+    relators = dict.fromkeys(
+        tuple(symbols[x - 1] if x > 0 else -symbols[-x - 1] for x in r)
+        for k, r in enumerate(_pi1_relators(n)) if k not in definitions)
+    return StraightLineProgram(_CURVE_GENERATORS, nodes, relators)
+
+
+def _reduced_words(n: int) -> list[Word]:
+    """Words over (eps_0_0, eps_0_1, eps_1_0, eps_1_1) for every eps_i_j,
+    the expansion of the symbols of curve_program(n), indexed like the
+    generators of presentation_pi1(n): eps_i_j's word at i*n + j."""
+    nodes, symbols = _curve_nodes(n)
+    words = StraightLineProgram(_CURVE_GENERATORS, nodes, ()).expand()
+    return [words[s - 1] for s in symbols]
 
 
 def presentation_pi1_reduced(n: int) -> Presentation:
     """The same group on the four generators eps_i_j, i,j in {0,1}: the
     image of every relator of presentation_pi1(n) under the substitution of
-    each eps_i_j by its recurrence word.  The (n + 2)(n - 2) relators that
-    served as definitions, the i-family with i + 2 < n and the j-family
-    with i < 2 and j + 2 < n, reduce to nothing and are written down as
-    such; the wrap-around and cross-consistency ones survive.
+    each eps_i_j by its recurrence word, the expansion of curve_program(n).
+    The (n + 2)(n - 2) relators that served as definitions, the i-family
+    with i + 2 < n and the j-family with i < 2 and j + 2 < n, reduce to
+    nothing and are written down as such; the wrap-around and
+    cross-consistency ones survive, repeats included.  The relators hold
+    about n^4 letters, so the Alexander polynomial and the commutator rank
+    read curve_program(n) instead; this presentation is for the commands
+    that print or search it.
     """
     if n < 2:
         raise InvalidParameter("n must be >= 2")
     images = _reduced_words(n)
     definitions = _definitions(n)
-    gens = (eps_name(0, 0), eps_name(0, 1), eps_name(1, 0), eps_name(1, 1))
-    return Presentation(gens, [() if k in definitions
-                               else substitute(r, images)
-                               for k, r in enumerate(_pi1_relators(n))])
+    relators = [() if k in definitions else substitute(r, images)
+                for k, r in enumerate(_pi1_relators(n))]
+    return Presentation(_CURVE_GENERATORS, relators)
 
 
 def _definitions(n: int) -> set[int]:

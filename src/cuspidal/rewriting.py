@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
-from operator import neg, sub
+from itertools import compress, product
+from math import prod
+from operator import add, itemgetter, neg, sub
 from typing import Iterator
 
 from .errors import InvalidParameter, NotGenerating, NotInKernel
+from .packing import Packing
 from .words import Presentation, Word, invert, multiply, simplify
 
 
@@ -77,7 +79,8 @@ class AbelianTarget:
 
 class SchreierSystem:
     """The coset table of the kernel of p ->> target and its Schreier
-    generators.
+    generators.  p is a presentation or, for `exponent_rows` only, a
+    straight-line program over the generators.
 
     Cosets are the target's elements in row-major order, coset 0 the
     identity.  The representatives form a Schreier transversal (every prefix
@@ -89,7 +92,7 @@ class SchreierSystem:
     never emitted, the rest are named <generator>_<residues of c>.
     """
 
-    def __init__(self, p: Presentation, target: AbelianTarget):
+    def __init__(self, p, target: AbelianTarget):
         if target.generators != p.generators:
             raise ValueError(
                 "target images must be indexed by p's generators")
@@ -123,29 +126,47 @@ class SchreierSystem:
         # (coset, letter) -> the signed kernel letter read on the way (0 for
         # a redundant generator)
         self._kernel_letter = [0] * (len(elements) * width)
+        # The edge (coset c, generator g) is numbered c * ngen + g - 1.
+        # (coset, letter) -> the edge passed: a letter g from coset c passes
+        # (c, g) forward, a letter g^-1 into coset c passes it backward.
+        # Backward passes are numbered past the last edge.
+        nedges = len(elements) * ngen
+        self._edge = [0] * (len(elements) * width)
         names: list[str] = []
         words: list[Word] = []
-        # the slot of each kernel generator and of its inverse
-        positive: list[int] = []
-        negative: list[int] = []
+        # the edge of each kernel generator
+        edges: list[int] = []
         for ci, el in enumerate(elements):
             suffix = "_".join(str(r) for r in el)
             for g in range(1, ngen + 1):
                 cj = self._next[self._slots[ci] + g] // width
                 word = multiply(multiply(reps[ci], (g,)), invert(reps[cj]))
                 letter = 0
+                edge = ci * ngen + g - 1
                 if word:
                     names.append(f"{p.generators[g - 1]}_{suffix}")
                     words.append(word)
                     letter = len(names)
-                    positive.append(self._slots[ci] + g)
-                    negative.append(self._slots[cj] - g)
+                    edges.append(edge)
                 self._kernel_letter[self._slots[ci] + g] = letter
                 self._kernel_letter[self._slots[cj] - g] = -letter
+                self._edge[self._slots[ci] + g] = edge
+                self._edge[self._slots[cj] - g] = nedges + edge
         self.generator_names = tuple(names)
         self.generator_words = tuple(words)
-        self._elements, self._index = elements, index
-        self._generator_slots = (positive, negative)
+        self._generator_edges = edges
+        self._elements = elements
+        # coset a, coset b -> the coset a + b, the sum over the summands of
+        # its residue times the summand's place value in row-major order;
+        # coset a -> the coset -a
+        places = [len(elements) // prod(target.moduli[:k + 1])
+                  for k in range(len(target.moduli))]
+        self._sum = [[sum(c) for c in product(*(
+            [(x + y) % m * place for y in range(m)]
+            for x, m, place in zip(a, target.moduli, places)))]
+            for a in elements]
+        self._minus = [index[target.neg(a)] for a in elements]
+        self._nodes = p.nodes
 
     def rewrite(self, w: Word, start_coset: int) -> Word:
         """Reidemeister-Schreier rewriting of the kernel word w starting at
@@ -175,41 +196,57 @@ class SchreierSystem:
         generates nothing new.  Equal relators give equal rows, so a
         repeated relator is not walked again.
 
-        Each relator is walked once, from coset 0, counting the (coset,
-        letter) slots it passes; no rewritten word is built.  The target is
-        abelian, so the walk from coset c passes the slots of that walk
-        translated by c, as often.  The row at coset c is therefore read off
-        the same counts: the entry of a kernel generator is the count at its
-        positive slot minus the count at its negative slot, both translated
-        back by c (Sims, *Computation with Finitely Presented Groups*, 1994,
-        ch. 2).
+        Each relator is walked once, from coset 0, counting with sign the
+        edges (coset c, generator g) it passes: forward, a letter g from
+        coset c, adds 1; backward, a letter g^-1 into coset c, subtracts 1.
+        No rewritten word is built.  The target is abelian, so the walk from
+        coset c passes the edges of that walk translated by c, as often.
+        The row at coset c is therefore read off the same counts: the entry
+        of a kernel generator is the count at its edge translated back by c
+        (Sims, *Computation with Finitely Presented Groups*, 1994, ch. 2).
+
+        The relators are words over the symbols of the straight-line
+        program the system was built from (a presentation has no inner
+        nodes).  Each inner node is walked once, from coset 0, composing
+        the (end coset, counts) of its letters: counts(uv) = counts(u) +
+        counts(v) translated by the end coset of u, and the inverse of a
+        node ending at e, entered at coset c, subtracts its counts
+        translated by c - e.  The counts of a node are packed into one
+        integer (`_NodeWalks`), so a node letter costs a translation and an
+        addition of integers; a generator letter stays one step through the
+        table.
 
         Every relator must lie in the kernel (NotInKernel otherwise).  Its
         row at coset c is then the image of its row at coset 0 under
         conjugation by the representative of c, an automorphism of the
         kernel's abelianization, so a zero row at coset 0 means that all of
-        its rows are zero, and its other cosets are skipped.
+        its rows are zero, and its other cosets are skipped.  The counts of
+        a closed walk are fixed by those on the kernel generators' edges
+        (the edges off the Schreier tree), so a relator whose row at coset
+        0 is, up to sign, an earlier row at coset c has the counts of that
+        earlier relator translated by c, up to sign: its rows are all
+        yielded already, and its other cosets are skipped too.
         """
-        next_slot, start = self._next, self._slots[0]
-        # coset c -> the positive and the negative slot of each kernel
-        # generator, translated back by c
-        shifted = [self._translated_slots(c) for c in range(len(self._slots))]
+        # coset c -> the edge of each kernel generator translated back by c
+        shifted = [itemgetter(*self._translated_edges(c))
+                   for c in range(len(self._slots))]
+        single = len(self._generator_edges) == 1
+        relators = [r for r in dict.fromkeys(relators) if r]
+        walks = _NodeWalks(self, relators) if self._nodes else None
         seen = set()
-        for r in dict.fromkeys(relators):
-            if not r:
-                continue
-            slot = start
-            counts = [0] * len(next_slot)
-            for x in r:
-                slot += x
-                counts[slot] += 1
-                slot = next_slot[slot]
-            if slot != start:
+        for r in relators:
+            end, counts, packed = self._walk(r, walks)
+            if end:
                 raise NotInKernel(
                     f"a relator of length {len(r)} is not in the kernel")
-            for positive, negative in shifted:
-                row = tuple(map(sub, map(counts.__getitem__, positive),
-                                map(counts.__getitem__, negative)))
+            if packed:
+                moved = walks.packing.unpack(packed)
+                counts = moved if counts is None else list(map(add, moved,
+                                                               counts))
+            if counts is None:
+                continue
+            for c, row_of in enumerate(shifted):
+                row = (row_of(counts),) if single else row_of(counts)
                 first = next(filter(None, row), 0)
                 if not first:
                     break
@@ -217,17 +254,116 @@ class SchreierSystem:
                     row = tuple(map(neg, row))
                 if row not in seen:
                     seen.add(row)
-                    yield {j: v for j, v in enumerate(row) if v}
+                    yield dict(compress(enumerate(row), row))
+                elif not c:
+                    break
 
-    def _translated_slots(self, c: int) -> tuple[list[int], ...]:
-        """The positive and the negative slot of each kernel generator,
-        each moved from its coset d to the coset d - c."""
-        width = 2 * len(self.target.generators) + 1
-        minus_c = self.target.neg(self._elements[c])
-        back = [self._index[self.target.add(el, minus_c)]
-                for el in self._elements]
-        return tuple([back[s // width] * width + s % width for s in slots]
-                     for slots in self._generator_slots)
+    def _walk(self, w: Word, walks):
+        """(end coset, signed counts of the edges its generator letters
+        pass or None if it has none, packed counts of its node letters) of
+        the walk of w from coset 0; walks (a `_NodeWalks`) holds those of
+        the inner nodes.  Generator letters count forward and backward
+        passes apart, one table step each, and the two are subtracted at
+        the end."""
+        next_slot, edge, slots = self._next, self._edge, self._slots
+        ngen = len(self.target.generators)
+        width = 2 * ngen + 1
+        nedges = len(slots) * ngen
+        slot = slots[0]
+        passes = None
+        packed = 0
+        for x in w:
+            if -ngen <= x <= ngen:
+                if passes is None:
+                    passes = [0] * (2 * nedges)
+                slot += x
+                passes[edge[slot]] += 1
+                slot = next_slot[slot]
+            elif x > 0:
+                coset = slot // width
+                packed += walks.moved(x, coset)
+                slot = slots[self._sum[coset][walks.ends[x - ngen - 1]]]
+            else:
+                coset = self._sum[slot // width][
+                    self._minus[walks.ends[-x - ngen - 1]]]
+                packed -= walks.moved(-x, coset)
+                slot = slots[coset]
+        counts = None if passes is None else list(map(sub, passes[:nedges],
+                                                      passes[nedges:]))
+        return slot // width, counts, packed
+
+    def _translated_edges(self, c: int) -> list[int]:
+        """The edge of each kernel generator, moved from its coset d to the
+        coset d - c."""
+        ngen = len(self.target.generators)
+        back = self._sum[self._minus[c]]
+        return [back[e // ngen] * ngen + e % ngen
+                for e in self._generator_edges]
+
+
+class _NodeWalks:
+    """The walks of the inner nodes of a straight-line program through the
+    coset table of a `SchreierSystem`, each from coset 0: its end coset and
+    its signed edge counts, packed (`Packing`), one entry per edge.
+
+    A count is bounded by the letters of the node's expansion, which the
+    packing is sized for.  The cosets are the target's elements in
+    row-major order, so moving every count from coset d to coset d + c
+    turns, along each summand Z/m of the target, every run of m blocks by
+    c's residue: two masks, two shifts and an or per summand, on the counts
+    made nonnegative (`Packing.biased`)."""
+
+    def __init__(self, system: SchreierSystem, relators):
+        self.system = system
+        nodes = system._nodes
+        ngen = len(system.target.generators)
+        length = [1] * (ngen + 1)
+        for node in nodes:
+            length.append(sum(length[abs(x)] for x in node))
+        self.packing = Packing(len(system._slots) * ngen, max(
+            length + [sum(length[abs(x)] for x in r) for r in relators]))
+        self._turns: dict[int, list[tuple[int, int, int, int]]] = {}
+        self.ends: list[int] = []
+        self._counts: list[int] = []
+        for node in nodes:
+            end, counts, packed = system._walk(node, self)
+            self.ends.append(end)
+            self._counts.append(packed if counts is None
+                                else packed + self.packing.pack(counts))
+
+    def moved(self, symbol: int, c: int) -> int:
+        """The packed counts of a node symbol's walk from coset c."""
+        packed = self._counts[symbol - len(self.system.target.generators)
+                              - 1]
+        if not c:
+            return packed
+        if c not in self._turns:
+            self._turns[c] = self._turn(c)
+        packed = self.packing.biased(packed)
+        for low, high, up, down in self._turns[c]:
+            packed = (packed & low) << up | (packed & high) >> down
+        return self.packing.unbiased(packed)
+
+    def _turn(self, c: int) -> list[tuple[int, int, int, int]]:
+        """(mask of the counts that move up, mask of those that wrap
+        around, bits up, bits down) for each summand of the target along
+        which coset c is not 0."""
+        bits, size = self.packing.bits, self.packing.size
+        target = self.system.target
+        turns = []
+        stride = len(target.generators)  # counts per block of the last summand
+        for m, r in reversed(list(zip(target.moduli,
+                                      self.system._elements[c]))):
+            run = m * stride
+            # a 1 at the lowest bit of every run
+            every_run = ((1 << bits * size) - 1) // ((1 << bits * run) - 1)
+            low = ((1 << bits * (m - r) * stride) - 1) * every_run
+            high = ((1 << bits * run) - 1) * every_run - low
+            if r:
+                turns.append((low, high, bits * r * stride,
+                              bits * (m - r) * stride))
+            stride = run
+        return turns
 
 
 def subgroup_presentation(p: Presentation, target: AbelianTarget,

@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from operator import neg
+from typing import ClassVar
 
 from .errors import NoDefiningRelator
 
@@ -140,6 +141,18 @@ def _check_letters(words, ngen: int, kind: str) -> None:
             raise ValueError(f"{kind} letter {bad} out of range")
 
 
+def _check_names(generators) -> tuple[str, ...]:
+    """The generator names as a tuple; ValueError on a repeated or
+    malformed name."""
+    generators = tuple(generators)
+    if len(set(generators)) != len(generators):
+        raise ValueError("duplicate generator names")
+    for name in generators:
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid generator name: {name!r}")
+    return generators
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A finitely presented group: generator names plus relator words.
@@ -150,14 +163,11 @@ class Presentation:
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
+    # a plain presentation is a straight-line program with no inner nodes
+    nodes: ClassVar[tuple[Word, ...]] = ()
 
     def __init__(self, generators, relators):
-        generators = tuple(generators)
-        if len(set(generators)) != len(generators):
-            raise ValueError("duplicate generator names")
-        for name in generators:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid generator name: {name!r}")
+        generators = _check_names(generators)
         norm = [cyclic_normal_form(r) for r in relators]
         _check_letters(norm, len(generators), "relator")
         object.__setattr__(self, "generators", generators)
@@ -180,6 +190,45 @@ class Presentation:
     def __repr__(self):
         return (f"Presentation({len(self.generators)} generators, "
                 f"{len(self.relators)} relators)")
+
+
+@dataclass(frozen=True)
+class StraightLineProgram:
+    """A presentation whose relators are words over a straight-line
+    program (Lohrey, "Algorithmics on SLP-compressed strings: a survey",
+    Groups Complex. Cryptol. 4, 2012).
+
+    The symbols 1..len(generators) are the generators, the leaves; symbol
+    len(generators) + k + 1 is inner node k, which stands for the word
+    nodes[k] over the symbols before it.  The relators are words over all
+    the symbols.  A consumer reads the program node by node, composing what
+    it needs of each node from its letters, so no relator is ever expanded
+    into a word over the generators.  A `Presentation` is the program with
+    no inner nodes.  Relators are kept as given, not normalized.
+    """
+
+    generators: tuple[str, ...]
+    nodes: tuple[Word, ...]
+    relators: tuple[Word, ...]
+
+    def __init__(self, generators, nodes, relators):
+        generators = _check_names(generators)
+        nodes = tuple(map(reduce_word, nodes))
+        for k, node in enumerate(nodes):
+            _check_letters([node], len(generators) + k, "node")
+        relators = tuple(map(reduce_word, relators))
+        _check_letters(relators, len(generators) + len(nodes), "relator")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "relators", relators)
+
+    def expand(self) -> list[Word]:
+        """The freely reduced word over the generators of every symbol,
+        at index symbol - 1."""
+        words: list[Word] = [(g,) for g in range(1, len(self.generators) + 1)]
+        for node in self.nodes:
+            words.append(substitute(node, words))
+        return words
 
 
 def format_word(w: Word, generators) -> str:
@@ -316,16 +365,21 @@ def simplify(p: Presentation) -> Presentation:
 
 def simplify_with_map(p: Presentation):
     """Like simplify, with the same result and the same duplicate merging
-    at the end, but also returns each original generator's image word: the
-    eliminations are replayed on the generators, then renumbered."""
+    at the end, but also returns each original generator's image word.
+
+    The images are composed backward, from the last step to the first: a
+    step's defining word uses only generators that survive or that later
+    steps eliminate, whose images are then known, so the eliminated
+    generator's image is the defining word with those images substituted.
+    Free reduction is unique, so these are the reduced words that replaying
+    every step on every image would give."""
     q, log = _tietze(p)
-    images: list[Word] = [(i + 1,) for i in range(len(p.generators))]
-    for g, defining in log:
-        inv = invert(defining)
-        images = [_replace(w, g, defining, inv) for w in images]
     new_id = _survivor_ids(len(p.generators), log)
-    return q, {name: _renumber(img, new_id)
-               for name, img in zip(p.generators, images)}
+    images: list[Word] = [(new_id[g],) if g in new_id else ()
+                          for g in range(1, len(p.generators) + 1)]
+    for g, defining in reversed(log):
+        images[g - 1] = substitute(defining, images)
+    return q, dict(zip(p.generators, images))
 
 
 def _survivor_ids(ngen: int, log) -> dict[int, int]:

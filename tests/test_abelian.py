@@ -285,8 +285,12 @@ def test_commutator_rank_builds_no_kernel_presentation(monkeypatch):
 
     monkeypatch.setattr(words.Presentation, "__init__", recording)
     assert commutator_abelianization_rank(7) == 18
-    # only the curve presentation itself, never one on kernel generators
-    assert built and all(gens == source for gens in built)
+    # the rows are read off the curve program: no presentation is built,
+    # neither the curve's nor one on kernel generators
+    assert built == []
+    # the recording sees a presentation that is built
+    presentation_pi1_reduced(3)
+    assert built == [source]
 
 
 def random_sparse_matrix(rng):

@@ -5,6 +5,7 @@ the script runs its measurements, in a fresh interpreter
 Each run must exit 0, give the known answer, and read a nonzero value on
 every work counter that counts work done.  The counters patch private
 names of the package (`SchreierSystem._next`, `abelian._eliminate`,
+`abelian._unit_pivots`, `alexander._unit_reduce`,
 `words._least_rotation`, `homcount._build_plan`, `geometry._plane_rows`,
 `geometry._power_fibres`, `geometry._form_vanishes_on_line`,
 `geometry.TernaryForm.evaluate`, `words.Counter`), so a change
@@ -69,6 +70,9 @@ def test_kernel_suite():
     for key in ("rows_walked", "letters_walked", "distinct_rows",
                 "unit_pivots"):
         assert run["work"][key] > 0, key
+    # the rows are read off the curve program's 77 nodes
+    assert run["work"]["nodes"] == 77
+    assert run["work"]["expanded_letters"] == 0
 
 
 def test_geometry_suite_scan():
@@ -106,3 +110,13 @@ def test_verify_suite():
                for entry in run["answer"]["results"])
     for key in ("plans", "pi1_reduced", "curve_forms"):
         assert run["work"][key] > 0, key
+
+
+def test_curve_suite():
+    run = child("curve_alexander(5)")
+    assert run["answer"]["degree"] == 12
+    assert run["answer"]["stripped"] == 0
+    # read off the straight-line program: no relator is expanded, and of
+    # its 30 relators' Fox rows 11 are distinct up to a unit
+    assert run["work"] == {"expanded_letters": 0, "fox_rows": 30,
+                           "distinct_fox_rows": 11}

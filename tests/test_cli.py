@@ -230,18 +230,24 @@ def test_compare_kmax_out_of_range_names_the_option(capsys, kmax):
     assert err == f"error: --kmax must be between 2 and 5, got {kmax}\n"
 
 
-def test_verify_all_builds_the_reduced_presentation_once(capsys,
-                                                         monkeypatch):
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_verify_all_builds_no_reduced_presentation(capsys, monkeypatch, n):
+    # the Alexander polynomial and the commutator rank read the curve
+    # program; the n^4-letter presentation is built for no check
     built = []
     build = presentations.presentation_pi1_reduced
 
-    def counting(n):
-        built.append(n)
-        return build(n)
+    def counting(m):
+        built.append(m)
+        return build(m)
 
-    # cli holds the name it imported; abelian looks it up in presentations
+    # cli holds the name it imported
     monkeypatch.setattr(presentations, "presentation_pi1_reduced", counting)
     monkeypatch.setattr(cli, "presentation_pi1_reduced", counting)
-    code, _, _ = run(capsys, "verify-all", "--n", "7")
+    code, _, _ = run(capsys, "verify-all", "--n", str(n))
     assert code == 0
-    assert built == [7]
+    assert built == []
+    # the counting sees a build through either name
+    cli.presentation_pi1_reduced(3)
+    presentations.presentation_pi1_reduced(3)
+    assert built == [3, 3]
