@@ -7,6 +7,7 @@
     python3 scripts/bench.py geometry --before OLD/src
     python3 scripts/bench.py verify --before OLD/src
     python3 scripts/bench.py curve --before OLD/src
+    python3 scripts/bench.py smith --before OLD/src
 
 times the suite's cases on the `cuspidal` package under OLD/src and on the
 one in this checkout's src/, and writes the JSON report next to this
@@ -50,7 +51,8 @@ second, instrumented call (`kernel_work`): the relators
 reads of the coset table, one per letter walked), the inner nodes of a
 straight-line program composed instead (0 for a version without them),
 the letters of the reduced curve presentations built, the distinct rows,
-the unit pivots and the shape of the dense remainder.
+the unit pivots, the row reductions that apply them and the shape of the
+dense remainder.
 
 geometry: `singular_points_scan(n, p)` at (7, 197), (9, 307) and
 (7, 2003), `splitting_check_n2(p)` at p = 29, 101, 1009 and
@@ -83,8 +85,22 @@ out of reach of the expanded presentation, so it runs on this checkout
 only.  Next to the times, each side reports its work, counted in a
 second, instrumented call: the letters of the reduced curve presentations
 built, the Fox rows built and those left once rows equal up to a unit are
-dropped, the kernel rows and the unit pivots and dense remainder of their
-Smith form.
+dropped, the kernel rows and the unit pivots, row reductions and dense
+remainder of their Smith form.
+
+smith: the Smith forms and the Oka quotient behind verify-all at large n:
+`commutator_abelianization_rank(n)` for n = 21, 31, 41, 61 (the whole
+call), H1 of `presentation_pi1(n)` (`pi1_abelianization(n)`, the
+`abelianization` call only, after the presentation is built) for n = 21,
+41, 61, `oka_quotient(n)` for n = 7, 21, 31 (the whole call) and
+`verify-all --n N` for N = 31, 41 and, on this checkout only, 61.  Next to
+the times, each side reports its work, counted in a second, instrumented
+call: the unit pivots of its Smith forms, the row reductions that apply
+them (the calls of `abelian._reduce_row`; null for a version without it),
+the rows x columns of each dense remainder, and the generators and
+relator letters of the presentations `oka_quotient` hands to
+`simplify_with_map`.  The rank cases report the kernel suite's work, the
+verify-all cases the verify suite's with these counts added.
 """
 
 from __future__ import annotations
@@ -128,9 +144,14 @@ VERIFY_N = tuple(range(2, 14))
 CURVE_ALEXANDER_N = (7, 15, 31, 61)
 CURVE_RANK_N = (7, 21, 31)
 CURVE_VERIFY_N = (13, 21, 31)
+SMITH_RANK_N = (21, 31, 41, 61)
+SMITH_H1_N = (21, 41, 61)
+SMITH_OKA_N = (7, 21, 31)
+SMITH_VERIFY_N = (31, 41, 61)
 # cases the before version is not run on: pi1-reduced(61) holds about
-# 5 * 10^7 letters
-AFTER_ONLY = {"curve_alexander(61)"}
+# 5 * 10^7 letters, and verify-all --n 61 takes about 16 s before the
+# forward Smith front end and the Oka quotient by substitution
+AFTER_ONLY = {"curve_alexander(61)", "verify-all --n 61"}
 SUITES = {
     "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
                                    for n in VERIFY_ALL_N],
@@ -145,6 +166,10 @@ SUITES = {
     "curve": [f"curve_alexander({n})" for n in CURVE_ALEXANDER_N]
              + [f"commutator_abelianization_rank({n})" for n in CURVE_RANK_N]
              + [f"verify-all --n {n}" for n in CURVE_VERIFY_N],
+    "smith": [f"commutator_abelianization_rank({n})" for n in SMITH_RANK_N]
+             + [f"pi1_abelianization({n})" for n in SMITH_H1_N]
+             + [f"oka_quotient({n})" for n in SMITH_OKA_N]
+             + [f"verify-all --n {n}" for n in SMITH_VERIFY_N],
 }
 WHAT = {
     "homcount": "median wall seconds of one call, fresh interpreter per run; "
@@ -186,6 +211,16 @@ WHAT = {
              "second, instrumented call; speedup is the median over pairs "
              "of runs of before over after, speedup_quartiles its first and "
              "third quartiles",
+    "smith": "median wall seconds of one call, fresh interpreter per run "
+             "(pi1_abelianization(n): abelianization(presentation_pi1(n)) "
+             "after the build; verify-all: the whole command, stdout "
+             "captured); answers (the rank, H1, digests of the Oka "
+             "quotient and its images, the verify-all results) are "
+             "identical for both versions; *_work are each version's unit "
+             "pivots, row reductions, dense remainders and simplify_with_map "
+             "inputs, from a second, instrumented call; speedup is the "
+             "median over pairs of runs of before over after, "
+             "speedup_quartiles its first and third quartiles",
 }
 REPEAT = 5
 
@@ -238,7 +273,7 @@ def verify_work(n: int) -> dict:
             counting(presentations, "presentation_pi1_reduced", built), \
             counting(cli, "presentation_pi1_reduced", built), \
             counting(geometry, "curve_form", tally("curve_forms")):
-        run_verify_all(n)
+        work.update(smith_work(lambda: run_verify_all(n)))
     return work
 
 
@@ -318,7 +353,72 @@ def kernel_work(n: int) -> dict:
     work = curve_work(lambda: abelian.commutator_abelianization_rank(n))
     return {key: work[key] for key in (
         "rows_walked", "letters_walked", "nodes", "expanded_letters",
-        "distinct_rows", "unit_pivots", "dense_remainder")}
+        "distinct_rows", "unit_pivots", "pivot_applications",
+        "dense_remainders")}
+
+
+def smith_work(call) -> dict:
+    """The work of one call in this version, counted by wrapping what it
+    calls: the unit pivots of every Smith form, the row reductions that
+    apply them (`abelian._reduce_row`, null in a version without it), the
+    rows x columns of each dense remainder, and the generators and relator
+    letters of each presentation `oka_quotient` hands to
+    `simplify_with_map`."""
+    from cuspidal import abelian, presentations
+    work = {"unit_pivots": 0, "pivot_applications": None,
+            "dense_remainders": [], "simplify_generators": 0,
+            "simplify_letters": 0}
+
+    def pivoted(args, out):
+        ones, rest = out
+        work["unit_pivots"] += ones
+        work["dense_remainders"].append(
+            [len(rest), len({j for r in rest for j in r})])
+
+    def applied(args, out):
+        work["pivot_applications"] += 1
+
+    def simplified(args, out):
+        work["simplify_generators"] += len(args[0].generators)
+        work["simplify_letters"] += sum(map(len, args[0].relators))
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(counting(abelian, "_unit_pivots", pivoted))
+        if hasattr(abelian, "_reduce_row"):
+            work["pivot_applications"] = 0
+            stack.enter_context(counting(abelian, "_reduce_row", applied))
+        # oka_quotient calls simplify_with_map by the name it imported
+        stack.enter_context(counting(presentations, "simplify_with_map",
+                                     simplified))
+        call()
+    return work
+
+
+def time_pi1_abelianization(n: int):
+    from cuspidal.abelian import abelianization
+    from cuspidal.presentations import presentation_pi1
+    p = presentation_pi1(n)
+    start = time.perf_counter()
+    h1 = abelianization(p)
+    seconds = time.perf_counter() - start
+    work = smith_work(lambda: abelianization(p))
+    return seconds, {"h1": str(h1)}, {key: work[key] for key in (
+        "unit_pivots", "pivot_applications", "dense_remainders")}
+
+
+def time_oka_quotient(n: int):
+    from cuspidal import presentations
+    from cuspidal.words import format_presentation
+    start = time.perf_counter()
+    gm, quotient = presentations.oka_quotient(n)
+    seconds = time.perf_counter() - start
+    work = smith_work(lambda: presentations.oka_quotient(n))
+    return seconds, {
+        "sha256": hashlib.sha256(
+            format_presentation(quotient).encode()).hexdigest()[:16],
+        "images_sha256": hashlib.sha256(
+            str(gm.images).encode()).hexdigest()[:16]}, {
+        key: work[key] for key in ("simplify_generators", "simplify_letters")}
 
 
 def curve_work(call) -> dict:
@@ -328,13 +428,11 @@ def curve_work(call) -> dict:
     read on the way (the reads of each coset table) and the inner nodes
     composed, the kernel rows, the Fox rows built and those left once rows
     equal up to a unit are dropped (the rows `alexander._unit_reduce`
-    receives), and the unit pivots and dense remainder of the last Smith
-    form."""
-    from cuspidal import abelian, alexander, presentations, rewriting
+    receives), and the work of the Smith forms (`smith_work`)."""
+    from cuspidal import alexander, presentations, rewriting
     work = {"expanded_letters": 0, "rows_walked": 0, "letters_walked": 0,
             "nodes": 0, "distinct_rows": 0, "fox_rows": 0,
-            "distinct_fox_rows": 0, "unit_pivots": 0,
-            "dense_remainder": None}
+            "distinct_fox_rows": 0}
 
     class Reads(list):
         """A coset table that counts its reads: one per letter walked."""
@@ -361,20 +459,13 @@ def curve_work(call) -> dict:
     def reduced(args, out):
         work["distinct_fox_rows"] += len(args[0])
 
-    def pivoted(args, out):
-        ones, rest = out
-        work["unit_pivots"] = ones
-        work["dense_remainder"] = [len(rest),
-                                   len({j for r in rest for j in r})]
-
     with counting(presentations, "presentation_pi1_reduced", built), \
             counting(rewriting.SchreierSystem, "exponent_rows", row,
                      items=True), \
             counting(rewriting.SchreierSystem, "exponent_rows", walked), \
             counting(alexander, "alexander_matrix", fox), \
-            counting(alexander, "_unit_reduce", reduced), \
-            counting(abelian, "_unit_pivots", pivoted):
-        call()
+            counting(alexander, "_unit_reduce", reduced):
+        work.update(smith_work(call))
     return work
 
 
@@ -546,6 +637,8 @@ CALLS = {"derive_pi1_via_rs": time_derive,
          "alexander_polynomial": time_alexander,
          "curve_alexander": time_curve_alexander,
          "commutator_abelianization_rank": time_commutator_rank,
+         "pi1_abelianization": time_pi1_abelianization,
+         "oka_quotient": time_oka_quotient,
          "singular_points_scan": time_scan,
          "splitting_check_n2": time_splitting,
          "superabundance_multi": time_superabundance}

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import InvalidParameter
 from .rewriting import AbelianTarget, SchreierSystem
-from .words import Presentation, Word
+from .words import Word
 
 
 class IntegerMatrix:
@@ -111,12 +111,14 @@ class AbelianStructure:
         return " + ".join(parts) if parts else "0"
 
 
-def _exponent_sums(r: Word, ngen: int) -> list[int]:
-    """The exponent sum of each of the ngen generators in the word r."""
-    row = [0] * ngen
-    for x in r:
-        row[abs(x) - 1] += 1 if x > 0 else -1
-    return row
+def _exponent_sums(w: Word, sums) -> dict[int, int]:
+    """The nonzero exponent sums, generator column -> sum, of the word w
+    over symbols whose own sums are sums[symbol - 1]."""
+    row: dict[int, int] = {}
+    for x, k in Counter(w).items():
+        for j, e in sums[abs(x) - 1].items():
+            row[j] = row.get(j, 0) + (k * e if x > 0 else -k * e)
+    return {j: e for j, e in row.items() if e}
 
 
 def _smallest_pivot(a, k, rows, cols):
@@ -253,69 +255,54 @@ def smith_normal_form(m: IntegerMatrix):
             IntegerMatrix(m.cols, m.cols, v))
 
 
-def _markowitz_unit(live, where):
-    """The (row, column) of a +-1 entry of least Markowitz cost
-    (r - 1)(c - 1), with r the entries of its row and c of its column, or
-    None if no entry is a unit; the first such entry in row order.  A row
-    that cannot cost less than the best so far, even in the column with
-    fewest entries, is not scanned."""
-    fewest = min(len(w) for w in where if w) - 1
-    best = None
-    for i, row in live.items():
-        length = len(row) - 1
-        if best is not None and length * fewest >= best[0]:
-            continue
-        for j, x in row.items():
-            if x == 1 or x == -1:
-                cost = length * (len(where[j]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-    return None if best is None else best[1:]
-
-
 def _unit_pivots(rows, ncols):
     """Sparse front end of the Smith form (Havas, Holt and Rees, "Recognizing
-    badly presented Z-modules", 1993).
+    badly presented Z-modules", 1993), by forward elimination.
 
-    rows are dicts column -> nonzero entry, and are consumed.  While some
-    entry is +-1, the cheapest one by Markowitz cost clears its column by
-    row operations; its row and column then split off as an invariant
-    factor 1.  Returns the number of such factors and the rows left, none
-    of them empty; their Smith form supplies the other invariant factors.
+    rows are dicts column -> nonzero entry, and are consumed.  Each row in
+    turn is reduced by the unit pivots found so far, in the order found; if
+    a +-1 is left in it, the row becomes the next pivot, scaled so that its
+    unit is 1.  A pivot has no entry in an earlier pivot's column, so a
+    reduced row has none in any, and column operations then split each
+    pivot off as an invariant factor 1.  A row left with no unit is reduced
+    at the end by the pivots found after it.  Returns the number of pivots
+    and the rows left, none of them empty; their Smith form supplies the
+    other invariant factors.
     """
-    live = {i: row for i, row in enumerate(rows) if row}
-    where = [set() for _ in range(ncols)]  # column -> rows with an entry
-    for i, row in live.items():
-        for j in row:
-            where[j].add(i)
-    ones = 0
-    while live:
-        pivot = _markowitz_unit(live, where)
-        if pivot is None:
-            break
-        i, j = pivot
-        prow = live.pop(i)
-        for c in prow:
-            where[c].discard(i)
-        column, where[j] = where[j], set()
-        sign = prow.pop(j)
-        for k in column:
-            row = live[k]
-            q = row.pop(j) * sign  # row -= q * prow zeroes column j
-            for c, x in prow.items():
-                y = row.get(c)
-                if y is None:
-                    row[c] = -q * x
-                    where[c].add(k)
-                elif y - q * x:
-                    row[c] = y - q * x
-                else:
-                    del row[c]
-                    where[c].discard(k)
-            if not row:
-                del live[k]
-        ones += 1
-    return ones, list(live.values())
+    pivots: list[tuple[int, dict[int, int]]] = []  # (column, row)
+    waiting = []  # (row, pivots found before it)
+    for row in rows:
+        for col, pivot in pivots:
+            if col in row:
+                _reduce_row(row, pivot, col)
+        unit = next((j for j, x in row.items() if x == 1 or x == -1), None)
+        if unit is not None:
+            if row[unit] == -1:
+                row = {j: -x for j, x in row.items()}
+            pivots.append((unit, row))
+        elif row:
+            waiting.append((row, len(pivots)))
+    rest = []
+    for row, seen in waiting:
+        for col, pivot in pivots[seen:]:
+            if col in row:
+                _reduce_row(row, pivot, col)
+        if row:
+            rest.append(row)
+    return len(pivots), rest
+
+
+def _reduce_row(row: dict[int, int], pivot: dict[int, int],
+                col: int) -> None:
+    """row -= row[col] * pivot over Z, in place, for a sparse pivot row
+    with a 1 at col."""
+    f = row[col]
+    for j, v in pivot.items():
+        w = row.get(j, 0) - f * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int,
@@ -384,13 +371,16 @@ def invariant_factors(rows, ncols: int) -> list[int]:
     return [1] * ones + diagonal[:rank]
 
 
-def abelianization(p: Presentation) -> AbelianStructure:
+def abelianization(p) -> AbelianStructure:
     """Abelian invariants of the group: Smith form of the exponent-sum rows,
-    one per relator."""
+    one per relator.  p is a presentation or a straight-line program, read
+    node by node: a node's exponent sums are the sum of its letters'."""
     ngen = len(p.generators)
-    factors = invariant_factors(
-        [{j: e for j, e in enumerate(_exponent_sums(r, ngen)) if e}
-         for r in p.relators], ngen)
+    sums = [{j: 1} for j in range(ngen)]
+    for node in p.nodes:
+        sums.append(_exponent_sums(node, sums))
+    factors = invariant_factors([_exponent_sums(r, sums) for r in p.relators],
+                                ngen)
     return AbelianStructure(ngen - len(factors),
                             tuple(d for d in factors if d != 1))
 

@@ -114,13 +114,21 @@ def cmd_derive(args, run: Run) -> None:
         sys.stdout.write(format_presentation(p))
 
 
+def read_family(family: str, n: int | None, variant: str):
+    """The family as abelianize and alexander read it: pi1-reduced as its
+    straight-line program, so its relators are never expanded."""
+    if family == "pi1-reduced" and n is not None:
+        return curve_program(n)
+    return build_family(family, n, variant)
+
+
 def cmd_abelianize(args, run: Run) -> None:
-    p = build_family(args.family, args.n, args.variant)
+    p = read_family(args.family, args.n, args.variant)
     run.record("abelianization", _abelian_doc(abelianization(p)))
 
 
 def cmd_alexander(args, run: Run) -> None:
-    p = build_family(args.family, args.n, args.variant)
+    p = read_family(args.family, args.n, args.variant)
     poly, stripped = alexander_polynomial(p)
     run.record("alexander_polynomial",
                {"low": poly.low, "coeffs": list(poly.coeffs),

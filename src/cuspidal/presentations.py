@@ -292,18 +292,26 @@ def presentation_oka(n: int) -> Presentation:
 
 def oka_quotient(n: int):
     """Quotient of the curve group by eps_i_j = eps_i_0, with the canonical
-    map tracked through simplification.  Returns (GroupMap, Presentation)."""
+    map tracked through simplification.  Returns (GroupMap, Presentation).
+
+    Built by substitution (Oka, Math. Ann. 218, 1975): every eps_i_j of row
+    i becomes one generator c_i, named eps_i_{n-1}, in the relators of
+    presentation_pi1(n).  The j-family becomes trivial, the i-family n
+    copies of c_{i+2} = c_{i+1}^-1 c_i c_{i+1}, the long relator the
+    product of the c_k^2; `simplify_with_map` takes it from those n
+    generators, and each eps_i_j maps to the image of c_i.  Tietze
+    elimination from presentation_pi1(n) plus the relators eps_i_j =
+    eps_i_0 keeps eps_i_{n-1} in each row; the tests check for n <= 15 that
+    it gives the same presentation and images, byte for byte, after
+    n(n - 1) more steps."""
     if n < 2:
         raise InvalidParameter("n must be >= 2")
-    p = presentation_pi1(n)
-    relators = list(p.relators)
-    for i in range(n):
-        for j in range(1, n):
-            relators.append((i * n + j + 1, -(i * n + 1)))
-    raw = Presentation(p.generators, relators)
-    quotient, image_map = simplify_with_map(raw)
-    images = tuple(image_map[name] for name in p.generators)
-    return GroupMap(p, quotient, images), quotient
+    rows = [(i + 1,) for i in range(n) for _ in range(n)]
+    generators = tuple(eps_name(i, n - 1) for i in range(n))
+    quotient, image_map = simplify_with_map(Presentation(
+        generators, [substitute(r, rows) for r in _pi1_relators(n)]))
+    images = tuple(image_map[name] for name in generators for _ in range(n))
+    return GroupMap(presentation_pi1(n), quotient, images), quotient
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _bareiss,
                               invariant_factors, kernel_abelianization,
                               smith_normal_form, total_degree_kernel)
 from cuspidal.errors import NotInKernel
-from cuspidal.presentations import (derive_pi1_via_rs, presentation_G,
-                                    presentation_oka, presentation_pi1,
+from cuspidal.presentations import (curve_program, derive_pi1_via_rs,
+                                    presentation_G, presentation_oka,
+                                    presentation_pi1,
                                     presentation_pi1_reduced)
 from cuspidal.rewriting import AbelianTarget, SchreierSystem
 from cuspidal.words import Presentation
@@ -187,7 +188,7 @@ def test_abelianization_drops_unit_factors():
     assert abelianization(p) == AbelianStructure(0, (2,))
 
 
-@pytest.mark.parametrize("n", range(7, 22, 2))
+@pytest.mark.parametrize("n", [*range(7, 22, 2), 41])
 def test_commutator_abelianization_rank_reach(n):
     # the free rank of the kernel's H1 is the Alexander degree 3(n - 1)
     assert commutator_abelianization_rank(n) == 3 * (n - 1)
@@ -309,6 +310,152 @@ def random_sparse_matrix(rng):
         rows = [[k * x for x in row] for row in rows]
     rng.shuffle(rows)
     return IntegerMatrix.from_rows(rows)
+
+
+def markowitz_unit(live, where):
+    """The (row, column) of a +-1 entry of least Markowitz cost
+    (r - 1)(c - 1), with r the entries of its row and c of its column, or
+    None if no entry is a unit; the first such entry in row order.  A row
+    that cannot cost less than the best so far, even in the column with
+    fewest entries, is not scanned."""
+    fewest = min(len(w) for w in where if w) - 1
+    best = None
+    for i, row in live.items():
+        length = len(row) - 1
+        if best is not None and length * fewest >= best[0]:
+            continue
+        for j, x in row.items():
+            if x == 1 or x == -1:
+                cost = length * (len(where[j]) - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+    return None if best is None else best[1:]
+
+
+def markowitz_unit_pivots(rows, ncols):
+    """The Markowitz unit-pivot front end, an oracle for _unit_pivots: while
+    some entry is +-1, the cheapest by Markowitz cost clears its whole
+    column, and its row and column split off.  Returns (ones, rest) like
+    _unit_pivots."""
+    live = {i: row for i, row in enumerate(rows) if row}
+    where = [set() for _ in range(ncols)]  # column -> rows with an entry
+    for i, row in live.items():
+        for j in row:
+            where[j].add(i)
+    ones = 0
+    while live:
+        pivot = markowitz_unit(live, where)
+        if pivot is None:
+            break
+        i, j = pivot
+        prow = live.pop(i)
+        for c in prow:
+            where[c].discard(i)
+        column, where[j] = where[j], set()
+        sign = prow.pop(j)
+        for k in column:
+            row = live[k]
+            q = row.pop(j) * sign  # row -= q * prow zeroes column j
+            for c, x in prow.items():
+                y = row.get(c)
+                if y is None:
+                    row[c] = -q * x
+                    where[c].add(k)
+                elif y - q * x:
+                    row[c] = y - q * x
+                else:
+                    del row[c]
+                    where[c].discard(k)
+            if not row:
+                del live[k]
+        ones += 1
+    return ones, list(live.values())
+
+
+def markowitz_factors(rows, ncols) -> list[int]:
+    """invariant_factors with the Markowitz front end (rows consumed): the
+    same bounded dense remainder after it."""
+    ones, rest = markowitz_unit_pivots(rows, ncols)
+    cols = sorted({j for row in rest for j in row})
+    dense = [[row.get(j, 0) for j in cols] for row in rest]
+    rank, minor = _bareiss(dense)
+    diagonal, _, _ = _diagonalize(IntegerMatrix(len(rest), len(cols), dense),
+                                  abs(minor))
+    return [1] * ones + diagonal[:rank]
+
+
+def kernel_rows(n):
+    """The rows and column count of commutator_abelianization_rank(n)."""
+    program = curve_program(n)
+    system = SchreierSystem(program, total_degree_target(program, 2 * n))
+    return (list(system.exponent_rows(program.relators)),
+            len(system.generator_names))
+
+
+def both_front_ends(rows, ncols):
+    """The invariant factors of the sparse rows (not consumed) through the
+    forward front end and through the Markowitz one."""
+    return (invariant_factors([dict(r) for r in rows], ncols),
+            markowitz_factors([dict(r) for r in rows], ncols))
+
+
+def test_forward_front_end_matches_the_markowitz_front_end():
+    rng = random.Random(64)
+    units = 0
+    for _ in range(1000):
+        m = random_sparse_matrix(rng)
+        forward, markowitz = both_front_ends(sparse_rows(m), m.cols)
+        assert forward == markowitz, m.data
+        units += 1 in forward
+    assert units >= 500
+
+
+@pytest.mark.parametrize("n", range(9, 22, 2))
+def test_forward_front_end_matches_markowitz_on_kernel_rows(n):
+    # the commutator-rank rows of the BENCH_kernel.json cases
+    rows, ncols = kernel_rows(n)
+    forward, markowitz = both_front_ends(rows, ncols)
+    assert forward == markowitz
+    assert ncols - len(forward) == 3 * (n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_forward_front_end_matches_markowitz_on_derived_h1(n):
+    m = relator_matrix(derive_pi1_via_rs(n))
+    forward, markowitz = both_front_ends(sparse_rows(m), m.cols)
+    assert forward == markowitz
+    # the derivation matches the direct presentation on H1
+    assert AbelianStructure(m.cols - len(forward),
+                            tuple(d for d in forward if d != 1)) == \
+        abelianization(presentation_pi1(n))
+
+
+def test_front_end_entries_stay_bounded(monkeypatch):
+    # every pivot of forward elimination is a unit row; on the rank rows at
+    # n = 21 the pivots hold only 0 and +-1 and no reduced row outgrows the
+    # rows' own largest entry (20), and on H1 of pi1(15) the long relator
+    # ends as 2n = 30 times one column
+    rank_rows, h1 = kernel_rows(21), relator_matrix(presentation_pi1(15))
+    assert max(abs(x) for row in rank_rows[0] for x in row.values()) == 20
+    start = time.perf_counter()
+    assert invariant_factors([dict(r) for r in rank_rows[0]],
+                             rank_rows[1]) == [1] * 67
+    assert matrix_factors(h1) == [1] * 224 + [30]
+    assert time.perf_counter() - start < 2
+    largest = {"pivot": 0, "row": 0}
+    reduce_row = abelian._reduce_row
+
+    def recording(row, pivot, col):
+        reduce_row(row, pivot, col)
+        largest["pivot"] = max(largest["pivot"], *map(abs, pivot.values()))
+        largest["row"] = max(largest["row"], *map(abs, row.values()), 0)
+
+    monkeypatch.setattr(abelian, "_reduce_row", recording)
+    invariant_factors(*rank_rows)
+    assert largest == {"pivot": 1, "row": 20}
+    largest.update(pivot=0, row=0)
+    matrix_factors(h1)
+    assert largest == {"pivot": 1, "row": 30}
 
 
 def test_unit_pivot_front_end_matches_dense_elimination():

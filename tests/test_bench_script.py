@@ -5,7 +5,7 @@ the script runs its measurements, in a fresh interpreter
 Each run must exit 0, give the known answer, and read a nonzero value on
 every work counter that counts work done.  The counters patch private
 names of the package (`SchreierSystem._next`, `abelian._eliminate`,
-`abelian._unit_pivots`, `alexander._unit_reduce`,
+`abelian._unit_pivots`, `abelian._reduce_row`, `alexander._unit_reduce`,
 `words._least_rotation`, `homcount._build_plan`, `geometry._plane_rows`,
 `geometry._power_fibres`, `geometry._form_vanishes_on_line`,
 `geometry.TernaryForm.evaluate`, `words.Counter`), so a change
@@ -68,7 +68,7 @@ def test_kernel_suite():
     run = child("commutator_abelianization_rank(9)")
     assert run["answer"] == 24
     for key in ("rows_walked", "letters_walked", "distinct_rows",
-                "unit_pivots"):
+                "unit_pivots", "pivot_applications"):
         assert run["work"][key] > 0, key
     # the rows are read off the curve program's 77 nodes
     assert run["work"]["nodes"] == 77
@@ -120,3 +120,18 @@ def test_curve_suite():
     # its 30 relators' Fox rows 11 are distinct up to a unit
     assert run["work"] == {"expanded_letters": 0, "fox_rows": 30,
                            "distinct_fox_rows": 11}
+
+
+def test_smith_suite():
+    run = child("pi1_abelianization(5)")
+    assert run["answer"] == {"h1": "Z/10"}
+    # every column but one splits off as a unit; the long relator is left
+    # as 2n times one column
+    assert run["work"]["unit_pivots"] == 24
+    assert run["work"]["pivot_applications"] > 0
+    assert run["work"]["dense_remainders"] == [[1, 1]]
+    run = child("oka_quotient(5)")
+    # n generators and 2n^2 + 1 relators: the j-family substitutes to
+    # nothing, the i-family to 4 letters, the long relator to 2n
+    assert run["work"] == {"simplify_generators": 5,
+                           "simplify_letters": 4 * 25 + 10}

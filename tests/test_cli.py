@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 
 import pytest
@@ -230,10 +232,9 @@ def test_compare_kmax_out_of_range_names_the_option(capsys, kmax):
     assert err == f"error: --kmax must be between 2 and 5, got {kmax}\n"
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
-def test_verify_all_builds_no_reduced_presentation(capsys, monkeypatch, n):
-    # the Alexander polynomial and the commutator rank read the curve
-    # program; the n^4-letter presentation is built for no check
+def reduced_builds(monkeypatch) -> list[int]:
+    """The n of every presentation_pi1_reduced(n) built from now on, through
+    either name: cli holds the name it imported."""
     built = []
     build = presentations.presentation_pi1_reduced
 
@@ -241,9 +242,16 @@ def test_verify_all_builds_no_reduced_presentation(capsys, monkeypatch, n):
         built.append(m)
         return build(m)
 
-    # cli holds the name it imported
     monkeypatch.setattr(presentations, "presentation_pi1_reduced", counting)
     monkeypatch.setattr(cli, "presentation_pi1_reduced", counting)
+    return built
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_verify_all_builds_no_reduced_presentation(capsys, monkeypatch, n):
+    # the Alexander polynomial and the commutator rank read the curve
+    # program; the n^4-letter presentation is built for no check
+    built = reduced_builds(monkeypatch)
     code, _, _ = run(capsys, "verify-all", "--n", str(n))
     assert code == 0
     assert built == []
@@ -251,3 +259,29 @@ def test_verify_all_builds_no_reduced_presentation(capsys, monkeypatch, n):
     cli.presentation_pi1_reduced(3)
     presentations.presentation_pi1_reduced(3)
     assert built == [3, 3]
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("command", ["alexander", "abelianize"])
+def test_cli_reads_the_curve_program(capsys, monkeypatch, command, n):
+    # alexander and abelianize read pi1-reduced as curve_program(n); the
+    # n^4-letter expansion is left to present, homcount and compare
+    built = reduced_builds(monkeypatch)
+    code, _, _ = run(capsys, command, "--family", "pi1-reduced", "--n", str(n))
+    assert code == 0
+    assert built == []
+    run(capsys, "present", "--family", "pi1-reduced", "--n", "3")
+    assert built == [3]
+
+
+def test_curve_program_output_matches_the_expanded_route(capsys, monkeypatch):
+    expanded = functools.cache(presentations.presentation_pi1_reduced)
+    for n in range(2, 16):
+        for command, fmt in itertools.product(("alexander", "abelianize"),
+                                              ("text", "structured")):
+            argv = (command, "--family", "pi1-reduced", "--n", str(n),
+                    "--format", fmt)
+            program = run(capsys, *argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "curve_program", expanded)
+                assert run(capsys, *argv) == program, argv

@@ -16,7 +16,9 @@ from cuspidal.presentations import (_definitions, _pi1_relators,
                                     presentation_zariski3, zariski_aux_datum,
                                     zariski_iso_candidate)
 from cuspidal.words import (GroupMap, Presentation, format_presentation,
-                            simplify, substitute)
+                            simplify, simplify_with_map, substitute)
+
+from test_words import oka_inputs
 
 
 def battery(p: Presentation, kmax: int = 3):
@@ -227,6 +229,28 @@ def test_oka_quotient_matches_free_product(n):
     rep = map_check(gm, kmax=3)
     assert rep.triviality.passed
     assert rep.h1_surjective
+
+
+def tietze_oka_quotient(n: int):
+    """The Oka quotient by Tietze steps, the route before the substitution:
+    presentation_pi1(n) plus the relators eps_i_j = eps_i_0 through
+    simplify_with_map.  Returns (images of the n^2 generators, quotient)."""
+    (raw,) = oka_inputs([n])
+    quotient, image_map = simplify_with_map(raw)
+    return tuple(image_map[name] for name in raw.generators), quotient
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_oka_quotient_matches_the_tietze_route(n):
+    # byte for byte: the substitution leaves simplify_with_map the n
+    # generators the n(n - 1) Tietze steps would keep, in the same order
+    gm, quotient = oka_quotient(n)
+    images, tietze = tietze_oka_quotient(n)
+    assert quotient.generators == tietze.generators
+    assert quotient.relators == tietze.relators
+    assert format_presentation(quotient) == format_presentation(tietze)
+    assert gm.images == images
+    assert gm.source == presentation_pi1(n)
 
 
 def in_row_lattice(vector, matrix: IntegerMatrix) -> bool:

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from cuspidal.abelian import (commutator_abelianization_rank,
+from cuspidal.abelian import (abelianization,
+                              commutator_abelianization_rank,
                               total_degree_kernel)
 from cuspidal.alexander import (LaurentPolynomial, _FoxProgram,
                                 alexander_matrix,
@@ -129,6 +130,19 @@ def test_fox_rows_match_the_expanded_words():
                 [fox_row(w, ngen) for w in words], ngen)
             compared += 1
     assert compared >= 200
+
+
+def test_abelianization_matches_the_expanded_words():
+    # a node's exponent sums are the sum of its letters' sums
+    rng = random.Random(72)
+    torsion = 0
+    for _ in range(300):
+        program = random_program(rng, rng.randint(2, 3))
+        h1 = abelianization(program)
+        assert h1 == abelianization(Presentation(
+            program.generators, expanded_relators(program))), program
+        torsion += bool(h1.torsion)
+    assert torsion >= 50
 
 
 def _plain(program, words):
@@ -270,6 +284,18 @@ def test_curve_alexander_polynomial_at_31():
     poly, stripped = alexander_polynomial(curve_program(31))
     assert poly == cyclotomic_target(31).normalized()
     assert stripped == 0
+
+
+def test_curve_alexander_polynomial_at_61():
+    poly, stripped = alexander_polynomial(curve_program(61))
+    assert poly == cyclotomic_target(61).normalized()
+    assert stripped == 0
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_curve_abelianization_matches_the_expanded_route(n):
+    assert abelianization(curve_program(n)) == \
+        abelianization(presentation_pi1_reduced(n))
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
-from cuspidal import presentations, rewriting, words
+from cuspidal import rewriting, words
 from cuspidal.errors import NoDefiningRelator
 from cuspidal.homcount import relator_triviality_check
-from cuspidal.presentations import derive_pi1_via_rs
+from cuspidal.presentations import derive_pi1_via_rs, presentation_pi1
 from cuspidal.words import (GroupMap, Presentation, commutator, conjugate,
                             cyclic_normal_form, cyclic_reduce, format_presentation,
                             format_word, invert, multiply, power, reduce_word,
@@ -410,17 +410,16 @@ def watch_cancellations(monkeypatch):
     return seen
 
 
-def oka_inputs(monkeypatch, ns):
-    """The presentations oka_quotient(n) hands to simplify_with_map."""
+def oka_inputs(ns):
+    """The presentations the Tietze route to oka_quotient(n) hands to
+    simplify_with_map: presentation_pi1(n), with its n^2 generators, plus
+    the relators eps_i_j eps_i_0^-1 for j >= 1."""
     inputs = []
-
-    def recording(p):
-        inputs.append(p)
-        return simplify_with_map(p)
-
-    monkeypatch.setattr(presentations, "simplify_with_map", recording)
     for n in ns:
-        presentations.oka_quotient(n)
+        p = presentation_pi1(n)
+        inputs.append(Presentation(p.generators, list(p.relators) + [
+            (i * n + j + 1, -(i * n + 1))
+            for i in range(n) for j in range(1, n)]))
     return inputs
 
 
@@ -444,7 +443,7 @@ def test_simplify_with_map_matches_full_retidy_oracle(monkeypatch):
     cases = [random_presentation(rng) for _ in range(300)]
     cases += [cancelling_presentation(rng) for _ in range(100)]
     cases += schreier_kernels(monkeypatch, (2, 3, 4, 5))
-    cases += oka_inputs(monkeypatch, range(3, 8))
+    cases += oka_inputs(range(3, 8))
     seen = watch_cancellations(monkeypatch)
     eliminated = 0
     for p in cases:
