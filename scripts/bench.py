@@ -1,106 +1,63 @@
 """Before/after timings of one suite, written to BENCH_<suite>.json.
 
-    python3 scripts/bench.py homcount --before OLD/src
-    python3 scripts/bench.py tietze --before OLD/src
-    python3 scripts/bench.py alexander --before OLD/src
-    python3 scripts/bench.py kernel --before OLD/src
-    python3 scripts/bench.py geometry --before OLD/src
-    python3 scripts/bench.py verify --before OLD/src
-    python3 scripts/bench.py curve --before OLD/src
-    python3 scripts/bench.py smith --before OLD/src
+    python3 scripts/bench.py SUITE --before OLD/src [--out FILE]
 
-times the suite's cases on the `cuspidal` package under OLD/src and on the
-one in this checkout's src/, and writes the JSON report next to this
-checkout's README.  Every measurement runs in a fresh interpreter and times
-only the call itself, so tables built on first use are part of the time.
-Runs of the two versions alternate, one run of each making a pair; the
-median of REPEAT runs of each version is reported with the exact answers,
-which must agree.  The speedup is the median over the pairs of the before
-time over the after time, with its quartiles: a pair shares the host's
-state of the moment, which the medians of unpaired runs do not.  A case
-the before version cannot reach (AFTER_ONLY) is run on this checkout only.
-The before version is labelled with the git commit OLD is checked out at,
-if any.  Standard library only.
+times the suite's cases on the `cuspidal` package under OLD/src, which must
+be at or after commit 4837920 (the counters patch names older versions
+lack), and on this checkout's src/ (alone without --before).  Each run is a
+fresh interpreter (`--child SRC CASE`) that times only the call, tables
+built on first use included.  Runs of the two versions alternate, one of
+each making a pair.  The report gives the median of REPEAT runs of each,
+the answer, which must be the same for both, and the speedup: the median
+over the pairs of before over after time, with its quartiles, since a pair
+shares the host's state of the moment.
 
-homcount: `count_homs` on the cases below (the search only, after the
-presentation is built) and `verify-all --n 2..4` (the whole command, stdout
-captured).  Each count also reports the search nodes its version visited
-(null for a version whose report has no node count).
+A case is a kind of call (KINDS: an untimed setup, the timed call, the
+answer read off its result) with arguments (SUITES).  The suites:
 
-tietze: `derive_pi1_via_rs(n)` for n = 4..8; the answer is a digest of the
-derived presentation's text, and the work counts are summed over the
-Tietze simplification calls the derivation makes: generators eliminated and
-relator letters in and out.  Next to the times, each side reports the
-cyclic normal forms it computed, counted in a second, instrumented call:
-the calls of `words._least_rotation` and the letters they scan, and the
-relator letters the Tietze loops pass through `Counter` (the letters
-counted in `words`, less the distinct nonempty relators of each
-simplified presentation, which are counted once on input).
+homcount   the S_k hom search (`count_homs`, after the build) and verify-all
+tietze     the Reidemeister-Schreier derivation `derive_pi1_via_rs(n)`
+alexander  Alexander of `presentation_pi1_reduced(n)`, after the build; rank
+kernel     the commutator rank: Schreier rewriting and Smith form, odd n
+geometry   the F_p singular-locus scan, n = 2 splitting and superabundance
+verify     the whole verify-all command, stdout captured, N = 2..13
+curve      the odd-n curve checks from n alone, `curve_program(n)` timed too
+smith      the Smith forms and Oka quotient behind verify-all at large n;
+           `pi1_abelianization(n)` is H1 of a prebuilt `presentation_pi1(n)`
 
-alexander: `alexander_polynomial` of the reduced curve presentation for
-n = 5, 7, 9, 11 (the call only, after the presentation is built; the answer
-is a digest of the polynomial, its degree, the number of (t - 1) factors
-stripped and the Fox matrix size) and `commutator_abelianization_rank(n)`
-for n = 5, 7, 9 (the whole call: Schreier rewriting along Z/2n and the
-Smith form).
+Each version also reports its work (`count_work`): the call is made again
+with the names of PATCHES wrapped, and every case reports all COUNTERS,
+zeros included, since a zero is a finding too:
 
-kernel: `commutator_abelianization_rank(n)` for odd n = 9..21 (the whole
-call).  Next to the times, each side reports its work, counted in a
-second, instrumented call (`kernel_work`): the relators
-`SchreierSystem.exponent_rows` walks, the generator letters they read (the
-reads of the coset table, one per letter walked), the inner nodes of a
-straight-line program composed instead (0 for a version without them),
-the letters of the reduced curve presentations built, the distinct rows,
-the unit pivots, the row reductions that apply them and the shape of the
-dense remainder.
-
-geometry: `singular_points_scan(n, p)` at (7, 197), (9, 307) and
-(7, 2003), `splitting_check_n2(p)` at p = 29, 101, 1009 and
-`superabundance_multi(n)` for n = 15, 25, 31, 41, 61 (the whole call).  The
-work is counted in a second, instrumented call after the timed one: the
-values of F_n the scan computes (one per row of P^2(F_p) and value of z^d,
-for the d of `geometry._power_fibres`; one per row and z in a version
-without it) and the evaluations of its partials; the lines the splitting
-check tests (`geometry._form_vanishes_on_line`), the rows of lines it
-skips untested and its evaluations of the quartic; the primes of the
-superabundance, its evaluation matrix as rows x used columns (those with
-an entry nonzero mod p), and the row updates of its rank computation (the
-calls of `abelian._eliminate` under `abelian.independent_rows`) and the
-matrix entries they rewrite.
-
-verify: the whole `verify-all --n N` command for N = 2..13, stdout
-captured; the answer is its exit code and structured results.  Next to the
-times, each side reports the pieces of work it builds, counted in a second,
-instrumented run of the command: hom-search plans (`homcount._build_plan`),
-reduced curve presentations (`presentation_pi1_reduced`) and their
-letters, and curve forms (`geometry.curve_form`).
-
-curve: the two odd-n curve checks of verify-all from n alone, the
-Alexander polynomial (`curve_alexander(n)`, n = 7, 15, 31, 61) and the
-commutator rank (`commutator_abelianization_rank(n)`, n = 7, 21, 31), and
-`verify-all --n N` for N = 13, 21, 31.  The Alexander polynomial is taken
-of `presentations.curve_program(n)` in a version that has it, else of
-`presentation_pi1_reduced(n)`, which is then part of the time; n = 61 is
-out of reach of the expanded presentation, so it runs on this checkout
-only.  Next to the times, each side reports its work, counted in a
-second, instrumented call: the letters of the reduced curve presentations
-built, the Fox rows built and those left once rows equal up to a unit are
-dropped, the kernel rows and the unit pivots, row reductions and dense
-remainder of their Smith form.
-
-smith: the Smith forms and the Oka quotient behind verify-all at large n:
-`commutator_abelianization_rank(n)` for n = 21, 31, 41, 61 (the whole
-call), H1 of `presentation_pi1(n)` (`pi1_abelianization(n)`, the
-`abelianization` call only, after the presentation is built) for n = 21,
-41, 61, `oka_quotient(n)` for n = 7, 21, 31 (the whole call) and
-`verify-all --n N` for N = 31, 41 and, on this checkout only, 61.  Next to
-the times, each side reports its work, counted in a second, instrumented
-call: the unit pivots of its Smith forms, the row reductions that apply
-them (the calls of `abelian._reduce_row`; null for a version without it),
-the rows x columns of each dense remainder, and the generators and
-relator letters of the presentations `oka_quotient` hands to
-`simplify_with_map`.  The rank cases report the kernel suite's work, the
-verify-all cases the verify suite's with these counts added.
+search_nodes        search nodes of `count_homs`, as its report counts them
+plans               hom-search plans built (`homcount._build_plan`)
+pi1_reduced         calls of `presentation_pi1_reduced`, and the letters of
+expanded_letters    the presentations they return
+gens_eliminated     generators the Tietze simplifications of Reidemeister-
+letters_in          Schreier rewriting (`rewriting.simplify`) remove, and
+letters_out         the relator letters into and out of them
+least_rotation_*    calls of `words._least_rotation` and the letters they scan
+counter_letters     relator letters the Tietze loops pass through `Counter`,
+                    less the distinct nonempty relators of each simplify input
+simplify_*          generators and relator letters into `simplify_with_map`
+rows_walked         relators `SchreierSystem.exponent_rows` walks, the reads
+letters_walked      of its coset table (one per letter walked), the inner
+program_nodes       nodes of the straight-line programs, and the kernel rows
+distinct_rows       it yields
+fox_rows            Fox rows built (`alexander_matrix`), and those left once
+distinct_fox_rows   rows equal up to a unit are dropped
+unit_pivots         unit pivots of the Smith front end (`_unit_pivots`), the
+pivot_applications  row reductions that apply them (`_reduce_row`), and the
+dense_remainders    rows x columns of each dense remainder left
+curve_forms         calls of `geometry.curve_form`
+values_evaluated    values of F_n the scan computes: rows x values of z^d
+form_evaluations    calls of `TernaryForm.evaluate`
+lines_tested        lines the splitting tests (`_form_vanishes_on_line`), and
+rows_skipped        the rows of lines it passes over untested
+primes, matrix      the primes of `independent_rows`, and the last one's rows
+                    x used columns (those with an entry nonzero mod p)
+row_updates         calls of `abelian._eliminate` in its rank computation,
+entry_updates       and the matrix entries they rewrite
 """
 
 from __future__ import annotations
@@ -108,6 +65,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -116,10 +74,10 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
 # name -> (presentation constructor in cuspidal.presentations, argument, k)
 HOM_CASES = {
     "derived(3), k = 4": ("derive_pi1_via_rs", 3, 4),
@@ -132,378 +90,246 @@ HOM_CASES = {
     "derived(6), k = 4": ("derive_pi1_via_rs", 6, 4),
     "pi1-reduced(4), k = 5": ("presentation_pi1_reduced", 4, 5),
 }
-VERIFY_ALL_N = (2, 3, 4)
-DERIVE_N = (4, 5, 6, 7, 8)
-ALEXANDER_N = (5, 7, 9, 11)
-RANK_N = (5, 7, 9)
-KERNEL_N = (9, 11, 13, 15, 17, 19, 21)
-SCAN_CASES = ((7, 197), (9, 307), (7, 2003))
-SPLITTING_P = (29, 101, 1009)
-SUPERABUNDANCE_N = (15, 25, 31, 41, 61)
-VERIFY_N = tuple(range(2, 14))
-CURVE_ALEXANDER_N = (7, 15, 31, 61)
-CURVE_RANK_N = (7, 21, 31)
-CURVE_VERIFY_N = (13, 21, 31)
-SMITH_RANK_N = (21, 31, 41, 61)
-SMITH_H1_N = (21, 41, 61)
-SMITH_OKA_N = (7, 21, 31)
-SMITH_VERIFY_N = (31, 41, 61)
-# cases the before version is not run on: pi1-reduced(61) holds about
-# 5 * 10^7 letters, and verify-all --n 61 takes about 16 s before the
-# forward Smith front end and the Oka quotient by substitution
-AFTER_ONLY = {"curve_alexander(61)", "verify-all --n 61"}
+
+
+def cases(form: str, *args) -> list[str]:
+    return [form.format(a) for a in args]
+
+
+RANK = "commutator_abelianization_rank"
+VERIFY = "verify-all --n {}"
 SUITES = {
-    "homcount": list(HOM_CASES) + [f"verify-all --n {n}"
-                                   for n in VERIFY_ALL_N],
-    "tietze": [f"derive_pi1_via_rs({n})" for n in DERIVE_N],
-    "alexander": [f"alexander_polynomial({n})" for n in ALEXANDER_N]
-                 + [f"commutator_abelianization_rank({n})" for n in RANK_N],
-    "kernel": [f"commutator_abelianization_rank({n})" for n in KERNEL_N],
-    "geometry": [f"singular_points_scan({n},{p})" for n, p in SCAN_CASES]
-                + [f"splitting_check_n2({p})" for p in SPLITTING_P]
-                + [f"superabundance_multi({n})" for n in SUPERABUNDANCE_N],
-    "verify": [f"verify-all --n {n}" for n in VERIFY_N],
-    "curve": [f"curve_alexander({n})" for n in CURVE_ALEXANDER_N]
-             + [f"commutator_abelianization_rank({n})" for n in CURVE_RANK_N]
-             + [f"verify-all --n {n}" for n in CURVE_VERIFY_N],
-    "smith": [f"commutator_abelianization_rank({n})" for n in SMITH_RANK_N]
-             + [f"pi1_abelianization({n})" for n in SMITH_H1_N]
-             + [f"oka_quotient({n})" for n in SMITH_OKA_N]
-             + [f"verify-all --n {n}" for n in SMITH_VERIFY_N],
-}
-WHAT = {
-    "homcount": "median wall seconds of one call, fresh interpreter per run; "
-                "hom counts time count_homs only, verify-all the whole "
-                "command; answers (hom counts, verify-all results) are "
-                "identical for both versions; *_nodes are the search nodes "
-                "each version visited (null where its report has none)",
-    "tietze": "median wall seconds of one derive_pi1_via_rs(n) call, fresh "
-              "interpreter per run; answers (sha256 of format_presentation "
-              "of the result, and the work counts of its simplify calls) are "
-              "identical for both versions; *_work are each version's "
-              "least-rotation calls and the letters they scan, and the "
-              "relator letters its Tietze loops pass through Counter, from "
-              "a second, instrumented call",
-    "alexander": "median wall seconds of one call, fresh interpreter per "
-                 "run; alexander_polynomial(n) is the call on "
-                 "presentation_pi1_reduced(n) and times that call only; "
-                 "answers (sha256 of the polynomial's text, its degree, the "
-                 "(t - 1) factors stripped, the Fox matrix size, the "
-                 "commutator rank) are identical for both versions",
-    "kernel": "median wall seconds of one commutator_abelianization_rank(n) "
-              "call, fresh interpreter per run; the rank is identical for "
-              "both versions; *_work are each version's work counts",
-    "geometry": "median wall seconds of one call, fresh interpreter per run; "
-                "answers (sha256 of the scanned points, of the lines and "
-                "meeting points of the splitting, the superabundance report) "
-                "are identical for both versions; *_work are each version's "
-                "work counts, from a second, instrumented call",
-    "verify": "median wall seconds of one verify-all --n N command, fresh "
-              "interpreter per run, stdout captured; answers (exit code and "
-              "structured results) are identical for both versions; *_work "
-              "are the plans, reduced presentations and curve forms each "
-              "version builds, from a second, instrumented run",
-    "curve": "median wall seconds of one call from n, fresh interpreter per "
-             "run (verify-all: the whole command, stdout captured); answers "
-             "(the polynomial's digest, degree and (t - 1) factors "
-             "stripped, the rank, the verify-all results) are identical for "
-             "both versions; *_work are each version's work counts, from a "
-             "second, instrumented call; speedup is the median over pairs "
-             "of runs of before over after, speedup_quartiles its first and "
-             "third quartiles",
-    "smith": "median wall seconds of one call, fresh interpreter per run "
-             "(pi1_abelianization(n): abelianization(presentation_pi1(n)) "
-             "after the build; verify-all: the whole command, stdout "
-             "captured); answers (the rank, H1, digests of the Oka "
-             "quotient and its images, the verify-all results) are "
-             "identical for both versions; *_work are each version's unit "
-             "pivots, row reductions, dense remainders and simplify_with_map "
-             "inputs, from a second, instrumented call; speedup is the "
-             "median over pairs of runs of before over after, "
-             "speedup_quartiles its first and third quartiles",
+    "homcount": list(HOM_CASES) + cases(VERIFY, 2, 3, 4),
+    "tietze": cases("derive_pi1_via_rs({})", 4, 5, 6, 7, 8),
+    "alexander": cases("alexander_polynomial({})", 5, 7, 9, 11)
+                 + cases(RANK + "({})", 5, 7, 9),
+    "kernel": cases(RANK + "({})", 9, 11, 13, 15, 17, 19, 21),
+    "geometry": cases("singular_points_scan({})", "7,197", "9,307", "7,2003")
+                + cases("splitting_check_n2({})", 29, 101, 1009)
+                + cases("superabundance_multi({})", 15, 25, 31, 41, 61),
+    "verify": cases(VERIFY, *range(2, 14)),
+    "curve": cases("curve_alexander({})", 7, 15, 31, 61)
+             + cases(RANK + "({})", 7, 21, 31) + cases(VERIFY, 13, 21, 31),
+    "smith": cases(RANK + "({})", 21, 31, 41, 61)
+             + cases("pi1_abelianization({})", 21, 41, 61)
+             + cases("oka_quotient({})", 7, 21, 31)
+             + cases(VERIFY, 31, 41, 61),
 }
 REPEAT = 5
 
 
-def time_hom_count(case: str):
-    from cuspidal import presentations
-    from cuspidal.homcount import count_homs
-    build, arg, k = HOM_CASES[case]
-    p = getattr(presentations, build)(arg)
-    start = time.perf_counter()
-    rep = count_homs(p, k)
-    seconds = time.perf_counter() - start
-    return seconds, rep.total, getattr(rep, "nodes", None)
+def cu(name: str):
+    """cuspidal.<name>, looked up at each call: it may be wrapped."""
+    return importlib.import_module(f"cuspidal.{name}")
 
 
-def run_verify_all(n: int):
-    from cuspidal import cli
+def digest(x) -> str:
+    return hashlib.sha256(str(x).encode()).hexdigest()[:16]
+
+
+def verify_all(n: int):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["verify-all", "--n", str(n),
-                         "--format", "structured"])
+        code = cu("cli").main(["verify-all", "--n", str(n),
+                               "--format", "structured"])
     return code, out.getvalue()
 
 
-def time_verify_all(n: int):
-    start = time.perf_counter()
-    code, out = run_verify_all(n)
-    seconds = time.perf_counter() - start
-    return seconds, {"exit": code,
-                     "results": json.loads(out)["results"]}, verify_work(n)
+def imported(*args):
+    """The case arguments, once the package is imported."""
+    importlib.import_module("cuspidal")
+    return args
 
 
-def verify_work(n: int) -> dict:
-    """The pieces of work verify-all --n n builds in this version."""
-    from cuspidal import cli, geometry, homcount, presentations
-    work = {"plans": 0, "pi1_reduced": 0, "expanded_letters": 0,
-            "curve_forms": 0}
-
-    def tally(key):
-        def count(args, out):
-            work[key] += 1
-        return count
-
-    def built(args, out):
-        work["pi1_reduced"] += 1
-        work["expanded_letters"] += sum(map(len, out.relators))
-
-    # cli calls presentation_pi1_reduced by the name it imported
-    with counting(homcount, "_build_plan", tally("plans")), \
-            counting(presentations, "presentation_pi1_reduced", built), \
-            counting(cli, "presentation_pi1_reduced", built), \
-            counting(geometry, "curve_form", tally("curve_forms")):
-        work.update(smith_work(lambda: run_verify_all(n)))
-    return work
+def polynomial(result, *args) -> dict:
+    poly, stripped = result
+    return {"sha256": digest(poly), "degree": poly.degree,
+            "stripped": stripped}
 
 
-def time_derive(n: int):
-    from cuspidal import presentations, rewriting, words
-    work = {"gens_eliminated": 0, "letters_in": 0, "letters_out": 0}
-
-    # *args passes on the Tietze budget of a version that still takes one
-    def counted(p, *args):
-        q = words.simplify(p, *args)
-        work["gens_eliminated"] += len(p.generators) - len(q.generators)
-        work["letters_in"] += sum(map(len, p.relators))
-        work["letters_out"] += sum(map(len, q.relators))
-        return q
-
-    # subgroup_presentation calls simplify by the name rewriting imported
-    rewriting.simplify = counted
-    start = time.perf_counter()
-    p = presentations.derive_pi1_via_rs(n)
-    seconds = time.perf_counter() - start
-    digest = hashlib.sha256(words.format_presentation(p).encode())
-    answer = {"sha256": digest.hexdigest()[:16],
-              "generators": len(p.generators), **work}
-    return seconds, answer, tietze_work(n)
-
-
-def tietze_work(n: int) -> dict:
-    """The cyclic normal forms derive_pi1_via_rs(n) computes in this
-    version (least-rotation calls and the letters they scan) and the
-    relator letters its Tietze loops pass through `Counter`: every letter
-    `words` counts with it, less the distinct nonempty input relators,
-    which each simplify call counts once before its loop."""
-    from cuspidal import presentations, rewriting, words
-    work = {"least_rotation_calls": 0, "least_rotation_letters": 0,
-            "counter_letters": 0}
-    counter = words.Counter
-
-    def scanned(args, out):
-        work["least_rotation_calls"] += 1
-        work["least_rotation_letters"] += len(args[0])
-
-    def counted(letters):
-        letters = list(letters)
-        work["counter_letters"] += len(letters)
-        return counter(letters)
-
-    def simplified(args, out):
-        work["counter_letters"] -= sum(
-            map(len, dict.fromkeys(r for r in args[0].relators if r)))
-
-    words.Counter = counted
-    try:
-        with counting(words, "_least_rotation", scanned), \
-                counting(rewriting, "simplify", simplified):
-            presentations.derive_pi1_via_rs(n)
-    finally:
-        words.Counter = counter
-    return work
+# kind -> (setup: case arguments -> call arguments, untimed; the timed call,
+# which imports the package for verify-all only; answer: (result, *call
+# arguments) -> JSON)
+KINDS = {
+    "count_homs": (
+        lambda build, arg, k: (getattr(cu("presentations"), build)(arg), k),
+        lambda p, k: cu("homcount").count_homs(p, k),
+        lambda rep, p, k: rep.total),
+    "verify-all": (
+        lambda n: (n,), verify_all,
+        lambda out, n: {"exit": out[0],
+                        "results": json.loads(out[1])["results"]}),
+    "derive_pi1_via_rs": (
+        imported, lambda n: cu("presentations").derive_pi1_via_rs(n),
+        lambda p, n: {"sha256": digest(cu("words").format_presentation(p)),
+                      "generators": len(p.generators)}),
+    "alexander_polynomial": (
+        lambda n: (cu("presentations").presentation_pi1_reduced(n),),
+        lambda p: cu("alexander").alexander_polynomial(p),
+        lambda result, p: {**polynomial(result),
+                           "fox_cells": len(p.relators) * len(p.generators)}),
+    "curve_alexander": (
+        imported, lambda n: cu("alexander").alexander_polynomial(
+            cu("presentations").curve_program(n)), polynomial),
+    RANK: (
+        imported, lambda n: cu("abelian").commutator_abelianization_rank(n),
+        lambda rank, n: rank),
+    "pi1_abelianization": (
+        lambda n: (cu("presentations").presentation_pi1(n),),
+        lambda p: cu("abelian").abelianization(p),
+        lambda h1, p: {"h1": str(h1)}),
+    "oka_quotient": (
+        imported, lambda n: cu("presentations").oka_quotient(n),
+        lambda result, n: {
+            "sha256": digest(cu("words").format_presentation(result[1])),
+            "images_sha256": digest(result[0].images)}),
+    "singular_points_scan": (
+        lambda n, p: (n, cu("geometry").PrimeField(p)),
+        lambda n, field: cu("geometry").singular_points_scan(n, field),
+        lambda points, n, field: {
+            "sha256": digest(sorted(pt.coords for pt in points)),
+            "points": len(points)}),
+    "splitting_check_n2": (
+        lambda p: (cu("geometry").PrimeField(p),),
+        lambda field: cu("geometry").splitting_check_n2(field),
+        lambda rep, field: {
+            "sha256": digest((rep.linear_forms, rep.intersection_points)),
+            "lines": len(rep.linear_forms)}),
+    "superabundance_multi": (
+        imported, lambda n: cu("geometry").superabundance_multi(n),
+        lambda rep, n: {"s": rep.s, "h0": rep.h0, "rank": rep.rank,
+                        "prime": rep.prime}),
+}
 
 
-def time_alexander(n: int):
-    from cuspidal.alexander import alexander_polynomial
-    from cuspidal.presentations import presentation_pi1_reduced
-    p = presentation_pi1_reduced(n)
-    start = time.perf_counter()
-    poly, stripped = alexander_polynomial(p)
-    seconds = time.perf_counter() - start
-    digest = hashlib.sha256(str(poly).encode())
-    return seconds, {"sha256": digest.hexdigest()[:16],
-                     "degree": poly.degree, "stripped": stripped,
-                     "fox_cells": len(p.relators) * len(p.generators)}
+def parse(case: str):
+    """The kind of a case and its arguments."""
+    if case in HOM_CASES:
+        return "count_homs", HOM_CASES[case]
+    if case.startswith("verify-all --n "):
+        return "verify-all", (int(case.split()[-1]),)
+    name, args = case[:-1].split("(")
+    return name, tuple(map(int, args.split(",")))
 
 
-def kernel_work(n: int) -> dict:
-    """The work of commutator_abelianization_rank(n) in this version."""
-    from cuspidal import abelian
-    work = curve_work(lambda: abelian.commutator_abelianization_rank(n))
-    return {key: work[key] for key in (
-        "rows_walked", "letters_walked", "nodes", "expanded_letters",
-        "distinct_rows", "unit_pivots", "pivot_applications",
-        "dense_remainders")}
+def add(work, **counts) -> None:
+    for key, count in counts.items():
+        work[key] += count
 
 
-def smith_work(call) -> dict:
-    """The work of one call in this version, counted by wrapping what it
-    calls: the unit pivots of every Smith form, the row reductions that
-    apply them (`abelian._reduce_row`, null in a version without it), the
-    rows x columns of each dense remainder, and the generators and relator
-    letters of each presentation `oka_quotient` hands to
-    `simplify_with_map`."""
-    from cuspidal import abelian, presentations
-    work = {"unit_pivots": 0, "pivot_applications": None,
-            "dense_remainders": [], "simplify_generators": 0,
-            "simplify_letters": 0}
-
-    def pivoted(args, out):
-        ones, rest = out
-        work["unit_pivots"] += ones
-        work["dense_remainders"].append(
-            [len(rest), len({j for r in rest for j in r})])
-
-    def applied(args, out):
-        work["pivot_applications"] += 1
-
-    def simplified(args, out):
-        work["simplify_generators"] += len(args[0].generators)
-        work["simplify_letters"] += sum(map(len, args[0].relators))
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(counting(abelian, "_unit_pivots", pivoted))
-        if hasattr(abelian, "_reduce_row"):
-            work["pivot_applications"] = 0
-            stack.enter_context(counting(abelian, "_reduce_row", applied))
-        # oka_quotient calls simplify_with_map by the name it imported
-        stack.enter_context(counting(presentations, "simplify_with_map",
-                                     simplified))
-        call()
-    return work
+def tietze(work, args, q):
+    p = args[0]
+    add(work, gens_eliminated=len(p.generators) - len(q.generators),
+        letters_in=sum(map(len, p.relators)),
+        letters_out=sum(map(len, q.relators)),
+        # each simplify call counts its distinct nonempty relators once
+        counter_letters=-sum(map(len, dict.fromkeys(r for r in p.relators
+                                                    if r))))
 
 
-def time_pi1_abelianization(n: int):
-    from cuspidal.abelian import abelianization
-    from cuspidal.presentations import presentation_pi1
-    p = presentation_pi1(n)
-    start = time.perf_counter()
-    h1 = abelianization(p)
-    seconds = time.perf_counter() - start
-    work = smith_work(lambda: abelianization(p))
-    return seconds, {"h1": str(h1)}, {key: work[key] for key in (
-        "unit_pivots", "pivot_applications", "dense_remainders")}
+class Reads(list):
+    """A coset table that counts its reads in work: one per letter walked."""
+
+    def __getitem__(self, i):
+        self.work["letters_walked"] += 1
+        return list.__getitem__(self, i)
 
 
-def time_oka_quotient(n: int):
-    from cuspidal import presentations
-    from cuspidal.words import format_presentation
-    start = time.perf_counter()
-    gm, quotient = presentations.oka_quotient(n)
-    seconds = time.perf_counter() - start
-    work = smith_work(lambda: presentations.oka_quotient(n))
-    return seconds, {
-        "sha256": hashlib.sha256(
-            format_presentation(quotient).encode()).hexdigest()[:16],
-        "images_sha256": hashlib.sha256(
-            str(gm.images).encode()).hexdigest()[:16]}, {
-        key: work[key] for key in ("simplify_generators", "simplify_letters")}
+def walked(work, args, rows):
+    # exponent_rows is a generator: it has not read the table yet
+    system, relators = args
+    system._next = Reads(system._next)
+    system._next.work = work
+    add(work, rows_walked=len({r for r in relators if r}),
+        program_nodes=len(system._nodes))
 
 
-def curve_work(call) -> dict:
-    """The work of one call in this version, counted by wrapping what it
-    calls: the reduced curve presentations built and their letters, the
-    relators `SchreierSystem.exponent_rows` walks, the generator letters
-    read on the way (the reads of each coset table) and the inner nodes
-    composed, the kernel rows, the Fox rows built and those left once rows
-    equal up to a unit are dropped (the rows `alexander._unit_reduce`
-    receives), and the work of the Smith forms (`smith_work`)."""
-    from cuspidal import alexander, presentations, rewriting
-    work = {"expanded_letters": 0, "rows_walked": 0, "letters_walked": 0,
-            "nodes": 0, "distinct_rows": 0, "fox_rows": 0,
-            "distinct_fox_rows": 0}
-
-    class Reads(list):
-        """A coset table that counts its reads: one per letter walked."""
-
-        def __getitem__(self, i):
-            work["letters_walked"] += 1
-            return list.__getitem__(self, i)
-
-    def built(args, out):
-        work["expanded_letters"] += sum(map(len, out.relators))
-
-    def walked(args, out):
-        system, relators = args
-        system._next = Reads(system._next)
-        work["rows_walked"] += len({r for r in relators if r})
-        work["nodes"] += len(getattr(system, "_nodes", ()))
-
-    def row(args, item):
-        work["distinct_rows"] += 1
-
-    def fox(args, out):
-        work["fox_rows"] += len(out)
-
-    def reduced(args, out):
-        work["distinct_fox_rows"] += len(args[0])
-
-    with counting(presentations, "presentation_pi1_reduced", built), \
-            counting(rewriting.SchreierSystem, "exponent_rows", row,
-                     items=True), \
-            counting(rewriting.SchreierSystem, "exponent_rows", walked), \
-            counting(alexander, "alexander_matrix", fox), \
-            counting(alexander, "_unit_reduce", reduced):
-        work.update(smith_work(call))
-    return work
+def pivoted(work, args, out):
+    ones, rest = out
+    work["unit_pivots"] += ones
+    work["dense_remainders"].append(
+        [len(rest), len({j for r in rest for j in r})])
 
 
-def time_curve_alexander(n: int):
-    """The Alexander polynomial of the curve from n, in this version: of
-    its straight-line program if it has one, else of pi1-reduced(n)."""
-    from cuspidal import alexander, presentations
-
-    def call():
-        # looked up at each call, so that curve_work sees its wrappers
-        build = getattr(presentations, "curve_program",
-                        presentations.presentation_pi1_reduced)
-        return alexander.alexander_polynomial(build(n))
-
-    start = time.perf_counter()
-    poly, stripped = call()
-    seconds = time.perf_counter() - start
-    digest = hashlib.sha256(str(poly).encode())
-    work = curve_work(call)
-    return seconds, {"sha256": digest.hexdigest()[:16],
-                     "degree": poly.degree, "stripped": stripped}, {
-        key: work[key] for key in ("expanded_letters", "fox_rows",
-                                   "distinct_fox_rows")}
+def plane_row(work, args, row):
+    # a row of the scan, after _power_fibres, computes one value per fibre;
+    # a row of lines is skipped unless one of its lines is tested
+    if work["_fibres"]:
+        work["values_evaluated"] += work["_fibres"]
+    else:
+        work["rows_skipped"] += 1
 
 
-def time_commutator_rank(n: int):
-    from cuspidal.abelian import commutator_abelianization_rank
-    start = time.perf_counter()
-    rank = commutator_abelianization_rank(n)
-    return time.perf_counter() - start, rank, kernel_work(n)
+def line_tested(work, args, out):
+    row = args[1][:2]  # the (a, b) of its row of lines
+    add(work, lines_tested=1, rows_skipped=-(row not in work["_reached"]))
+    work["_reached"].add(row)
 
 
-@contextlib.contextmanager
-def counting(owner, name: str, count, items: bool = False):
-    """Replace owner.name by a wrapper that calls count(args, result), or
-    for a generator function (items=True) count(args, item) per item."""
-    original = getattr(owner, name)
+def ranked(work, args, out):
+    rows, p = args
+    work["primes"].append(p)
+    used = {j for row in rows for j, v in row.items() if v % p}
+    work["matrix"] = [len(rows), len(used)]
 
+
+# (owners under cuspidal, name, a generator function?, count(work, args,
+# result, or each item of a generator)); a name imported into other
+# modules is wrapped in each.  Keys of work from _ on are not reported.
+PATCHES = (
+    ("homcount presentations cli", "count_homs", False,
+     lambda w, a, rep: add(w, search_nodes=rep.nodes)),
+    ("homcount", "_build_plan", False, lambda w, a, out: add(w, plans=1)),
+    ("presentations cli", "presentation_pi1_reduced", False,
+     lambda w, a, p: add(w, pi1_reduced=1,
+                         expanded_letters=sum(map(len, p.relators)))),
+    ("rewriting", "simplify", False, tietze),
+    ("words", "_least_rotation", False, lambda w, a, out: add(
+        w, least_rotation_calls=1, least_rotation_letters=len(a[0]))),
+    ("words", "Counter", False, lambda w, a, counter: add(
+        w, counter_letters=sum(counter.values()))),
+    ("presentations", "simplify_with_map", False, lambda w, a, out: add(
+        w, simplify_generators=len(a[0].generators),
+        simplify_letters=sum(map(len, a[0].relators)))),
+    ("rewriting.SchreierSystem", "exponent_rows", True,
+     lambda w, a, row: add(w, distinct_rows=1)),
+    ("rewriting.SchreierSystem", "exponent_rows", False, walked),
+    ("alexander", "alexander_matrix", False,
+     lambda w, a, rows: add(w, fox_rows=len(rows))),
+    ("alexander", "_unit_reduce", False,
+     lambda w, a, out: add(w, distinct_fox_rows=len(a[0]))),
+    ("abelian", "_unit_pivots", False, pivoted),
+    ("abelian", "_reduce_row", False,
+     lambda w, a, out: add(w, pivot_applications=1)),
+    ("geometry", "curve_form", False, lambda w, a, out: add(w, curve_forms=1)),
+    ("geometry", "_power_fibres", False,
+     lambda w, a, fibres: w.update(_fibres=len(fibres))),
+    ("geometry", "_plane_rows", True, plane_row),
+    ("geometry", "_form_vanishes_on_line", False, line_tested),
+    ("geometry.TernaryForm", "evaluate", False,
+     lambda w, a, out: add(w, form_evaluations=1)),
+    ("geometry", "independent_rows", False, ranked),
+    ("abelian", "_eliminate", False,
+     lambda w, a, out: add(w, row_updates=1, entry_updates=len(a[1]))),
+)
+COUNTERS = """search_nodes plans pi1_reduced expanded_letters gens_eliminated
+    letters_in letters_out least_rotation_calls least_rotation_letters
+    counter_letters simplify_generators simplify_letters rows_walked
+    letters_walked program_nodes distinct_rows fox_rows distinct_fox_rows
+    unit_pivots pivot_applications dense_remainders curve_forms
+    values_evaluated form_evaluations lines_tested rows_skipped primes matrix
+    row_updates entry_updates""".split()
+
+
+def resolve(path: str):
+    """The module or class cuspidal.<path>."""
+    module, _, attr = path.partition(".")
+    return getattr(cu(module), attr) if attr else cu(module)
+
+
+def wrap(original, count, items: bool):
+    """original, calling count(args, result) after each call, or for a
+    generator function (items) count(args, item) per item."""
     def wrapper(*args):
         out = original(*args)
         count(args, out)
@@ -513,150 +339,37 @@ def counting(owner, name: str, count, items: bool = False):
         for item in original(*args):
             count(args, item)
             yield item
-
-    setattr(owner, name, item_wrapper if items else wrapper)
-    try:
-        yield
-    finally:
-        setattr(owner, name, original)
+    return item_wrapper if items else wrapper
 
 
-def scan_work(n: int, p: int) -> dict:
-    """The work of singular_points_scan(n, p) in this version."""
-    from cuspidal import geometry
-    work = {"values_evaluated": 0, "partial_evaluations": 0}
-    # values of F_n per row: one per value of z^d, or, in a version without
-    # _power_fibres, one per z
-    per_row = [p]
-
-    def fibred(args, out):
-        per_row[0] = len(out)
-
-    def row(args, item):
-        work["values_evaluated"] += per_row[0]
-
-    def evaluated(args, out):
-        if args[0].degree == 2 * n - 1:
-            work["partial_evaluations"] += 1
-
-    with contextlib.ExitStack() as stack:
-        if hasattr(geometry, "_power_fibres"):
-            stack.enter_context(counting(geometry, "_power_fibres", fibred))
-        stack.enter_context(counting(geometry, "_plane_rows", row,
-                                     items=True))
-        stack.enter_context(counting(geometry.TernaryForm, "evaluate",
-                                     evaluated))
-        geometry.singular_points_scan(n, geometry.PrimeField(p))
-    return work
-
-
-def time_scan(n: int, p: int):
-    from cuspidal.geometry import PrimeField, singular_points_scan
-    field = PrimeField(p)
-    start = time.perf_counter()
-    points = singular_points_scan(n, field)
-    seconds = time.perf_counter() - start
-    coords = sorted(pt.coords for pt in points)
-    digest = hashlib.sha256(str(coords).encode())
-    return seconds, {"sha256": digest.hexdigest()[:16],
-                     "points": len(coords)}, scan_work(n, p)
-
-
-def splitting_work(p: int) -> dict:
-    """The work of splitting_check_n2(p) in this version."""
-    from cuspidal import geometry
-    rows, tested, evaluations = [], [], []
-
-    def row(args, item):
-        rows.append(item[:2])
-
-    def line(args, out):
-        tested.append(args[1])
-
-    def evaluated(args, out):
-        evaluations.append(args[1])
-
-    with counting(geometry, "_plane_rows", row, items=True), \
-            counting(geometry, "_form_vanishes_on_line", line), \
-            counting(geometry.TernaryForm, "evaluate", evaluated):
-        geometry.splitting_check_n2(geometry.PrimeField(p))
-    reached = {(a, b) for a, b, _ in tested}
-    return {"lines_tested": len(tested),
-            "rows_skipped": sum(r not in reached for r in rows),
-            "evaluations": len(evaluations)}
-
-
-def time_splitting(p: int):
-    from cuspidal.geometry import PrimeField, splitting_check_n2
-    field = PrimeField(p)
-    start = time.perf_counter()
-    rep = splitting_check_n2(field)
-    seconds = time.perf_counter() - start
-    digest = hashlib.sha256(
-        str((rep.linear_forms, rep.intersection_points)).encode())
-    return seconds, {"sha256": digest.hexdigest()[:16],
-                     "lines": len(rep.linear_forms)}, splitting_work(p)
-
-
-def superabundance_work(n: int) -> dict:
-    """The work of superabundance_multi(n) in this version."""
-    from cuspidal import abelian, geometry
-    work = {"primes": [], "matrix": None, "row_updates": 0,
-            "entry_updates": 0}
-
-    def ranked(args, out):
-        # dict rows, or dense lists in a version that ranks those
-        rows, p = args
-        work["primes"].append(p)
-        used = {j for row in rows
-                for j, v in (row.items() if isinstance(row, dict)
-                             else enumerate(row)) if v % p}
-        work["matrix"] = [len(rows), len(used)]
-
-    def eliminated(args, out):
-        work["row_updates"] += 1
-        work["entry_updates"] += len(args[1])
-
-    with counting(geometry, "independent_rows", ranked), \
-            counting(abelian, "_eliminate", eliminated):
-        geometry.superabundance_multi(n)
-    return work
-
-
-def time_superabundance(n: int):
-    from cuspidal.geometry import superabundance_multi
-    start = time.perf_counter()
-    rep = superabundance_multi(n)
-    seconds = time.perf_counter() - start
-    return seconds, {"s": rep.s, "h0": rep.h0, "rank": rep.rank,
-                     "prime": rep.prime}, superabundance_work(n)
-
-
-# case name up to its "(" -> timing function of the integer arguments
-CALLS = {"derive_pi1_via_rs": time_derive,
-         "alexander_polynomial": time_alexander,
-         "curve_alexander": time_curve_alexander,
-         "commutator_abelianization_rank": time_commutator_rank,
-         "pi1_abelianization": time_pi1_abelianization,
-         "oka_quotient": time_oka_quotient,
-         "singular_points_scan": time_scan,
-         "splitting_check_n2": time_splitting,
-         "superabundance_multi": time_superabundance}
+def count_work(call) -> dict:
+    """Run call() with every name of PATCHES wrapped and return the
+    COUNTERS, in that order."""
+    work = dict.fromkeys(COUNTERS, 0)
+    work.update(dense_remainders=[], primes=[], matrix=[], _fibres=0,
+                _reached=set())
+    with contextlib.ExitStack() as restore:
+        for paths, name, items, count in PATCHES:
+            for owner in map(resolve, paths.split()):
+                original = getattr(owner, name)
+                restore.callback(setattr, owner, name, original)
+                setattr(owner, name,
+                        wrap(original, partial(count, work), items))
+        call()
+    return {key: work[key] for key in COUNTERS}
 
 
 def child(src: str, case: str) -> None:
     """Run one measurement and print {"seconds", "answer", "work"}."""
     sys.path.insert(0, src)
-    work = []
-    if case in HOM_CASES:
-        seconds, answer, *work = time_hom_count(case)
-    elif case.startswith("verify-all"):
-        seconds, answer, *work = time_verify_all(int(case.split()[-1]))
-    else:
-        name, args = case[:-1].split("(")
-        seconds, answer, *work = CALLS[name](*map(int, args.split(",")))
-    print(json.dumps({"seconds": seconds, "answer": answer,
-                      "work": work[0] if work else None}))
+    kind, args = parse(case)
+    setup, call, answer = KINDS[kind]
+    state = setup(*args)
+    start = time.perf_counter()
+    result = call(*state)
+    seconds = time.perf_counter() - start
+    print(json.dumps({"seconds": seconds, "answer": answer(result, *state),
+                      "work": count_work(lambda: call(*state))}))
 
 
 def measure(src: Path, case: str) -> dict:
@@ -686,17 +399,14 @@ def main(argv=None) -> int:
         return 0
     if args.suite is None:
         parser.error("a suite is required")
-    versions = {"after": ROOT / "src"}
-    if args.before:
-        versions = {"before": args.before, **versions}
+    after = {"after": ROOT / "src"}
+    versions = {"before": args.before, **after} if args.before else after
     cases = SUITES[args.suite]
     times = {(v, c): [] for v in versions for c in cases}
     answers, work = {}, {}
     for _ in range(REPEAT):
         for case in cases:
             for version, src in versions.items():
-                if version == "before" and case in AFTER_ONLY:
-                    continue
                 run = measure(src, case)
                 times[version, case].append(run["seconds"])
                 answers.setdefault(case, run["answer"])
@@ -705,19 +415,11 @@ def main(argv=None) -> int:
                     sys.exit(f"{case}: {version} answers differently")
     rows = []
     for case in cases:
-        row = {"case": case}
-        if case in HOM_CASES:
-            row["hom_count"] = answers[case]
-        elif case.startswith("verify-all"):
-            row["exit_code"] = answers[case]["exit"]
-        elif case.startswith("commutator_abelianization_rank"):
-            row["rank"] = answers[case]
-        else:
-            row.update(answers[case])
+        row = {"case": case, "answer": answers[case]}
         for version in versions:
-            row[f"{version}_s"] = (round(statistics.median(
-                times[version, case]), 4) if times[version, case] else None)
-        if "before" in versions and case not in AFTER_ONLY:
+            row[f"{version}_s"] = round(statistics.median(
+                times[version, case]), 4)
+        if "before" in versions:
             ratios = [b / a for b, a in zip(times["before", case],
                                             times["after", case])]
             q1, median, q3 = statistics.quantiles(ratios, n=4,
@@ -725,13 +427,11 @@ def main(argv=None) -> int:
             row["speedup"] = round(median, 2)
             row["speedup_quartiles"] = [round(q1, 2), round(q3, 2)]
         for version in versions:
-            if case in HOM_CASES:
-                row[f"{version}_nodes"] = work.get((version, case))
-            elif work.get((version, case)) is not None:
-                row[f"{version}_work"] = work[version, case]
+            row[f"{version}_work"] = work[version, case]
         rows.append(row)
     report = {
-        "what": WHAT[args.suite],
+        "what": "median wall seconds of one call, fresh interpreter per "
+                "run; cases and counters are described in scripts/bench.py",
         "before": commit(args.before) if args.before else None,
         "after": "this checkout",
         "repeat": REPEAT,

@@ -255,7 +255,7 @@ def smith_normal_form(m: IntegerMatrix):
             IntegerMatrix(m.cols, m.cols, v))
 
 
-def _unit_pivots(rows, ncols):
+def _unit_pivots(rows):
     """Sparse front end of the Smith form (Havas, Holt and Rees, "Recognizing
     badly presented Z-modules", 1993), by forward elimination.
 
@@ -348,10 +348,9 @@ def independent_rows(rows, p: int) -> list[int]:
     return found
 
 
-def invariant_factors(rows, ncols: int) -> list[int]:
+def invariant_factors(rows) -> list[int]:
     """Nonzero diagonal entries of the Smith form of the matrix with the
-    given sparse rows (dicts column -> nonzero entry, consumed) and ncols
-    columns.
+    given sparse rows (dicts column -> nonzero entry, consumed).
 
     The unit pivots of the sparse front end give the leading 1s.  The rows
     left, restricted to the columns they still use, form the dense
@@ -362,7 +361,7 @@ def invariant_factors(rows, ncols: int) -> list[int]:
     D), and the first r diagonal entries of the elimination modulo |D| are
     s1, ..., sr, every entry bounded by |D|/2 on the way.
     """
-    ones, rest = _unit_pivots(rows, ncols)
+    ones, rest = _unit_pivots(rows)
     cols = sorted({j for row in rest for j in row})
     dense = [[row.get(j, 0) for j in cols] for row in rest]
     rank, minor = _bareiss(dense)
@@ -379,8 +378,7 @@ def abelianization(p) -> AbelianStructure:
     sums = [{j: 1} for j in range(ngen)]
     for node in p.nodes:
         sums.append(_exponent_sums(node, sums))
-    factors = invariant_factors([_exponent_sums(r, sums) for r in p.relators],
-                                ngen)
+    factors = invariant_factors([_exponent_sums(r, sums) for r in p.relators])
     return AbelianStructure(ngen - len(factors),
                             tuple(d for d in factors if d != 1))
 
@@ -393,7 +391,7 @@ def kernel_abelianization(p, target) -> AbelianStructure:
     or a straight-line program, read node by node."""
     system = SchreierSystem(p, target)
     ncols = len(system.generator_names)
-    factors = invariant_factors(system.exponent_rows(p.relators), ncols)
+    factors = invariant_factors(system.exponent_rows(p.relators))
     return AbelianStructure(ncols - len(factors),
                             tuple(d for d in factors if d != 1))
 

@@ -58,10 +58,7 @@ class AbelianTarget:
 
     @property
     def size(self) -> int:
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
+        return prod(self.moduli)
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)

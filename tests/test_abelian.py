@@ -55,7 +55,7 @@ def sparse_rows(m: IntegerMatrix) -> list[dict[int, int]]:
 
 
 def matrix_factors(m: IntegerMatrix) -> list[int]:
-    return invariant_factors(sparse_rows(m), m.cols)
+    return invariant_factors(sparse_rows(m))
 
 
 def minors_gcd(m: IntegerMatrix, k: int) -> int:
@@ -332,12 +332,13 @@ def markowitz_unit(live, where):
     return None if best is None else best[1:]
 
 
-def markowitz_unit_pivots(rows, ncols):
+def markowitz_unit_pivots(rows):
     """The Markowitz unit-pivot front end, an oracle for _unit_pivots: while
     some entry is +-1, the cheapest by Markowitz cost clears its whole
     column, and its row and column split off.  Returns (ones, rest) like
     _unit_pivots."""
     live = {i: row for i, row in enumerate(rows) if row}
+    ncols = 1 + max((j for row in live.values() for j in row), default=-1)
     where = [set() for _ in range(ncols)]  # column -> rows with an entry
     for i, row in live.items():
         for j in row:
@@ -372,10 +373,10 @@ def markowitz_unit_pivots(rows, ncols):
     return ones, list(live.values())
 
 
-def markowitz_factors(rows, ncols) -> list[int]:
+def markowitz_factors(rows) -> list[int]:
     """invariant_factors with the Markowitz front end (rows consumed): the
     same bounded dense remainder after it."""
-    ones, rest = markowitz_unit_pivots(rows, ncols)
+    ones, rest = markowitz_unit_pivots(rows)
     cols = sorted({j for row in rest for j in row})
     dense = [[row.get(j, 0) for j in cols] for row in rest]
     rank, minor = _bareiss(dense)
@@ -392,11 +393,11 @@ def kernel_rows(n):
             len(system.generator_names))
 
 
-def both_front_ends(rows, ncols):
+def both_front_ends(rows):
     """The invariant factors of the sparse rows (not consumed) through the
     forward front end and through the Markowitz one."""
-    return (invariant_factors([dict(r) for r in rows], ncols),
-            markowitz_factors([dict(r) for r in rows], ncols))
+    return (invariant_factors([dict(r) for r in rows]),
+            markowitz_factors([dict(r) for r in rows]))
 
 
 def test_forward_front_end_matches_the_markowitz_front_end():
@@ -404,7 +405,7 @@ def test_forward_front_end_matches_the_markowitz_front_end():
     units = 0
     for _ in range(1000):
         m = random_sparse_matrix(rng)
-        forward, markowitz = both_front_ends(sparse_rows(m), m.cols)
+        forward, markowitz = both_front_ends(sparse_rows(m))
         assert forward == markowitz, m.data
         units += 1 in forward
     assert units >= 500
@@ -414,7 +415,7 @@ def test_forward_front_end_matches_the_markowitz_front_end():
 def test_forward_front_end_matches_markowitz_on_kernel_rows(n):
     # the commutator-rank rows of the BENCH_kernel.json cases
     rows, ncols = kernel_rows(n)
-    forward, markowitz = both_front_ends(rows, ncols)
+    forward, markowitz = both_front_ends(rows)
     assert forward == markowitz
     assert ncols - len(forward) == 3 * (n - 1)
 
@@ -422,7 +423,7 @@ def test_forward_front_end_matches_markowitz_on_kernel_rows(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_forward_front_end_matches_markowitz_on_derived_h1(n):
     m = relator_matrix(derive_pi1_via_rs(n))
-    forward, markowitz = both_front_ends(sparse_rows(m), m.cols)
+    forward, markowitz = both_front_ends(sparse_rows(m))
     assert forward == markowitz
     # the derivation matches the direct presentation on H1
     assert AbelianStructure(m.cols - len(forward),
@@ -438,8 +439,7 @@ def test_front_end_entries_stay_bounded(monkeypatch):
     rank_rows, h1 = kernel_rows(21), relator_matrix(presentation_pi1(15))
     assert max(abs(x) for row in rank_rows[0] for x in row.values()) == 20
     start = time.perf_counter()
-    assert invariant_factors([dict(r) for r in rank_rows[0]],
-                             rank_rows[1]) == [1] * 67
+    assert invariant_factors([dict(r) for r in rank_rows[0]]) == [1] * 67
     assert matrix_factors(h1) == [1] * 224 + [30]
     assert time.perf_counter() - start < 2
     largest = {"pivot": 0, "row": 0}
@@ -451,7 +451,7 @@ def test_front_end_entries_stay_bounded(monkeypatch):
         largest["row"] = max(largest["row"], *map(abs, row.values()), 0)
 
     monkeypatch.setattr(abelian, "_reduce_row", recording)
-    invariant_factors(*rank_rows)
+    invariant_factors(rank_rows[0])
     assert largest == {"pivot": 1, "row": 20}
     largest.update(pivot=0, row=0)
     matrix_factors(h1)
@@ -465,7 +465,7 @@ def test_unit_pivot_front_end_matches_dense_elimination():
     for _ in range(400):
         m = random_sparse_matrix(rng)
         assert matrix_factors(m) == dense_factors(m), m.data
-        ones, rest = _unit_pivots(sparse_rows(m), m.cols)
+        ones, rest = _unit_pivots(sparse_rows(m))
         seen["unit pivots"] += ones > 0
         if not rest:
             seen["units only"] += 1
@@ -540,20 +540,22 @@ def test_rank_deficient_dense_remainder_stays_bounded():
 
 
 def test_every_smith_caller_runs_the_front_end(monkeypatch):
-    # H1 (9 generators) and the kernel rank (19 kernel generators); an
-    # AbelianTarget checks that its images generate without a Smith form
+    # H1 and the kernel rank each run it exactly once; an AbelianTarget
+    # checks that its images generate without a Smith form
     calls = []
     front_end = abelian._unit_pivots
 
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return front_end(rows, ncols)
+    def counting(rows):
+        calls.append(None)
+        return front_end(rows)
 
     monkeypatch.setattr(abelian, "_unit_pivots", counting)
     abelianization(presentation_pi1(3))
+    assert len(calls) == 1
     total_degree_target(presentation_pi1_reduced(3), 6)
+    assert len(calls) == 1
     commutator_abelianization_rank(3)
-    assert calls == [9, 19]
+    assert len(calls) == 2
 
 
 def test_commutator_abelianization_rank_rejects_even():

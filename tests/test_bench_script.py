@@ -1,20 +1,28 @@
-"""Smoke test of scripts/bench.py: one small case of each suite, run the way
-the script runs its measurements, in a fresh interpreter
-(`python3 scripts/bench.py --child src CASE`).
+"""Tests of scripts/bench.py.
 
-Each run must exit 0, give the known answer, and read a nonzero value on
-every work counter that counts work done.  The counters patch private
-names of the package (`SchreierSystem._next`, `abelian._eliminate`,
-`abelian._unit_pivots`, `abelian._reduce_row`, `alexander._unit_reduce`,
-`words._least_rotation`, `homcount._build_plan`, `geometry._plane_rows`,
-`geometry._power_fibres`, `geometry._form_vanishes_on_line`,
-`geometry.TernaryForm.evaluate`, `words.Counter`), so a change
-to the code they patch shows here.  The children run in
-subprocesses because a measurement may leave the package patched
-(`time_derive` rebinds `rewriting.simplify`).
+In process, with the script loaded by path: every case of every suite
+resolves to an entry of its table of case kinds (KINDS) that takes the
+case's arguments, and every name the work counters wrap (PATCHES) exists on
+the package, a generator function where its counter reads items.
+The counters wrap private names (`homcount._build_plan`,
+`words._least_rotation`, `words.Counter`, `alexander._unit_reduce`,
+`abelian._unit_pivots`, `abelian._reduce_row`, `abelian._eliminate`,
+`geometry._power_fibres`, `geometry._plane_rows`,
+`geometry._form_vanishes_on_line`), so a rename in the package fails here
+at once; the attributes `SchreierSystem._next` and `_nodes` that they read
+are checked by the kernel suite's run.
+
+Then a smoke test of one small case of each suite, run the way the script
+runs its measurements, in a fresh interpreter
+(`python3 scripts/bench.py --child src CASE`): each run must exit 0, give
+the known answer, and read the known or a nonzero value on the counters of
+the layers it runs.  The children run in subprocesses because the script
+runs each case in a fresh interpreter, with the package of its choice.
 """
 
 import hashlib
+import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -24,22 +32,52 @@ from cuspidal.presentations import derive_pi1_via_rs
 from cuspidal.words import format_presentation
 
 ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench.py"
+
+
+spec = importlib.util.spec_from_file_location("bench", SCRIPT)
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+
+def test_every_case_resolves_to_a_kind():
+    for suite, cases in bench.SUITES.items():
+        for case in cases:
+            kind, args = bench.parse(case)
+            assert kind in bench.KINDS, (suite, case)
+            setup, call, _ = bench.KINDS[kind]
+            inspect.signature(setup).bind(*args)
+
+
+def test_every_patched_name_exists():
+    for paths, name, items, _ in bench.PATCHES:
+        for path in paths.split():
+            owner = bench.resolve(path)
+            assert hasattr(owner, name), (path, name)
+            if items:
+                assert inspect.isgeneratorfunction(getattr(owner, name))
 
 
 def child(case: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--child",
-         str(ROOT / "src"), case], capture_output=True, text=True)
+        [sys.executable, str(SCRIPT), "--child", str(ROOT / "src"), case],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert run["seconds"] > 0
+    assert list(run["work"]) == bench.COUNTERS
     return run
+
+
+def ran(work: dict) -> set[str]:
+    """The counters that read nonzero (a nonempty list for a list)."""
+    return {key for key, count in work.items() if count}
 
 
 def test_homcount_suite():
     run = child("derived(3), k = 4")
     assert run["answer"] == 1194
-    assert run["work"] > 0  # search nodes
+    assert ran(run["work"]) == {"search_nodes", "plans"}
 
 
 def test_tietze_suite():
@@ -47,11 +85,9 @@ def test_tietze_suite():
     answer, work = run["answer"], run["work"]
     digest = hashlib.sha256(
         format_presentation(derive_pi1_via_rs(4)).encode()).hexdigest()
-    assert answer["sha256"] == digest[:16]
-    assert answer["generators"] == 4
-    for key in ("gens_eliminated", "letters_in", "letters_out"):
-        assert answer[key] > 0, key
-    for key in ("least_rotation_calls", "least_rotation_letters",
+    assert answer == {"sha256": digest[:16], "generators": 4}
+    for key in ("gens_eliminated", "letters_in", "letters_out",
+                "least_rotation_calls", "least_rotation_letters",
                 "counter_letters"):
         assert work[key] > 0, key
 
@@ -61,7 +97,9 @@ def test_alexander_suite():
     # degree 3(n - 1), no (t - 1) factor stripped
     assert run["answer"]["degree"] == 12
     assert run["answer"]["stripped"] == 0
-    assert run["work"] is None
+    # pi1-reduced(5) is built in the setup, which is not counted
+    assert run["work"]["expanded_letters"] == 0
+    assert run["work"]["fox_rows"] > 0
 
 
 def test_kernel_suite():
@@ -71,16 +109,16 @@ def test_kernel_suite():
                 "unit_pivots", "pivot_applications"):
         assert run["work"][key] > 0, key
     # the rows are read off the curve program's 77 nodes
-    assert run["work"]["nodes"] == 77
+    assert run["work"]["program_nodes"] == 77
     assert run["work"]["expanded_letters"] == 0
 
 
 def test_geometry_suite_scan():
     run = child("singular_points_scan(7,197)")
     assert run["answer"]["points"] == 21  # 3n singular points
-    assert run["work"]
-    for key, count in run["work"].items():
-        assert count > 0, key
+    # the splitting's counters read 0 on a scan
+    assert ran(run["work"]) == {"curve_forms", "values_evaluated",
+                                "form_evaluations"}
 
 
 def test_geometry_suite_splitting():
@@ -89,8 +127,12 @@ def test_geometry_suite_splitting():
     # F_2 vanishes at the rows' first test point on two rows of 13 lines;
     # one evaluation per row of _plane_rows (15 at p = 13), then at most
     # four per tested line, up to the first that does not vanish
-    assert run["work"] == {"lines_tested": 26, "rows_skipped": 13,
-                           "evaluations": 57}
+    work = run["work"]
+    assert (work["lines_tested"], work["rows_skipped"],
+            work["form_evaluations"]) == (26, 13, 57)
+    # the scan's counter reads 0 on a splitting
+    assert ran(work) == {"curve_forms", "form_evaluations", "lines_tested",
+                         "rows_skipped"}
 
 
 def test_geometry_suite_superabundance():
@@ -108,7 +150,7 @@ def test_verify_suite():
     assert run["answer"]["exit"] == 0
     assert all(entry.get("passed", True)
                for entry in run["answer"]["results"])
-    for key in ("plans", "pi1_reduced", "curve_forms"):
+    for key in ("search_nodes", "plans", "pi1_reduced", "curve_forms"):
         assert run["work"][key] > 0, key
 
 
@@ -118,8 +160,9 @@ def test_curve_suite():
     assert run["answer"]["stripped"] == 0
     # read off the straight-line program: no relator is expanded, and of
     # its 30 relators' Fox rows 11 are distinct up to a unit
-    assert run["work"] == {"expanded_letters": 0, "fox_rows": 30,
-                           "distinct_fox_rows": 11}
+    work = run["work"]
+    assert (work["expanded_letters"], work["fox_rows"],
+            work["distinct_fox_rows"]) == (0, 30, 11)
 
 
 def test_smith_suite():
@@ -133,5 +176,5 @@ def test_smith_suite():
     run = child("oka_quotient(5)")
     # n generators and 2n^2 + 1 relators: the j-family substitutes to
     # nothing, the i-family to 4 letters, the long relator to 2n
-    assert run["work"] == {"simplify_generators": 5,
-                           "simplify_letters": 4 * 25 + 10}
+    assert (run["work"]["simplify_generators"],
+            run["work"]["simplify_letters"]) == (5, 4 * 25 + 10)
