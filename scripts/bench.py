@@ -136,8 +136,9 @@ def verify_all(n: int):
 
 
 def imported(*args):
-    """The case arguments, once the package is imported."""
-    importlib.import_module("cuspidal")
+    """The case arguments, once the package and its command line are
+    imported."""
+    importlib.import_module("cuspidal.cli")
     return args
 
 
@@ -147,16 +148,15 @@ def polynomial(result, *args) -> dict:
             "stripped": stripped}
 
 
-# kind -> (setup: case arguments -> call arguments, untimed; the timed call,
-# which imports the package for verify-all only; answer: (result, *call
-# arguments) -> JSON)
+# kind -> (setup: case arguments -> call arguments, untimed; the timed call;
+# answer: (result, *call arguments) -> JSON)
 KINDS = {
     "count_homs": (
         lambda build, arg, k: (getattr(cu("presentations"), build)(arg), k),
         lambda p, k: cu("homcount").count_homs(p, k),
         lambda rep, p, k: rep.total),
     "verify-all": (
-        lambda n: (n,), verify_all,
+        imported, verify_all,
         lambda out, n: {"exit": out[0],
                         "results": json.loads(out[1])["results"]}),
     "derive_pi1_via_rs": (

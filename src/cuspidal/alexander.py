@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd as int_gcd
-from operator import neg
 
 from .errors import InvalidParameter
 from .packing import Packing
@@ -93,11 +92,6 @@ class LaurentPolynomial:
             base = base * base
             n >>= 1
         return out
-
-    def unit_inverse(self) -> "LaurentPolynomial":
-        if not self.is_unit():
-            raise ValueError("not a unit")
-        return LaurentPolynomial(-self.low, (self.coeffs[0],))
 
     def content(self) -> int:
         return int_gcd(*self.coeffs)
@@ -377,18 +371,32 @@ def alexander_matrix(p):
     return [program.row(r) for r in p.relators]
 
 
+def _is_unit(e: list[int]) -> bool:
+    """Whether a dense polynomial is +-t^k."""
+    return bool(e) and abs(e[-1]) == 1 and not any(e[:-1])
+
+
+def _strip_t(row: list[list[int]]) -> list[list[int]]:
+    """The row divided by the highest power of t that divides every entry."""
+    k = min((next(i for i, c in enumerate(e) if c) for e in row if e),
+            default=0)
+    return [e[k:] for e in row] if k else row
+
+
 def _unit_reduce(rows, size):
-    """Sound pre-reduction: a unit entry lets us clear its column, delete its
-    row and column, and lower the minor size by one: the presented module is
-    unchanged, so the size-s minors of the matrix generate the same ideal as
-    the size-(s - 1) minors of what is left."""
-    rows = [row[:] for row in rows]
+    """Sound pre-reduction on rows over Z[t]: a unit entry +-t^k lets us
+    clear its column, delete its row and column, and lower the minor size
+    by one: the presented module is unchanged, so the size-s minors of the
+    matrix generate the same ideal as the size-(s - 1) minors of what is
+    left.  A row r is cleared by the pivot row p with pivot u as u*r -
+    r[j]*p: a unit times what dividing by u would give, with the power of t
+    it shares over every entry stripped."""
     while size > 0:
-        rows = [row for row in rows if any(not e.is_zero for e in row)]
+        rows = [row for row in rows if any(row)]
         pivot = None
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
-                if e.is_unit():
+                if _is_unit(e):
                     pivot = (i, j)
                     break
             if pivot:
@@ -396,17 +404,17 @@ def _unit_reduce(rows, size):
         if pivot is None:
             break
         i, j = pivot
-        inv = rows[i][j].unit_inverse()
         prow = rows[i]
+        unit = prow[j]
         for k, row in enumerate(rows):
-            if k == i or row[j].is_zero:
+            if k == i or not row[j]:
                 continue
-            factor = row[j] * inv
-            # a zero pivot-row entry leaves its column as it is
-            rows[k] = [e if pe.is_zero else e - factor * pe
-                       for e, pe in zip(row, prow)]
-        rows = [[row[c] for c in range(len(row)) if c != j]
-                for k, row in enumerate(rows) if k != i]
+            # a zero pivot-row entry leaves its column as it is, times u
+            rows[k] = _strip_t([_combine(1, _mul(unit, e), 1, 0,
+                                         _mul(row[j], pe))
+                                if pe else _mul(unit, e)
+                                for e, pe in zip(row, prow)])
+        rows = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
         size -= 1
     return rows, size
 
@@ -506,32 +514,25 @@ def elementary_ideal_gcd(rows, cols: int) -> LaurentPolynomial:
     if size < 1:
         raise InvalidParameter(
             f"a matrix of {cols} columns has no (cols - 1)-sized minors")
-    # keep each row once up to a unit +-t^k: a row that is a unit times an
-    # earlier one contributes only minors that are units times others, or 0
-    seen = set()
-    unique = []
+    # bring each nonzero row into Z[t] by the unit +-t^k that makes its
+    # entries polynomials, not all divisible by t, with the first nonzero
+    # coefficient positive; keep each such row once: a row that is a unit
+    # times an earlier one contributes only minors that are units times
+    # others, or 0
+    unique = {}
     for row in rows:
         nonzero = [e for e in row if e.coeffs]
         if not nonzero:
             continue
         low = min(e.low for e in nonzero)
-        if nonzero[0].coeffs[0] > 0:
-            key = tuple((e.low - low, e.coeffs) for e in row)
-        else:
-            key = tuple((e.low - low, tuple(map(neg, e.coeffs))) for e in row)
-        if key not in seen:
-            seen.add(key)
-            unique.append(row)
-    rows, size = _unit_reduce(unique, size)
+        sign = 1 if nonzero[0].coeffs[0] > 0 else -1
+        unique[tuple((0,) * (e.low - low) + tuple(sign * c for c in e.coeffs)
+                     if e.coeffs else () for e in row)] = None
+    rows, size = _unit_reduce([[list(e) for e in row] for row in unique],
+                              size)
     if size == 0:
         return LaurentPolynomial.one()
-    # multiply each row by the unit t^k that puts it into Z[t]
-    dense = []
-    for row in rows:
-        low = min(e.low for e in row if not e.is_zero)
-        dense.append([[0] * (e.low - low) + list(e.coeffs) if e.coeffs else []
-                      for e in row])
-    echelon = _echelon(dense, len(dense[0]) if dense else 0)
+    echelon = _echelon(rows, len(rows[0]) if rows else 0)
     if len(echelon) < size:
         return LaurentPolynomial.zero()
     prim = None
@@ -541,7 +542,7 @@ def elementary_ideal_gcd(rows, cols: int) -> LaurentPolynomial:
             if len(prim) == 1:
                 break
     content = 0
-    for minor in _minors(dense, size):
+    for minor in _minors(rows, size):
         content = int_gcd(content, *minor)
         if content == 1:
             break

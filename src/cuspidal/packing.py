@@ -35,16 +35,6 @@ class Packing:
         self._bias = self._half * ones
         self._small_bias = (1 << 63) * ones
 
-    def pack(self, values) -> int:
-        """The packed vector of `size` integers."""
-        mask = (1 << 64) - 1
-        words = array("Q", [(v + self._half) >> shift & mask
-                            for v in values
-                            for shift in range(0, self.bits, 64)])
-        if sys.byteorder == "big":
-            words.byteswap()
-        return int.from_bytes(words.tobytes(), "little") - self._bias
-
     def unpack(self, packed: int) -> list[int]:
         """The entries of a packed vector, in order.
 
@@ -83,7 +73,8 @@ class Packing:
         return packed >> self.bits * -places
 
     def unit(self, place: int) -> int:
-        """The vector with a 1 at the place and 0 elsewhere."""
+        """The vector with a 1 at the place and 0 elsewhere; a vector is
+        the sum of its entries times these."""
         return 1 << self.bits * place
 
     def biased(self, packed: int) -> int:

@@ -30,8 +30,8 @@ def presentation_G_raw() -> Presentation:
     gens = ("e1", "e2", "l0", "l1", "l2")
     e1, e2, l0, l1, l2 = ((1,), (2,), (3,), (4,), (5,))
     e = e1
-    conj_e = multiply(multiply(e, l1), invert(e))  # e l1 e^-1
-    l1_e_l1 = multiply(multiply(invert(l1), e), l1)  # l1^-1 e l1
+    conj_e = conjugate(l1, invert(e))  # e l1 e^-1
+    l1_e_l1 = conjugate(e, l1)  # l1^-1 e l1
     relators = [
         multiply(e1, invert(e2)),                                    # i2
         commutator(conj_e, l2),                                      # i1
@@ -42,10 +42,9 @@ def presentation_G_raw() -> Presentation:
         commutator(conj_e, l0),                                      # i5
         multiply(power(multiply(l0, l1_e_l1), 2),
                  invert(power(multiply(l1_e_l1, l0), 2))),           # i6
-        multiply(multiply(multiply(invert(l0), l1_e_l1), l0),
-                 invert(multiply(multiply(l2, e), invert(l2)))),     # i7
-        commutator(l2, multiply(multiply(l1_e_l1, l0),
-                                invert(l1_e_l1))),                   # i8
+        multiply(conjugate(l1_e_l1, l0),
+                 invert(conjugate(e, invert(l2)))),                  # i7
+        commutator(l2, conjugate(l0, invert(l1_e_l1))),              # i8
         multiply(multiply(multiply(l2, power(e, 2)), l1), l0),       # projective
     ]
     return Presentation(gens, relators)
@@ -55,7 +54,7 @@ def presentation_G() -> Presentation:
     """The simplified arrangement group on e, l1, l2."""
     gens = ("e", "l1", "l2")
     e, l1, l2 = ((1,), (2,), (3,))
-    conj_e = multiply(multiply(e, l1), invert(e))
+    conj_e = conjugate(l1, invert(e))  # e l1 e^-1
     relators = [
         commutator(conj_e, l2),
         multiply(power(multiply(l1, e), 2), invert(power(multiply(e, l1), 2))),
@@ -228,18 +227,15 @@ def presentation_zariski3(variant: str = "corrected") -> Presentation:
     g2: Word = (1,)
     table: dict[tuple[int, int], Word] = {
         (0, 0): (2,), (0, 1): (3,), (1, 0): (4,), (1, 1): (5,)}
-
-    def conj(a: Word, by: Word) -> Word:  # by * a * by^-1, as in the table
-        return multiply(multiply(by, a), invert(by))
-
-    table[2, 0] = conj(table[0, 0], table[1, 0])
-    table[2, 1] = conj(table[1, 0], table[1, 1])
-    table[0, 2] = conj(table[0, 0], table[0, 1])
-    table[1, 2] = conj(table[1, 0], table[1, 1])
+    # g_ij conjugated by g_kl as in the table: g_kl g_ij g_kl^-1
+    table[2, 0] = conjugate(table[0, 0], invert(table[1, 0]))
+    table[2, 1] = conjugate(table[1, 0], invert(table[1, 1]))
+    table[0, 2] = conjugate(table[0, 0], invert(table[0, 1]))
+    table[1, 2] = conjugate(table[1, 0], invert(table[1, 1]))
     if variant == "stated":
-        table[2, 2] = conj(table[2, 0], table[2, 1])
+        table[2, 2] = conjugate(table[2, 0], invert(table[2, 1]))
     else:
-        table[2, 2] = conj(table[0, 0], table[2, 1])
+        table[2, 2] = conjugate(table[0, 0], invert(table[2, 1]))
     # g2 g_ij g2 = g_ij g2 g_ij
     relators = [substitute((1, 2, 1, -2, -1, -2), (g2, table[i, j]))
                 for i in range(3) for j in range(3)]
@@ -252,8 +248,7 @@ def _zariski3_images() -> tuple[Word, ...]:
     """Images of eps_00, eps_01, eps_10, eps_11 (the generators of
     presentation_pi1_reduced(3), in order) under the candidate map."""
     g2, g01, g10, g11 = ((1,), (3,), (4,), (5,))
-    return (multiply(multiply(g2, g11), invert(g2)), g10, g2,
-            multiply(multiply(g2, g01), invert(g2)))
+    return (conjugate(g11, invert(g2)), g10, g2, conjugate(g01, invert(g2)))
 
 
 def _zariski3_completion() -> list[Word]:

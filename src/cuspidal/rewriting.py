@@ -20,7 +20,8 @@ from typing import Iterator
 
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .packing import Packing
-from .words import Presentation, Word, invert, multiply, simplify
+from .words import (Presentation, Word, _check_letters, invert, multiply,
+                    simplify)
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,8 @@ class SchreierSystem:
 
     def rewrite(self, w: Word, start_coset: int) -> Word:
         """Reidemeister-Schreier rewriting of the kernel word w starting at
-        a coset."""
+        a coset; ValueError on a letter outside +-1..ngen."""
+        _check_letters([w], len(self.target.generators), "kernel word")
         slot = start = self._slots[start_coset]
         out: list[int] = []
         for x in w:
@@ -324,9 +326,11 @@ class _NodeWalks:
         self._counts: list[int] = []
         for node in nodes:
             end, counts, packed = system._walk(node, self)
+            for edge, count in enumerate(counts or ()):
+                if count:
+                    packed += count * self.packing.unit(edge)
             self.ends.append(end)
-            self._counts.append(packed if counts is None
-                                else packed + self.packing.pack(counts))
+            self._counts.append(packed)
 
     def moved(self, symbol: int, c: int) -> int:
         """The packed counts of a node symbol's walk from coset c."""
@@ -370,8 +374,10 @@ def subgroup_presentation(p: Presentation, target: AbelianTarget,
 
     Every relator and extra word is rewritten at every coset (conjugation by
     each representative), so one that is not in the kernel raises
-    NotInKernel; then Tietze simplification runs to its fixed point.
+    NotInKernel, and an extra word with a letter outside p's generators
+    raises ValueError; then Tietze simplification runs to its fixed point.
     """
+    _check_letters(extra_kernel_words, len(p.generators), "kernel word")
     system = SchreierSystem(p, target)
     relators = [system.rewrite(r, ci)
                 for r in [*p.relators, *extra_kernel_words]

@@ -135,9 +135,8 @@ def _least_form(w: Word) -> Word:
 def _check_letters(words, ngen: int, kind: str) -> None:
     """Raise ValueError at the first letter of the words not in +-1..ngen."""
     for w in words:
-        # no letter is 0 (reduce_word rejects it), so the extremes decide
-        if w and (min(w) < -ngen or max(w) > ngen):
-            bad = next(x for x in w if abs(x) > ngen)
+        if w and (min(w) < -ngen or max(w) > ngen or 0 in w):
+            bad = next(x for x in w if not 0 < abs(x) <= ngen)
             raise ValueError(f"{kind} letter {bad} out of range")
 
 

@@ -7,6 +7,8 @@ import pytest
 from cuspidal import cli, geometry, presentations
 from cuspidal.cli import main
 from cuspidal.errors import RankDeficiencySuspect
+from cuspidal.presentations import derive_pi1_via_rs
+from cuspidal.words import format_presentation
 
 
 def run(capsys, *argv):
@@ -285,3 +287,44 @@ def test_curve_program_output_matches_the_expanded_route(capsys, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(cli, "curve_program", expanded)
                 assert run(capsys, *argv) == program, argv
+
+
+def test_derive_text_and_structured(capsys):
+    code, out, _ = run(capsys, "derive", "--n", "3")
+    assert code == 0
+    assert out == format_presentation(derive_pi1_via_rs(3))
+    code, out, _ = run(capsys, "derive", "--n", "3", "--format", "structured")
+    assert code == 0
+    pres = json.loads(out)["results"][0]["value"]
+    assert pres["generators"] == ["e_1_2", "l1_1_2", "e_2_1", "e_2_2"]
+
+
+def test_homcount_counts_surjective_homs(capsys):
+    code, out, _ = run(capsys, "homcount", "--family", "G", "--k", "3",
+                       "--surjective", "--format", "structured")
+    assert code == 0
+    value = json.loads(out)["results"][0]["value"]
+    assert (value["total"], value["surjective"]) == (90, 42)
+
+
+def test_superabundance_succeeds(capsys):
+    code, out, _ = run(capsys, "superabundance", "--n", "5",
+                       "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == {
+        "n": 5, "s": 3, "h0": 3, "rank": 12, "prime": 10061}
+
+
+def test_abelianize_the_oka_quotient(capsys):
+    code, out, _ = run(capsys, "abelianize", "--family", "oka-quotient",
+                       "--n", "3", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"]["display"] == "Z/6"
+
+
+def test_alexander_of_the_raw_arrangement_group(capsys):
+    code, out, _ = run(capsys, "alexander", "--family", "G-raw",
+                       "--format", "structured")
+    assert code == 0
+    value = json.loads(out)["results"][0]["value"]
+    assert (value["display"], value["stripped_t_minus_1"]) == ("1", 2)

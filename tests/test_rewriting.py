@@ -5,7 +5,8 @@ import pytest
 
 from cuspidal.abelian import abelianization
 from cuspidal.errors import InvalidParameter, NotGenerating, NotInKernel
-from cuspidal.presentations import presentation_oka, presentation_pi1_reduced
+from cuspidal.presentations import (presentation_G, presentation_oka,
+                                    presentation_pi1_reduced)
 from cuspidal.rewriting import (AbelianTarget, SchreierSystem,
                                 subgroup_presentation)
 from cuspidal.words import (Presentation, commutator, format_presentation,
@@ -140,6 +141,20 @@ def test_words_outside_the_kernel_are_refused():
                 system.rewrite(w, ci)
         with pytest.raises(NotInKernel, match=f"length {len(w)} "):
             list(system.exponent_rows([(1, 1), w]))
+
+
+def test_kernel_words_with_letters_outside_the_generators_are_refused():
+    # G has three generators: the letter 4 once indexed past the table, 7
+    # from coset 2 landed in another coset's block and read (), and 0 read
+    # l1 0 l1^-1 from coset 1 as two kernel letters
+    p = presentation_G()
+    t = AbelianTarget((2, 2), ("e", "l1", "l2"), ((0, 0), (1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="letter 4 out of range"):
+        subgroup_presentation(p, t, [(4, 4)])
+    with pytest.raises(ValueError, match="letter 7 out of range"):
+        SchreierSystem(p, t).rewrite((7, -7), 2)
+    with pytest.raises(ValueError, match="letter 0 out of range"):
+        SchreierSystem(p, t).rewrite((2, 0, -2), 1)
 
 
 def test_relators_must_lie_in_kernel():
