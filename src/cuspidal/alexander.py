@@ -570,10 +570,9 @@ def alexander_polynomial(p):
 
 
 def cyclotomic_target(n: int) -> LaurentPolynomial:
-    """The expected curve Alexander polynomial for odd n:
-    (t^{n-1} - t^{n-2} + ... + t^2 - t + 1)^3."""
-    if n < 3 or n % 2 == 0:
-        raise InvalidParameter("n must be odd and >= 3")
+    """The expected curve Alexander polynomial for odd n,
+    (t^{n-1} - t^{n-2} + ... + t^2 - t + 1)^3, normalized as
+    `alexander_polynomial` returns it."""
     return cyclotomic_base(n) ** 3
 
 

@@ -9,6 +9,7 @@ search ran out of budget, or finite-field ranks disagreed across primes).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -99,15 +100,11 @@ class Run:
 
 
 def cmd_present(args, run: Run) -> None:
-    p = build_family(args.family, args.n, args.variant)
-    if args.format == "structured":
-        run.record("presentation", _presentation_doc(p))
+    """present prints a family; derive, with no family, the derived group."""
+    if args.command == "derive":
+        p = derive_pi1_via_rs(args.n)
     else:
-        sys.stdout.write(format_presentation(p))
-
-
-def cmd_derive(args, run: Run) -> None:
-    p = derive_pi1_via_rs(args.n)
+        p = build_family(args.family, args.n, args.variant)
     if args.format == "structured":
         run.record("presentation", _presentation_doc(p))
     else:
@@ -135,8 +132,7 @@ def cmd_alexander(args, run: Run) -> None:
                 "display": str(poly), "stripped_t_minus_1": stripped})
     if args.family in ("pi1", "pi1-reduced") and args.n % 2 == 1:
         target = cyclotomic_target(args.n)
-        run.record("matches_cyclotomic_cube",
-                   str(target), poly.normalized() == target.normalized())
+        run.record("matches_cyclotomic_cube", str(target), poly == target)
 
 
 def cmd_homcount(args, run: Run) -> None:
@@ -229,10 +225,9 @@ def cmd_verify_all(args, run: Run) -> None:
 
     if n % 2 == 1:
         poly, stripped = alexander_polynomial(curve_program(n))
-        target = cyclotomic_target(n)
         run.record("alexander_vs_cyclotomic_cube",
                    {"display": str(poly), "stripped": stripped},
-                   poly.normalized() == target.normalized())
+                   poly == cyclotomic_target(n))
         rank = commutator_abelianization_rank(n)
         run.record("commutator_abelianization_rank", rank,
                    rank == 3 * (n - 1))
@@ -274,7 +269,12 @@ def cmd_verify_all(args, run: Run) -> None:
                and ok)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+    A subcommand stores its handler's name, which `main` looks up in this
+    module when it runs, so a handler replaced after the build is the one
+    run."""
     parser = argparse.ArgumentParser(
         prog="cuspidal",
         description="Exact verification toolkit for a family of cuspidal "
@@ -282,22 +282,25 @@ def make_parser() -> argparse.ArgumentParser:
                     "polynomials, and finite-field singularity geometry.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, handler, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=handler.__name__)
         return p
 
-    def family_args(p):
-        p.add_argument("--family", choices=FAMILIES, required=True)
+    def n_and_variant(p):
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--variant", choices=("stated", "corrected"),
                        default="corrected")
 
+    def family_args(p):
+        p.add_argument("--family", choices=FAMILIES, required=True)
+        n_and_variant(p)
+
     p = add("present", cmd_present, help="print a presentation")
     family_args(p)
-    p = add("derive", cmd_derive,
+    p = add("derive", cmd_present,
             help="derive the curve presentation by coset rewriting")
     p.add_argument("--n", type=int, required=True)
     p = add("abelianize", cmd_abelianize, help="abelianization invariants")
@@ -314,9 +317,7 @@ def make_parser() -> argparse.ArgumentParser:
             help="compare two families on the invariant battery")
     p.add_argument("family_a", choices=FAMILIES)
     p.add_argument("family_b", choices=FAMILIES)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--variant", choices=("stated", "corrected"),
-                   default="corrected")
+    n_and_variant(p)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--budget", type=int, default=10**9)
     p = add("superabundance", cmd_superabundance,
@@ -342,13 +343,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items())
               if k != "fn" and v is not None}
     run = Run(config)
     try:
-        args.fn(args, run)
+        globals()[args.fn](args, run)
     except (InvalidParameter, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

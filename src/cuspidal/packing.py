@@ -77,11 +77,25 @@ class Packing:
         the sum of its entries times these."""
         return 1 << self.bits * place
 
-    def biased(self, packed: int) -> int:
-        """The vector with 2^(bits - 1) added to every entry, so every
-        entry is a nonnegative number of `bits` bits and a mask selects
-        entries; `unbiased` undoes it."""
-        return packed + self._bias
+    def rotation(self, turns):
+        """The map that turns every run of `run` places of a packed vector
+        by `by` places, for each (run, by) pair of turns in order: the entry
+        at place i of a run moves to place (i + by) mod run, for `run`
+        dividing `size` and 0 <= by < run.  A pair costs two masks, two
+        shifts and an or, on the entries made nonnegative by adding
+        2^(bits - 1) to each."""
+        bits, steps = self.bits, []
+        for run, by in turns:
+            # a 1 at the lowest bit of every run
+            every_run = (((1 << bits * self.size) - 1)
+                         // ((1 << bits * run) - 1))
+            low = ((1 << bits * (run - by)) - 1) * every_run
+            high = ((1 << bits * run) - 1) * every_run - low
+            steps.append((low, high, bits * by, bits * (run - by)))
 
-    def unbiased(self, packed: int) -> int:
-        return packed - self._bias
+        def rotate(packed: int) -> int:
+            packed += self._bias
+            for low, high, up, down in steps:
+                packed = (packed & low) << up | (packed & high) >> down
+            return packed - self._bias
+        return rotate

@@ -30,39 +30,43 @@ def presentation_G_raw() -> Presentation:
     gens = ("e1", "e2", "l0", "l1", "l2")
     e1, e2, l0, l1, l2 = ((1,), (2,), (3,), (4,), (5,))
     e = e1
-    conj_e = conjugate(l1, invert(e))  # e l1 e^-1
     l1_e_l1 = conjugate(e, l1)  # l1^-1 e l1
     relators = [
-        multiply(e1, invert(e2)),                                    # i2
-        commutator(conj_e, l2),                                      # i1
-        multiply(power(multiply(l1, e), 2),
-                 invert(power(multiply(e, l1), 2))),                 # i3
-        multiply(power(multiply(l2, e), 2),
-                 invert(power(multiply(e, l2), 2))),                 # i4
-        commutator(conj_e, l0),                                      # i5
-        multiply(power(multiply(l0, l1_e_l1), 2),
-                 invert(power(multiply(l1_e_l1, l0), 2))),           # i6
+        multiply(e1, invert(e2)),                         # i2
+        *_e_l1_l2_relators(e, l1, l2),                    # i1, i3, i4
+        commutator(conjugate(l1, invert(e)), l0),         # i5
+        _tangency(l0, l1_e_l1),                           # i6
         multiply(conjugate(l1_e_l1, l0),
-                 invert(conjugate(e, invert(l2)))),                  # i7
-        commutator(l2, conjugate(l0, invert(l1_e_l1))),              # i8
-        multiply(multiply(multiply(l2, power(e, 2)), l1), l0),       # projective
+                 invert(conjugate(e, invert(l2)))),       # i7
+        commutator(l2, conjugate(l0, invert(l1_e_l1))),   # i8
+        multiply(_l0_inverse(e, l1, l2), l0),             # projective
     ]
     return Presentation(gens, relators)
 
 
 def presentation_G() -> Presentation:
     """The simplified arrangement group on e, l1, l2."""
-    gens = ("e", "l1", "l2")
     e, l1, l2 = ((1,), (2,), (3,))
-    conj_e = conjugate(l1, invert(e))  # e l1 e^-1
-    relators = [
-        commutator(conj_e, l2),
-        multiply(power(multiply(l1, e), 2), invert(power(multiply(e, l1), 2))),
-        multiply(power(multiply(l2, e), 2), invert(power(multiply(e, l2), 2))),
-        multiply(power(multiply(multiply(l1, l2), e), 2),
-                 invert(power(multiply(e, multiply(l1, l2)), 2))),
-    ]
-    return Presentation(gens, relators)
+    return Presentation(("e", "l1", "l2"), [
+        *_e_l1_l2_relators(e, l1, l2), _tangency(multiply(l1, l2), e)])
+
+
+def _e_l1_l2_relators(e: Word, l1: Word, l2: Word) -> list[Word]:
+    """The relations among e, l1 and l2 that G and G-raw share, G-raw's
+    i1, i3 and i4: [e l1 e^-1, l2] = 1, and l1 and l2 each tangent to e."""
+    return [commutator(conjugate(l1, invert(e)), l2),
+            _tangency(l1, e), _tangency(l2, e)]
+
+
+def _tangency(u: Word, v: Word) -> Word:
+    """The tangency relation (uv)^2 = (vu)^2 as a relator, for u and v
+    freely reduced."""
+    return substitute((1, 2, 1, 2, -1, -2, -1, -2), (u, v))
+
+
+def _l0_inverse(e: Word, l1: Word, l2: Word) -> Word:
+    """l2 e^2 l1, the inverse of the meridian l0 of the line at infinity."""
+    return substitute((3, 1, 1, 2), (e, l1, l2))
 
 
 def eps_name(i: int, j: int) -> str:
@@ -196,7 +200,7 @@ def derive_pi1_via_rs(n: int) -> Presentation:
     target = AbelianTarget(moduli=(n, n), generators=p.generators,
                            images=((0, 0), (1, 0), (0, 1)))
     e, l1, l2 = ((1,), (2,), (3,))
-    l0 = invert(multiply(multiply(l2, power(e, 2)), l1))
+    l0 = invert(_l0_inverse(e, l1, l2))
     extras = [power(l1, n), power(l2, n), power(l0, n)]
     return subgroup_presentation(p, target, extras)
 

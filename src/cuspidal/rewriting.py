@@ -309,8 +309,7 @@ class _NodeWalks:
     packing is sized for.  The cosets are the target's elements in
     row-major order, so moving every count from coset d to coset d + c
     turns, along each summand Z/m of the target, every run of m blocks by
-    c's residue: two masks, two shifts and an or per summand, on the counts
-    made nonnegative (`Packing.biased`)."""
+    c's residue (`Packing.rotation`)."""
 
     def __init__(self, system: SchreierSystem, relators):
         self.system = system
@@ -321,7 +320,7 @@ class _NodeWalks:
             length.append(sum(length[abs(x)] for x in node))
         self.packing = Packing(len(system._slots) * ngen, max(
             length + [sum(length[abs(x)] for x in r) for r in relators]))
-        self._turns: dict[int, list[tuple[int, int, int, int]]] = {}
+        self._turns: dict = {}  # coset -> its `Packing.rotation`
         self.ends: list[int] = []
         self._counts: list[int] = []
         for node in nodes:
@@ -339,32 +338,19 @@ class _NodeWalks:
         if not c:
             return packed
         if c not in self._turns:
-            self._turns[c] = self._turn(c)
-        packed = self.packing.biased(packed)
-        for low, high, up, down in self._turns[c]:
-            packed = (packed & low) << up | (packed & high) >> down
-        return self.packing.unbiased(packed)
+            self._turns[c] = self.packing.rotation(self._runs(c))
+        return self._turns[c](packed)
 
-    def _turn(self, c: int) -> list[tuple[int, int, int, int]]:
-        """(mask of the counts that move up, mask of those that wrap
-        around, bits up, bits down) for each summand of the target along
-        which coset c is not 0."""
-        bits, size = self.packing.bits, self.packing.size
-        target = self.system.target
-        turns = []
-        stride = len(target.generators)  # counts per block of the last summand
-        for m, r in reversed(list(zip(target.moduli,
-                                      self.system._elements[c]))):
-            run = m * stride
-            # a 1 at the lowest bit of every run
-            every_run = ((1 << bits * size) - 1) // ((1 << bits * run) - 1)
-            low = ((1 << bits * (m - r) * stride) - 1) * every_run
-            high = ((1 << bits * run) - 1) * every_run - low
+    def _runs(self, c: int) -> list[tuple[int, int]]:
+        """(run, by) for each summand Z/m of the target along which coset
+        c's residue r is not 0: the counts fall into runs of m blocks, one
+        block per residue there, and each run turns by r blocks."""
+        run, runs = self.packing.size, []
+        for m, r in zip(self.system.target.moduli, self.system._elements[c]):
             if r:
-                turns.append((low, high, bits * r * stride,
-                              bits * (m - r) * stride))
-            stride = run
-        return turns
+                runs.append((run, r * run // m))
+            run //= m
+        return runs
 
 
 def subgroup_presentation(p: Presentation, target: AbelianTarget,
@@ -377,7 +363,6 @@ def subgroup_presentation(p: Presentation, target: AbelianTarget,
     NotInKernel, and an extra word with a letter outside p's generators
     raises ValueError; then Tietze simplification runs to its fixed point.
     """
-    _check_letters(extra_kernel_words, len(p.generators), "kernel word")
     system = SchreierSystem(p, target)
     relators = [system.rewrite(r, ci)
                 for r in [*p.relators, *extra_kernel_words]

@@ -302,12 +302,6 @@ def _substitute(w: Word, g: int, occ: int, defining: Word, inv: Word):
     return tuple(out), cancelled
 
 
-def _replace(w: Word, g: int, defining: Word, inv: Word) -> Word:
-    """w with generator g replaced by `defining` and g^-1 by inv, its
-    occurrences of g counted first."""
-    return _substitute(w, g, w.count(g) + w.count(-g), defining, inv)[0]
-
-
 def _append_reduced(out: list[int], piece: Word) -> int:
     """Multiply the freely reduced word `out` by the freely reduced `piece`
     in place: cancel at the junction, then append the rest.  Returns the
@@ -342,10 +336,12 @@ def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
     except ValueError:
         raise NoDefiningRelator(
             f"no relator defines {gen!r} as the given word") from None
+    # each survivor maps to its new id, gen to its renumbered definition
     new_id = _survivor_ids(len(p.generators), [(g, defining)])
-    inv = invert(defining)
+    images = [(new_id[k],) if k in new_id else _renumber(defining, new_id)
+              for k in range(1, len(p.generators) + 1)]
     return Presentation(p.generators[:g - 1] + p.generators[g:],
-                        [_renumber(_replace(r, g, defining, inv), new_id)
+                        [substitute(r, images)
                          for i, r in enumerate(p.relators) if i != idx])
 
 

@@ -19,26 +19,7 @@ from cuspidal.presentations import (curve_program, derive_pi1_via_rs,
 from cuspidal.rewriting import AbelianTarget, SchreierSystem
 from cuspidal.words import Presentation
 
-
-def relator_matrix(p: Presentation) -> IntegerMatrix:
-    """Exponent-sum matrix: one row per relator, one column per generator."""
-    ngen = len(p.generators)
-    rows = []
-    for r in p.relators:
-        row = [0] * ngen
-        for x in r:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
-    return IntegerMatrix(len(p.relators), ngen, rows)
-
-
-def raw_kernel(p, target):
-    """The kernel presentation before any Tietze step: every relator
-    rewritten at every coset."""
-    system = SchreierSystem(p, target)
-    return Presentation(system.generator_names,
-                        [system.rewrite(r, ci) for r in p.relators
-                         for ci in range(target.size)])
+from oracles import raw_kernel, relator_matrix
 
 
 def random_matrix(rng, max_dim=5, bound=9):

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import itertools
 import json
@@ -328,3 +329,26 @@ def test_alexander_of_the_raw_arrangement_group(capsys):
     assert code == 0
     value = json.loads(out)["results"][0]["value"]
     assert (value["display"], value["stripped_t_minus_1"]) == ("1", 2)
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    # the parser tree is built by the first call in the process, if no
+    # earlier one built it, and reused by the second, which looks its
+    # handler up in the module when it runs
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "milnor-ratio", "--n", "3")[0] == 0
+    built = len(progs)
+    assert progs.count("cuspidal") == (1 if built else 0)
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify_all",
+                        lambda args, run: ran.append(args.n))
+    assert run(capsys, "verify-all", "--n", "5") == (0, "", "")
+    assert len(progs) == built
+    assert ran == [5]

@@ -18,6 +18,7 @@ from cuspidal.presentations import (_definitions, _pi1_relators,
 from cuspidal.words import (GroupMap, Presentation, format_presentation,
                             simplify, simplify_with_map, substitute)
 
+from oracles import exponent_vector, relator_matrix
 from test_words import oka_inputs
 
 
@@ -268,20 +269,6 @@ def in_row_lattice(vector, matrix: IntegerMatrix) -> bool:
         elif w[j] % dj != 0:
             return False
     return True
-
-
-def exponent_vector(w, ngen: int) -> list[int]:
-    out = [0] * ngen
-    for x in w:
-        out[abs(x) - 1] += 1 if x > 0 else -1
-    return out
-
-
-def relator_matrix(p: Presentation) -> IntegerMatrix:
-    """Exponent-sum matrix: one row per relator, one column per generator."""
-    ngen = len(p.generators)
-    return IntegerMatrix(len(p.relators), ngen,
-                         [exponent_vector(r, ngen) for r in p.relators])
 
 
 def h1_map_oracle(m: GroupMap) -> tuple[bool, bool]:

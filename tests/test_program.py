@@ -242,26 +242,46 @@ def test_a_deep_program_needs_more_than_a_word_per_entry():
         program.relators)) == exponent_rows_oracle(plain, words)
 
 
+def rotated(values, turns):
+    """values with every run of `run` entries turned by `by` places, for
+    each (run, by) pair in turn."""
+    for run, by in turns:
+        cut = run - by
+        values = [x for i in range(0, len(values), run)
+                  for x in values[i + cut:i + run] + values[i:i + cut]]
+    return values
+
+
 def test_packing_round_trip():
     rng = random.Random(74)
 
-    def pack(values):
+    def pack(values, packing):
         return sum(v * packing.unit(i) for i, v in enumerate(values))
 
     # entries of one word, of one word read from two, and of several words
     for bound in (1, 2 ** 62, 2 ** 63, 2 ** 64, 2 ** 130):
         packing = Packing(7, 2 * bound)
+        # the counts of six cosets, two generators each
+        grid = Packing(12, 2 * bound)
         for _ in range(50):
             v = [rng.randint(-bound, bound) for _ in range(7)]
             w = [rng.choice((0, rng.randint(-bound, bound))) for _ in range(7)]
-            a, b = pack(v), pack(w)
+            a, b = pack(v, packing), pack(w, packing)
             assert packing.unpack(a) == v
             assert packing.unpack(a - b) == [x - y for x, y in zip(v, w)]
-            low = pack(w[:5] + [0, 0])
+            low = pack(w[:5] + [0, 0], packing)
             assert packing.unpack(packing.shift(low, 2)) == [0, 0] + w[:5]
-            moved = pack([0, 0] + v[:5])
+            moved = pack([0, 0] + v[:5], packing)
             assert packing.unpack(packing.shift(moved, -2)) == v[:5] + [0, 0]
-            assert packing.unbiased(packing.biased(a)) == a
+            u = [rng.randint(-bound, bound) for _ in range(12)]
+            # along Z/6; along Z/3 x Z/2, runs of 3 blocks of 4 and of 2
+            # blocks of 2; any turns
+            for turns in ([(12, 2 * rng.randrange(6))],
+                          [(12, 4 * rng.randrange(3)),
+                           (4, 2 * rng.randrange(2))],
+                          [(12, rng.randrange(12)), (4, rng.randrange(4))]):
+                assert grid.unpack(grid.rotation(turns)(pack(u, grid))) == \
+                    rotated(u, turns), turns
         assert packing.unpack(packing.unit(3)) == [0, 0, 0, 1, 0, 0, 0]
 
 

@@ -13,6 +13,8 @@ from cuspidal.words import (Presentation, commutator, format_presentation,
                             invert, multiply, reduce_word, simplify,
                             substitute)
 
+from oracles import raw_kernel
+
 
 def image_of_word(target, w):
     """The image of a word in the target, letter by letter."""
@@ -34,15 +36,6 @@ def kernel_word(target, w):
                 words[reached] = words[el] + (g,)
                 queue.append(reached)
     return reduce_word(w + words[target.neg(image_of_word(target, w))])
-
-
-def raw_kernel(p, target):
-    """The kernel presentation before any Tietze step: every relator
-    rewritten at every coset."""
-    system = SchreierSystem(p, target)
-    return Presentation(system.generator_names,
-                        [system.rewrite(r, ci) for r in p.relators
-                         for ci in range(target.size)])
 
 
 def test_target_validation():
