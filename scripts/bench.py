@@ -45,10 +45,12 @@ letters_walked      of its coset table (one per letter walked), the inner
 program_nodes       nodes of the straight-line programs, and the kernel rows
 distinct_rows       it yields
 fox_rows            Fox rows built (`alexander_matrix`), and those left once
-distinct_fox_rows   rows equal up to a unit are dropped
-unit_pivots         unit pivots of the Smith front end (`_unit_pivots`), the
-pivot_applications  row reductions that apply them (`_reduce_row`), and the
-dense_remainders    rows x columns of each dense remainder left
+distinct_fox_rows   rows equal up to a unit are dropped (the rows alexander
+                    passes to `eliminate`)
+unit_pivots         unit pivots of the Smith front end (`eliminate` over Z,
+pivot_applications  from abelian), the row reductions over Z that apply
+dense_remainders    them (`abelian._reduce`), and the rows x columns of each
+                    dense remainder left
 curve_forms         calls of `geometry.curve_form`
 values_evaluated    values of F_n the scan computes: rows x values of z^d
 form_evaluations    calls of `TernaryForm.evaluate`
@@ -56,8 +58,9 @@ lines_tested        lines the splitting tests (`_form_vanishes_on_line`), and
 rows_skipped        the rows of lines it passes over untested
 primes, matrix      the primes of `independent_rows`, and the last one's rows
                     x used columns (those with an entry nonzero mod p)
-row_updates         calls of `abelian._eliminate` in its rank computation,
-entry_updates       and the matrix entries they rewrite
+row_updates         row reductions mod p (`abelian._reduce` with a nonzero
+entry_updates       modulus) in its rank computation, and the matrix entries
+                    they rewrite
 """
 
 from __future__ import annotations
@@ -245,8 +248,12 @@ def walked(work, args, rows):
 
 
 def pivoted(work, args, out):
-    ones, rest = out
-    work["unit_pivots"] += ones
+    # eliminate as abelian calls it: over Z in the Smith front end, or mod p
+    # in independent_rows, which ranked and reduced count
+    if args[2]:
+        return
+    pivots, rest = out
+    work["unit_pivots"] += len(pivots)
     work["dense_remainders"].append(
         [len(rest), len({j for r in rest for j in r})])
 
@@ -264,6 +271,16 @@ def line_tested(work, args, out):
     row = args[1][:2]  # the (a, b) of its row of lines
     add(work, lines_tested=1, rows_skipped=-(row not in work["_reached"]))
     work["_reached"].add(row)
+
+
+def reduced(work, args, out):
+    # the one row operation: mod p in a rank, over Z in the Smith front end;
+    # over Z[t, t^-1], in the Alexander gcd, it is not counted
+    row, pivot, col, modulus = args
+    if modulus:
+        add(work, row_updates=1, entry_updates=len(pivot))
+    elif type(pivot[col]) is int:
+        add(work, pivot_applications=1)
 
 
 def ranked(work, args, out):
@@ -296,11 +313,11 @@ PATCHES = (
     ("rewriting.SchreierSystem", "exponent_rows", False, walked),
     ("alexander", "alexander_matrix", False,
      lambda w, a, rows: add(w, fox_rows=len(rows))),
-    ("alexander", "_unit_reduce", False,
+    # alexander's eliminate is its own import, so each owner counts its calls
+    ("alexander", "eliminate", False,
      lambda w, a, out: add(w, distinct_fox_rows=len(a[0]))),
-    ("abelian", "_unit_pivots", False, pivoted),
-    ("abelian", "_reduce_row", False,
-     lambda w, a, out: add(w, pivot_applications=1)),
+    ("abelian", "eliminate", False, pivoted),
+    ("abelian", "_reduce", False, reduced),
     ("geometry", "curve_form", False, lambda w, a, out: add(w, curve_forms=1)),
     ("geometry", "_power_fibres", False,
      lambda w, a, fibres: w.update(_fibres=len(fibres))),
@@ -309,8 +326,6 @@ PATCHES = (
     ("geometry.TernaryForm", "evaluate", False,
      lambda w, a, out: add(w, form_evaluations=1)),
     ("geometry", "independent_rows", False, ranked),
-    ("abelian", "_eliminate", False,
-     lambda w, a, out: add(w, row_updates=1, entry_updates=len(a[1]))),
 )
 COUNTERS = """search_nodes plans pi1_reduced expanded_letters gens_eliminated
     letters_in letters_out least_rotation_calls least_rotation_letters

@@ -255,67 +255,72 @@ def smith_normal_form(m: IntegerMatrix):
             IntegerMatrix(m.cols, m.cols, v))
 
 
-def _unit_pivots(rows):
-    """Sparse front end of the Smith form (Havas, Holt and Rees, "Recognizing
-    badly presented Z-modules", 1993), by forward elimination.
+def eliminate(rows, unit, modulus: int):
+    """Sparse forward elimination over Z, F_p or Z[t, t^-1] (the front end
+    of Havas, Holt and Rees, "Recognizing badly presented Z-modules", 1993).
 
-    rows are dicts column -> nonzero entry, and are consumed.  Each row in
-    turn is reduced by the unit pivots found so far, in the order found; if
-    a +-1 is left in it, the row becomes the next pivot, scaled so that its
-    unit is 1.  A pivot has no entry in an earlier pivot's column, so a
-    reduced row has none in any, and column operations then split each
-    pivot off as an invariant factor 1.  A row left with no unit is reduced
-    at the end by the pivots found after it.  Returns the number of pivots
-    and the rows left, none of them empty; their Smith form supplies the
-    other invariant factors.
-    """
-    pivots: list[tuple[int, dict[int, int]]] = []  # (column, row)
+    rows are dicts column -> nonzero entry, and are consumed; with a nonzero
+    modulus the entries are residues mod it.  Each row in turn is reduced
+    by the pivots found so far, in the order found (`_reduce`).  If
+    unit(row) then gives (column, inverse of the entry there), the row
+    becomes the next pivot, scaled so that that entry is 1.  A pivot has no
+    entry in an earlier pivot's column, so a reduced row has none in any:
+    the pivot block is unit upper triangular, and column operations split
+    each pivot off.  A row left with no unit waits, and is reduced at the
+    end by the pivots found after it.  Returns the indices of the pivot
+    rows and the rows left, none of them empty."""
+    pivots: list[tuple[int, dict]] = []  # (column, row)
+    found = []
     waiting = []  # (row, pivots found before it)
-    for row in rows:
+    for i, row in enumerate(rows):
         for col, pivot in pivots:
             if col in row:
-                _reduce_row(row, pivot, col)
-        unit = next((j for j, x in row.items() if x == 1 or x == -1), None)
-        if unit is not None:
-            if row[unit] == -1:
-                row = {j: -x for j, x in row.items()}
-            pivots.append((unit, row))
+                _reduce(row, pivot, col, modulus)
+        scale = unit(row)
+        if scale is not None:
+            col, inverse = scale
+            if inverse != 1:
+                row = {j: x * inverse % modulus if modulus else x * inverse
+                       for j, x in row.items()}
+            pivots.append((col, row))
+            found.append(i)
         elif row:
             waiting.append((row, len(pivots)))
     rest = []
     for row, seen in waiting:
         for col, pivot in pivots[seen:]:
             if col in row:
-                _reduce_row(row, pivot, col)
+                _reduce(row, pivot, col, modulus)
         if row:
             rest.append(row)
-    return len(pivots), rest
+    return found, rest
 
 
-def _reduce_row(row: dict[int, int], pivot: dict[int, int],
-                col: int) -> None:
-    """row -= row[col] * pivot over Z, in place, for a sparse pivot row
-    with a 1 at col."""
+def _reduce(row: dict, pivot: dict, col, modulus: int) -> None:
+    """row -= row[col] * pivot, in place, for a pivot row with a 1 at col;
+    entries mod the modulus unless it is 0.  The modulus is tested once, not
+    per entry: the loop over Z is the Smith front end's inner loop."""
     f = row[col]
+    if modulus:
+        for j, v in pivot.items():
+            w = (row.get(j, 0) - f * v) % modulus
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+        return
+    zero = f - f  # 0 of the ring: an int, or a LaurentPolynomial
     for j, v in pivot.items():
-        w = row.get(j, 0) - f * v
+        w = row.get(j, zero) - f * v
         if w:
             row[j] = w
         else:
             del row[j]
 
 
-def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int,
-               p: int) -> None:
-    """row -= row[col] * pivot over F_p, in place, for a sparse pivot row
-    with a 1 at col and no entry left of it."""
-    f = row[col]
-    for j, v in pivot.items():
-        w = (row.get(j, 0) - f * v) % p
-        if w:
-            row[j] = w
-        else:
-            del row[j]
+def _integer_unit(row: dict[int, int]):
+    """The first +-1 of an integer row, with its inverse (itself)."""
+    return next(((j, x) for j, x in row.items() if x == 1 or x == -1), None)
 
 
 def independent_rows(rows, p: int) -> list[int]:
@@ -327,24 +332,17 @@ def independent_rows(rows, p: int) -> list[int]:
     the rows with the key, ties in the order the rows first use them),
     since a pivot in a column few rows touch leaves few rows to update;
     row independence does not depend on the column order, so neither do
-    the indices.  Forward elimination: each row in turn is reduced by the
-    pivot rows before it, from its leading column on, until it is zero or
-    leads in a new column."""
+    the indices.  `eliminate` mod p pivots each row at its least column."""
     touched = Counter(chain.from_iterable(rows))  # column -> rows with it
     order = {j: k for k, j in enumerate(sorted(touched, key=touched.get))}
-    pivots: dict[int, dict[int, int]] = {}
-    found = []
-    for i, sparse in enumerate(rows):
-        row = {order[j]: v % p for j, v in sparse.items() if v % p}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {j: v * inv % p for j, v in row.items()}
-                found.append(i)
-                break
-            _eliminate(row, pivot, lead, p)
+
+    def least(row):  # the least column, with its entry's inverse mod p
+        lead = min(row, default=None)
+        return None if lead is None else (lead, pow(row[lead], p - 2, p))
+
+    found, _ = eliminate(
+        [{order[j]: v % p for j, v in row.items() if v % p} for row in rows],
+        least, p)
     return found
 
 
@@ -352,7 +350,7 @@ def invariant_factors(rows) -> list[int]:
     """Nonzero diagonal entries of the Smith form of the matrix with the
     given sparse rows (dicts column -> nonzero entry, consumed).
 
-    The unit pivots of the sparse front end give the leading 1s.  The rows
+    The unit pivots of `eliminate` over Z give the leading 1s.  The rows
     left, restricted to the columns they still use, form the dense
     remainder, with row lattice L in Z^cols; `_bareiss` gives its rank r
     and a nonzero r x r minor D.  The product s1...sr of its invariant
@@ -361,13 +359,13 @@ def invariant_factors(rows) -> list[int]:
     D), and the first r diagonal entries of the elimination modulo |D| are
     s1, ..., sr, every entry bounded by |D|/2 on the way.
     """
-    ones, rest = _unit_pivots(rows)
+    pivots, rest = eliminate(rows, _integer_unit, 0)
     cols = sorted({j for row in rest for j in row})
     dense = [[row.get(j, 0) for j in cols] for row in rest]
     rank, minor = _bareiss(dense)
     diagonal, _, _ = _diagonalize(IntegerMatrix(len(rest), len(cols), dense),
                                   abs(minor))
-    return [1] * ones + diagonal[:rank]
+    return [1] * len(pivots) + diagonal[:rank]
 
 
 def abelianization(p) -> AbelianStructure:

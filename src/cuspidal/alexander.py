@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd as int_gcd
 
+from .abelian import eliminate
 from .errors import InvalidParameter
 from .packing import Packing
 from .words import Word
@@ -51,6 +52,9 @@ class LaurentPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -371,52 +375,12 @@ def alexander_matrix(p):
     return [program.row(r) for r in p.relators]
 
 
-def _is_unit(e: list[int]) -> bool:
-    """Whether a dense polynomial is +-t^k."""
-    return bool(e) and abs(e[-1]) == 1 and not any(e[:-1])
-
-
-def _strip_t(row: list[list[int]]) -> list[list[int]]:
-    """The row divided by the highest power of t that divides every entry."""
-    k = min((next(i for i, c in enumerate(e) if c) for e in row if e),
-            default=0)
-    return [e[k:] for e in row] if k else row
-
-
-def _unit_reduce(rows, size):
-    """Sound pre-reduction on rows over Z[t]: a unit entry +-t^k lets us
-    clear its column, delete its row and column, and lower the minor size
-    by one: the presented module is unchanged, so the size-s minors of the
-    matrix generate the same ideal as the size-(s - 1) minors of what is
-    left.  A row r is cleared by the pivot row p with pivot u as u*r -
-    r[j]*p: a unit times what dividing by u would give, with the power of t
-    it shares over every entry stripped."""
-    while size > 0:
-        rows = [row for row in rows if any(row)]
-        pivot = None
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if _is_unit(e):
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        prow = rows[i]
-        unit = prow[j]
-        for k, row in enumerate(rows):
-            if k == i or not row[j]:
-                continue
-            # a zero pivot-row entry leaves its column as it is, times u
-            rows[k] = _strip_t([_combine(1, _mul(unit, e), 1, 0,
-                                         _mul(row[j], pe))
-                                if pe else _mul(unit, e)
-                                for e, pe in zip(row, prow)])
-        rows = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
-        size -= 1
-    return rows, size
+def _laurent_unit(row: dict[int, LaurentPolynomial]):
+    """The first unit +-t^k of a row over Z[t, t^-1], with its inverse."""
+    for j, e in row.items():
+        if e.is_unit():
+            return j, LaurentPolynomial(-e.low, e.coeffs)
+    return None
 
 
 def _det(m: list[list[list[int]]]) -> list[int]:
@@ -444,12 +408,23 @@ def _det(m: list[list[list[int]]]) -> list[int]:
     return [sign * c for c in m[n - 1][n - 1]]
 
 
+def _lead(row) -> int:
+    """The column of the first nonzero entry of a row, or its length."""
+    return next((j for j, e in enumerate(row) if e), len(row))
+
+
 def _minors(rows, size: int):
-    """The size x size minors of a matrix over Z[t], lazily: column subsets
-    outermost, each in lexicographic order."""
+    """The size x size minors of a matrix over Z[t], up to sign, lazily:
+    column subsets outermost, each in lexicographic order.  With the rows
+    ordered by their leading columns, a minor whose k-th row leads right
+    of its k-th column is 0, since its rows from the k-th on are zero in
+    its first k columns, and is skipped."""
+    rows = sorted(rows, key=_lead)
+    leads = [_lead(row) for row in rows]
     for cols in combinations(range(len(rows[0])), size):
-        for subset in combinations(rows, size):
-            yield _det([[row[j] for j in cols] for row in subset])
+        for subset in combinations(range(len(rows)), size):
+            if all(leads[i] <= c for i, c in zip(subset, cols)):
+                yield _det([[rows[i][j] for j in cols] for i in subset])
 
 
 def _divide_content(row: list[list[int]]) -> list[list[int]]:
@@ -504,12 +479,14 @@ def elementary_ideal_gcd(rows, cols: int) -> LaurentPolynomial:
     A matrix of at most one column has no such minors and raises
     InvalidParameter.
 
-    By Gauss's lemma the gcd over Z[t, t^-1] is c*P, with P the primitive gcd
-    over Q[t] and c the gcd of the minors' integer contents.  P comes from
-    the minors of a row-echelon form over Q[t], which has at most cols rows;
-    c from the minors of the matrix itself, enumerated until the gcd is 1
-    (on the curve presentations, the first nonzero minor already has
-    content 1)."""
+    The unit pivots of `eliminate` over Z[t, t^-1] split off first, each
+    lowering the minor size by one.  By Gauss's lemma the gcd over
+    Z[t, t^-1] of the minors of the rows left is c*P, with P the primitive
+    gcd over Q[t] and c the gcd of the minors' integer contents.  P comes
+    from the minors of a row-echelon form over Q[t], which has at most cols
+    rows; c from the minors of the rows left themselves, enumerated until
+    the gcd is 1 (on the curve presentations, the first nonzero minor
+    already has content 1)."""
     size = cols - 1
     if size < 1:
         raise InvalidParameter(
@@ -526,13 +503,24 @@ def elementary_ideal_gcd(rows, cols: int) -> LaurentPolynomial:
             continue
         low = min(e.low for e in nonzero)
         sign = 1 if nonzero[0].coeffs[0] > 0 else -1
-        unique[tuple((0,) * (e.low - low) + tuple(sign * c for c in e.coeffs)
-                     if e.coeffs else () for e in row)] = None
-    rows, size = _unit_reduce([[list(e) for e in row] for row in unique],
-                              size)
-    if size == 0:
+        unique[tuple(LaurentPolynomial(e.low - low,
+                                       [sign * c for c in e.coeffs])
+                     for e in row)] = None
+    # a unit pivot splits off with its row and column: the size-s minors
+    # generate the same ideal as the size-(s - 1) minors of the rows left
+    pivots, rest = eliminate([{j: e for j, e in enumerate(row) if e}
+                              for row in unique], _laurent_unit, 0)
+    size -= len(pivots)
+    if size <= 0:
         return LaurentPolynomial.one()
-    echelon = _echelon(rows, len(rows[0]) if rows else 0)
+    # the rows left, each times the t^k that makes it a polynomial row
+    used = sorted({j for row in rest for j in row})
+    rows = []
+    for row in rest:
+        low = min(e.low for e in row.values())
+        rows.append([[0] * (row[j].low - low) + list(row[j].coeffs)
+                     if j in row else [] for j in used])
+    echelon = _echelon(rows, len(used))
     if len(echelon) < size:
         return LaurentPolynomial.zero()
     prim = None

@@ -7,8 +7,8 @@ import pytest
 
 from cuspidal import abelian, words
 from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _bareiss,
-                              _diagonalize, _unit_pivots, abelianization,
-                              commutator_abelianization_rank,
+                              _diagonalize, _integer_unit, abelianization,
+                              commutator_abelianization_rank, eliminate,
                               invariant_factors, kernel_abelianization,
                               smith_normal_form, total_degree_kernel)
 from cuspidal.errors import NotInKernel
@@ -314,10 +314,10 @@ def markowitz_unit(live, where):
 
 
 def markowitz_unit_pivots(rows):
-    """The Markowitz unit-pivot front end, an oracle for _unit_pivots: while
-    some entry is +-1, the cheapest by Markowitz cost clears its whole
-    column, and its row and column split off.  Returns (ones, rest) like
-    _unit_pivots."""
+    """The Markowitz unit-pivot front end, an oracle for `eliminate` over Z:
+    while some entry is +-1, the cheapest by Markowitz cost clears its
+    whole column, and its row and column split off.  Returns the number of
+    pivots and the rows left."""
     live = {i: row for i, row in enumerate(rows) if row}
     ncols = 1 + max((j for row in live.values() for j in row), default=-1)
     where = [set() for _ in range(ncols)]  # column -> rows with an entry
@@ -424,14 +424,15 @@ def test_front_end_entries_stay_bounded(monkeypatch):
     assert matrix_factors(h1) == [1] * 224 + [30]
     assert time.perf_counter() - start < 2
     largest = {"pivot": 0, "row": 0}
-    reduce_row = abelian._reduce_row
+    reduce = abelian._reduce
 
-    def recording(row, pivot, col):
-        reduce_row(row, pivot, col)
+    def recording(row, pivot, col, modulus):
+        assert modulus == 0
+        reduce(row, pivot, col, modulus)
         largest["pivot"] = max(largest["pivot"], *map(abs, pivot.values()))
         largest["row"] = max(largest["row"], *map(abs, row.values()), 0)
 
-    monkeypatch.setattr(abelian, "_reduce_row", recording)
+    monkeypatch.setattr(abelian, "_reduce", recording)
     invariant_factors(rank_rows[0])
     assert largest == {"pivot": 1, "row": 20}
     largest.update(pivot=0, row=0)
@@ -446,8 +447,8 @@ def test_unit_pivot_front_end_matches_dense_elimination():
     for _ in range(400):
         m = random_sparse_matrix(rng)
         assert matrix_factors(m) == dense_factors(m), m.data
-        ones, rest = _unit_pivots(sparse_rows(m))
-        seen["unit pivots"] += ones > 0
+        pivots, rest = eliminate(sparse_rows(m), _integer_unit, 0)
+        seen["unit pivots"] += len(pivots) > 0
         if not rest:
             seen["units only"] += 1
             continue
@@ -524,19 +525,20 @@ def test_every_smith_caller_runs_the_front_end(monkeypatch):
     # H1 and the kernel rank each run it exactly once; an AbelianTarget
     # checks that its images generate without a Smith form
     calls = []
-    front_end = abelian._unit_pivots
+    front_end = abelian.eliminate
 
-    def counting(rows):
-        calls.append(None)
-        return front_end(rows)
+    def counting(rows, unit, modulus):
+        calls.append(modulus)  # 0: over Z
+        return front_end(rows, unit, modulus)
 
-    monkeypatch.setattr(abelian, "_unit_pivots", counting)
+    monkeypatch.setattr(abelian, "eliminate", counting)
     abelianization(presentation_pi1(3))
     assert len(calls) == 1
     total_degree_target(presentation_pi1_reduced(3), 6)
     assert len(calls) == 1
     commutator_abelianization_rank(3)
     assert len(calls) == 2
+    assert calls == [0, 0]
 
 
 def test_commutator_abelianization_rank_rejects_even():

@@ -1,7 +1,7 @@
 import functools
 import math
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -361,15 +361,15 @@ def oracle_elementary_ideal_gcd(rows):
 def test_rows_equal_up_to_a_unit_reach_unit_reduction_once(monkeypatch):
     # [t, 0, 1 + 2t] and t times it: the zero entry is the same in both,
     # so only one of them is left to reduce; counted as scripts/bench.py
-    # counts distinct_fox_rows, by the rows passed to _unit_reduce
+    # counts distinct_fox_rows, by the rows passed to eliminate
     counted = []
-    unit_reduce = alexander._unit_reduce
+    front_end = alexander.eliminate
 
-    def counting(rows, size):
+    def counting(rows, unit, modulus):
         counted.append(len(rows))
-        return unit_reduce(rows, size)
+        return front_end(rows, unit, modulus)
 
-    monkeypatch.setattr(alexander, "_unit_reduce", counting)
+    monkeypatch.setattr(alexander, "eliminate", counting)
     row = [T, LaurentPolynomial.zero(), LaurentPolynomial(0, (1, 2))]
     rows = [row, [T * e for e in row]]
     assert elementary_ideal_gcd(rows, 3) == minor_gcd(rows, 2)
@@ -404,19 +404,20 @@ def test_elementary_ideals_match_minor_enumeration_on_curves(name):
         oracle_elementary_ideal_gcd(m)
 
 
+def random_entry(rng):
+    """A random Laurent polynomial, zero three times in ten."""
+    if rng.random() < 0.3:
+        return LaurentPolynomial.zero()
+    return LaurentPolynomial(rng.randrange(-3, 3), [
+        rng.randrange(-3, 4) for _ in range(rng.randrange(1, 4))])
+
+
 def random_laurent_matrix(rng):
     """Rows of random Laurent polynomials with negative exponents, zero
     entries and rows, repeated rows, a row scaled by 2(t + 1) and rows that
     are combinations of others (rank-deficient)."""
     nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
-
-    def entry():
-        if rng.random() < 0.3:
-            return LaurentPolynomial.zero()
-        return LaurentPolynomial(rng.randrange(-3, 3), [
-            rng.randrange(-3, 4) for _ in range(rng.randrange(1, 4))])
-
-    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
     two_t_plus_2 = LaurentPolynomial(0, (2, 2))
     for _ in range(rng.randrange(3)):
         i = rng.randrange(len(rows))
@@ -429,27 +430,82 @@ def random_laurent_matrix(rng):
             rows.append(list(rows[i]))
         else:
             j = rng.randrange(len(rows))
-            f, g = entry(), entry()
+            f, g = random_entry(rng), random_entry(rng)
             rows.append([f * a + g * b for a, b in zip(rows[i], rows[j])])
     rng.shuffle(rows)
     return rows
 
 
-def test_elementary_ideals_match_minor_enumeration_on_random_matrices():
+def unit_path_matrix(rng):
+    """Rows that take the paths of the unit reduction: a row p with a unit
+    entry, after g*p for a random g of two terms, not a unit (a row that
+    waits, and that p clears), and before h*p plus a unit in another column
+    (whose unit only reduction by p exposes); up to two random rows are
+    inserted among them."""
+    ncols = rng.randrange(2, 6)
+    unit, other = rng.sample(range(ncols), 2)
+    p = [random_entry(rng) for _ in range(ncols)]
+    p[unit] = LaurentPolynomial(rng.randrange(-2, 3), (rng.choice((-1, 1)),))
+    g, h = (LaurentPolynomial(rng.randrange(-2, 2),
+                              (rng.choice((-2, -1, 1, 2)),
+                               rng.choice((-1, 1, 3))))
+            for _ in range(2))
+    exposed = [h * e for e in p]
+    exposed[other] = exposed[other] + T ** rng.randrange(3)
+    rows = [[g * e for e in p], p, exposed]
+    for _ in range(rng.randrange(3)):
+        rows.insert(rng.randrange(len(rows) + 1),
+                    [random_entry(rng) for _ in range(ncols)])
+    return rows
+
+
+def test_elementary_ideals_match_minor_enumeration_on_random_matrices(
+        monkeypatch):
+    # seen counts the matrices that take each path of the unit reduction
+    # (`eliminate` over Z[t, t^-1]): a pivot whose unit only reduction by
+    # the pivots before it exposes, a row that waits with no unit and is
+    # cleared by a later pivot, and pivots enough to make the gcd 1
+    seen = {"unit after reduction": 0, "waiting row cleared": 0,
+            "pivots >= size": 0}
+    waiting, runs = [], []
+    unit, front_end = alexander._laurent_unit, alexander.eliminate
+
+    def recording_unit(row):
+        out = unit(row)
+        waiting[-1] += out is None and bool(row)
+        return out
+
+    def recording(rows, row_unit, modulus):
+        given = [dict(row) for row in rows]
+        waiting.append(0)
+        pivots, rest = front_end(rows, row_unit, modulus)
+        runs.append((any(unit(given[i]) is None for i in pivots),
+                     waiting[-1] > len(rest), len(pivots)))
+        return pivots, rest
+
+    monkeypatch.setattr(alexander, "_laurent_unit", recording_unit)
+    monkeypatch.setattr(alexander, "eliminate", recording)
     rng = random.Random(54)
     compared = 0
-    for _ in range(520):
-        rows = random_laurent_matrix(rng)
+    for rows in chain((random_laurent_matrix(rng) for _ in range(520)),
+                      (unit_path_matrix(rng) for _ in range(120))):
         ncols = len(rows[0])
         if ncols < 2:
             with pytest.raises(InvalidParameter):
                 elementary_ideal_gcd(rows, ncols)
             continue
         # the definition itself: no row dropping, no unit reduction
-        assert elementary_ideal_gcd(rows, ncols) == \
-            minor_gcd(rows, ncols - 1), rows
+        gcd = elementary_ideal_gcd(rows, ncols)
+        assert gcd == minor_gcd(rows, ncols - 1), rows
         compared += 1
+        exposed, cleared, pivots = runs.pop()
+        seen["unit after reduction"] += exposed
+        seen["waiting row cleared"] += cleared
+        if pivots >= ncols - 1:
+            seen["pivots >= size"] += 1
+            assert gcd == ONE
     assert compared >= 400
+    assert min(seen.values()) >= 40, seen
 
 
 def test_free_group_has_alexander_polynomial_zero():

@@ -5,8 +5,7 @@ resolves to an entry of its table of case kinds (KINDS) that takes the
 case's arguments, and every name the work counters wrap (PATCHES) exists on
 the package, a generator function where its counter reads items.
 The counters wrap private names (`homcount._build_plan`,
-`words._least_rotation`, `words.Counter`, `alexander._unit_reduce`,
-`abelian._unit_pivots`, `abelian._reduce_row`, `abelian._eliminate`,
+`words._least_rotation`, `words.Counter`, `abelian._reduce`,
 `geometry._power_fibres`, `geometry._plane_rows`,
 `geometry._form_vanishes_on_line`), so a rename in the package fails here
 at once; the attributes `SchreierSystem._next` and `_nodes` that they read
