@@ -24,6 +24,7 @@ verify     the whole verify-all command, stdout captured, N = 2..13
 curve      the odd-n curve checks from n alone, `curve_program(n)` timed too
 smith      the Smith forms and Oka quotient behind verify-all at large n;
            `pi1_abelianization(n)` is H1 of a prebuilt `presentation_pi1(n)`
+orbit      the kernel and smith suites together
 
 Each version also reports its work (`count_work`): the call is made again
 with the names of PATCHES wrapped, and every case reports all COUNTERS,
@@ -42,8 +43,10 @@ counter_letters     relator letters the Tietze loops pass through `Counter`,
 simplify_*          generators and relator letters into `simplify_with_map`
 rows_walked         relators `SchreierSystem.exponent_rows` walks, the reads
 letters_walked      of its coset table (one per letter walked), the inner
-program_nodes       nodes of the straight-line programs, and the kernel rows
-distinct_rows       it yields
+program_nodes       nodes of the straight-line programs, the kernel rows
+distinct_rows       it yields, and its row orbits that their reader leaves
+orbits_skipped      before the end (a first row in the lattice already);
+                    a version that yields rows, not orbits, skips none
 fox_rows            Fox rows built (`alexander_matrix`), and those left once
 distinct_fox_rows   rows equal up to a unit are dropped (the rows alexander
                     passes to `eliminate`)
@@ -118,6 +121,7 @@ SUITES = {
              + cases("oka_quotient({})", 7, 21, 31)
              + cases(VERIFY, 31, 41, 61),
 }
+SUITES["orbit"] = list(dict.fromkeys(SUITES["kernel"] + SUITES["smith"]))
 REPEAT = 5
 
 
@@ -238,6 +242,22 @@ class Reads(list):
         return list.__getitem__(self, i)
 
 
+def orbit(work, args, rows):
+    # an orbit counts as skipped until it is read to its end
+    if isinstance(rows, dict):  # a row: the version yields no orbits
+        work["distinct_rows"] += 1
+        return rows
+    work["orbits_skipped"] += 1
+    return read(work, rows)
+
+
+def read(work, rows):
+    for row in rows:
+        work["distinct_rows"] += 1
+        yield row
+    work["orbits_skipped"] -= 1
+
+
 def walked(work, args, rows):
     # exponent_rows is a generator: it has not read the table yet
     system, relators = args
@@ -265,6 +285,7 @@ def plane_row(work, args, row):
         work["values_evaluated"] += work["_fibres"]
     else:
         work["rows_skipped"] += 1
+    return row
 
 
 def line_tested(work, args, out):
@@ -291,8 +312,9 @@ def ranked(work, args, out):
 
 
 # (owners under cuspidal, name, a generator function?, count(work, args,
-# result, or each item of a generator)); a name imported into other
-# modules is wrapped in each.  Keys of work from _ on are not reported.
+# result, or each item of a generator, which it returns to pass on)); a
+# name imported into other modules is wrapped in each.  Keys of work from _
+# on are not reported.
 PATCHES = (
     ("homcount presentations cli", "count_homs", False,
      lambda w, a, rep: add(w, search_nodes=rep.nodes)),
@@ -308,8 +330,7 @@ PATCHES = (
     ("presentations", "simplify_with_map", False, lambda w, a, out: add(
         w, simplify_generators=len(a[0].generators),
         simplify_letters=sum(map(len, a[0].relators)))),
-    ("rewriting.SchreierSystem", "exponent_rows", True,
-     lambda w, a, row: add(w, distinct_rows=1)),
+    ("rewriting.SchreierSystem", "exponent_rows", True, orbit),
     ("rewriting.SchreierSystem", "exponent_rows", False, walked),
     ("alexander", "alexander_matrix", False,
      lambda w, a, rows: add(w, fox_rows=len(rows))),
@@ -330,10 +351,10 @@ PATCHES = (
 COUNTERS = """search_nodes plans pi1_reduced expanded_letters gens_eliminated
     letters_in letters_out least_rotation_calls least_rotation_letters
     counter_letters simplify_generators simplify_letters rows_walked
-    letters_walked program_nodes distinct_rows fox_rows distinct_fox_rows
-    unit_pivots pivot_applications dense_remainders curve_forms
-    values_evaluated form_evaluations lines_tested rows_skipped primes matrix
-    row_updates entry_updates""".split()
+    letters_walked program_nodes distinct_rows orbits_skipped fox_rows
+    distinct_fox_rows unit_pivots pivot_applications dense_remainders
+    curve_forms values_evaluated form_evaluations lines_tested rows_skipped
+    primes matrix row_updates entry_updates""".split()
 
 
 def resolve(path: str):
@@ -344,7 +365,7 @@ def resolve(path: str):
 
 def wrap(original, count, items: bool):
     """original, calling count(args, result) after each call, or for a
-    generator function (items) count(args, item) per item."""
+    generator function (items) passing on count(args, item) per item."""
     def wrapper(*args):
         out = original(*args)
         count(args, out)
@@ -352,8 +373,7 @@ def wrap(original, count, items: bool):
 
     def item_wrapper(*args):
         for item in original(*args):
-            count(args, item)
-            yield item
+            yield count(args, item)
     return item_wrapper if items else wrapper
 
 

@@ -255,11 +255,12 @@ def smith_normal_form(m: IntegerMatrix):
             IntegerMatrix(m.cols, m.cols, v))
 
 
-def eliminate(rows, unit, modulus: int):
+def eliminate(orbits, unit, modulus: int):
     """Sparse forward elimination over Z, F_p or Z[t, t^-1] (the front end
     of Havas, Holt and Rees, "Recognizing badly presented Z-modules", 1993).
 
-    rows are dicts column -> nonzero entry, and are consumed; with a nonzero
+    The rows come in orbits, each an iterable of rows, read in turn; a row
+    is a dict column -> nonzero entry, and is consumed; with a nonzero
     modulus the entries are residues mod it.  Each row in turn is reduced
     by the pivots found so far, in the order found (`_reduce`).  If
     unit(row) then gives (column, inverse of the entry there), the row
@@ -267,25 +268,38 @@ def eliminate(rows, unit, modulus: int):
     entry in an earlier pivot's column, so a reduced row has none in any:
     the pivot block is unit upper triangular, and column operations split
     each pivot off.  A row left with no unit waits, and is reduced at the
-    end by the pivots found after it.  Returns the indices of the pivot
-    rows and the rows left, none of them empty."""
+    end by the pivots found after it.
+
+    A first row of an orbit that reduces to zero lies in the span of the
+    pivots (back-substitution through the unit triangular block gives the
+    coefficients), and the rest of its orbit is not read.  The caller
+    vouches that this drops nothing from the row lattice: an orbit whose
+    first row lies in the lattice of the rows read before it lies there
+    whole.  An orbit of one row, as over F_p and Z[t, t^-1], vouches for
+    nothing more.  Returns the index of the orbit of each pivot row, in
+    the order found, and the rows left, none of them empty."""
     pivots: list[tuple[int, dict]] = []  # (column, row)
     found = []
     waiting = []  # (row, pivots found before it)
-    for i, row in enumerate(rows):
-        for col, pivot in pivots:
-            if col in row:
-                _reduce(row, pivot, col, modulus)
-        scale = unit(row)
-        if scale is not None:
-            col, inverse = scale
-            if inverse != 1:
-                row = {j: x * inverse % modulus if modulus else x * inverse
-                       for j, x in row.items()}
-            pivots.append((col, row))
-            found.append(i)
-        elif row:
-            waiting.append((row, len(pivots)))
+    for i, orbit in enumerate(orbits):
+        first = True
+        for row in orbit:
+            for col, pivot in pivots:
+                if col in row:
+                    _reduce(row, pivot, col, modulus)
+            scale = unit(row)
+            if scale is not None:
+                col, inverse = scale
+                if inverse != 1:
+                    row = {j: x * inverse % modulus if modulus
+                           else x * inverse for j, x in row.items()}
+                pivots.append((col, row))
+                found.append(i)
+            elif row:
+                waiting.append((row, len(pivots)))
+            elif first:
+                break
+            first = False
     rest = []
     for row, seen in waiting:
         for col, pivot in pivots[seen:]:
@@ -341,14 +355,16 @@ def independent_rows(rows, p: int) -> list[int]:
         return None if lead is None else (lead, pow(row[lead], p - 2, p))
 
     found, _ = eliminate(
-        [{order[j]: v % p for j, v in row.items() if v % p} for row in rows],
-        least, p)
+        [({order[j]: v % p for j, v in row.items() if v % p},)
+         for row in rows], least, p)
     return found
 
 
-def invariant_factors(rows) -> list[int]:
+def invariant_factors(orbits) -> list[int]:
     """Nonzero diagonal entries of the Smith form of the matrix with the
-    given sparse rows (dicts column -> nonzero entry, consumed).
+    rows of the given orbits: iterables of sparse rows (dicts column ->
+    nonzero entry, consumed), each closed as `eliminate` requires, so
+    that the rest of an orbit whose first row reduces to zero is skipped.
 
     The unit pivots of `eliminate` over Z give the leading 1s.  The rows
     left, restricted to the columns they still use, form the dense
@@ -359,7 +375,7 @@ def invariant_factors(rows) -> list[int]:
     D), and the first r diagonal entries of the elimination modulo |D| are
     s1, ..., sr, every entry bounded by |D|/2 on the way.
     """
-    pivots, rest = eliminate(rows, _integer_unit, 0)
+    pivots, rest = eliminate(orbits, _integer_unit, 0)
     cols = sorted({j for row in rest for j in row})
     dense = [[row.get(j, 0) for j in cols] for row in rest]
     rank, minor = _bareiss(dense)
@@ -376,7 +392,8 @@ def abelianization(p) -> AbelianStructure:
     sums = [{j: 1} for j in range(ngen)]
     for node in p.nodes:
         sums.append(_exponent_sums(node, sums))
-    factors = invariant_factors([_exponent_sums(r, sums) for r in p.relators])
+    factors = invariant_factors([(_exponent_sums(r, sums),)
+                                 for r in p.relators])
     return AbelianStructure(ngen - len(factors),
                             tuple(d for d in factors if d != 1))
 
@@ -385,8 +402,11 @@ def kernel_abelianization(p, target) -> AbelianStructure:
     """H1 of the kernel of p ->> target (an AbelianTarget), by abelianized
     Reidemeister-Schreier: the kernel's exponent-sum rows are read off the
     Schreier coset table (`SchreierSystem.exponent_rows`) and their Smith
-    form is taken.  No kernel presentation is built.  p is a presentation
-    or a straight-line program, read node by node."""
+    form is taken.  The rows come one orbit per relator, closed under the
+    conjugations by the coset representatives, so an orbit whose row at
+    coset 0 reduces to zero is dropped after that row.  No kernel
+    presentation is built.  p is a presentation or a straight-line
+    program, read node by node."""
     system = SchreierSystem(p, target)
     ncols = len(system.generator_names)
     factors = invariant_factors(system.exponent_rows(p.relators))

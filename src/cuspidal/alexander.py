@@ -508,7 +508,7 @@ def elementary_ideal_gcd(rows, cols: int) -> LaurentPolynomial:
                      for e in row)] = None
     # a unit pivot splits off with its row and column: the size-s minors
     # generate the same ideal as the size-(s - 1) minors of the rows left
-    pivots, rest = eliminate([{j: e for j, e in enumerate(row) if e}
+    pivots, rest = eliminate([({j: e for j, e in enumerate(row) if e},)
                               for row in unique], _laurent_unit, 0)
     size -= len(pivots)
     if size <= 0:

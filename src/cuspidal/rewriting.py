@@ -185,12 +185,14 @@ class SchreierSystem:
             raise NotInKernel(f"a word of length {len(w)} is not in the kernel")
         return tuple(out)
 
-    def exponent_rows(self, relators) -> Iterator[dict[int, int]]:
+    def exponent_rows(self, relators) -> Iterator[Iterator[dict[int, int]]]:
         """Abelianized Reidemeister-Schreier: the exponent-sum rows of the
-        kernel relators, read off the coset table, cosets in order.
+        kernel relators, read off the coset table, one orbit per relator.
 
         A row maps the 0-based index of a kernel generator to its exponent
-        sum.  Zero rows are skipped and every row is yielded once, with its
+        sum.  A relator's orbit is a lazy iterator of its rows at cosets 0,
+        1, ... in order; a row is built only when the orbit is advanced to
+        it.  Zero rows are skipped and every row is yielded once, with its
         first nonzero entry made positive, since a repeated or negated row
         generates nothing new.  Equal relators give equal rows, so a
         repeated relator is not walked again.
@@ -216,15 +218,21 @@ class SchreierSystem:
         table.
 
         Every relator must lie in the kernel (NotInKernel otherwise).  Its
-        row at coset c is then the image of its row at coset 0 under
-        conjugation by the representative of c, an automorphism of the
-        kernel's abelianization, so a zero row at coset 0 means that all of
-        its rows are zero, and its other cosets are skipped.  The counts of
-        a closed walk are fixed by those on the kernel generators' edges
-        (the edges off the Schreier tree), so a relator whose row at coset
-        0 is, up to sign, an earlier row at coset c has the counts of that
-        earlier relator translated by c, up to sign: its rows are all
-        yielded already, and its other cosets are skipped too.
+        row at coset c is then A_c applied to its row at coset 0, where A_c
+        is the map that conjugation by the representative of c induces on
+        the kernel's abelianization Z^(kernel generators).  A_c is an
+        automorphism, and conjugation by a kernel element acts trivially on
+        the abelianization, so A_c A_c' = A_(c + c'): the lattice spanned by
+        complete orbits is invariant under every A_c.  Hence if a relator's
+        row at coset 0 lies in the lattice of the rows read before it, so do
+        all its rows, and a reader may drop the rest of its orbit without
+        changing the lattice (by induction, neither did the orbits it
+        dropped before); `abelian.eliminate` does, once that row reduces to
+        zero.  Two cases are seen here without any elimination, and end the
+        orbit before it yields a row: a zero row at coset 0, whose
+        translates are all zero, and a row at coset 0 that is, up to sign,
+        a row yielded before.  A later translate that was yielded before is
+        only skipped: the orbit goes on.
         """
         # coset c -> the edge of each kernel generator translated back by c
         shifted = [itemgetter(*self._translated_edges(c))
@@ -233,6 +241,22 @@ class SchreierSystem:
         relators = [r for r in dict.fromkeys(relators) if r]
         walks = _NodeWalks(self, relators) if self._nodes else None
         seen = set()
+
+        def orbit(counts):
+            """The rows at cosets 0, 1, ... read off a relator's counts."""
+            for c, row_of in enumerate(shifted):
+                row = (row_of(counts),) if single else row_of(counts)
+                first = next(filter(None, row), 0)
+                if not first:
+                    return
+                if first < 0:
+                    row = tuple(map(neg, row))
+                if row not in seen:
+                    seen.add(row)
+                    yield dict(compress(enumerate(row), row))
+                elif not c:
+                    return
+
         for r in relators:
             end, counts, packed = self._walk(r, walks)
             if end:
@@ -242,20 +266,8 @@ class SchreierSystem:
                 moved = walks.packing.unpack(packed)
                 counts = moved if counts is None else list(map(add, moved,
                                                                counts))
-            if counts is None:
-                continue
-            for c, row_of in enumerate(shifted):
-                row = (row_of(counts),) if single else row_of(counts)
-                first = next(filter(None, row), 0)
-                if not first:
-                    break
-                if first < 0:
-                    row = tuple(map(neg, row))
-                if row not in seen:
-                    seen.add(row)
-                    yield dict(compress(enumerate(row), row))
-                elif not c:
-                    break
+            if counts is not None:
+                yield orbit(counts)
 
     def _walk(self, w: Word, walks):
         """(end coset, signed counts of the edges its generator letters

@@ -92,25 +92,31 @@ def _cyclic_core(w: Word) -> Word:
 def _least_rotation(w: Word) -> Word:
     """Lexicographically least rotation of a nonempty word, in linear time.
 
-    Two-pointer scan: i is the best start so far, j < len(w) the next
-    candidate and k the length of their common prefix.  A mismatch rules
-    out the k + 1 starts from the loser onwards; k == len(w) means the word
-    is periodic and rotation i is already least."""
+    Two-pointer scan: i is the best start so far, j < len(w) the candidate
+    compared with it and k the length of their common prefix.  A mismatch
+    rules out the k + 1 starts from the loser onwards; k == len(w) means
+    the word is periodic and rotation i is already least.  A least rotation
+    starts with the least letter, so i starts at its first occurrence, and
+    the next candidate is the next occurrence after j (`tuple.index`); when
+    none is left, i is least."""
     n = len(w)
     s = w + w
-    i, j, k = 0, 1, 0
-    while j < n and k < n:
-        a, b = s[i + k], s[j + k]
-        if a == b:
+    lo = min(w)
+    i = j = w.index(lo)
+    while True:
+        try:
+            j = s.index(lo, j + 1, n)
+        except ValueError:
+            return s[i:i + n]
+        k = 0
+        while k < n and s[i + k] == s[j + k]:
             k += 1
-        elif a < b:
-            j += k + 1
-            k = 0
+        if k == n:
+            return s[i:i + n]
+        if s[i + k] < s[j + k]:
+            j += k
         else:
-            i = max(i + k + 1, j)
-            j = i + 1
-            k = 0
-    return s[i:i + n]
+            i = j = max(i + k + 1, j)
 
 
 def cyclic_normal_form(w: Word) -> Word:

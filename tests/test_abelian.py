@@ -1,7 +1,7 @@
 import math
 import random
 import time
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -19,7 +19,8 @@ from cuspidal.presentations import (curve_program, derive_pi1_via_rs,
 from cuspidal.rewriting import AbelianTarget, SchreierSystem
 from cuspidal.words import Presentation
 
-from oracles import raw_kernel, relator_matrix
+from oracles import (kernel_abelianization_oracle, raw_kernel,
+                     relator_matrix, watch_orbits)
 
 
 def random_matrix(rng, max_dim=5, bound=9):
@@ -31,12 +32,17 @@ def random_matrix(rng, max_dim=5, bound=9):
 
 
 def sparse_rows(m: IntegerMatrix) -> list[dict[int, int]]:
-    """The rows of m as invariant_factors takes them: column -> entry."""
+    """The rows of m as eliminate takes them: column -> entry."""
     return [{j: x for j, x in enumerate(row) if x} for row in m.data]
 
 
+def one_row_orbits(rows) -> list[tuple[dict[int, int]]]:
+    """Each row as an orbit of its own, which eliminate reads whole."""
+    return [(row,) for row in rows]
+
+
 def matrix_factors(m: IntegerMatrix) -> list[int]:
-    return invariant_factors(sparse_rows(m))
+    return invariant_factors(one_row_orbits(sparse_rows(m)))
 
 
 def minors_gcd(m: IntegerMatrix, k: int) -> int:
@@ -169,7 +175,7 @@ def test_abelianization_drops_unit_factors():
     assert abelianization(p) == AbelianStructure(0, (2,))
 
 
-@pytest.mark.parametrize("n", [*range(7, 22, 2), 41])
+@pytest.mark.parametrize("n", [*range(7, 22, 2), 41, 61])
 def test_commutator_abelianization_rank_reach(n):
     # the free rank of the kernel's H1 is the Alexander degree 3(n - 1)
     assert commutator_abelianization_rank(n) == 3 * (n - 1)
@@ -179,16 +185,6 @@ def dense_factors(m: IntegerMatrix) -> list[int]:
     """The Smith form without the sparse front end or a modulus."""
     diagonal, _, _ = _diagonalize(m)
     return [x for x in diagonal if x]
-
-
-def kernel_abelianization_oracle(p, target) -> AbelianStructure:
-    """The kernel route before abelianized Reidemeister-Schreier: the
-    kernel presentation (every relator rewritten at every coset), its
-    exponent matrix and the dense Smith form."""
-    kernel = raw_kernel(p, target)
-    factors = dense_factors(relator_matrix(kernel))
-    return AbelianStructure(len(kernel.generators) - len(factors),
-                            tuple(d for d in factors if d != 1))
 
 
 def total_degree_target(p, m):
@@ -204,32 +200,50 @@ def test_kernel_rows_match_the_kernel_presentation(n):
     assert got.free_rank == 3 * (n - 1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", range(2, 12))
 def test_total_degree_kernel_for_every_divisor_of_2n(n):
-    p = presentation_pi1_reduced(n)
-    for m in range(2, 2 * n + 1):
+    # every m | 2n, on the presentation and on the program (some of whose
+    # orbits end at their first row), against every row of the presentation
+    p, program = presentation_pi1_reduced(n), curve_program(n)
+    for m in range(1, 2 * n + 1):
         if 2 * n % m == 0:
-            assert total_degree_kernel(p, m) == \
-                kernel_abelianization_oracle(p, total_degree_target(p, m))
+            oracle = kernel_abelianization_oracle(p, total_degree_target(p, m))
+            assert total_degree_kernel(p, m) == oracle, m
+            assert total_degree_kernel(program, m) == oracle, m
     if n % 2:
         assert total_degree_kernel(p, 2 * n).free_rank == \
             commutator_abelianization_rank(n)
 
 
-@pytest.mark.parametrize("build,moduli,images", [
-    (lambda: presentation_pi1_reduced(4), (8,), None),
-    (lambda: presentation_pi1(3), (2, 3), None),
-    (presentation_G, (3, 2), ((1, 0), (0, 1), (1, 1))),
-    (lambda: presentation_oka(3), (6,), ((3,), (2,))),
-    (lambda: presentation_oka(4), (2, 4), ((1, 0), (0, 1))),
+# orbits: (orbits, orbits read to their end); on G onto Z/3 + Z/2, ending
+# an orbit at a later translate that reduces to zero would lose rows, so
+# only the first row decides
+@pytest.mark.parametrize("build,moduli,images,orbits", [
+    (lambda: presentation_pi1_reduced(4), (8,), None, (15, 8)),
+    (lambda: presentation_pi1(3), (2, 3), None, (19, 9)),
+    (presentation_G, (3, 2), ((1, 0), (0, 1), (1, 1)), (4, 3)),
+    (lambda: presentation_oka(3), (6,), ((3,), (2,)), (2, 2)),
+    (lambda: presentation_oka(4), (2, 4), ((1, 0), (0, 1)), (2, 2)),
 ], ids=["pi1-reduced(4)-Z8", "pi1(3)-Z2xZ3", "G-Z3xZ2", "oka(3)-Z6",
         "oka(4)-Z2xZ4"])
-def test_kernel_abelianization_on_other_targets(build, moduli, images):
+def test_kernel_abelianization_on_other_targets(build, moduli, images, orbits,
+                                                monkeypatch):
     p = build()
     images = images or tuple((1,) * len(moduli) for _ in p.generators)
     target = AbelianTarget(moduli, p.generators, images)
+    counts = watch_orbits(monkeypatch)
     assert kernel_abelianization(p, target) == \
         kernel_abelianization_oracle(p, target)
+    assert (counts["orbits"], counts["whole"]) == orbits
+
+
+def test_the_rank_drops_orbits_after_a_first_row_in_the_lattice(
+        monkeypatch):
+    # at n = 7, 29 of the 54 distinct relators pass kernel generators, one
+    # orbit each; 11 of the orbits end at a first row that reduces to zero
+    counts = watch_orbits(monkeypatch)
+    assert commutator_abelianization_rank(7) == 18
+    assert counts == {"orbits": 29, "whole": 18}
 
 
 @pytest.mark.parametrize("m", [3, 4, 7])
@@ -366,18 +380,25 @@ def markowitz_factors(rows) -> list[int]:
     return [1] * ones + diagonal[:rank]
 
 
-def kernel_rows(n):
-    """The rows and column count of commutator_abelianization_rank(n)."""
+def kernel_orbits(n):
+    """The row orbits and column count of commutator_abelianization_rank(n)."""
     program = curve_program(n)
     system = SchreierSystem(program, total_degree_target(program, 2 * n))
-    return (list(system.exponent_rows(program.relators)),
-            len(system.generator_names))
+    return system.exponent_rows(program.relators), len(system.generator_names)
+
+
+def kernel_rows(n):
+    """The rows of commutator_abelianization_rank(n), every orbit read
+    whole, and the column count."""
+    orbits, ncols = kernel_orbits(n)
+    return list(chain.from_iterable(orbits)), ncols
 
 
 def both_front_ends(rows):
     """The invariant factors of the sparse rows (not consumed) through the
-    forward front end and through the Markowitz one."""
-    return (invariant_factors([dict(r) for r in rows]),
+    forward front end, each row an orbit of its own, and through the
+    Markowitz one."""
+    return (invariant_factors(one_row_orbits(dict(r) for r in rows)),
             markowitz_factors([dict(r) for r in rows]))
 
 
@@ -399,6 +420,8 @@ def test_forward_front_end_matches_markowitz_on_kernel_rows(n):
     forward, markowitz = both_front_ends(rows)
     assert forward == markowitz
     assert ncols - len(forward) == 3 * (n - 1)
+    # the orbits as the rank reads them, some dropped after their first row
+    assert invariant_factors(kernel_orbits(n)[0]) == forward
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -420,7 +443,8 @@ def test_front_end_entries_stay_bounded(monkeypatch):
     rank_rows, h1 = kernel_rows(21), relator_matrix(presentation_pi1(15))
     assert max(abs(x) for row in rank_rows[0] for x in row.values()) == 20
     start = time.perf_counter()
-    assert invariant_factors([dict(r) for r in rank_rows[0]]) == [1] * 67
+    assert invariant_factors(one_row_orbits(dict(r) for r in rank_rows[0])) \
+        == [1] * 67
     assert matrix_factors(h1) == [1] * 224 + [30]
     assert time.perf_counter() - start < 2
     largest = {"pivot": 0, "row": 0}
@@ -433,7 +457,7 @@ def test_front_end_entries_stay_bounded(monkeypatch):
         largest["row"] = max(largest["row"], *map(abs, row.values()), 0)
 
     monkeypatch.setattr(abelian, "_reduce", recording)
-    invariant_factors(rank_rows[0])
+    invariant_factors(one_row_orbits(rank_rows[0]))
     assert largest == {"pivot": 1, "row": 20}
     largest.update(pivot=0, row=0)
     matrix_factors(h1)
@@ -447,7 +471,8 @@ def test_unit_pivot_front_end_matches_dense_elimination():
     for _ in range(400):
         m = random_sparse_matrix(rng)
         assert matrix_factors(m) == dense_factors(m), m.data
-        pivots, rest = eliminate(sparse_rows(m), _integer_unit, 0)
+        pivots, rest = eliminate(one_row_orbits(sparse_rows(m)),
+                                 _integer_unit, 0)
         seen["unit pivots"] += len(pivots) > 0
         if not rest:
             seen["units only"] += 1

@@ -476,7 +476,8 @@ def test_elementary_ideals_match_minor_enumeration_on_random_matrices(
         return out
 
     def recording(rows, row_unit, modulus):
-        given = [dict(row) for row in rows]
+        # each row comes as an orbit of its own
+        given = [dict(row) for row, in rows]
         waiting.append(0)
         pivots, rest = front_end(rows, row_unit, modulus)
         runs.append((any(unit(given[i]) is None for i in pivots),

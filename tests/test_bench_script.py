@@ -105,8 +105,10 @@ def test_kernel_suite():
     run = child("commutator_abelianization_rank(9)")
     assert run["answer"] == 24
     for key in ("rows_walked", "letters_walked", "distinct_rows",
-                "unit_pivots", "pivot_applications"):
+                "orbits_skipped", "unit_pivots", "pivot_applications"):
         assert run["work"][key] > 0, key
+    # of the 37 orbits, 15 end at a first row that reduces to zero
+    assert run["work"]["orbits_skipped"] == 15
     # the rows are read off the curve program's 77 nodes
     assert run["work"]["program_nodes"] == 77
     assert run["work"]["expanded_letters"] == 0

@@ -8,12 +8,15 @@ import pytest
 from cuspidal import rewriting, words
 from cuspidal.errors import NoDefiningRelator
 from cuspidal.homcount import relator_triviality_check
-from cuspidal.presentations import derive_pi1_via_rs, presentation_pi1
+from cuspidal.presentations import (derive_pi1_via_rs, presentation_pi1,
+                                    presentation_pi1_reduced)
 from cuspidal.words import (GroupMap, Presentation, commutator, conjugate,
                             cyclic_normal_form, cyclic_reduce, format_presentation,
                             format_word, invert, multiply, power, reduce_word,
                             simplify, simplify_with_map, substitute,
                             tietze_eliminate)
+
+from oracles import least_rotation_oracle
 
 
 def parse_word(text, generators):
@@ -140,6 +143,26 @@ def test_cyclic_normal_form_on_every_short_word():
                 assert invert(u) not in {u[i:] + u[:i] for i in range(len(u))}
                 ties += min(u) == -max(u)
     assert ties > 1000
+
+
+def test_least_rotation_matches_the_every_start_oracle():
+    # _least_rotation starts only at the least letter; the oracle tries
+    # every start.  Words need not be reduced, and powers are periodic.
+    rng = random.Random(15)
+    cases = [random_letters(rng, ngen=rng.randrange(1, 4), maxlen=30)
+             for _ in range(3000)]
+    cases += [random_letters(rng, ngen=rng.randrange(1, 4), maxlen=6)
+              * rng.randrange(1, 8) for _ in range(3000)]
+    cases += [r for n in range(2, 10) for r in
+              presentation_pi1_reduced(n).relators]
+    cases += [r for n in range(2, 6) for r in derive_pi1_via_rs(n).relators]
+    periodic = 0
+    for w in filter(None, cases):
+        for u in (w, invert(w)):
+            assert words._least_rotation(u) == least_rotation_oracle(u), u
+        periodic += len(w) <= 42 and any(w == w[k:] + w[:k]
+                                         for k in range(1, len(w)))
+    assert periodic > 1000
 
 
 def test_presentation_validation():
