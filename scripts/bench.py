@@ -25,6 +25,8 @@ curve      the odd-n curve checks from n alone, `curve_program(n)` timed too
 smith      the Smith forms and Oka quotient behind verify-all at large n;
            `pi1_abelianization(n)` is H1 of a prebuilt `presentation_pi1(n)`
 orbit      the kernel and smith suites together
+startup    `import cuspidal.cli` in the fresh interpreter, after only the
+           script's own imports; the answer is a digest of cuspidal.__all__
 
 Each version also reports its work (`count_work`): the call is made again
 with the names of PATCHES wrapped, and every case reports all COUNTERS,
@@ -103,6 +105,7 @@ def cases(form: str, *args) -> list[str]:
 
 
 RANK = "commutator_abelianization_rank"
+STARTUP = "import cuspidal.cli"
 VERIFY = "verify-all --n {}"
 SUITES = {
     "homcount": list(HOM_CASES) + cases(VERIFY, 2, 3, 4),
@@ -122,6 +125,7 @@ SUITES = {
              + cases(VERIFY, 31, 41, 61),
 }
 SUITES["orbit"] = list(dict.fromkeys(SUITES["kernel"] + SUITES["smith"]))
+SUITES["startup"] = [STARTUP]
 REPEAT = 5
 
 
@@ -206,6 +210,10 @@ KINDS = {
         imported, lambda n: cu("geometry").superabundance_multi(n),
         lambda rep, n: {"s": rep.s, "h0": rep.h0, "rank": rep.rank,
                         "prime": rep.prime}),
+    "startup": (
+        lambda: (), lambda: importlib.import_module("cuspidal.cli"),
+        lambda cli: {"sha256": digest(importlib.import_module(
+            "cuspidal").__all__)}),
 }
 
 
@@ -215,6 +223,8 @@ def parse(case: str):
         return "count_homs", HOM_CASES[case]
     if case.startswith("verify-all --n "):
         return "verify-all", (int(case.split()[-1]),)
+    if case == STARTUP:
+        return "startup", ()
     name, args = case[:-1].split("(")
     return name, tuple(map(int, args.split(",")))
 

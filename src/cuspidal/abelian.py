@@ -8,10 +8,10 @@ sequence can overflow.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
+from ._record import Record
 from .errors import InvalidParameter
 from .rewriting import AbelianTarget, SchreierSystem
 from .words import Word
@@ -99,9 +99,10 @@ def _bareiss(rows) -> tuple[int, int]:
     return k, sign * prev
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(Record):
     """Invariant-factor form of a finitely generated abelian group."""
+
+    __slots__ = ("free_rank", "torsion")
 
     free_rank: int
     torsion: tuple[int, ...]  # d1 | d2 | ..., each >= 2

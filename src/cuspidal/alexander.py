@@ -8,21 +8,22 @@ presentations are meridians of the same curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd as int_gcd
 
+from ._record import Record
 from .abelian import eliminate
 from .errors import InvalidParameter
 from .packing import Packing
 from .words import Word
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(Record):
     """Integer Laurent polynomial: coefficients from exponent `low` upward.
     Canonical: first and last coefficients nonzero, or coeffs empty (zero).
     """
+
+    __slots__ = ("low", "coeffs")
 
     low: int
     coeffs: tuple[int, ...]

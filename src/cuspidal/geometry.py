@@ -8,11 +8,11 @@ singular points have exact coordinates and linear-system ranks are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from ._record import Record
 from .abelian import independent_rows
 from .errors import (InvalidParameter, NotSingular, RankDeficiencySuspect,
                      SplittingFailure, VerificationFailure)
@@ -98,9 +98,10 @@ def choose_prime(n: int, minimum: int = 2) -> PrimeField:
     raise VerificationFailure("no admissible prime below 2^31")
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """Point of P^2(F_p), normalized so the first nonzero coordinate is 1."""
+
+    __slots__ = ("coords", "p")
 
     coords: tuple[int, int, int]
     p: int
@@ -295,8 +296,9 @@ def tangent_cone_rank(pt: ProjectivePoint, n: int, field: PrimeField) -> int:
     return tangent_cone_ranks([pt], n, field)[0]
 
 
-@dataclass(frozen=True)
-class SuperabundanceReport:
+class SuperabundanceReport(Record):
+    __slots__ = ("n", "prime", "rank", "h0", "s")
+
     n: int
     prime: int
     rank: int
@@ -359,8 +361,9 @@ def milnor_ratio(n: int) -> Fraction:
     return Fraction(3 * n * (n - 1), (2 * n) ** 2)
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(Record):
+    __slots__ = ("prime", "linear_forms", "intersection_points")
+
     prime: int
     linear_forms: tuple[tuple[int, int, int], ...]
     intersection_points: tuple[tuple[int, int, int], ...]

@@ -33,8 +33,8 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import BudgetExceeded, InvalidParameter
 from .words import GroupMap, Presentation, Word
 
@@ -56,12 +56,14 @@ def invert_perm(a: Permutation) -> Permutation:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HomCountReport:
+class HomCountReport(Record):
+    __slots__ = ("symbols", "total", "surjective", "nodes")
+    _defaults = {"surjective": None, "nodes": 0}
+
     symbols: int
     total: int
-    surjective: int | None = None
-    nodes: int = 0  # the search nodes visited, counted as the budget counts
+    surjective: int | None
+    nodes: int  # the search nodes visited, counted as the budget counts
 
 
 class _SymmetricGroup:
@@ -291,16 +293,18 @@ def count_homs(p: Presentation, k: int, budget: int = _NODE_CAP,
                           visited[0])
 
 
-@dataclass(frozen=True)
-class TrivialityWitness:
+class TrivialityWitness(Record):
+    __slots__ = ("symbols", "relator_index", "assignment", "image")
+
     symbols: int
     relator_index: int
     assignment: tuple[Permutation, ...]
     image: Permutation
 
 
-@dataclass(frozen=True)
-class TrivialityReport:
+class TrivialityReport(Record):
+    __slots__ = ("passed", "homs_checked", "witnesses")
+
     passed: bool
     homs_checked: dict[int, int]
     witnesses: tuple[TrivialityWitness, ...]

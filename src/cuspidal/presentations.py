@@ -10,8 +10,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .abelian import AbelianStructure, abelianization
 from .errors import InvalidParameter
 from .homcount import TrivialityReport, count_homs, relator_triviality_check
@@ -313,10 +312,11 @@ def oka_quotient(n: int):
     return GroupMap(presentation_pi1(n), quotient, images), quotient
 
 
-@dataclass(frozen=True)
-class Battery:
+class Battery(Record):
     """The invariant battery of two groups: their H1 and their numbers of
     homomorphisms into S_k."""
+
+    __slots__ = ("h1", "hom_counts")
 
     h1: tuple[AbelianStructure, AbelianStructure]
     hom_counts: tuple[tuple[int, int, int], ...]  # (k, first, second)
@@ -336,8 +336,10 @@ def invariant_battery(a: Presentation, b: Presentation, ks,
                           count_homs(b, k, budget).total) for k in ks))
 
 
-@dataclass(frozen=True)
-class MapCheckReport:
+class MapCheckReport(Record):
+    __slots__ = ("source_h1", "target_h1", "h1_well_defined", "h1_surjective",
+                 "h1_isomorphism", "triviality", "hom_counts")
+
     source_h1: AbelianStructure
     target_h1: AbelianStructure
     h1_well_defined: bool

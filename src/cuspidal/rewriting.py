@@ -12,21 +12,22 @@ word whose walk does not end at the coset it started from raises NotInKernel.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress, product
 from math import prod
 from operator import add, itemgetter, neg, sub
 from typing import Iterator
 
+from ._record import Record
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .packing import Packing
 from .words import (Presentation, Word, _check_letters, invert, multiply,
                     simplify)
 
 
-@dataclass(frozen=True)
-class AbelianTarget:
+class AbelianTarget(Record):
     """Direct sum of Z/moduli[k] with an image tuple per source generator."""
+
+    __slots__ = ("moduli", "generators", "images")
 
     moduli: tuple[int, ...]
     generators: tuple[str, ...]

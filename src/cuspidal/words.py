@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from operator import neg
-from typing import ClassVar
 
+from ._record import Record
 from .errors import NoDefiningRelator
 
 Word = tuple[int, ...]
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def reduce_word(letters) -> Word:
@@ -153,23 +152,24 @@ def _check_names(generators) -> tuple[str, ...]:
     if len(set(generators)) != len(generators):
         raise ValueError("duplicate generator names")
     for name in generators:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ValueError(f"invalid generator name: {name!r}")
     return generators
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A finitely presented group: generator names plus relator words.
 
     Relators are normalized to cyclic normal form on construction.  Instances
     are immutable; all operations return new presentations.
     """
 
+    __slots__ = ("generators", "relators")
+
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     # a plain presentation is a straight-line program with no inner nodes
-    nodes: ClassVar[tuple[Word, ...]] = ()
+    nodes = ()
 
     def __init__(self, generators, relators):
         generators = _check_names(generators)
@@ -177,16 +177,6 @@ class Presentation:
         _check_letters(norm, len(generators), "relator")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", tuple(norm))
-
-    @classmethod
-    def _from_normal_forms(cls, generators: tuple[str, ...],
-                           relators: tuple[Word, ...]) -> Presentation:
-        """A presentation on checked generator names whose relators are
-        already in cyclic normal form and in range: the Tietze survivors."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "generators", generators)
-        object.__setattr__(p, "relators", relators)
-        return p
 
     def generator_index(self, name: str) -> int:
         """1-based index of a generator name."""
@@ -197,8 +187,7 @@ class Presentation:
                 f"{len(self.relators)} relators)")
 
 
-@dataclass(frozen=True)
-class StraightLineProgram:
+class StraightLineProgram(Record):
     """A presentation whose relators are words over a straight-line
     program (Lohrey, "Algorithmics on SLP-compressed strings: a survey",
     Groups Complex. Cryptol. 4, 2012).
@@ -211,6 +200,8 @@ class StraightLineProgram:
     into a word over the generators.  A `Presentation` is the program with
     no inner nodes.  Relators are kept as given, not normalized.
     """
+
+    __slots__ = ("generators", "nodes", "relators")
 
     generators: tuple[str, ...]
     nodes: tuple[Word, ...]
@@ -251,8 +242,7 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(Record):
     """A candidate homomorphism: an image word per source generator.
 
     Well-definedness is not checked here; it is probed by the verification
@@ -260,17 +250,21 @@ class GroupMap:
     quotients).
     """
 
+    __slots__ = ("source", "target", "images")
+
     source: Presentation
     target: Presentation
     images: tuple[Word, ...]  # aligned with source.generators
 
-    def __post_init__(self):
+    def __init__(self, source, target, images):
         # apply substitutes the images, which must be freely reduced
-        images = tuple(map(reduce_word, self.images))
-        if len(images) != len(self.source.generators):
+        images = tuple(map(reduce_word, images))
+        if len(images) != len(source.generators):
             raise ValueError(f"{len(images)} images for "
-                             f"{len(self.source.generators)} generators")
-        _check_letters(images, len(self.target.generators), "image")
+                             f"{len(source.generators)} generators")
+        _check_letters(images, len(target.generators), "image")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
 
     def apply(self, w: Word) -> Word:
@@ -475,8 +469,9 @@ def _tietze(p: Presentation):
             rekey(s)
         log.append((g, defining))
     new_id = _survivor_ids(len(p.generators), log)
-    # the survivors' normal forms are the result's, so they are not redone
+    # the survivors' names are checked and their relators in cyclic normal
+    # form and in range, so neither is redone
     relators = dict.fromkeys(_least_form(_renumber(r, new_id))
                              for r in rels if r is not None)
-    return Presentation._from_normal_forms(
+    return Presentation._make(
         tuple(p.generators[g - 1] for g in new_id), tuple(relators)), log

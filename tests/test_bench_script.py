@@ -27,6 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import cuspidal
 from cuspidal.presentations import derive_pi1_via_rs
 from cuspidal.words import format_presentation
 
@@ -179,3 +180,11 @@ def test_smith_suite():
     # nothing, the i-family to 4 letters, the long relator to 2n
     assert (run["work"]["simplify_generators"],
             run["work"]["simplify_letters"]) == (5, 4 * 25 + 10)
+
+
+def test_startup_suite():
+    run = child("import cuspidal.cli")
+    digest = hashlib.sha256(str(cuspidal.__all__).encode()).hexdigest()
+    assert run["answer"] == {"sha256": digest[:16]}
+    # an import does no work the counters see
+    assert ran(run["work"]) == set()

@@ -1,16 +1,26 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+the package imports no heavy stdlib module.
 
 A stdlib `ast` check, since the project runs no linter: each module under
 src/cuspidal/ except the re-exporting __init__.py is parsed, and a name
 bound by an import that no expression or annotation reads is reported.
+
+Every process pays for the modules the package imports.  `dataclasses`
+pulls in `inspect`, `ast` and `dis`, and generates its methods with `exec`
+at each import, so a fresh interpreter without `site` (which preloads
+nothing) and with only src/ on its path must load neither after importing
+the package and its command line.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspidal"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "cuspidal"
 MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")
 
@@ -56,3 +66,14 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_package_loads_no_dataclasses_or_inspect():
+    # -I: no PYTHONPATH and no script directory; -S: no site; -B: no
+    # bytecode written, which -I would allow
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+            "import cuspidal, cuspidal.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

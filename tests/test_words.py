@@ -10,11 +10,11 @@ from cuspidal.errors import NoDefiningRelator
 from cuspidal.homcount import relator_triviality_check
 from cuspidal.presentations import (derive_pi1_via_rs, presentation_pi1,
                                     presentation_pi1_reduced)
-from cuspidal.words import (GroupMap, Presentation, commutator, conjugate,
-                            cyclic_normal_form, cyclic_reduce, format_presentation,
-                            format_word, invert, multiply, power, reduce_word,
-                            simplify, simplify_with_map, substitute,
-                            tietze_eliminate)
+from cuspidal.words import (GroupMap, Presentation, StraightLineProgram,
+                            commutator, conjugate, cyclic_normal_form,
+                            cyclic_reduce, format_presentation, format_word,
+                            invert, multiply, power, reduce_word, simplify,
+                            simplify_with_map, substitute, tietze_eliminate)
 
 from oracles import least_rotation_oracle
 
@@ -175,6 +175,15 @@ def test_presentation_validation():
         Presentation(("a",), [(1,), (1, 3, 1, -2)])
     with pytest.raises(ValueError):
         Presentation(("1bad",), [])
+
+
+def test_a_name_may_not_end_in_a_newline():
+    # `$` would match before a final newline, which the text format cannot
+    # carry: "gens: a\n b" would print on two lines
+    with pytest.raises(ValueError, match="invalid generator name"):
+        Presentation(("a\n", "b"), [(1, 2)])
+    with pytest.raises(ValueError, match="invalid generator name"):
+        StraightLineProgram(("a\n", "b"), [], [(1, 2)])
 
 
 def test_word_parsing_round_trip():
