@@ -140,9 +140,19 @@ def _diagonalize(m: IntegerMatrix, modulus: int = 0):
     modulus, U and V are the unimodular row and column transforms (as row
     lists) with U*m*V diagonal.
 
-    Pivot strategy: smallest nonzero absolute value in the remaining block.
-    Once pivot k is done, row k and column k are zero off the diagonal, so
-    the operations of later steps touch only the block from (k, k) on.
+    Each round moves the least nonzero absolute value of the block from
+    (k, k) on to (k, k), then reduces column k once by floor quotients of
+    that pivot and, if no remainder is left there, row k.  If a remainder
+    is left in column k or row k, or the pivot does not divide the rest of
+    the block and the fix adds a row to row k, the next round re-picks.  A remainder is less than the
+    pivot in absolute value, so the least entry of the block falls within
+    two rounds of any round that does not finish pivot k, and the loop
+    ends.  Re-picking the least entry each round, instead of running Euclid
+    on one row and column, is the pivot rule Havas and Majewski ("Integer
+    matrix diagonalization", J. Symbolic Comput. 24, 1997) discuss against
+    entry explosion.  Once pivot k is done, row k and column k are zero off
+    the diagonal, so the operations of later steps touch only the block
+    from (k, k) on.
 
     With a nonzero `modulus` D, entries are kept as residues mod D, of
     absolute value at most D/2, and the diagonal is returned as gcd(di, D):
@@ -184,18 +194,6 @@ def _diagonalize(m: IntegerMatrix, modulus: int = 0):
             for r in v:
                 r[i] -= q * r[j]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a[k:]:
-            r[i], r[j] = r[j], r[i]
-        if track:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
     n = min(rows, cols)
     while k < n:
         piv = _smallest_pivot(a, k, rows, cols)
@@ -203,36 +201,30 @@ def _diagonalize(m: IntegerMatrix, modulus: int = 0):
             break
         pi, pj = piv
         if pi != k:
-            swap_rows(pi, k)
+            a[pi], a[k] = a[k], a[pi]
+            if track:
+                u[pi], u[k] = u[k], u[pi]
         if pj != k:
-            swap_cols(pj, k)
-        # clear row and column k; remainders can reappear, so loop
-        while True:
-            dirty = False
-            for i in range(k + 1, rows):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    row_op(i, k, q)
-                    if a[i][k]:  # nonzero remainder becomes the new pivot
-                        swap_rows(i, k)
-                        dirty = True
-            for j in range(k + 1, cols):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    col_op(j, k, q)
-                    if a[k][j]:
-                        swap_cols(j, k)
-                        dirty = True
-            if not dirty:
-                break
+            for r in a[k:] + (v or []):
+                r[pj], r[k] = r[k], r[pj]
+        pivot = a[k][k]
+        for i in range(k + 1, rows):
+            if a[i][k]:
+                row_op(i, k, a[i][k] // pivot)
+        if any(a[i][k] for i in range(k + 1, rows)):
+            continue  # a remainder, less than |pivot|, is the next pivot
+        for j in range(k + 1, cols):
+            if a[k][j]:
+                col_op(j, k, a[k][j] // pivot)
+        if any(a[k][k + 1:]):
+            continue
         # enforce divisibility of the remaining block by the pivot; a unit
         # pivot divides everything
-        pivot = a[k][k]
         if abs(pivot) > 1:
             bad = next((i for i in range(k + 1, rows)
                         if any(x % pivot for x in a[i][k + 1:])), None)
             if bad is not None:
-                row_op(k, bad, -1)  # add row i to row k, then redo column k
+                row_op(k, bad, -1)  # add row bad to row k, and go round again
                 continue
         if pivot < 0:
             a[k][k] = -pivot

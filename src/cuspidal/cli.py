@@ -160,7 +160,7 @@ def cmd_compare(args, run: Run) -> None:
 
 def cmd_superabundance(args, run: Run) -> None:
     primes = None
-    if args.primes:
+    if args.primes is not None:
         try:
             primes = [int(tok) for tok in args.primes.split(",")]
         except ValueError:

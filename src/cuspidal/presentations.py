@@ -109,25 +109,30 @@ _CURVE_LEAVES = ((0, 0), (0, 1), (1, 0), (1, 1))
 _CURVE_GENERATORS = tuple(eps_name(i, j) for i, j in _CURVE_LEAVES)
 
 
-def _curve_nodes(n: int) -> tuple[list[Word], list[int]]:
-    """The inner nodes of curve_program(n) and the symbol of each eps_i_j,
-    at i*n + j.  The leaves eps_0_0, eps_0_1, eps_1_0, eps_1_1 are symbols
+def _curve_nodes(n: int) -> tuple[list[Word], list[int], set[int]]:
+    """The inner nodes of curve_program(n), the symbol of each eps_i_j, at
+    i*n + j, and the positions in _pi1_relators(n) of the relators the
+    nodes read.  The leaves eps_0_0, eps_0_1, eps_1_0, eps_1_1 are symbols
     1..4; each other eps_i_j is one node, the recurrence that defines it
-    written as W_u^-1 W_v W_u over earlier symbols, j-direction first."""
+    written as W_u^-1 W_v W_u over earlier symbols, j-direction first: the
+    j-family relator of eps_i_j, at 2(i*n + j - 2) + 1, for i < 2, and the
+    i-family one, at 2((i - 2)*n + j), for the rest."""
     symbol = {ij: s for s, ij in enumerate(_CURVE_LEAVES, 1)}
     nodes: list[Word] = []
+    definitions: set[int] = set()
 
-    def define(ij, v, u):
+    def define(ij, v, u, position):
         nodes.append(conjugate((symbol[v],), (symbol[u],)))
         symbol[ij] = len(_CURVE_LEAVES) + len(nodes)
+        definitions.add(position)
 
     for i in (0, 1):
         for j in range(2, n):
-            define((i, j), (i, j - 2), (i, j - 1))
+            define((i, j), (i, j - 2), (i, j - 1), 2 * (i * n + j - 2) + 1)
     for i in range(2, n):
         for j in range(n):
-            define((i, j), (i - 2, j), (i - 1, j))
-    return nodes, [symbol[divmod(k, n)] for k in range(n * n)]
+            define((i, j), (i - 2, j), (i - 1, j), 2 * ((i - 2) * n + j))
+    return nodes, [symbol[divmod(k, n)] for k in range(n * n)], definitions
 
 
 def curve_program(n: int) -> StraightLineProgram:
@@ -143,21 +148,21 @@ def curve_program(n: int) -> StraightLineProgram:
     """
     if n < 2:
         raise InvalidParameter("n must be >= 2")
-    nodes, symbols = _curve_nodes(n)
-    definitions = _definitions(n)
+    nodes, symbols, definitions = _curve_nodes(n)
     relators = dict.fromkeys(
         tuple(symbols[x - 1] if x > 0 else -symbols[-x - 1] for x in r)
         for k, r in enumerate(_pi1_relators(n)) if k not in definitions)
     return StraightLineProgram(_CURVE_GENERATORS, nodes, relators)
 
 
-def _reduced_words(n: int) -> list[Word]:
+def _reduced_words(n: int) -> tuple[list[Word], set[int]]:
     """Words over (eps_0_0, eps_0_1, eps_1_0, eps_1_1) for every eps_i_j,
     the expansion of the symbols of curve_program(n), indexed like the
-    generators of presentation_pi1(n): eps_i_j's word at i*n + j."""
-    nodes, symbols = _curve_nodes(n)
+    generators of presentation_pi1(n): eps_i_j's word at i*n + j; and the
+    positions in _pi1_relators(n) of the definitions they expand."""
+    nodes, symbols, definitions = _curve_nodes(n)
     words = StraightLineProgram(_CURVE_GENERATORS, nodes, ()).expand()
-    return [words[s - 1] for s in symbols]
+    return [words[s - 1] for s in symbols], definitions
 
 
 def presentation_pi1_reduced(n: int) -> Presentation:
@@ -174,19 +179,10 @@ def presentation_pi1_reduced(n: int) -> Presentation:
     """
     if n < 2:
         raise InvalidParameter("n must be >= 2")
-    images = _reduced_words(n)
-    definitions = _definitions(n)
+    images, definitions = _reduced_words(n)
     relators = [() if k in definitions else substitute(r, images)
                 for k, r in enumerate(_pi1_relators(n))]
     return Presentation(_CURVE_GENERATORS, relators)
-
-
-def _definitions(n: int) -> set[int]:
-    """The positions in _pi1_relators(n) of the recurrences _reduced_words
-    expands: the i-family relator of eps_i_j sits at 2(i*n + j), the
-    j-family one right after it."""
-    return ({2 * (i * n + j) for i in range(n - 2) for j in range(n)}
-            | {2 * (i * n + j) + 1 for i in (0, 1) for j in range(n - 2)})
 
 
 def derive_pi1_via_rs(n: int) -> Presentation:
@@ -260,7 +256,8 @@ def _zariski3_completion() -> list[Word]:
     the image of the auxiliary source word times the inverse of its target
     word g00."""
     images = _zariski3_images()
-    reduced_long = substitute(long_relator(3), _reduced_words(3))
+    words, _ = _reduced_words(3)
+    reduced_long = substitute(long_relator(3), words)
     fifth, g00 = zariski_aux_datum()
     return [substitute(reduced_long, images),
             multiply(substitute(fifth, images), invert(g00))]

@@ -1,14 +1,16 @@
 """Direct constructions that several test files compare the fast paths
 against: the exponent-sum matrix of a presentation, a kernel presentation
-before any Tietze step and its H1 by the dense Smith form, the kernel's
-exponent rows with every orbit read whole, and the least rotation of a word
-trying every start.  `watch_orbits` counts the row orbits a reader leaves
-unread."""
+before any Tietze step and its H1 by the exact dense Smith form, the
+kernel's exponent rows with every orbit read whole, and the least rotation
+of a word trying every start.  `watch_orbits` counts the row orbits a
+reader leaves unread; `check_smith_form` takes a Smith form under a
+deadline and checks it."""
 
+import signal
 from itertools import chain
 
-from cuspidal.abelian import (AbelianStructure, IntegerMatrix, _bareiss,
-                              _diagonalize)
+from cuspidal.abelian import (AbelianStructure, IntegerMatrix,
+                              invariant_factors, smith_normal_form)
 from cuspidal.rewriting import SchreierSystem
 from cuspidal.words import Presentation
 
@@ -39,11 +41,8 @@ def raw_kernel(p, target):
 def kernel_abelianization_oracle(p, target) -> AbelianStructure:
     """The kernel route before abelianized Reidemeister-Schreier: the
     kernel presentation (every relator rewritten at every coset), its
-    exponent matrix with each nonzero row kept once up to sign, and the
-    dense Smith form, with no sparse front end and no orbit.  The dense
-    elimination runs modulo a nonzero maximal minor, as in
-    `invariant_factors`: on some random kernels the unbounded one does not
-    finish."""
+    exponent matrix with each nonzero row kept once up to sign, and its
+    exact Smith form, with no sparse front end, no orbit and no modulus."""
     kernel = raw_kernel(p, target)
     rows = {}
     for row in relator_matrix(kernel).data:
@@ -51,12 +50,40 @@ def kernel_abelianization_oracle(p, target) -> AbelianStructure:
         if lead:
             rows[tuple(x if lead > 0 else -x for x in row)] = None
     ncols = len(kernel.generators)
-    rank, minor = _bareiss(list(rows))
-    diagonal, _, _ = _diagonalize(IntegerMatrix(len(rows), ncols, rows),
-                                  abs(minor))
-    factors = diagonal[:rank]
-    return AbelianStructure(ncols - rank,
-                            tuple(d for d in factors if d != 1))
+    d, _, _ = smith_normal_form(IntegerMatrix(len(rows), ncols, rows))
+    factors = [x for x in (d.data[i][i] for i in range(min(d.rows, ncols)))
+               if x]
+    return AbelianStructure(ncols - len(factors),
+                            tuple(x for x in factors if x != 1))
+
+
+def check_smith_form(m: IntegerMatrix) -> None:
+    """Take smith_normal_form(m), raising TimeoutError if it has not
+    returned after 1 s of wall time (a SIGALRM timer, so the caller is the
+    main thread), and check it: U*m*V = D with U and V unimodular,
+    D diagonal with d1 | d2 | ... and di >= 0, and the nonzero diagonal
+    equal to invariant_factors of the rows of m."""
+    def expire(signum, frame):
+        raise TimeoutError(f"smith_normal_form({m!r}) took over 1 s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        d, u, v = smith_normal_form(m)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert abs(u.determinant()) == 1 and abs(v.determinant()) == 1
+    assert (u * m * v).data == d.data
+    diagonal = [d.data[i][i] for i in range(min(d.rows, d.cols))]
+    assert all(d.data[i][j] == 0 for i in range(d.rows)
+               for j in range(d.cols) if i != j)
+    assert all(x >= 0 for x in diagonal)
+    for x, y in zip(diagonal, diagonal[1:]):
+        assert y % x == 0 if x else y == 0
+    assert invariant_factors(
+        [({j: x for j, x in enumerate(row) if x},) for row in m.data]) == \
+        [x for x in diagonal if x]
 
 
 def watch_orbits(monkeypatch) -> dict[str, int]:

@@ -209,7 +209,7 @@ def test_split_check_failure_exits_1(capsys, monkeypatch):
                    "points, found 1\n")
 
 
-@pytest.mark.parametrize("primes", [",", "7,x"])
+@pytest.mark.parametrize("primes", [",", "7,x", ""])
 def test_malformed_primes_name_the_option(capsys, primes):
     code, out, err = run(capsys, "superabundance", "--n", "3",
                          "--primes", primes)

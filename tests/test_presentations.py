@@ -7,9 +7,8 @@ from cuspidal.abelian import (AbelianStructure, IntegerMatrix, abelianization,
                               smith_normal_form)
 from cuspidal.errors import InvalidParameter
 from cuspidal.homcount import count_homs, relator_triviality_check
-from cuspidal.presentations import (_definitions, _pi1_relators,
-                                    _reduced_words, derive_pi1_via_rs,
-                                    long_relator, map_check,
+from cuspidal.presentations import (_pi1_relators, _reduced_words,
+                                    derive_pi1_via_rs, long_relator, map_check,
                                     oka_quotient, presentation_G,
                                     presentation_G_raw, presentation_oka,
                                     presentation_pi1, presentation_pi1_reduced,
@@ -101,7 +100,8 @@ def test_pi1_reduced_is_the_image_of_pi1(n):
     # substituting the recurrence words into the stored (rotated, possibly
     # inverted) relators of pi1(n) gives the same normalized relators
     full, reduced = presentation_pi1(n), presentation_pi1_reduced(n)
-    m = GroupMap(full, reduced, tuple(_reduced_words(n)))
+    images, _ = _reduced_words(n)
+    m = GroupMap(full, reduced, tuple(images))
     assert Presentation(reduced.generators,
                         [m.apply(r) for r in full.relators]) == reduced
 
@@ -110,8 +110,7 @@ def test_pi1_reduced_is_the_image_of_pi1(n):
 def test_definitional_relators_reduce_to_nothing(n):
     # presentation_pi1_reduced writes () for these without substituting;
     # substituting reduces exactly them to nothing
-    images = _reduced_words(n)
-    definitions = _definitions(n)
+    images, definitions = _reduced_words(n)
     assert len(definitions) == (n + 2) * (n - 2)
     assert {k for k, r in enumerate(_pi1_relators(n))
             if substitute(r, images) == ()} == definitions

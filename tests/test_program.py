@@ -24,7 +24,8 @@ from cuspidal.rewriting import AbelianTarget, SchreierSystem
 from cuspidal.words import (Presentation, StraightLineProgram,
                             cyclic_normal_form, invert, reduce_word)
 
-from oracles import all_rows, kernel_abelianization_oracle, watch_orbits
+from oracles import (all_rows, check_smith_form, kernel_abelianization_oracle,
+                     raw_kernel, relator_matrix, watch_orbits)
 
 
 def expansion(program):
@@ -224,30 +225,50 @@ def test_a_relator_outside_the_kernel_is_refused(moduli, images):
     assert refused >= 30
 
 
+def seeded_kernel_programs(target):
+    """40 random programs whose relators lie in the kernel of the map to
+    the target, one of them a product of two others (a first row in the
+    lattice already), each with its relators expanded as a program with no
+    nodes."""
+    rng = random.Random(74)
+    for _ in range(40):
+        shape = random_program(rng, 3)
+        relators = kernel_relators(rng, target, shape)
+        relators.append(relators[0] + relators[-1])
+        program = StraightLineProgram(shape.generators, shape.nodes,
+                                      relators)
+        yield program, _plain(program, expanded_relators(program))
+
+
+Z3xZ3 = ((3, 3), ((1, 0), (0, 1), (1, 1)))
+
+
 @pytest.mark.parametrize("moduli,images", [
-    TARGETS[0], TARGETS[3], TARGETS[1], ((3, 3), ((1, 0), (0, 1), (1, 1)))],
+    TARGETS[0], TARGETS[3], TARGETS[1], Z3xZ3],
     ids=["Z4", "Z2xZ2", "Z2xZ3", "Z3xZ3"])
 def test_kernel_h1_by_orbits_matches_the_dense_oracle(moduli, images,
                                                       monkeypatch):
     # the Smith front end drops an orbit after a first row that reduces to
     # zero; the oracle takes the dense Smith form of every row
     counts = watch_orbits(monkeypatch)
-    rng = random.Random(74)
     target = AbelianTarget(moduli, ("a", "b", "c"), images)
     dropped = 0
-    for _ in range(40):
-        shape = random_program(rng, 3)
-        relators = kernel_relators(rng, target, shape)
-        # a product of two relators: a first row in the lattice already
-        relators.append(relators[0] + relators[-1])
-        program = StraightLineProgram(shape.generators, shape.nodes,
-                                      relators)
-        plain = _plain(program, expanded_relators(program))
+    for program, plain in seeded_kernel_programs(target):
         before = counts["orbits"] - counts["whole"]
         assert kernel_abelianization(program, target) == \
             kernel_abelianization_oracle(plain, target), program
         dropped += counts["orbits"] - counts["whole"] > before
     assert dropped >= 10
+
+
+@pytest.mark.parametrize("moduli,images", [TARGETS[1], Z3xZ3],
+                         ids=["Z2xZ3", "Z3xZ3"])
+def test_smith_form_of_raw_kernel_matrices(moduli, images):
+    # the exact Smith form of every raw kernel exponent matrix, transforms
+    # included, in well under a second each
+    target = AbelianTarget(moduli, ("a", "b", "c"), images)
+    for _, plain in seeded_kernel_programs(target):
+        check_smith_form(relator_matrix(raw_kernel(plain, target)))
 
 
 def test_a_deep_program_needs_more_than_a_word_per_entry():
