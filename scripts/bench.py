@@ -42,6 +42,8 @@ letters_out         the relator letters into and out of them
 least_rotation_*    calls of `words._least_rotation` and the letters they scan
 counter_letters     relator letters the Tietze loops pass through `Counter`,
                     less the distinct nonempty relators of each simplify input
+cancelled_letters   letters a Tietze step tallies as cancelled (a `Counter`
+                    over a list of them, not over a relator's `map(abs, ...)`)
 simplify_*          generators and relator letters into `simplify_with_map`
 rows_walked         relators `SchreierSystem.exponent_rows` walks, the reads
 letters_walked      of its coset table (one per letter walked), the inner
@@ -244,6 +246,14 @@ def tietze(work, args, q):
                                                     if r))))
 
 
+def counted(work, args, counter):
+    # a step tallies its cancelled letters from a list; relators and
+    # defining words are counted from map(abs, word)
+    key = ("cancelled_letters" if isinstance(args[0], list)
+           else "counter_letters")
+    work[key] += sum(counter.values())
+
+
 class Reads(list):
     """A coset table that counts its reads in work: one per letter walked."""
 
@@ -335,8 +345,7 @@ PATCHES = (
     ("rewriting", "simplify", False, tietze),
     ("words", "_least_rotation", False, lambda w, a, out: add(
         w, least_rotation_calls=1, least_rotation_letters=len(a[0]))),
-    ("words", "Counter", False, lambda w, a, counter: add(
-        w, counter_letters=sum(counter.values()))),
+    ("words", "Counter", False, counted),
     ("presentations", "simplify_with_map", False, lambda w, a, out: add(
         w, simplify_generators=len(a[0].generators),
         simplify_letters=sum(map(len, a[0].relators)))),
@@ -360,11 +369,12 @@ PATCHES = (
 )
 COUNTERS = """search_nodes plans pi1_reduced expanded_letters gens_eliminated
     letters_in letters_out least_rotation_calls least_rotation_letters
-    counter_letters simplify_generators simplify_letters rows_walked
-    letters_walked program_nodes distinct_rows orbits_skipped fox_rows
-    distinct_fox_rows unit_pivots pivot_applications dense_remainders
-    curve_forms values_evaluated form_evaluations lines_tested rows_skipped
-    primes matrix row_updates entry_updates""".split()
+    counter_letters cancelled_letters simplify_generators simplify_letters
+    rows_walked letters_walked program_nodes distinct_rows orbits_skipped
+    fox_rows distinct_fox_rows unit_pivots pivot_applications
+    dense_remainders curve_forms values_evaluated form_evaluations
+    lines_tested rows_skipped primes matrix row_updates
+    entry_updates""".split()
 
 
 def resolve(path: str):

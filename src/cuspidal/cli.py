@@ -40,16 +40,17 @@ def build_family(family: str, n: int | None, variant: str) -> Presentation:
         return presentation_G()
     if family == "G-raw":
         return presentation_G_raw()
+    if family == "zariski3":
+        # the family exists only at n = 3, so a missing --n means 3
+        if n not in (None, 3):
+            raise InvalidParameter("zariski3 is only defined for n = 3")
+        return presentation_zariski3(variant)
     if n is None:
         raise InvalidParameter(f"--n is required for family {family!r}")
     if family == "pi1":
         return presentation_pi1(n)
     if family == "pi1-reduced":
         return presentation_pi1_reduced(n)
-    if family == "zariski3":
-        if n != 3:
-            raise InvalidParameter("zariski3 is only defined for n = 3")
-        return presentation_zariski3(variant)
     if family == "oka":
         return presentation_oka(n)
     if family == "oka-quotient":

@@ -295,10 +295,13 @@ def _substitute(w: Word, g: int, occ: int, defining: Word, inv: Word):
     pieces.append(w[start:])
     out: list[int] = []
     cancelled: list[int] = []
+    # a piece is freely reduced, so only a junction whose first letter
+    # cancels the output's last one needs the letter-by-letter merge
     for piece in pieces:
-        k = _append_reduced(out, piece)
-        if k:
-            cancelled += piece[:k]
+        if piece and out and out[-1] == -piece[0]:
+            cancelled += piece[:_append_reduced(out, piece)]
+        else:
+            out += piece
     return tuple(out), cancelled
 
 
@@ -315,8 +318,9 @@ def _append_reduced(out: list[int], piece: Word) -> int:
 
 
 def _renumber(w: Word, new_id) -> Word:
-    """w with every generator id g replaced by new_id[g], signs kept."""
-    return tuple(new_id[x] if x > 0 else -new_id[-x] for x in w)
+    """w with every letter x replaced by new_id[x]; new_id maps both signs
+    of each generator id (see `_survivor_ids`)."""
+    return tuple(map(new_id.__getitem__, w))
 
 
 def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
@@ -378,10 +382,13 @@ def simplify_with_map(p: Presentation):
 
 
 def _survivor_ids(ngen: int, log) -> dict[int, int]:
-    """Original id -> final id of the generators that no step eliminated."""
+    """Original letter -> final letter of the generators that no step
+    eliminated, both signs: g -> i and -g -> -i, the positive keys first
+    and in order."""
     gone = {g for g, _ in log}
     kept = [g for g in range(1, ngen + 1) if g not in gone]
-    return {g: i + 1 for i, g in enumerate(kept)}
+    new_id = {g: i for i, g in enumerate(kept, 1)}
+    return new_id | {-g: -i for g, i in new_id.items()}
 
 
 def _tietze(p: Presentation):
@@ -402,7 +409,9 @@ def _tietze(p: Presentation):
     # None behind), and candidates are ranked by (length, generator, slot).
     # A step updates each touched relator's generator counts from its
     # substitution instead of recounting its letters: g's occurrences times
-    # the defining word's counts, less two per cancelled pair.
+    # the defining word's counts, less twice the count of each letter that
+    # cancelled, the cancelled letters counted in one pass.  A generator
+    # enters or leaves `occurs` only where its count leaves or reaches 0.
     rels: list[Word | None] = []
     gen_counts: dict[int, Counter] = {}  # slot -> generator counts
     occurs: dict[int, set[int]] = {}  # generator -> slots of its relators
@@ -453,19 +462,26 @@ def _tietze(p: Presentation):
                 drop(s)
                 continue
             rels[s] = core
-            # the cyclic-core trim cancels pairs too
-            cancelled += w[:(len(w) - len(core)) // 2]
             for h, c in defining_counts.items():
-                counts[h] = counts.get(h, 0) + occ * c
-            changed = set(map(abs, cancelled))
-            for h in changed:
-                counts[h] -= 2 * (cancelled.count(h) + cancelled.count(-h))
-            for h in changed.union(defining_counts):
-                if counts[h]:
-                    occurs[h].add(s)
+                if h in counts:
+                    counts[h] += occ * c
                 else:
-                    del counts[h]
-                    occurs[h].discard(s)
+                    counts[h] = occ * c
+                    occurs[h].add(s)
+            # the cyclic-core trim cancels pairs too; counting signed
+            # letters is exact, since a count reaches 0 only once both
+            # signs of its generator are subtracted.  About a third of the
+            # substitutions cancel nothing and skip the tally.
+            cancelled += w[:(len(w) - len(core)) // 2]
+            if cancelled:
+                for x, c in Counter(cancelled).items():
+                    h = x if x > 0 else -x
+                    c = counts[h] - 2 * c
+                    if c:
+                        counts[h] = c
+                    else:
+                        del counts[h]
+                        occurs[h].discard(s)
             rekey(s)
         log.append((g, defining))
     new_id = _survivor_ids(len(p.generators), log)
@@ -474,4 +490,5 @@ def _tietze(p: Presentation):
     relators = dict.fromkeys(_least_form(_renumber(r, new_id))
                              for r in rels if r is not None)
     return Presentation._make(
-        tuple(p.generators[g - 1] for g in new_id), tuple(relators)), log
+        tuple(p.generators[g - 1] for g in new_id if g > 0),
+        tuple(relators)), log

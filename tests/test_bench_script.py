@@ -88,7 +88,7 @@ def test_tietze_suite():
     assert answer == {"sha256": digest[:16], "generators": 4}
     for key in ("gens_eliminated", "letters_in", "letters_out",
                 "least_rotation_calls", "least_rotation_letters",
-                "counter_letters"):
+                "counter_letters", "cancelled_letters"):
         assert work[key] > 0, key
 
 

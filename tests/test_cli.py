@@ -55,6 +55,19 @@ def test_missing_n_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("present",), ("abelianize",), ("alexander",), ("homcount", "--k", "3")])
+def test_zariski3_needs_no_n(capsys, command):
+    # zariski3 exists only at n = 3, so a missing --n reads as 3
+    argv = command + ("--family", "zariski3", "--format", "structured")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    with_n = run(capsys, *argv, "--n", "3")
+    assert with_n[0] == 0
+    # the config records the --n given; the results are the same
+    assert json.loads(out)["results"] == json.loads(with_n[1])["results"]
+
+
 def test_alexander_subcommand(capsys):
     code, out, _ = run(capsys, "alexander", "--family", "pi1-reduced",
                        "--n", "3", "--format", "structured")

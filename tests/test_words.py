@@ -407,6 +407,32 @@ def cancelling_presentation(rng):
     return Presentation(names, relators)
 
 
+def occurrence_flip_presentations():
+    """Steps where a generator other than the eliminated one leaves or
+    enters a relator, then is eliminated itself: the loop must substitute
+    it in exactly the relators that contain it by then.  The first
+    relator defines x1, eliminated first; x3, once in the last relator, is
+    eliminated next."""
+    leaves = [
+        # x3 cancels against x1's image, at a junction or in the core trim
+        [(1, 3), (1, 3, 2, 2), (3, 2, 2, 2)],
+        [(1, 3), (-3, 2, 2, -1), (3, 2, 2, 2)],
+        # every one of several copies of x3 cancels
+        [(1, 3), (1, 3, 2, 1, 3, 2), (3, 2, 2, 2)],
+        [(1, 3), (1, 3, 2, 1, 3, 2), (1, 3, 4, 4), (3, 4, 2, 2, 4)],
+    ]
+    enters = [
+        # x3 comes in with x1's image
+        [(1, -3), (1, 1, 2, 2, 4, 4), (3, 4, 4, 2, 2)],
+        [(1, -3), (2, 1, 2, 1), (3, 2, 2, 2)],
+        # x1 = x3 x2 x3^-1: x3 comes in with x1^2 and cancels in the same
+        # step, at the junction and in the core trim, so it never enters
+        [(1, 3, -2, -3), (1, 1), (3, 2, 2, 2)],
+    ]
+    return [Presentation([f"x{i}" for i in range(1, 5)], relators)
+            for relators in leaves + enters]
+
+
 def watch_cancellations(monkeypatch):
     """Count, among the substitutions whose result the Tietze loop then
     cyclically reduces, those where a copy of the defining word or of its
@@ -476,6 +502,7 @@ def test_simplify_with_map_matches_full_retidy_oracle(monkeypatch):
     cases += [cancelling_presentation(rng) for _ in range(100)]
     cases += schreier_kernels(monkeypatch, (2, 3, 4, 5))
     cases += oka_inputs(range(3, 8))
+    cases += occurrence_flip_presentations()
     seen = watch_cancellations(monkeypatch)
     eliminated = 0
     for p in cases:
