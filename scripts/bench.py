@@ -7,10 +7,14 @@ be at or after commit 4837920 (the counters patch names older versions
 lack), and on this checkout's src/ (alone without --before).  Each run is a
 fresh interpreter (`--child SRC CASE`) that times only the call, tables
 built on first use included.  Runs of the two versions alternate, one of
-each making a pair.  The report gives the median of REPEAT runs of each,
-the answer, which must be the same for both, and the speedup: the median
-over the pairs of before over after time, with its quartiles, since a pair
-shares the host's state of the moment.
+each making a pair.  Right after its timed call, a child runs the
+benchmark's host-speed kernel (`reference_time` of perfbench/run.py,
+loaded by path) and rescales its time to a host on which that kernel takes
+`REFERENCE_S`, as perfbench does.  The report gives the median of REPEAT
+runs of each, raw and corrected, the answer, which must be the same for
+both, and the speedup: the median over the pairs of before over after
+corrected time, with its quartiles, since a pair shares the host's state of
+the moment.
 
 A case is a kind of call (KINDS: an untimed setup, the timed call, the
 answer read off its result) with arguments (SUITES).  The suites:
@@ -76,6 +80,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -414,8 +419,18 @@ def count_work(call) -> dict:
     return {key: work[key] for key in COUNTERS}
 
 
+def perfbench_run():
+    """perfbench/run.py, loaded by path, for its host-speed kernel."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def child(src: str, case: str) -> None:
-    """Run one measurement and print {"seconds", "answer", "work"}."""
+    """Run one measurement and print {"seconds", "reference_s",
+    "corrected_s", "answer", "work"}."""
     sys.path.insert(0, src)
     kind, args = parse(case)
     setup, call, answer = KINDS[kind]
@@ -423,7 +438,12 @@ def child(src: str, case: str) -> None:
     start = time.perf_counter()
     result = call(*state)
     seconds = time.perf_counter() - start
-    print(json.dumps({"seconds": seconds, "answer": answer(result, *state),
+    # loaded only now, so that the timed call imports nothing extra first
+    host = perfbench_run()
+    reference_s = statistics.fmean(host.reference_time() for _ in range(5))
+    print(json.dumps({"seconds": seconds, "reference_s": reference_s,
+                      "corrected_s": seconds * host.REFERENCE_S / reference_s,
+                      "answer": answer(result, *state),
                       "work": count_work(lambda: call(*state))}))
 
 
@@ -458,12 +478,14 @@ def main(argv=None) -> int:
     versions = {"before": args.before, **after} if args.before else after
     cases = SUITES[args.suite]
     times = {(v, c): [] for v in versions for c in cases}
+    corrected = {(v, c): [] for v in versions for c in cases}
     answers, work = {}, {}
     for _ in range(REPEAT):
         for case in cases:
             for version, src in versions.items():
                 run = measure(src, case)
                 times[version, case].append(run["seconds"])
+                corrected[version, case].append(run["corrected_s"])
                 answers.setdefault(case, run["answer"])
                 work[version, case] = run["work"]
                 if run["answer"] != answers[case]:
@@ -474,9 +496,11 @@ def main(argv=None) -> int:
         for version in versions:
             row[f"{version}_s"] = round(statistics.median(
                 times[version, case]), 4)
+            row[f"{version}_corrected_s"] = round(statistics.median(
+                corrected[version, case]), 4)
         if "before" in versions:
-            ratios = [b / a for b, a in zip(times["before", case],
-                                            times["after", case])]
+            ratios = [b / a for b, a in zip(corrected["before", case],
+                                            corrected["after", case])]
             q1, median, q3 = statistics.quantiles(ratios, n=4,
                                                   method="inclusive")
             row["speedup"] = round(median, 2)
@@ -486,7 +510,8 @@ def main(argv=None) -> int:
         rows.append(row)
     report = {
         "what": "median wall seconds of one call, fresh interpreter per "
-                "run; cases and counters are described in scripts/bench.py",
+                "run, raw and corrected to the host-speed reference; cases "
+                "and counters are described in scripts/bench.py",
         "before": commit(args.before) if args.before else None,
         "after": "this checkout",
         "repeat": REPEAT,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .abelian import abelianization, commutator_abelianization_rank
 from .alexander import alexander_polynomial, cyclotomic_target
 from .errors import (BudgetExceeded, InvalidParameter, RankDeficiencySuspect,
-                     SplittingFailure, VerificationFailure)
+                     VerificationFailure)
 from .geometry import (PrimeField, choose_prime, milnor_ratio,
                        singular_points,
                        singular_points_scan, splitting_check_n2,
@@ -58,16 +58,6 @@ def build_family(family: str, n: int | None, variant: str) -> Presentation:
     raise InvalidParameter(f"unknown family: {family!r}")
 
 
-def _presentation_doc(p: Presentation) -> dict:
-    return {"generators": list(p.generators),
-            "relators": [list(r) for r in p.relators]}
-
-
-def _abelian_doc(a) -> dict:
-    return {"free_rank": a.free_rank, "torsion": list(a.torsion),
-            "display": str(a)}
-
-
 class Run:
     """Accumulates results and failures for one CLI invocation."""
 
@@ -75,6 +65,7 @@ class Run:
         self.config = config
         self.results: list[dict] = []
         self.failures: list[str] = []
+        self.inconclusive = False
 
     def record(self, name: str, value, passed: bool | None = None):
         entry = {"check": name, "value": value}
@@ -97,7 +88,7 @@ class Run:
                 print(f"{entry['check']}: {entry['value']}{mark}")
             if self.failures:
                 print("failures: " + ", ".join(self.failures))
-        return 1 if self.failures else 0
+        return 1 if self.failures else 3 if self.inconclusive else 0
 
 
 def cmd_present(args, run: Run) -> None:
@@ -107,7 +98,8 @@ def cmd_present(args, run: Run) -> None:
     else:
         p = build_family(args.family, args.n, args.variant)
     if args.format == "structured":
-        run.record("presentation", _presentation_doc(p))
+        run.record("presentation", {"generators": list(p.generators),
+                                    "relators": [list(r) for r in p.relators]})
     else:
         sys.stdout.write(format_presentation(p))
 
@@ -121,8 +113,10 @@ def read_family(family: str, n: int | None, variant: str):
 
 
 def cmd_abelianize(args, run: Run) -> None:
-    p = read_family(args.family, args.n, args.variant)
-    run.record("abelianization", _abelian_doc(abelianization(p)))
+    ab = abelianization(read_family(args.family, args.n, args.variant))
+    run.record("abelianization", {"free_rank": ab.free_rank,
+                                  "torsion": list(ab.torsion),
+                                  "display": str(ab)})
 
 
 def cmd_alexander(args, run: Run) -> None:
@@ -197,8 +191,7 @@ def cmd_milnor_ratio(args, run: Run) -> None:
 
 def cmd_split_check(args, run: Run) -> None:
     rep = splitting_check_n2(PrimeField(args.prime))
-    # splitting_check_n2 raises SplittingFailure unless it found four forms
-    # meeting in six distinct points, so a report is a pass
+    # splitting_check_n2 raises unless four forms meet in six points: a pass
     run.record("splitting",
                {"prime": rep.prime,
                 "linear_forms": [list(f) for f in rep.linear_forms],
@@ -206,68 +199,99 @@ def cmd_split_check(args, run: Run) -> None:
                     [list(pt) for pt in rep.intersection_points]}, True)
 
 
-def cmd_verify_all(args, run: Run) -> None:
-    n = args.n
-    pi1 = presentation_pi1(n)
-    ab = abelianization(pi1)
-    if n % 2 == 1:
-        expected = (ab.free_rank == 0 and ab.torsion == (2 * n,))
-    elif n == 2:
-        expected = (ab.free_rank == 3 and ab.torsion == ())
-    else:
-        expected = (ab.free_rank == 3 and ab.torsion == (n // 2,))
-    run.record("abelianization_dichotomy", str(ab), expected)
+def check_abelianization(n: int):
+    ab = abelianization(presentation_pi1(n))
+    # Z/2n at odd n, Z^3 + Z/(n/2) at even n, no Z/1 at n = 2
+    expected = (0, (2 * n,)) if n % 2 else (3, (n // 2,) if n > 2 else ())
+    return str(ab), (ab.free_rank, ab.torsion) == expected
 
-    if n <= 4:
-        derived = derive_pi1_via_rs(n)
-        battery = invariant_battery(derived, pi1, (3, 4) if n <= 3 else (3,))
-        run.record("derivation_match",
-                   {"generators": len(derived.generators)}, battery.agrees)
 
-    if n % 2 == 1:
-        poly, stripped = alexander_polynomial(curve_program(n))
-        run.record("alexander_vs_cyclotomic_cube",
-                   {"display": str(poly), "stripped": stripped},
-                   poly == cyclotomic_target(n))
-        rank = commutator_abelianization_rank(n)
-        run.record("commutator_abelianization_rank", rank,
-                   rank == 3 * (n - 1))
-        rep = superabundance_multi(n)
-        run.record("superabundance",
-                   {"prime": rep.prime, "h0": rep.h0, "s": rep.s},
-                   rep.s == 3 and rep.h0 == (n - 3) * (n - 2) // 2)
+def check_derivation(n: int):
+    derived = derive_pi1_via_rs(n)
+    battery = invariant_battery(derived, presentation_pi1(n),
+                                (3, 4) if n <= 3 else (3,))
+    return {"generators": len(derived.generators)}, battery.agrees
 
+
+def check_alexander(n: int):
+    poly, stripped = alexander_polynomial(curve_program(n))
+    return ({"display": str(poly), "stripped": stripped},
+            poly == cyclotomic_target(n))
+
+
+def check_rank(n: int):
+    rank = commutator_abelianization_rank(n)
+    return rank, rank == 3 * (n - 1)
+
+
+def check_superabundance(n: int):
+    rep = superabundance_multi(n)
+    return ({"prime": rep.prime, "h0": rep.h0, "s": rep.s},
+            rep.s == 3 and rep.h0 == (n - 3) * (n - 2) // 2)
+
+
+def check_singular_points(n: int):
     field = choose_prime(n, 100)
     pts = singular_points(n, field)
     ranks = set(tangent_cone_ranks(pts, n, field))
-    run.record("singular_points",
-               {"prime": field.p, "count": len(pts),
-                "tangent_cone_ranks": sorted(ranks)},
-               len(pts) == 3 * n and ranks == ({2} if n == 2 else {1}))
+    return ({"prime": field.p, "count": len(pts),
+             "tangent_cone_ranks": sorted(ranks)},
+            len(pts) == 3 * n and ranks == ({2} if n == 2 else {1}))
 
-    if n == 2:
-        # p = 1 mod 2n is 1 mod 4; a report is a pass, as in split-check
-        rep = splitting_check_n2(choose_prime(2, 10))
-        run.record("splitting", {"prime": rep.prime,
-                                 "forms": len(rep.linear_forms)}, True)
 
-    if n % 2 == 1:
-        battery = invariant_battery(oka_quotient(n)[1], presentation_oka(n),
-                                    (3, 4))
-        run.record("oka_quotient_match", str(battery.h1[0]), battery.agrees)
+def check_splitting(n: int):
+    # p = 1 mod 2n is 1 mod 4; a report is a pass, as in split-check
+    rep = splitting_check_n2(choose_prime(2, 10))
+    return {"prime": rep.prime, "forms": len(rep.linear_forms)}, True
 
-    if n == 3:
-        rep = map_check(zariski_iso_candidate("corrected"), kmax=4)
-        run.record("zariski_correspondence",
-                   {"h1": str(rep.target_h1),
-                    "hom_counts": list(rep.hom_counts),
-                    "triviality": rep.triviality.passed},
-                   rep.consistent_with_isomorphism)
 
+def check_oka_quotient(n: int):
+    battery = invariant_battery(oka_quotient(n)[1], presentation_oka(n),
+                                (3, 4))
+    return str(battery.h1[0]), battery.agrees
+
+
+def check_zariski(n: int):
+    rep = map_check(zariski_iso_candidate("corrected"), kmax=4)
+    return ({"h1": str(rep.target_h1), "hom_counts": list(rep.hom_counts),
+             "triviality": rep.triviality.passed},
+            rep.consistent_with_isomorphism)
+
+
+def check_milnor_ratio(n: int):
     r = milnor_ratio(n)
     ok = n < 4 or abs(r - Fraction(3, 4)) < Fraction(1, n)
-    run.record("milnor_ratio", str(r), r == Fraction(3 * (n - 1), 4 * n)
-               and ok)
+    return str(r), r == Fraction(3 * (n - 1), 4 * n) and ok
+
+
+# (name, the n it applies to or None for all, check(n) -> (value, passed)),
+# in record order; a check looks the library up in this module as it runs
+CLAIMS = (
+    ("abelianization_dichotomy", None, check_abelianization),
+    ("derivation_match", lambda n: n <= 4, check_derivation),
+    ("alexander_vs_cyclotomic_cube", lambda n: n % 2, check_alexander),
+    ("commutator_abelianization_rank", lambda n: n % 2, check_rank),
+    ("superabundance", lambda n: n % 2, check_superabundance),
+    ("singular_points", None, check_singular_points),
+    ("splitting", lambda n: n == 2, check_splitting),
+    ("oka_quotient_match", lambda n: n % 2, check_oka_quotient),
+    ("zariski_correspondence", lambda n: n == 3, check_zariski),
+    ("milnor_ratio", None, check_milnor_ratio),
+)
+
+
+def cmd_verify_all(args, run: Run) -> None:
+    """Each claim that applies to --n.  One that fails or is inconclusive
+    is recorded as such, and the others still run."""
+    for name, applies, check in CLAIMS:
+        if applies is None or applies(args.n):
+            try:
+                run.record(name, *check(args.n))
+            except VerificationFailure as exc:
+                run.record(name, {"error": str(exc)}, False)
+            except (BudgetExceeded, RankDeficiencySuspect) as exc:
+                run.record(name, {"inconclusive": str(exc)})
+                run.inconclusive = True
 
 
 @functools.cache
@@ -353,7 +377,7 @@ def main(argv=None) -> int:
     except (InvalidParameter, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailure, SplittingFailure) as exc:
+    except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (BudgetExceeded, RankDeficiencySuspect) as exc:

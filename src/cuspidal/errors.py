@@ -33,5 +33,4 @@ class RankDeficiencySuspect(RuntimeError):
     """Finite-field ranks disagree across primes; characteristic interference."""
 
 
-class SplittingFailure(RuntimeError):
-    """The quartic did not factor into four linear forms as expected."""
+SplittingFailure = VerificationFailure  # the quartic split other than expected

@@ -14,9 +14,11 @@ are checked by the kernel suite's run.
 Then a smoke test of one small case of each suite, run the way the script
 runs its measurements, in a fresh interpreter
 (`python3 scripts/bench.py --child src CASE`): each run must exit 0, give
-the known answer, and read the known or a nonzero value on the counters of
-the layers it runs.  The children run in subprocesses because the script
-runs each case in a fresh interpreter, with the package of its choice.
+the known answer, report a positive time of the host-speed kernel that
+perfbench/run.py defines, and read the known or a nonzero value on the
+counters of the layers it runs.  The children run in subprocesses because
+the script runs each case in a fresh interpreter, with the package of its
+choice.
 """
 
 import hashlib
@@ -26,6 +28,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cuspidal
 from cuspidal.presentations import derive_pi1_via_rs
@@ -38,6 +42,16 @@ SCRIPT = ROOT / "scripts" / "bench.py"
 spec = importlib.util.spec_from_file_location("bench", SCRIPT)
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
+HOST = bench.perfbench_run()
+
+
+def test_the_host_speed_kernel_is_perfbench_s():
+    # loaded by path from perfbench/run.py, not a copy of it
+    run_py = ROOT / "perfbench" / "run.py"
+    assert Path(HOST.__file__) == run_py
+    assert Path(HOST.reference_time.__code__.co_filename) == run_py
+    assert not hasattr(bench, "reference_time")
+    assert not hasattr(bench, "REFERENCE_S")
 
 
 def test_every_case_resolves_to_a_kind():
@@ -65,6 +79,9 @@ def child(case: str) -> dict:
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert run["seconds"] > 0
+    assert run["reference_s"] > 0
+    assert run["corrected_s"] == pytest.approx(
+        run["seconds"] * HOST.REFERENCE_S / run["reference_s"])
     assert list(run["work"]) == bench.COUNTERS
     return run
 

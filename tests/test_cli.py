@@ -7,7 +7,7 @@ import pytest
 
 from cuspidal import cli, geometry, presentations
 from cuspidal.cli import main
-from cuspidal.errors import RankDeficiencySuspect
+from cuspidal.errors import RankDeficiencySuspect, SplittingFailure
 from cuspidal.presentations import derive_pi1_via_rs
 from cuspidal.words import format_presentation
 
@@ -163,6 +163,75 @@ def test_rank_disagreement_is_inconclusive(capsys, monkeypatch):
     code, _, err = run(capsys, "superabundance", "--n", "3")
     assert code == 3
     assert err == "inconclusive: ranks 5 and 6 across primes\n"
+
+
+ODD = ["abelianization_dichotomy", "alexander_vs_cyclotomic_cube",
+       "commutator_abelianization_rank", "superabundance", "singular_points",
+       "oka_quotient_match", "milnor_ratio"]
+VERIFY_ALL_CHECKS = {
+    2: ["abelianization_dichotomy", "derivation_match", "singular_points",
+        "splitting", "milnor_ratio"],
+    3: ["abelianization_dichotomy", "derivation_match",
+        "alexander_vs_cyclotomic_cube", "commutator_abelianization_rank",
+        "superabundance", "singular_points", "oka_quotient_match",
+        "zariski_correspondence", "milnor_ratio"],
+    4: ["abelianization_dichotomy", "derivation_match", "singular_points",
+        "milnor_ratio"],
+    5: ODD,
+    6: ["abelianization_dichotomy", "singular_points", "milnor_ratio"],
+    7: ODD,
+    8: ["abelianization_dichotomy", "singular_points", "milnor_ratio"],
+    9: ODD,
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_ALL_CHECKS))
+def test_verify_all_runs_each_claim_where_it_applies(capsys, n):
+    code, out, _ = run(capsys, "verify-all", "--n", str(n),
+                       "--format", "structured")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [e["check"] for e in results] == VERIFY_ALL_CHECKS[n]
+    assert all(e["passed"] for e in results)
+
+
+def test_inconclusive_claim_keeps_the_battery(capsys, monkeypatch):
+    def disagree(n, primes=None):
+        raise RankDeficiencySuspect("ranks 5 and 6 across primes")
+
+    monkeypatch.setattr(cli, "superabundance_multi", disagree)
+    code, out, err = run(capsys, "verify-all", "--n", "3",
+                         "--format", "structured")
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["failures"] == []
+    entries = {e["check"]: e for e in doc["results"]}
+    assert [e["check"] for e in doc["results"]] == VERIFY_ALL_CHECKS[3]
+    assert entries.pop("superabundance") == {
+        "check": "superabundance",
+        "value": {"inconclusive": "ranks 5 and 6 across primes"}}
+    assert len(entries) == 8
+    assert all(e["passed"] for e in entries.values())
+
+
+def test_failed_claim_keeps_the_battery(capsys, monkeypatch):
+    def fail(field):
+        raise SplittingFailure("expected 4 linear factors, found 2")
+
+    monkeypatch.setattr(cli, "splitting_check_n2", fail)
+    code, out, err = run(capsys, "verify-all", "--n", "2",
+                         "--format", "structured")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["failures"] == ["splitting"]
+    assert [e["check"] for e in doc["results"]] == VERIFY_ALL_CHECKS[2]
+    assert doc["results"][3] == {
+        "check": "splitting", "passed": False,
+        "value": {"error": "expected 4 linear factors, found 2"}}
+    code, out, _ = run(capsys, "verify-all", "--n", "2")
+    assert code == 1
+    assert out.endswith("  [FAIL]\nmilnor_ratio: 3/8  [ok]\n"
+                        "failures: splitting\n")
 
 
 def test_compare_reaches_k5(capsys):
