@@ -15,7 +15,7 @@ from ._record import Record
 from .abelian import eliminate
 from .errors import InvalidParameter
 from .packing import Packing
-from .words import Word
+from .words import Word, expanded_letters
 
 
 class LaurentPolynomial(Record):
@@ -289,8 +289,9 @@ class _FoxProgram:
     a relator.  Multiplying by t^k moves every place by k, so a node letter
     costs one shift and one addition; a generator letter stays one term.
     The window comes from each symbol's least and greatest exponent, and
-    the packing is sized by the letters of the expanded words, which bound
-    every coefficient.  A presentation has no nodes, and nothing is packed.
+    the packing is sized by the letters of the expanded words
+    (`expanded_letters`), which bound every coefficient.  A presentation
+    has no nodes, and nothing is packed.
     """
 
     def __init__(self, p):
@@ -301,21 +302,19 @@ class _FoxProgram:
         self._rows: dict[int, list[LaurentPolynomial]] = {}
         if not p.nodes:
             return
-        # per symbol: least and greatest exponent of a term, and the
-        # letters of its expansion; a generator's derivative is 1
+        # per symbol: least and greatest exponent of a term; a generator's
+        # derivative is 1
         low, high = [0] * (ngen + 1), [0] * (ngen + 1)
-        length = [1] * (ngen + 1)
         for word in p.nodes:
-            span = self._span(word, low, high, length)
+            span = self._span(word, low, high)
             self.degree.append(span[0])
             low.append(span[1])
             high.append(span[2])
-            length.append(span[3])
-        spans = [self._span(r, low, high, length) for r in p.relators]
+        spans = [self._span(r, low, high) for r in p.relators]
         self.low = min(low + [s[1] for s in spans])
         self.width = max(high + [s[2] for s in spans]) - self.low + 1
         self.packing = Packing(ngen * self.width,
-                               max(length + [s[3] for s in spans]))
+                               expanded_letters(ngen, p.nodes, p.relators))
         for word in p.nodes:
             terms, packed = _fox_terms(word, ngen, self.degree, self)
             for g, column in enumerate(terms[1:]):
@@ -324,11 +323,11 @@ class _FoxProgram:
                                                     - self.low)
             self.nodes.append(packed)
 
-    def _span(self, w: Word, low, high, length):
-        """(degree, least exponent, greatest exponent, expanded letters) of
-        the derivatives of w."""
+    def _span(self, w: Word, low, high):
+        """(degree, least exponent, greatest exponent) of the derivatives
+        of w."""
         degree = self.degree
-        exp, least, greatest, letters = 0, 0, 0, 0
+        exp, least, greatest = 0, 0, 0
         for x in w:
             s = x if x > 0 else -x
             if x < 0:
@@ -337,10 +336,9 @@ class _FoxProgram:
                 least = exp + low[s]
             if exp + high[s] > greatest:
                 greatest = exp + high[s]
-            letters += length[s]
             if x > 0:
                 exp += degree[s]
-        return exp, least, greatest, letters
+        return exp, least, greatest
 
     def moved(self, symbol: int, exp: int) -> int:
         """The packed derivatives of a node symbol times t^exp."""

@@ -1,9 +1,9 @@
 """Command-line front end: every verification behind a named subcommand.
 
 Output is either human-readable text or a single deterministic JSON document
-{"config": ..., "results": [...], "failures": [...]}.  Exit codes: 0 all
-checks passed, 1 verification failure, 2 usage error, 3 inconclusive (a
-search ran out of budget, or finite-field ranks disagreed across primes).
+{"config": ..., "results": [...], "failures": [...]} in which a check that
+fails or is inconclusive is an entry too; stderr carries only usage errors.
+Exit codes: 0 all passed, 1 a check failed, 2 usage error, 3 inconclusive.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from .abelian import abelianization, commutator_abelianization_rank
 from .alexander import alexander_polynomial, cyclotomic_target
 from .errors import (BudgetExceeded, InvalidParameter, RankDeficiencySuspect,
                      VerificationFailure)
-from .geometry import (PrimeField, choose_prime, milnor_ratio,
-                       singular_points,
+from .geometry import (PrimeField, choose_prime, milnor_ratio, singular_points,
                        singular_points_scan, splitting_check_n2,
                        superabundance_multi, tangent_cone_ranks)
 from .homcount import count_homs
@@ -59,21 +58,36 @@ def build_family(family: str, n: int | None, variant: str) -> Presentation:
 
 
 class Run:
-    """Accumulates results and failures for one CLI invocation."""
+    """The entries of one CLI invocation, in record order."""
 
     def __init__(self, config: dict):
         self.config = config
         self.results: list[dict] = []
-        self.failures: list[str] = []
         self.inconclusive = False
+
+    @property
+    def failures(self) -> list[str]:
+        return [e["check"] for e in self.results if e.get("passed") is False]
 
     def record(self, name: str, value, passed: bool | None = None):
         entry = {"check": name, "value": value}
         if passed is not None:
             entry["passed"] = passed
-            if not passed:
-                self.failures.append(name)
         self.results.append(entry)
+
+    def check(self, name: str, check, *args) -> None:
+        """Record the (value, passed) of check(*args) as `name`, unless it is
+        None (the check recorded its own): failed on VerificationFailure,
+        inconclusive (no `passed`) on BudgetExceeded, RankDeficiencySuspect."""
+        try:
+            outcome = check(*args)
+        except VerificationFailure as exc:
+            outcome = {"error": str(exc)}, False
+        except (BudgetExceeded, RankDeficiencySuspect) as exc:
+            outcome = {"inconclusive": str(exc)}, None
+            self.inconclusive = True
+        if outcome is not None:
+            self.record(name, *outcome)
 
     def emit(self, fmt: str) -> int:
         if fmt == "structured":
@@ -81,11 +95,10 @@ class Run:
                    "failures": self.failures}
             print(json.dumps(doc, sort_keys=True, default=str))
         else:
+            marks = {True: "  [ok]", False: "  [FAIL]", None: ""}
             for entry in self.results:
-                mark = ""
-                if "passed" in entry:
-                    mark = "  [ok]" if entry["passed"] else "  [FAIL]"
-                print(f"{entry['check']}: {entry['value']}{mark}")
+                print(f"{entry['check']}: {entry['value']}"
+                      + marks[entry.get("passed")])
             if self.failures:
                 print("failures: " + ", ".join(self.failures))
         return 1 if self.failures else 3 if self.inconclusive else 0
@@ -281,17 +294,10 @@ CLAIMS = (
 
 
 def cmd_verify_all(args, run: Run) -> None:
-    """Each claim that applies to --n.  One that fails or is inconclusive
-    is recorded as such, and the others still run."""
+    """Each claim that applies to --n; a failed one leaves the rest to run."""
     for name, applies, check in CLAIMS:
         if applies is None or applies(args.n):
-            try:
-                run.record(name, *check(args.n))
-            except VerificationFailure as exc:
-                run.record(name, {"error": str(exc)}, False)
-            except (BudgetExceeded, RankDeficiencySuspect) as exc:
-                run.record(name, {"inconclusive": str(exc)})
-                run.inconclusive = True
+            run.check(name, check, args.n)
 
 
 @functools.cache
@@ -369,20 +375,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k != "fn" and v is not None}
-    run = Run(config)
+    run = Run({k: v for k, v in sorted(vars(args).items())
+               if k != "fn" and v is not None})
     try:
-        globals()[args.fn](args, run)
-    except (InvalidParameter, ValueError) as exc:
+        run.check(args.command, globals()[args.fn], args, run)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except (BudgetExceeded, RankDeficiencySuspect) as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
     return run.emit(args.format)
 
 

@@ -20,8 +20,8 @@ from typing import Iterator
 from ._record import Record
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .packing import Packing
-from .words import (Presentation, Word, _check_letters, invert, multiply,
-                    simplify)
+from .words import (Presentation, Word, _check_letters, expanded_letters,
+                    invert, multiply, simplify)
 
 
 class AbelianTarget(Record):
@@ -318,21 +318,18 @@ class _NodeWalks:
     coset table of a `SchreierSystem`, each from coset 0: its end coset and
     its signed edge counts, packed (`Packing`), one entry per edge.
 
-    A count is bounded by the letters of the node's expansion, which the
-    packing is sized for.  The cosets are the target's elements in
-    row-major order, so moving every count from coset d to coset d + c
-    turns, along each summand Z/m of the target, every run of m blocks by
-    c's residue (`Packing.rotation`)."""
+    A count is bounded by the letters of the node's expansion
+    (`expanded_letters`), which the packing is sized for.  The cosets are
+    the target's elements in row-major order, so moving every count from
+    coset d to coset d + c turns, along each summand Z/m of the target,
+    every run of m blocks by c's residue (`Packing.rotation`)."""
 
     def __init__(self, system: SchreierSystem, relators):
         self.system = system
         nodes = system._nodes
         ngen = len(system.target.generators)
-        length = [1] * (ngen + 1)
-        for node in nodes:
-            length.append(sum(length[abs(x)] for x in node))
-        self.packing = Packing(len(system._slots) * ngen, max(
-            length + [sum(length[abs(x)] for x in r) for r in relators]))
+        self.packing = Packing(len(system._slots) * ngen,
+                               expanded_letters(ngen, nodes, relators))
         self._turns: dict = {}  # coset -> its `Packing.rotation`
         self.ends: list[int] = []
         self._counts: list[int] = []

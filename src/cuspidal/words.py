@@ -227,6 +227,18 @@ class StraightLineProgram(Record):
         return words
 
 
+def expanded_letters(ngen: int, nodes, words) -> int:
+    """The most letters that a generator, a node or one of the words has in
+    its expansion over the generators, before free reduction, for a
+    straight-line program with ngen generators and these nodes: a bound on
+    every count summed letter by letter over an expansion, which sizes a
+    `Packing`."""
+    length = [1] * (ngen + 1)
+    for node in nodes:
+        length.append(sum(length[abs(x)] for x in node))
+    return max(length + [sum(length[abs(x)] for x in w) for w in words])
+
+
 def format_word(w: Word, generators) -> str:
     toks = []
     for x in w:

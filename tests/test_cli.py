@@ -1,13 +1,17 @@
 import argparse
 import functools
+import importlib.util
 import itertools
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from cuspidal import cli, geometry, presentations
 from cuspidal.cli import main
-from cuspidal.errors import RankDeficiencySuspect, SplittingFailure
+from cuspidal.errors import (RankDeficiencySuspect, SplittingFailure,
+                             VerificationFailure)
 from cuspidal.presentations import derive_pi1_via_rs
 from cuspidal.words import format_presentation
 
@@ -16,6 +20,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def document(capsys, *argv):
+    """(exit code, structured document, text output) of a command that
+    writes nothing on stderr, with the same exit code in both formats."""
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    text = run(capsys, *argv)
+    assert (err, text[0], text[2]) == ("", code, "")
+    return code, json.loads(out), text[1]
 
 
 def test_present_text(capsys):
@@ -144,15 +157,19 @@ def test_split_check_reach(capsys):
 
 
 def test_budget_exhaustion_is_inconclusive(capsys):
-    code, out, err = run(capsys, "homcount", "--family", "pi1", "--n", "3",
-                         "--k", "4", "--budget", "10")
-    assert code == 3
-    assert err.startswith("inconclusive: ")
-    assert out == ""
-    code, _, err = run(capsys, "homcount", "--family", "pi1", "--n", "3",
-                       "--budget", "0")
-    assert code == 3
-    assert err.startswith("inconclusive: ")
+    # the entry is named after the command, and holds the reason
+    for argv in [("homcount", "--family", "pi1", "--n", "3", "--k", "4",
+                  "--budget", "10"),
+                 ("homcount", "--family", "pi1", "--n", "3", "--budget", "0"),
+                 ("compare", "pi1", "zariski3", "--n", "3", "--kmax", "4",
+                  "--budget", "5")]:
+        code, doc, text = document(capsys, *argv)
+        assert code == 3
+        assert doc["failures"] == []
+        reason = f"node budget {argv[-1]} exceeded"
+        assert doc["results"] == [{"check": argv[0],
+                                   "value": {"inconclusive": reason}}]
+        assert text == f"{argv[0]}: {{'inconclusive': {reason!r}}}\n"
 
 
 def test_rank_disagreement_is_inconclusive(capsys, monkeypatch):
@@ -160,9 +177,14 @@ def test_rank_disagreement_is_inconclusive(capsys, monkeypatch):
         raise RankDeficiencySuspect("ranks 5 and 6 across primes")
 
     monkeypatch.setattr(cli, "superabundance_multi", disagree)
-    code, _, err = run(capsys, "superabundance", "--n", "3")
+    code, doc, text = document(capsys, "superabundance", "--n", "3")
     assert code == 3
-    assert err == "inconclusive: ranks 5 and 6 across primes\n"
+    assert doc["failures"] == []
+    assert doc["results"] == [{
+        "check": "superabundance",
+        "value": {"inconclusive": "ranks 5 and 6 across primes"}}]
+    assert text == ("superabundance: "
+                    "{'inconclusive': 'ranks 5 and 6 across primes'}\n")
 
 
 ODD = ["abelianization_dichotomy", "alexander_vs_cyclotomic_cube",
@@ -234,6 +256,40 @@ def test_failed_claim_keeps_the_battery(capsys, monkeypatch):
                         "failures: splitting\n")
 
 
+def perfbench_tracing():
+    """perfbench/tracing.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing",
+        Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_tracer_counts_the_checks_of_verify_all(capsys, monkeypatch,
+                                                failing):
+    # the benchmark's tracer reads `results` and `failures` off the Run
+    # that cmd_verify_all(args, run) was given
+    def off(n):
+        raise VerificationFailure("ratio off")
+
+    if failing:
+        monkeypatch.setattr(cli, "milnor_ratio", off)
+    handler = cli.cmd_verify_all
+    tracer = perfbench_tracing().Tracer(time.perf_counter)
+    tracer.install()
+    try:
+        code, _, _ = run(capsys, "verify-all", "--n", "3")
+    finally:
+        tracer.remove()
+    assert cli.cmd_verify_all is handler
+    assert code == failing
+    counts = tracer.pass_metrics()[1]
+    assert counts["cli.calls"] == 1
+    assert (counts["cli.checks"], counts["cli.checks_failed"]) == (9, failing)
+
+
 def test_compare_reaches_k5(capsys):
     code, out, _ = run(capsys, "compare", "pi1", "zariski3", "--n", "3",
                        "--kmax", "5", "--format", "structured")
@@ -284,11 +340,14 @@ def test_split_check_failure_exits_1(capsys, monkeypatch):
     # x^4 - y^4 has four lines, all through [0:0:1]
     monkeypatch.setattr(geometry, "curve_form", lambda n, field: (
         geometry.TernaryForm(4, field, {(4, 0, 0): 1, (0, 4, 0): -1})))
-    code, out, err = run(capsys, "split-check", "--prime", "13")
+    code, doc, text = document(capsys, "split-check", "--prime", "13")
     assert code == 1
-    assert out == ""
-    assert err == ("verification failure: expected 6 distinct intersection "
-                   "points, found 1\n")
+    reason = "expected 6 distinct intersection points, found 1"
+    assert doc["failures"] == ["split-check"]
+    assert doc["results"] == [{"check": "split-check", "passed": False,
+                               "value": {"error": reason}}]
+    assert text == (f"split-check: {{'error': {reason!r}}}  [FAIL]\n"
+                    "failures: split-check\n")
 
 
 @pytest.mark.parametrize("primes", [",", "7,x", ""])
