@@ -336,6 +336,8 @@ def superabundance(n: int, field: PrimeField) -> SuperabundanceReport:
 def superabundance_multi(n: int, primes=None) -> SuperabundanceReport:
     """Run over the given distinct primes, by default the three least
     admissible primes >= 10^4, and require agreement."""
+    if n < 3 or n % 2 == 0:  # before choose_prime, which wants only n >= 2
+        raise InvalidParameter("n must be odd and >= 3")
     if primes is None:
         fields = [choose_prime(n, 10_000)]
         while len(fields) < 3:

@@ -150,7 +150,7 @@ def _build_plan(p: Presentation):
         g = next(x for x in gens_of[ri] if not assigned[x])
         lacking[g].add(ri)
         r = relators[ri]
-        if sum(1 for x in r if abs(x) - 1 == g) == 1:
+        if r.count(g + 1) + r.count(-g - 1) == 1:
             heapq.heappush(determined, (len(r), g, ri))
 
     for ri, count in enumerate(missing):
@@ -186,7 +186,7 @@ def _build_plan(p: Presentation):
 def _compile(w: Word) -> tuple[int, ...]:
     """Slots of a word: generator g (0-based) reads slot 2g, its inverse
     slot 2g + 1."""
-    return tuple(2 * (abs(x) - 1) + (x < 0) for x in w)
+    return tuple([2 * x - 2 if x > 0 else -2 * x - 1 for x in w])
 
 
 def _evaluate(code, slots, mul) -> int:
@@ -207,50 +207,61 @@ def _search(p: Presentation, k: int, budget: int,
     nodes it visited."""
     group = _symmetric_group(k)
     mul, inv = group.mul, group.inv
-    steps = _build_plan(p)
     ngen = len(p.generators)
     images = [0] * ngen
     slots = [0] * (2 * ngen)
-    depth = len(steps)
-    if not depth:
-        yield images, slots, 1
-        return
-
-    def candidates(step: int, h: frozenset[int]):
-        """(image, orbit size, stabilizer) for each image to try."""
-        _, _, solve, positive = steps[step]
-        if solve is None:
-            return iter(group.orbits(h))
-        x = _evaluate(solve, slots, mul)
-        return iter(((inv[x] if positive else x, 1, h),))
-
-    # depth-first, one candidate iterator per step on the current path
+    # The search backtracks over levels: level e > 0 is the plan's e-th
+    # enumerated step, and runs[e] that step and the determined ones after
+    # it, solved in one straight run once the step has an image.  Level 0
+    # has a single image, for no generator, and runs the determined steps
+    # before the first enumerated one.
+    runs = [[]]
+    for step in _build_plan(p):
+        if step[2] is None:
+            runs.append([])
+        runs[-1].append(step)
+    depth = len(runs)
     nodes = 0
     weights = [1] * depth
-    pending = [None] * depth
-    pending[0] = candidates(0, group.whole)
-    step = 0
-    while step >= 0:
-        g, checks, _, _ = steps[step]
-        for x, size, stab in pending[step]:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"node budget {budget} exceeded")
-            images[g] = x
-            slots[2 * g] = x
-            slots[2 * g + 1] = inv[x]
-            if any(_evaluate(code, slots, mul) for code in checks):
-                continue
-            weight = weights[step] * size
-            if step + 1 == depth:
-                yield images, slots, weight
+    pending = [None] * depth  # an orbit-table iterator per level
+    pending[0] = iter(((0, 1, group.whole),))
+    e = 0
+    while e >= 0:
+        run = runs[e]
+        for x, size, stab in pending[e]:
+            for g, checks, solve, positive in run:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"node budget {budget} exceeded")
+                if solve is not None:
+                    x = 0
+                    for s in solve:
+                        x = mul[x][slots[s]]
+                    if positive:
+                        x = inv[x]
+                images[g] = x
+                slots[2 * g] = x
+                slots[2 * g + 1] = inv[x]
+                for code in checks:
+                    acc = 0
+                    for s in code:
+                        acc = mul[acc][slots[s]]
+                    if acc:
+                        break
+                else:
+                    continue
+                break  # a check failed: on to the level's next image
             else:
-                step += 1
-                weights[step] = weight
-                pending[step] = candidates(step, stab)
-                break
+                weight = weights[e] * size
+                if e + 1 == depth:
+                    yield images, slots, weight
+                else:
+                    e += 1
+                    weights[e] = weight
+                    pending[e] = iter(group.orbits(stab))
+                    break
         else:
-            step -= 1
+            e -= 1
     if visited is not None:
         visited[0] = nodes
 

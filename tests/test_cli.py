@@ -305,6 +305,7 @@ MALFORMED = [
     ("singular-points", "--n", "3", "--prime", "2"),
     ("superabundance", "--n", "0"),
     ("superabundance", "--n", "1"),
+    ("superabundance", "--n", "1", "--primes", "7"),
     ("superabundance", "--n", "4"),
     ("superabundance", "--n", "3", "--primes", ","),
     ("superabundance", "--n", "3", "--primes", "19,19,19"),
@@ -326,6 +327,14 @@ MALFORMED = [
     ("present", "--family", "pi1"),
 ]
 
+# the messages pinned for some of them: superabundance checks n before it
+# chooses primes, whose own check asks only n >= 2
+MESSAGES = {
+    ("superabundance", "--n", "0"): "n must be odd and >= 3",
+    ("superabundance", "--n", "1"): "n must be odd and >= 3",
+    ("superabundance", "--n", "1", "--primes", "7"): "n must be odd and >= 3",
+}
+
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
 def test_malformed_input_is_a_usage_error(capsys, argv):
@@ -334,6 +343,8 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+    if argv in MESSAGES:
+        assert err == f"error: {MESSAGES[argv]}\n"
 
 
 def test_split_check_failure_exits_1(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cuspidal.errors import BudgetExceeded, InvalidParameter
-from cuspidal.homcount import (_build_plan, _compile, _search,
+from cuspidal.homcount import (_build_plan, _compile, _evaluate, _search,
                                _symmetric_group, compose, count_homs,
                                invert_perm, relator_triviality_check)
 from cuspidal.presentations import (derive_pi1_via_rs, oka_quotient,
@@ -366,3 +366,113 @@ def test_negative_budget_is_rejected():
     # a zero budget is a search that stops at its first node
     with pytest.raises(BudgetExceeded):
         count_homs(p, 3, budget=0)
+
+
+def reference_search(p: Presentation, k: int, budget: int,
+                     visited: list[int] | None = None):
+    """_search as one depth-first loop over every step of the plan, with a
+    candidate iterator per step: an enumerated step iterates its orbit
+    table, a determined one a single solved image."""
+    group = _symmetric_group(k)
+    mul, inv = group.mul, group.inv
+    steps = _build_plan(p)
+    ngen = len(p.generators)
+    images = [0] * ngen
+    slots = [0] * (2 * ngen)
+    depth = len(steps)
+    if not depth:
+        yield images, slots, 1
+        return
+
+    def candidates(step, h):
+        _, _, solve, positive = steps[step]
+        if solve is None:
+            return iter(group.orbits(h))
+        x = _evaluate(solve, slots, mul)
+        return iter(((inv[x] if positive else x, 1, h),))
+
+    nodes = 0
+    weights = [1] * depth
+    pending = [None] * depth
+    pending[0] = candidates(0, group.whole)
+    step = 0
+    while step >= 0:
+        g, checks, _, _ = steps[step]
+        for x, size, stab in pending[step]:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"node budget {budget} exceeded")
+            images[g] = x
+            slots[2 * g] = x
+            slots[2 * g + 1] = inv[x]
+            if any(_evaluate(code, slots, mul) for code in checks):
+                continue
+            weight = weights[step] * size
+            if step + 1 == depth:
+                yield images, slots, weight
+            else:
+                step += 1
+                weights[step] = weight
+                pending[step] = candidates(step, stab)
+                break
+        else:
+            step -= 1
+    if visited is not None:
+        visited[0] = nodes
+
+
+def search_trace(search, p, k, budget):
+    """The (images, slots, weight) a search yields, and the nodes it
+    visited."""
+    visited = [0]
+    homs = [(tuple(images), tuple(slots), weight)
+            for images, slots, weight in search(p, k, budget, visited)]
+    return homs, visited[0]
+
+
+def check_against_reference_search(p, k):
+    """_search yields the reference's homs in the reference's order, visits
+    as many nodes, and stops at the same node when the budget is short."""
+    want = search_trace(reference_search, p, k, 10**9)
+    assert search_trace(_search, p, k, 10**9) == want
+    visited = want[1]
+    assert search_trace(_search, p, k, visited) == want
+    if visited:
+        for budget in (visited - 1, visited // 2):
+            with pytest.raises(BudgetExceeded):
+                search_trace(_search, p, k, budget)
+
+
+SEARCH_CASES = [(name, build, k) for name, build in SHIPPED
+                for k in (2, 3, 4)] + [
+    ("pi1(3)", functools.partial(presentation_pi1, 3), 5),
+    ("zariski3", lambda: presentation_zariski3("corrected"), 5),
+    ("G", presentation_G, 5),
+]
+
+
+@pytest.mark.parametrize("build, k", [case[1:] for case in SEARCH_CASES],
+                         ids=[f"{name}, k = {k}"
+                              for name, _, k in SEARCH_CASES])
+def test_search_matches_reference_on_shipped_presentations(build, k):
+    check_against_reference_search(build(), k)
+
+
+def test_search_matches_reference_on_random_presentations():
+    """0 to 4 generators; about a third of the presentations get a
+    one-letter relator, so that their plan opens with a determined step."""
+    rng = random.Random(4181)
+    opens_determined = 0
+    for _ in range(300):
+        ngen = rng.randint(0, 4)
+        if ngen:
+            p = random_presentation(rng, ngen, rng.randint(0, 4), 6)
+        else:
+            p = Presentation((), [()] * rng.randint(0, 2))
+        if ngen and rng.random() < 1 / 3:
+            letter = rng.choice((1, -1)) * rng.randint(1, ngen)
+            p = Presentation(p.generators, list(p.relators) + [(letter,)])
+        plan = _build_plan(p)
+        opens_determined += bool(plan) and plan[0][2] is not None
+        check_against_reference_search(p, rng.choice((2, 3, 4)))
+    assert opens_determined >= 100
