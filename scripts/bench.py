@@ -4,7 +4,9 @@
 
 times the suite's cases on the `cuspidal` package under OLD/src, which must
 be at or after commit 4837920 (the counters patch names older versions
-lack), and on this checkout's src/ (alone without --before).  Each run is a
+lack), and on this checkout's src/ (alone without --before); a counter of a
+name added since reads 0 on OLD.  The report names OLD by the commit it is
+checked out at, or by its path outside a checkout.  Each run is a
 fresh interpreter (`--child SRC CASE`) that times only the call, tables
 built on first use included.  Runs of the two versions alternate, one of
 each making a pair.  Right after its timed call, a child runs the
@@ -49,12 +51,14 @@ counter_letters     relator letters the Tietze loops pass through `Counter`,
 cancelled_letters   letters a Tietze step tallies as cancelled (a `Counter`
                     over a list of them, not over a relator's `map(abs, ...)`)
 simplify_*          generators and relator letters into `simplify_with_map`
-rows_walked         relators `SchreierSystem.exponent_rows` walks, the reads
-letters_walked      of its coset table (one per letter walked), the inner
-program_nodes       nodes of the straight-line programs, the kernel rows
-distinct_rows       it yields, and its row orbits that their reader leaves
-orbits_skipped      before the end (a first row in the lattice already);
-                    a version that yields rows, not orbits, skips none
+rows_walked         relators `SchreierSystem.exponent_rows` walks; the
+letters_walked      letters the Fox walker (`rewriting._FoxProgram.walk`)
+program_nodes       reads, and the inner nodes of the programs it is built
+                    for, for the kernel rows and the Alexander matrix alike;
+distinct_rows       the kernel rows exponent_rows yields, and its row orbits
+orbits_skipped      that their reader leaves before the end (a first row in
+                    the lattice already); a version that yields rows, not
+                    orbits, skips none
 fox_rows            Fox rows built (`alexander_matrix`), and those left once
 distinct_fox_rows   rows equal up to a unit are dropped (the rows alexander
                     passes to `eliminate`)
@@ -259,14 +263,6 @@ def counted(work, args, counter):
     work[key] += sum(counter.values())
 
 
-class Reads(list):
-    """A coset table that counts its reads in work: one per letter walked."""
-
-    def __getitem__(self, i):
-        self.work["letters_walked"] += 1
-        return list.__getitem__(self, i)
-
-
 def orbit(work, args, rows):
     # an orbit counts as skipped until it is read to its end
     if isinstance(rows, dict):  # a row: the version yields no orbits
@@ -284,12 +280,7 @@ def read(work, rows):
 
 
 def walked(work, args, rows):
-    # exponent_rows is a generator: it has not read the table yet
-    system, relators = args
-    system._next = Reads(system._next)
-    system._next.work = work
-    add(work, rows_walked=len({r for r in relators if r}),
-        program_nodes=len(system._nodes))
+    add(work, rows_walked=len({r for r in args[1] if r}))
 
 
 def pivoted(work, args, out):
@@ -338,8 +329,8 @@ def ranked(work, args, out):
 
 # (owners under cuspidal, name, a generator function?, count(work, args,
 # result, or each item of a generator, which it returns to pass on)); a
-# name imported into other modules is wrapped in each.  Keys of work from _
-# on are not reported.
+# name imported into other modules is wrapped in each, and one a version
+# lacks is not.  Keys of work from _ on are not reported.
 PATCHES = (
     ("homcount presentations cli", "count_homs", False,
      lambda w, a, rep: add(w, search_nodes=rep.nodes)),
@@ -356,6 +347,10 @@ PATCHES = (
         simplify_letters=sum(map(len, a[0].relators)))),
     ("rewriting.SchreierSystem", "exponent_rows", True, orbit),
     ("rewriting.SchreierSystem", "exponent_rows", False, walked),
+    ("rewriting._FoxProgram", "walk", False,
+     lambda w, a, out: add(w, letters_walked=len(a[1]))),
+    ("rewriting._FoxProgram", "__init__", False,
+     lambda w, a, out: add(w, program_nodes=len(a[2]))),
     ("alexander", "alexander_matrix", False,
      lambda w, a, rows: add(w, fox_rows=len(rows))),
     # alexander's eliminate is its own import, so each owner counts its calls
@@ -383,9 +378,9 @@ COUNTERS = """search_nodes plans pi1_reduced expanded_letters gens_eliminated
 
 
 def resolve(path: str):
-    """The module or class cuspidal.<path>."""
+    """The module or class cuspidal.<path>, or None if there is none."""
     module, _, attr = path.partition(".")
-    return getattr(cu(module), attr) if attr else cu(module)
+    return getattr(cu(module), attr, None) if attr else cu(module)
 
 
 def wrap(original, count, items: bool):
@@ -410,8 +405,10 @@ def count_work(call) -> dict:
                 _reached=set())
     with contextlib.ExitStack() as restore:
         for paths, name, items, count in PATCHES:
-            for owner in map(resolve, paths.split()):
-                original = getattr(owner, name)
+            for owner in filter(None, map(resolve, paths.split())):
+                original = getattr(owner, name, None)
+                if original is None:
+                    continue
                 restore.callback(setattr, owner, name, original)
                 setattr(owner, name,
                         wrap(original, partial(count, work), items))
@@ -453,11 +450,12 @@ def measure(src: Path, case: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def commit(src: Path) -> str | None:
-    """Short hash of the git commit that src/ is checked out at."""
+def commit(src: Path) -> str:
+    """Short hash of the git commit that src/ is checked out at, or its
+    path if it is not in a checkout (a `git archive` copy)."""
     proc = subprocess.run(["git", "-C", str(src), "rev-parse", "--short",
                            "HEAD"], capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    return proc.stdout.strip() or str(src)
 
 
 def main(argv=None) -> int:

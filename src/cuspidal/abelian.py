@@ -394,7 +394,7 @@ def abelianization(p) -> AbelianStructure:
 def kernel_abelianization(p, target) -> AbelianStructure:
     """H1 of the kernel of p ->> target (an AbelianTarget), by abelianized
     Reidemeister-Schreier: the kernel's exponent-sum rows are read off the
-    Schreier coset table (`SchreierSystem.exponent_rows`) and their Smith
+    relators' Fox rows (`SchreierSystem.exponent_rows`) and their Smith
     form is taken.  The rows come one orbit per relator, closed under the
     conjugations by the coset representatives, so an orbit whose row at
     coset 0 reduces to zero is dropped after that row.  No kernel
@@ -425,8 +425,8 @@ def commutator_abelianization_rank(n: int) -> int:
     relators are read from the straight-line program `curve_program(n)`,
     node by node, so the n^4 or so letters of presentation_pi1_reduced(n)
     are never walked.  For odd n the rank equals the degree of the curve's
-    Alexander polynomial, 3(n-1); the rows come from the coset table alone,
-    not from Fox calculus, so the two checks share no code.
+    Alexander polynomial, 3(n-1); both read Fox rows, and word-level oracles
+    that share no code with the engine check them in the tests.
     """
     if n < 3 or n % 2 == 0:
         raise InvalidParameter("n must be odd and >= 3")

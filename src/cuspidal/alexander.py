@@ -14,8 +14,8 @@ from math import gcd as int_gcd
 from ._record import Record
 from .abelian import eliminate
 from .errors import InvalidParameter
-from .packing import Packing
-from .words import Word, expanded_letters
+from .rewriting import _FoxProgram
+from .words import Word
 
 
 class LaurentPolynomial(Record):
@@ -240,124 +240,11 @@ def fox_derivative(w: Word, g: int, weights) -> LaurentPolynomial:
     Satisfies d(x)/dx = 1, d(x^-1)/dx = -t^-w(x), and the product rule
     d(uv)/dx = du/dx + phi(u)*dv/dx with phi(u) = t^(weighted exponent sum).
     """
-    ngen = max(map(abs, w), default=0)
-    terms, _ = _fox_terms(w, ngen, weights, None)
+    images = {x: (weights[x],) for x in map(abs, w)}
+    ngen = max(images, default=0)
+    terms, _, _ = _FoxProgram([images.get(x, (0,)) for x in range(
+        1, ngen + 1)], (), (w,)).walk(w)
     return _from_terms(terms[g] if 0 < g < len(terms) else {})
-
-
-def _fox_terms(w: Word, ngen: int, degree, program):
-    """The Fox derivatives of w, a word over the symbols of a straight-line
-    program, read once: (the terms of its generator letters, as exponent ->
-    coefficient maps by generators 1..ngen at index 1..ngen, index 0
-    unused; the packed sum of the terms of its node letters).  degree holds
-    the weighted exponent sum of every symbol, and program (a `_FoxProgram`,
-    or None for a word of generators) the derivatives of the nodes.
-
-    By the product rule F(uv) = F(u) + t^deg(u) F(v), and F(u^-1) =
-    -t^-deg(u) F(u), each letter adds its own derivatives times t to the
-    exponent reached: a generator letter one term, a node letter its packed
-    vector, moved."""
-    terms: list[dict[int, int]] = [{} for _ in range(ngen + 1)]
-    packed = exp = 0
-    for x in w:
-        if x > 0:
-            if x > ngen:
-                packed += program.moved(x, exp)
-            else:
-                column = terms[x]
-                column[exp] = column.get(exp, 0) + 1
-            exp += degree[x]
-        else:
-            exp -= degree[-x]
-            if x < -ngen:
-                packed -= program.moved(-x, exp)
-            else:
-                column = terms[-x]
-                column[exp] = column.get(exp, 0) - 1
-    return terms, packed
-
-
-class _FoxProgram:
-    """The Fox derivatives of the inner nodes of a straight-line program
-    under the all-meridians map, read node by node, and the Fox rows of
-    its relators.
-
-    A node's derivatives by the ngen generators are one packed vector
-    (`Packing`): the coefficient of t^e in the derivative by generator g
-    sits at place (g - 1) * width + e - low, for a window low..low + width
-    - 1 of exponents that holds every term of a node or of a node letter of
-    a relator.  Multiplying by t^k moves every place by k, so a node letter
-    costs one shift and one addition; a generator letter stays one term.
-    The window comes from each symbol's least and greatest exponent, and
-    the packing is sized by the letters of the expanded words
-    (`expanded_letters`), which bound every coefficient.  A presentation
-    has no nodes, and nothing is packed.
-    """
-
-    def __init__(self, p):
-        ngen = self.ngen = len(p.generators)
-        self.degree = [0] + [1] * ngen
-        self.nodes: list[int] = []
-        # packed derivatives -> their columns, decoded once
-        self._rows: dict[int, list[LaurentPolynomial]] = {}
-        if not p.nodes:
-            return
-        # per symbol: least and greatest exponent of a term; a generator's
-        # derivative is 1
-        low, high = [0] * (ngen + 1), [0] * (ngen + 1)
-        for word in p.nodes:
-            span = self._span(word, low, high)
-            self.degree.append(span[0])
-            low.append(span[1])
-            high.append(span[2])
-        spans = [self._span(r, low, high) for r in p.relators]
-        self.low = min(low + [s[1] for s in spans])
-        self.width = max(high + [s[2] for s in spans]) - self.low + 1
-        self.packing = Packing(ngen * self.width,
-                               expanded_letters(ngen, p.nodes, p.relators))
-        for word in p.nodes:
-            terms, packed = _fox_terms(word, ngen, self.degree, self)
-            for g, column in enumerate(terms[1:]):
-                for e, c in column.items():
-                    packed += c * self.packing.unit(g * self.width + e
-                                                    - self.low)
-            self.nodes.append(packed)
-
-    def _span(self, w: Word, low, high):
-        """(degree, least exponent, greatest exponent) of the derivatives
-        of w."""
-        degree = self.degree
-        exp, least, greatest = 0, 0, 0
-        for x in w:
-            s = x if x > 0 else -x
-            if x < 0:
-                exp -= degree[s]
-            if exp + low[s] < least:
-                least = exp + low[s]
-            if exp + high[s] > greatest:
-                greatest = exp + high[s]
-            if x > 0:
-                exp += degree[s]
-        return exp, least, greatest
-
-    def moved(self, symbol: int, exp: int) -> int:
-        """The packed derivatives of a node symbol times t^exp."""
-        return self.packing.shift(self.nodes[symbol - self.ngen - 1], exp)
-
-    def row(self, w: Word) -> list[LaurentPolynomial]:
-        """The Fox row of w: its derivative by each generator."""
-        terms, packed = _fox_terms(w, self.ngen, self.degree, self)
-        row = [_from_terms(t) for t in terms[1:]] if any(terms) else None
-        if not packed:
-            return row or [_ZERO] * self.ngen
-        if packed not in self._rows:
-            entries = self.packing.unpack(packed)
-            self._rows[packed] = [
-                LaurentPolynomial(self.low, entries[k:k + self.width])
-                for k in range(0, len(entries), self.width)]
-        if row is None:
-            return list(self._rows[packed])
-        return [e + f for e, f in zip(self._rows[packed], row)]
 
 
 def alexander_matrix(p):
@@ -365,13 +252,26 @@ def alexander_matrix(p):
     program, under the all-meridians map (every generator to t), as a list
     of rows: one row per relator, one column per generator.
 
-    The program is read node by node (`_FoxProgram`): the derivatives of
-    each inner node are composed from those of its letters, and each
-    relator's row from those of its letters, so no word is expanded.  A
-    presentation is a program with no inner nodes, whose relators are read
-    letter by letter."""
-    program = _FoxProgram(p)
-    return [program.row(r) for r in p.relators]
+    The program is read node by node (`rewriting._FoxProgram`, along one
+    axis): the derivatives of each inner node are composed from those of
+    its letters, and each relator's row from those of its letters, so no
+    word is expanded.  A presentation is a program with no inner nodes,
+    whose relators are read letter by letter."""
+    ngen = len(p.generators)
+    program = _FoxProgram(((1,),) * ngen, p.nodes, p.relators)
+    decoded: dict[int, list[LaurentPolynomial]] = {}  # packed -> columns
+
+    def row(r: Word) -> list[LaurentPolynomial]:
+        terms, packed, _ = program.walk(r)
+        row = [_from_terms(t) for t in terms[1:]]
+        if not packed:
+            return row
+        if packed not in decoded:
+            entries = program.packing.unpack(packed)
+            decoded[packed] = [LaurentPolynomial(program.low, entries[g::ngen])
+                               for g in range(ngen)]
+        return [e + f for e, f in zip(decoded[packed], row)]
+    return [row(r) for r in p.relators]
 
 
 def _laurent_unit(row: dict[int, LaurentPolynomial]):

@@ -38,28 +38,30 @@ class Packing:
     def unpack(self, packed: int) -> list[int]:
         """The entries of a packed vector, in order.
 
-        Entries of absolute value below 2^63 are read from one 64-bit word
-        each: with 2^63 added to every entry, each one is a number of one
-        word and the words above it are 0.  Otherwise every word is read."""
-        words = self._words(packed + self._small_bias)
+        Entries of absolute value below 2^63 are read from one signed word
+        each: with 2^63 added to every entry and then its top bit flipped,
+        each is one word in two's complement, the words above it 0.
+        Otherwise every word is read."""
+        words = self._words((packed + self._small_bias) ^ self._small_bias,
+                            "q")
         if words is not None:
             upper = words[:]
             del upper[::self.words]
             if not any(upper):
-                return list(map(sub, words[::self.words], repeat(1 << 63)))
-        words = self._words(packed + self._bias)
+                return words[::self.words].tolist()
+        words = self._words(packed + self._bias, "Q")
         entries = words[::self.words].tolist()
         for k in range(1, self.words):
             entries = list(map(add, entries, map(
                 lshift, words[k::self.words], repeat(64 * k))))
         return list(map(sub, entries, repeat(self._half)))
 
-    def _words(self, packed: int):
-        """The 64-bit words of a nonnegative packed vector, lowest first,
-        or None if it is negative."""
+    def _words(self, packed: int, typecode: str):
+        """The 64-bit words of a nonnegative packed vector, lowest first, in
+        an array of the typecode, or None if it is negative."""
         if packed < 0:
             return None
-        words = array("Q")
+        words = array(typecode)
         words.frombytes(packed.to_bytes(self.bits // 8 * self.size, "little"))
         if sys.byteorder == "big":
             words.byteswap()
@@ -76,26 +78,3 @@ class Packing:
         """The vector with a 1 at the place and 0 elsewhere; a vector is
         the sum of its entries times these."""
         return 1 << self.bits * place
-
-    def rotation(self, turns):
-        """The map that turns every run of `run` places of a packed vector
-        by `by` places, for each (run, by) pair of turns in order: the entry
-        at place i of a run moves to place (i + by) mod run, for `run`
-        dividing `size` and 0 <= by < run.  A pair costs two masks, two
-        shifts and an or, on the entries made nonnegative by adding
-        2^(bits - 1) to each."""
-        bits, steps = self.bits, []
-        for run, by in turns:
-            # a 1 at the lowest bit of every run
-            every_run = (((1 << bits * self.size) - 1)
-                         // ((1 << bits * run) - 1))
-            low = ((1 << bits * (run - by)) - 1) * every_run
-            high = ((1 << bits * run) - 1) * every_run - low
-            steps.append((low, high, bits * by, bits * (run - by)))
-
-        def rotate(packed: int) -> int:
-            packed += self._bias
-            for low, high, up, down in steps:
-                packed = (packed & low) << up | (packed & high) >> down
-            return packed - self._bias
-        return rotate

@@ -5,8 +5,11 @@ The target is a direct sum of cyclic groups; each source generator is sent to
 a residue tuple.  SchreierSystem owns the coset table: the coset reached by
 each letter, the Schreier transversal and the kernel letter read on each
 edge.  It rewrites words of the kernel, and reads the kernel relators'
-exponent sums straight off the table for the kernel's abelianization; a
-word whose walk does not end at the coset it started from raises NotInKernel.
+exponent sums off their Fox derivatives folded mod the target, for the
+kernel's abelianization; a word whose walk does not end at the coset it
+started from raises NotInKernel.  `_FoxProgram` computes those derivatives
+under any map to Z^r, and is the one reader of straight-line programs that
+the Alexander matrix shares.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import compress, product
 from math import prod
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, neg
 from typing import Iterator
 
 from ._record import Record
@@ -126,11 +129,6 @@ class SchreierSystem:
         # a redundant generator)
         self._kernel_letter = [0] * (len(elements) * width)
         # The edge (coset c, generator g) is numbered c * ngen + g - 1.
-        # (coset, letter) -> the edge passed: a letter g from coset c passes
-        # (c, g) forward, a letter g^-1 into coset c passes it backward.
-        # Backward passes are numbered past the last edge.
-        nedges = len(elements) * ngen
-        self._edge = [0] * (len(elements) * width)
         names: list[str] = []
         words: list[Word] = []
         # the edge of each kernel generator
@@ -141,30 +139,17 @@ class SchreierSystem:
                 cj = self._next[self._slots[ci] + g] // width
                 word = multiply(multiply(reps[ci], (g,)), invert(reps[cj]))
                 letter = 0
-                edge = ci * ngen + g - 1
                 if word:
                     names.append(f"{p.generators[g - 1]}_{suffix}")
                     words.append(word)
                     letter = len(names)
-                    edges.append(edge)
+                    edges.append(ci * ngen + g - 1)
                 self._kernel_letter[self._slots[ci] + g] = letter
                 self._kernel_letter[self._slots[cj] - g] = -letter
-                self._edge[self._slots[ci] + g] = edge
-                self._edge[self._slots[cj] - g] = nedges + edge
         self.generator_names = tuple(names)
         self.generator_words = tuple(words)
         self._generator_edges = edges
         self._elements = elements
-        # coset a, coset b -> the coset a + b, the sum over the summands of
-        # its residue times the summand's place value in row-major order;
-        # coset a -> the coset -a
-        places = [len(elements) // prod(target.moduli[:k + 1])
-                  for k in range(len(target.moduli))]
-        self._sum = [[sum(c) for c in product(*(
-            [(x + y) % m * place for y in range(m)]
-            for x, m, place in zip(a, target.moduli, places)))]
-            for a in elements]
-        self._minus = [index[target.neg(a)] for a in elements]
         self._nodes = p.nodes
 
     def rewrite(self, w: Word, start_coset: int) -> Word:
@@ -188,7 +173,8 @@ class SchreierSystem:
 
     def exponent_rows(self, relators) -> Iterator[Iterator[dict[int, int]]]:
         """Abelianized Reidemeister-Schreier: the exponent-sum rows of the
-        kernel relators, read off the coset table, one orbit per relator.
+        kernel relators, read off their Fox derivatives, one orbit per
+        relator.
 
         A row maps the 0-based index of a kernel generator to its exponent
         sum.  A relator's orbit is a lazy iterator of its rows at cosets 0,
@@ -198,27 +184,26 @@ class SchreierSystem:
         generates nothing new.  Equal relators give equal rows, so a
         repeated relator is not walked again.
 
-        Each relator is walked once, from coset 0, counting with sign the
-        edges (coset c, generator g) it passes: forward, a letter g from
-        coset c, adds 1; backward, a letter g^-1 into coset c, subtracts 1.
-        No rewritten word is built.  The target is abelian, so the walk from
-        coset c passes the edges of that walk translated by c, as often.
-        The row at coset c is therefore read off the same counts: the entry
-        of a kernel generator is the count at its edge translated back by c
-        (Sims, *Computation with Finitely Presented Groups*, 1994, ch. 2).
+        The walk of a relator from coset 0 passes the edge (coset c,
+        generator g) forward at a letter g from c, and backward at a letter
+        g^-1 into c.  Counting forward passes +1 and backward ones -1 gives
+        the coefficient of c in the Fox derivative by g under the map to
+        the target (Fox, "Free differential calculus II", Ann. of Math. 59,
+        1954).  So each relator is read once by `_FoxProgram`, with every
+        generator sent to its residues as integers, and its derivatives
+        are folded mod the target: no rewritten word is built.  The target
+        is abelian, so the walk from coset c passes the edges of that walk
+        translated by c, as often.  The row at coset c is therefore read
+        off the same counts: the entry of a kernel generator is the count
+        at its edge translated back by c (Sims, *Computation with Finitely
+        Presented Groups*, 1994, ch. 2).
 
         The relators are words over the symbols of the straight-line
         program the system was built from (a presentation has no inner
-        nodes).  Each inner node is walked once, from coset 0, composing
-        the (end coset, counts) of its letters: counts(uv) = counts(u) +
-        counts(v) translated by the end coset of u, and the inverse of a
-        node ending at e, entered at coset c, subtracts its counts
-        translated by c - e.  The counts of a node are packed into one
-        integer (`_NodeWalks`), so a node letter costs a translation and an
-        addition of integers; a generator letter stays one step through the
-        table.
+        nodes); `_FoxProgram` reads each inner node once, so a node letter
+        costs a shift of one packed integer.
 
-        Every relator must lie in the kernel (NotInKernel otherwise).  Its
+        Every relator must lie in the kernel (NotInKernel from its end).  Its
         row at coset c is then A_c applied to its row at coset 0, where A_c
         is the map that conjugation by the representative of c induces on
         the kernel's abelianization Z^(kernel generators).  A_c is an
@@ -240,7 +225,7 @@ class SchreierSystem:
                    for c in range(len(self._slots))]
         single = len(self._generator_edges) == 1
         relators = [r for r in dict.fromkeys(relators) if r]
-        walks = _NodeWalks(self, relators) if self._nodes else None
+        program = _FoxProgram(self.target.images, self._nodes, relators)
         seen = set()
 
         def orbit(counts):
@@ -259,108 +244,182 @@ class SchreierSystem:
                     return
 
         for r in relators:
-            end, counts, packed = self._walk(r, walks)
+            end, counts = program.folded(r, self.target.moduli)
             if end:
                 raise NotInKernel(
                     f"a relator of length {len(r)} is not in the kernel")
-            if packed:
-                moved = walks.packing.unpack(packed)
-                counts = moved if counts is None else list(map(add, moved,
-                                                               counts))
             if counts is not None:
                 yield orbit(counts)
 
-    def _walk(self, w: Word, walks):
-        """(end coset, signed counts of the edges its generator letters
-        pass or None if it has none, packed counts of its node letters) of
-        the walk of w from coset 0; walks (a `_NodeWalks`) holds those of
-        the inner nodes.  Generator letters count forward and backward
-        passes apart, one table step each, and the two are subtracted at
-        the end."""
-        next_slot, edge, slots = self._next, self._edge, self._slots
-        ngen = len(self.target.generators)
-        width = 2 * ngen + 1
-        nedges = len(slots) * ngen
-        slot = slots[0]
-        passes = None
-        packed = 0
-        for x in w:
-            if -ngen <= x <= ngen:
-                if passes is None:
-                    passes = [0] * (2 * nedges)
-                slot += x
-                passes[edge[slot]] += 1
-                slot = next_slot[slot]
-            elif x > 0:
-                coset = slot // width
-                packed += walks.moved(x, coset)
-                slot = slots[self._sum[coset][walks.ends[x - ngen - 1]]]
-            else:
-                coset = self._sum[slot // width][
-                    self._minus[walks.ends[-x - ngen - 1]]]
-                packed -= walks.moved(-x, coset)
-                slot = slots[coset]
-        counts = None if passes is None else list(map(sub, passes[:nedges],
-                                                      passes[nedges:]))
-        return slot // width, counts, packed
-
     def _translated_edges(self, c: int) -> list[int]:
         """The edge of each kernel generator, moved from its coset d to the
-        coset d - c."""
+        coset d - c: every edge, turned along each summand Z/m by c's
+        residue there, read at the kernel generators' edges."""
         ngen = len(self.target.generators)
-        back = self._sum[self._minus[c]]
-        return [back[e // ngen] * ngen + e % ngen
-                for e in self._generator_edges]
-
-
-class _NodeWalks:
-    """The walks of the inner nodes of a straight-line program through the
-    coset table of a `SchreierSystem`, each from coset 0: its end coset and
-    its signed edge counts, packed (`Packing`), one entry per edge.
-
-    A count is bounded by the letters of the node's expansion
-    (`expanded_letters`), which the packing is sized for.  The cosets are
-    the target's elements in row-major order, so moving every count from
-    coset d to coset d + c turns, along each summand Z/m of the target,
-    every run of m blocks by c's residue (`Packing.rotation`)."""
-
-    def __init__(self, system: SchreierSystem, relators):
-        self.system = system
-        nodes = system._nodes
-        ngen = len(system.target.generators)
-        self.packing = Packing(len(system._slots) * ngen,
-                               expanded_letters(ngen, nodes, relators))
-        self._turns: dict = {}  # coset -> its `Packing.rotation`
-        self.ends: list[int] = []
-        self._counts: list[int] = []
-        for node in nodes:
-            end, counts, packed = system._walk(node, self)
-            for edge, count in enumerate(counts or ()):
-                if count:
-                    packed += count * self.packing.unit(edge)
-            self.ends.append(end)
-            self._counts.append(packed)
-
-    def moved(self, symbol: int, c: int) -> int:
-        """The packed counts of a node symbol's walk from coset c."""
-        packed = self._counts[symbol - len(self.system.target.generators)
-                              - 1]
-        if not c:
-            return packed
-        if c not in self._turns:
-            self._turns[c] = self.packing.rotation(self._runs(c))
-        return self._turns[c](packed)
-
-    def _runs(self, c: int) -> list[tuple[int, int]]:
-        """(run, by) for each summand Z/m of the target along which coset
-        c's residue r is not 0: the counts fall into runs of m blocks, one
-        block per residue there, and each run turns by r blocks."""
-        run, runs = self.packing.size, []
-        for m, r in zip(self.system.target.moduli, self.system._elements[c]):
-            if r:
-                runs.append((run, r * run // m))
+        edges = list(range(len(self._slots) * ngen))
+        run = len(edges)
+        for m, r in zip(self.target.moduli, self._elements[c]):
+            edges = _turned(edges, run, r * run // m)
             run //= m
-        return runs
+        return list(map(edges.__getitem__, self._generator_edges))
+
+
+def _turned(v: list[int], run: int, by: int) -> list[int]:
+    """v with every run of `run` entries turned by `by` places: the entry
+    at place i of a run moves to place (i + by) mod run."""
+    cut, out = run - by, []
+    for i in range(0, len(v), run):
+        out += v[i + cut:i + run]
+        out += v[i:i + cut]
+    return out
+
+
+def _span(w: Word, degree, low, high) -> tuple[int, int, int]:
+    """(degree, least exponent, greatest exponent) of the Fox derivatives
+    of w along one axis, given those of every symbol."""
+    exp, least, greatest = 0, 0, 0
+    for x in w:
+        s = x if x > 0 else -x
+        if x < 0:
+            exp -= degree[s]
+        if exp + low[s] < least:
+            least = exp + low[s]
+        if exp + high[s] > greatest:
+            greatest = exp + high[s]
+        if x > 0:
+            exp += degree[s]
+    return exp, least, greatest
+
+
+class _FoxProgram:
+    """The Fox derivatives of the symbols of a straight-line program under a
+    map to Z^r, read node by node: the one walker of program words, for the
+    Alexander matrix and the kernel rows alike.  images holds the image in
+    Z^r of each of the ngen generators.  By the product rule F(uv) = F(u) +
+    t^deg(u) F(v) and F(u^-1) = -t^-deg(u) F(u), each letter of a word adds
+    its own derivatives moved to the point reached.
+
+    A point of Z^r is one integer, its flat position, through the strides
+    of a window: a box of low[k]..low[k] + width[k] - 1 along axis k (the
+    last has stride 1) that holds every term of a node, of a node letter of
+    a relator and every end of a relator, from each symbol's least and
+    greatest exponent (`_span`).  A node's derivatives are one packed vector
+    (`Packing`, sized by `expanded_letters`), exponent-major: the term at
+    flat position f of the derivative by generator g sits at place
+    (f - low) * ngen + g - 1.  So a node letter costs one shift and one
+    addition, a generator letter one dict update.  Words of generators
+    along at most one axis need no window: their flat positions are their
+    exponents.
+    """
+
+    def __init__(self, images, nodes, relators):
+        ngen = self.ngen = len(images)
+        self.degree = [0] * (ngen + len(nodes) + 1)  # flat, per symbol
+        self.low, self.lows, self.widths = 0, [], []
+        self.nodes: list[int] = []  # packed derivatives, per node
+        self._folds: dict = {}  # (packed, moduli) -> folded, once each
+        axes = len(images[0]) if images else 0
+        windowed = relators if nodes or axes > 1 else ()
+        stride = 1
+        for k in reversed(range(axes)):
+            # per symbol: degree, least and greatest exponent of a term; a
+            # generator's derivative is 1
+            degree = [0] + [image[k] for image in images]
+            low, high = [0] * (ngen + 1), [0] * (ngen + 1)
+            for word in nodes:
+                span = _span(word, degree, low, high)
+                degree.append(span[0])
+                low.append(span[1])
+                high.append(span[2])
+            spans = [_span(r, degree, low, high) for r in windowed]
+            least = min(low + [s[i] for s in spans for i in (0, 1)])
+            greatest = max(high + [s[i] for s in spans for i in (0, 2)])
+            self.degree = [f + d * stride
+                           for f, d in zip(self.degree, degree)]
+            self.low += least * stride
+            self.lows.insert(0, least)
+            self.widths.insert(0, greatest - least + 1)
+            stride *= greatest - least + 1
+        self.packing = Packing(stride * ngen,
+                               expanded_letters(ngen, nodes, windowed))
+        for word in nodes:
+            terms, packed, _ = self.walk(word)
+            for g, column in enumerate(terms[1:]):
+                for f, c in column.items():
+                    packed += c * self.packing.unit((f - self.low) * ngen + g)
+            self.nodes.append(packed)
+
+    def walk(self, w: Word):
+        """The Fox derivatives of w, read once: (the terms of its generator
+        letters, as flat position -> coefficient maps by generators 1..ngen
+        at index 1..ngen, index 0 unused; the packed sum of the terms of
+        its node letters; the flat position of its end)."""
+        ngen, degree, nodes = self.ngen, self.degree, self.nodes
+        terms: list[dict[int, int]] = [{} for _ in range(ngen + 1)]
+        packed = exp = 0
+        for x in w:
+            if x > 0:
+                if x > ngen:
+                    packed += self.packing.shift(nodes[x - ngen - 1],
+                                                 exp * ngen)
+                else:
+                    column = terms[x]
+                    column[exp] = column.get(exp, 0) + 1
+                exp += degree[x]
+            else:
+                exp -= degree[-x]
+                if x < -ngen:
+                    packed -= self.packing.shift(nodes[-x - ngen - 1],
+                                                 exp * ngen)
+                else:
+                    column = terms[-x]
+                    column[exp] = column.get(exp, 0) - 1
+        return terms, packed, exp
+
+    def folded(self, w: Word, moduli) -> tuple[int, list[int] | None]:
+        """(the coset of w's end, its Fox derivatives mod the sum of
+        Z/moduli[k]: the coefficient of coset c, in row-major order, in the
+        derivative by g at place c * ngen + g - 1; None if w has no
+        generator letter and its node letters' derivatives fold to 0).  Each
+        distinct packed sum folds once, axis by axis, into a list that the
+        words sharing it share, to read, not change: the width[k] slices
+        along axis k of each block are summed m by m, so that slice i holds
+        the coordinates low[k] + i mod m, and turned by low[k] mod m."""
+        ngen = self.ngen
+        terms, packed, end = self.walk(w)
+        if (packed, moduli) not in self._folds:
+            entries = self.packing.unpack(packed)
+            inner = len(entries)
+            for width, low, m in zip(self.widths, self.lows, moduli):
+                block, inner = inner, inner // width
+                run, counts = m * inner, []
+                for start in range(0, len(entries), block):
+                    acc = [0] * run
+                    for chunk in range(start, start + block, run):
+                        part = entries[chunk:min(chunk + run, start + block)]
+                        acc[:len(part)] = map(add, acc, part)
+                    counts += acc
+                entries = _turned(counts, run, low % m * inner)
+            self._folds[packed, moduli] = entries
+        entries = self._folds[packed, moduli]
+        if any(terms):
+            entries = entries[:]
+            for g, column in enumerate(terms[1:]):
+                for f, c in column.items():
+                    entries[self._coset(f, moduli) * ngen + g] += c
+        elif not any(entries):
+            entries = None
+        return self._coset(end, moduli), entries
+
+    def _coset(self, flat: int, moduli) -> int:
+        """The index, in row-major order, of the coset of the point at a
+        flat position in the sum of Z/moduli[k]."""
+        index, coset, place = flat - self.low, 0, 1
+        for k in reversed(range(len(moduli))):
+            index, i = divmod(index, self.widths[k]) if k else (0, index)
+            coset += (self.lows[k] + i) % moduli[k] * place
+            place *= moduli[k]
+        return coset
 
 
 def subgroup_presentation(p: Presentation, target: AbelianTarget,

@@ -6,10 +6,9 @@ case's arguments, and every name the work counters wrap (PATCHES) exists on
 the package, a generator function where its counter reads items.
 The counters wrap private names (`homcount._build_plan`,
 `words._least_rotation`, `words.Counter`, `abelian._reduce`,
-`geometry._power_fibres`, `geometry._plane_rows`,
+`rewriting._FoxProgram`, `geometry._power_fibres`, `geometry._plane_rows`,
 `geometry._form_vanishes_on_line`), so a rename in the package fails here
-at once; the attributes `SchreierSystem._next` and `_nodes` that they read
-are checked by the kernel suite's run.
+at once.  A report names a version outside a git checkout by its path.
 
 Then a smoke test of one small case of each suite, run the way the script
 runs its measurements, in a fresh interpreter
@@ -70,6 +69,13 @@ def test_every_patched_name_exists():
             assert hasattr(owner, name), (path, name)
             if items:
                 assert inspect.isgeneratorfunction(getattr(owner, name))
+
+
+def test_a_version_outside_a_checkout_is_named_by_its_path(tmp_path):
+    # a `git archive` copy of a commit has no commit to name
+    src = tmp_path / "src"
+    src.mkdir()
+    assert bench.commit(src) == str(src)
 
 
 def child(case: str) -> dict:

@@ -7,7 +7,7 @@ from cuspidal.abelian import abelianization
 from cuspidal.errors import InvalidParameter, NotGenerating, NotInKernel
 from cuspidal.presentations import (presentation_G, presentation_oka,
                                     presentation_pi1_reduced)
-from cuspidal.rewriting import (AbelianTarget, SchreierSystem,
+from cuspidal.rewriting import (AbelianTarget, SchreierSystem, _FoxProgram,
                                 subgroup_presentation)
 from cuspidal.words import (Presentation, commutator, format_presentation,
                             invert, multiply, reduce_word, simplify,
@@ -341,21 +341,22 @@ def test_translated_rows_match_walks_from_every_coset(n, moduli, images):
                                                             relators)]
 
 
-def test_exponent_rows_walk_each_distinct_relator_once():
-    """The coset table is read once per letter of each distinct nonempty
-    relator, however many cosets there are."""
+def test_exponent_rows_walk_each_distinct_relator_once(monkeypatch):
+    """The Fox walker reads each distinct nonempty relator once, so the
+    letters walked are the sum of their lengths, however many cosets there
+    are."""
+    walked = []
+    walk = _FoxProgram.walk
 
-    class CountingList(list):
-        reads = 0
+    def counting(program, w):
+        walked.append(w)
+        return walk(program, w)
 
-        def __getitem__(self, i):
-            CountingList.reads += 1
-            return list.__getitem__(self, i)
-
+    monkeypatch.setattr(_FoxProgram, "walk", counting)
     p = presentation_pi1_reduced(7)
     system = curve_kernel_system(p, (14,))
-    system._next = CountingList(system._next)
     relators = list(p.relators) * 2 + [()]
     assert all_rows(system, relators)
     distinct = {r for r in p.relators if r}
-    assert CountingList.reads == sum(map(len, distinct))
+    assert len(walked) == len(distinct) and set(walked) == distinct
+    assert sum(map(len, walked)) == sum(map(len, distinct))
