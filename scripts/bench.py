@@ -33,6 +33,9 @@ smith      the Smith forms and Oka quotient behind verify-all at large n;
 orbit      the kernel and smith suites together
 startup    `import cuspidal.cli` in the fresh interpreter, after only the
            script's own imports; the answer is a digest of cuspidal.__all__
+build      the builders: `presentation_pi1_reduced(n)` and `curve_program(n)`
+           from n alone, the kernel presentation `derive_pi1_via_rs(8)`
+           builds, and the power tables of `superabundance_multi(n)`
 
 Each version also reports its work (`count_work`): the call is made again
 with the names of PATCHES wrapped, and every case reports all COUNTERS,
@@ -76,11 +79,15 @@ primes, matrix      the primes of `independent_rows`, and the last one's rows
 row_updates         row reductions mod p (`abelian._reduce` with a nonzero
 entry_updates       modulus) in its rank computation, and the matrix entries
                     they rewrite
+reduced_letters     letters passed through `words.reduce_word`
+geometry_pows       calls of `pow` in geometry, counted by a module global
+                    that shadows the builtin
 """
 
 from __future__ import annotations
 
 import argparse
+import builtins
 import contextlib
 import hashlib
 import importlib
@@ -137,6 +144,10 @@ SUITES = {
 }
 SUITES["orbit"] = list(dict.fromkeys(SUITES["kernel"] + SUITES["smith"]))
 SUITES["startup"] = [STARTUP]
+SUITES["build"] = (cases("presentation_pi1_reduced({})", 7, 9, 11, 13)
+                   + cases("curve_program({})", 21, 61)
+                   + cases("derive_pi1_via_rs({})", 8)
+                   + cases("superabundance_multi({})", 25, 41))
 REPEAT = 5
 
 
@@ -190,6 +201,14 @@ KINDS = {
         lambda p: cu("alexander").alexander_polynomial(p),
         lambda result, p: {**polynomial(result),
                            "fox_cells": len(p.relators) * len(p.generators)}),
+    "presentation_pi1_reduced": (
+        imported, lambda n: cu("presentations").presentation_pi1_reduced(n),
+        lambda p, n: {"sha256": digest(cu("words").format_presentation(p)),
+                      "letters": sum(map(len, p.relators))}),
+    "curve_program": (
+        imported, lambda n: cu("presentations").curve_program(n),
+        lambda c, n: {"sha256": digest((c.nodes, c.relators)),
+                      "nodes": len(c.nodes)}),
     "curve_alexander": (
         imported, lambda n: cu("alexander").alexander_polynomial(
             cu("presentations").curve_program(n)), polynomial),
@@ -329,8 +348,9 @@ def ranked(work, args, out):
 
 # (owners under cuspidal, name, a generator function?, count(work, args,
 # result, or each item of a generator, which it returns to pass on)); a
-# name imported into other modules is wrapped in each, and one a version
-# lacks is not.  Keys of work from _ on are not reported.
+# name imported into other modules is wrapped in each, one a version lacks
+# is not, and a builtin is shadowed.  Keys of work from _ on are not
+# reported.
 PATCHES = (
     ("homcount presentations cli", "count_homs", False,
      lambda w, a, rep: add(w, search_nodes=rep.nodes)),
@@ -366,6 +386,9 @@ PATCHES = (
     ("geometry.TernaryForm", "evaluate", False,
      lambda w, a, out: add(w, form_evaluations=1)),
     ("geometry", "independent_rows", False, ranked),
+    ("words", "reduce_word", False,
+     lambda w, a, out: add(w, reduced_letters=len(a[0]))),
+    ("geometry", "pow", False, lambda w, a, out: add(w, geometry_pows=1)),
 )
 COUNTERS = """search_nodes plans pi1_reduced expanded_letters gens_eliminated
     letters_in letters_out least_rotation_calls least_rotation_letters
@@ -374,7 +397,7 @@ COUNTERS = """search_nodes plans pi1_reduced expanded_letters gens_eliminated
     fox_rows distinct_fox_rows unit_pivots pivot_applications
     dense_remainders curve_forms values_evaluated form_evaluations
     lines_tested rows_skipped primes matrix row_updates
-    entry_updates""".split()
+    entry_updates reduced_letters geometry_pows""".split()
 
 
 def resolve(path: str):
@@ -407,9 +430,15 @@ def count_work(call) -> dict:
         for paths, name, items, count in PATCHES:
             for owner in filter(None, map(resolve, paths.split())):
                 original = getattr(owner, name, None)
-                if original is None:
+                if original is not None:
+                    restore.callback(setattr, owner, name, original)
+                elif hasattr(builtins, name):
+                    # a builtin the module calls: shadowed by a module
+                    # global while counting
+                    original = getattr(builtins, name)
+                    restore.callback(delattr, owner, name)
+                else:
                     continue
-                restore.callback(setattr, owner, name, original)
                 setattr(owner, name,
                         wrap(original, partial(count, work), items))
         call()

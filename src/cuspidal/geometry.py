@@ -317,6 +317,10 @@ def superabundance(n: int, field: PrimeField) -> SuperabundanceReport:
     # the zero coordinates of a point -> the monomials nonzero there: those
     # with no positive exponent on a zero coordinate
     supported: dict[tuple[bool, bool, bool], list] = {}
+    # coordinate value -> its powers 0..n-1: the points are [0:1:w],
+    # [1:0:w] and [1:w:0], so the values are 0 and the 2n roots w, 1 among
+    # them
+    powers: dict[int, list[int]] = {}
     rows = []
     for pt in pts:
         x, y, z = pt.coords
@@ -325,7 +329,10 @@ def superabundance(n: int, field: PrimeField) -> SuperabundanceReport:
             supported[zero] = [(j, a, b, c)
                                for j, (a, b, c) in enumerate(monos)
                                if not (zx and a or zy and b or zz and c)]
-        px, py, pz = ([pow(v, e, p) for e in range(n)] for v in (x, y, z))
+        for v in pt.coords:
+            if v not in powers:
+                powers[v] = [pow(v, e, p) for e in range(n)]
+        px, py, pz = powers[x], powers[y], powers[z]
         rows.append({j: px[a] * py[b] * pz[c] % p
                      for j, a, b, c in supported[zero]})
     r = len(independent_rows(rows, p))

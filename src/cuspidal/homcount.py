@@ -1,8 +1,8 @@
 """Homomorphism counting into small symmetric groups.
 
 Permutations on k symbols are tuples of length k.  Words act left to right:
-the image of u*v is image(u) followed by image(v), i.e.
-compose(a, b)[x] = b[a[x]].
+the image of u*v is image(u) followed by image(v), i.e. the product a b
+of two permutations is x -> b[a[x]].
 
 The search numbers S_k as 0..k!-1 (lexicographic order, so 0 is the
 identity) and works on that numbering only: a multiplication table and an
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from operator import itemgetter
 
 from ._record import Record
 from .errors import BudgetExceeded, InvalidParameter
@@ -42,11 +43,6 @@ Permutation = tuple[int, ...]
 
 # count_homs's default budget, and relator_triviality_check's for each k
 _NODE_CAP = 10**9
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """a then b."""
-    return tuple(b[x] for x in a)
 
 
 def invert_perm(a: Permutation) -> Permutation:
@@ -68,14 +64,16 @@ class HomCountReport(Record):
 
 class _SymmetricGroup:
     """S_k numbered 0..k!-1: elements[i] is the permutation with index i,
-    mul[a][b] the index of compose(elements[a], elements[b]) and inv[a]
-    that of its inverse.  Get one through _symmetric_group, which builds
-    each k once."""
+    mul[a][b] the index of elements[a] then elements[b], the permutation
+    x -> elements[b][elements[a][x]], and inv[a] that of its inverse.  Get
+    one through _symmetric_group, which builds each k >= 2 once."""
 
     def __init__(self, k: int):
         self.elements = tuple(itertools.permutations(range(k)))
         index = {perm: i for i, perm in enumerate(self.elements)}
-        self.mul = tuple(tuple(index[compose(a, b)] for b in self.elements)
+        # a then b is itemgetter(*a)(b), a tuple since k >= 2
+        self.mul = tuple(tuple(map(index.__getitem__,
+                                   map(itemgetter(*a), self.elements)))
                          for a in self.elements)
         self.inv = tuple(index[invert_perm(a)] for a in self.elements)
         self.whole = frozenset(range(len(self.elements)))

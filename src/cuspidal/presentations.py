@@ -16,8 +16,8 @@ from .errors import InvalidParameter
 from .homcount import TrivialityReport, count_homs, relator_triviality_check
 from .rewriting import AbelianTarget, subgroup_presentation
 from .words import (GroupMap, Presentation, StraightLineProgram, Word,
-                    commutator, conjugate, invert, multiply, power,
-                    simplify_with_map, substitute)
+                    _relator_form, commutator, conjugate, invert, multiply,
+                    power, simplify_with_map, substitute)
 
 
 def presentation_G_raw() -> Presentation:
@@ -152,7 +152,11 @@ def curve_program(n: int) -> StraightLineProgram:
     relators = dict.fromkeys(
         tuple(symbols[x - 1] if x > 0 else -symbols[-x - 1] for x in r)
         for k, r in enumerate(_pi1_relators(n)) if k not in definitions)
-    return StraightLineProgram(_CURVE_GENERATORS, nodes, relators)
+    # the nodes conjugate one earlier symbol by another, and the relators
+    # rename the letters of the reduced _pi1_relators(n) one to one, so
+    # every word is freely reduced and in range by construction
+    return StraightLineProgram._make(_CURVE_GENERATORS, tuple(nodes),
+                                     tuple(relators))
 
 
 def _reduced_words(n: int) -> tuple[list[Word], set[int]]:
@@ -161,7 +165,8 @@ def _reduced_words(n: int) -> tuple[list[Word], set[int]]:
     generators of presentation_pi1(n): eps_i_j's word at i*n + j; and the
     positions in _pi1_relators(n) of the definitions they expand."""
     nodes, symbols, definitions = _curve_nodes(n)
-    words = StraightLineProgram(_CURVE_GENERATORS, nodes, ()).expand()
+    words = StraightLineProgram._make(_CURVE_GENERATORS, tuple(nodes),
+                                      ()).expand()
     return [words[s - 1] for s in symbols], definitions
 
 
@@ -180,9 +185,12 @@ def presentation_pi1_reduced(n: int) -> Presentation:
     if n < 2:
         raise InvalidParameter("n must be >= 2")
     images, definitions = _reduced_words(n)
-    relators = [() if k in definitions else substitute(r, images)
-                for k, r in enumerate(_pi1_relators(n))]
-    return Presentation(_CURVE_GENERATORS, relators)
+    # substitute returns freely reduced words, so only the normal form is
+    # taken
+    return Presentation._make(_CURVE_GENERATORS, tuple(
+        () if k in definitions else _relator_form(substitute(r, images),
+                                                    len(_CURVE_GENERATORS))
+        for k, r in enumerate(_pi1_relators(n))))
 
 
 def derive_pi1_via_rs(n: int) -> Presentation:

@@ -23,8 +23,9 @@ from typing import Iterator
 from ._record import Record
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .packing import Packing
-from .words import (Presentation, Word, _check_letters, expanded_letters,
-                    invert, multiply, simplify)
+from .words import (Presentation, Word, _check_letters, _check_names,
+                    _relator_form, expanded_letters, invert, multiply,
+                    simplify)
 
 
 class AbelianTarget(Record):
@@ -436,4 +437,9 @@ def subgroup_presentation(p: Presentation, target: AbelianTarget,
     relators = [system.rewrite(r, ci)
                 for r in [*p.relators, *extra_kernel_words]
                 for ci in range(target.size)]
-    return simplify(Presentation(system.generator_names, relators))
+    # rewriting cancels as it goes, so its words are freely reduced; the
+    # names are checked, since two edges can share one (a at coset (0, 1)
+    # and a_0 at coset (1,) are both a_0_1)
+    generators = _check_names(system.generator_names)
+    return simplify(Presentation._make(generators, tuple(
+        _relator_form(r, len(generators)) for r in relators)))

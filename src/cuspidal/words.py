@@ -88,8 +88,9 @@ def _cyclic_core(w: Word) -> Word:
     return w[i:j + 1]
 
 
-def _least_rotation(w: Word) -> Word:
-    """Lexicographically least rotation of a nonempty word, in linear time.
+def _least_rotation(w: Word, lo: int) -> Word:
+    """Lexicographically least rotation of a nonempty word whose least
+    letter is lo, in linear time.
 
     Two-pointer scan: i is the best start so far, j < len(w) the candidate
     compared with it and k the length of their common prefix.  A mismatch
@@ -100,7 +101,6 @@ def _least_rotation(w: Word) -> Word:
     none is left, i is least."""
     n = len(w)
     s = w + w
-    lo = min(w)
     i = j = w.index(lo)
     while True:
         try:
@@ -120,21 +120,35 @@ def _least_rotation(w: Word) -> Word:
 
 def cyclic_normal_form(w: Word) -> Word:
     """Cyclic reduction, then least rotation among the word and its inverse."""
-    return _least_form(cyclic_reduce(w))
+    w = cyclic_reduce(w)
+    return _least_form(w, min(w), max(w)) if w else w
 
 
-def _least_form(w: Word) -> Word:
-    """Least rotation among a cyclically reduced word and its inverse."""
+def _least_form(w: Word, lo: int, hi: int) -> Word:
+    """Least rotation among a nonempty cyclically reduced word and its
+    inverse, given the word's least and greatest letters."""
+    # a least rotation starts with the least letter, and the inverse's least
+    # letter is -hi, so only a tie needs both rotations
+    if lo < -hi:
+        return _least_rotation(w, lo)
+    if -hi < lo:
+        return _least_rotation(invert(w), -hi)
+    return min(_least_rotation(w, lo), _least_rotation(invert(w), lo))
+
+
+def _relator_form(w: Word, ngen: int) -> Word:
+    """The cyclic normal form of a freely reduced relator over ngen
+    generators, in one pass: its least and greatest letters, read once,
+    both range-check it and choose its orientation.  ValueError names the
+    first letter of the normal form outside +-1..ngen."""
+    w = _cyclic_core(w)
     if not w:
         return w
-    # a least rotation starts with the least letter, and the inverse's least
-    # letter is -max(w), so only a tie needs both rotations
-    lo, inv_lo = min(w), -max(w)
-    if lo < inv_lo:
-        return _least_rotation(w)
-    if inv_lo < lo:
-        return _least_rotation(invert(w))
-    return min(_least_rotation(w), _least_rotation(invert(w)))
+    lo, hi = min(w), max(w)
+    form = _least_form(w, lo, hi)
+    if lo < -ngen or hi > ngen:
+        _check_letters([form], ngen, "relator")
+    return form
 
 
 def _check_letters(words, ngen: int, kind: str) -> None:
@@ -160,8 +174,11 @@ def _check_names(generators) -> tuple[str, ...]:
 class Presentation(Record):
     """A finitely presented group: generator names plus relator words.
 
-    Relators are normalized to cyclic normal form on construction.  Instances
-    are immutable; all operations return new presentations.
+    Relators are freely reduced and normalized to cyclic normal form on
+    construction.  A builder whose relators are freely reduced by
+    construction skips the reduction: it calls `_make` with each relator's
+    `_relator_form` and its checked names.  Instances are immutable; all
+    operations return new presentations.
     """
 
     __slots__ = ("generators", "relators")
@@ -173,10 +190,11 @@ class Presentation(Record):
 
     def __init__(self, generators, relators):
         generators = _check_names(generators)
-        norm = [cyclic_normal_form(r) for r in relators]
-        _check_letters(norm, len(generators), "relator")
+        ngen = len(generators)
+        reduced = [reduce_word(r) for r in relators]
+        relators = tuple(_relator_form(r, ngen) for r in reduced)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", tuple(norm))
+        object.__setattr__(self, "relators", relators)
 
     def generator_index(self, name: str) -> int:
         """1-based index of a generator name."""
@@ -497,10 +515,10 @@ def _tietze(p: Presentation):
             rekey(s)
         log.append((g, defining))
     new_id = _survivor_ids(len(p.generators), log)
-    # the survivors' names are checked and their relators in cyclic normal
-    # form and in range, so neither is redone
-    relators = dict.fromkeys(_least_form(_renumber(r, new_id))
+    # the survivors' names are checked and their relators cyclically
+    # reduced, so only the normal form is redone
+    generators = tuple(p.generators[g - 1] for g in new_id if g > 0)
+    relators = dict.fromkeys(_relator_form(_renumber(r, new_id),
+                                           len(generators))
                              for r in rels if r is not None)
-    return Presentation._make(
-        tuple(p.generators[g - 1] for g in new_id if g > 0),
-        tuple(relators)), log
+    return Presentation._make(generators, tuple(relators)), log

@@ -265,20 +265,29 @@ def test_kernel_abelianization_refuses_a_map_that_is_not_a_homomorphism():
 def test_commutator_rank_builds_no_kernel_presentation(monkeypatch):
     source = presentation_pi1_reduced(7).generators
     built = []
-    init = words.Presentation.__init__
+    init, make = words.Presentation.__init__, words.Presentation._make
 
     def recording(self, generators, relators):
         built.append(tuple(generators))
         init(self, generators, relators)
 
+    def recording_make(cls, generators, relators):
+        built.append(tuple(generators))
+        return make(generators, relators)
+
+    # a presentation is built through its constructor or, by a builder
+    # whose relators are reduced by construction, through _make
     monkeypatch.setattr(words.Presentation, "__init__", recording)
+    monkeypatch.setattr(words.Presentation, "_make",
+                        classmethod(recording_make))
     assert commutator_abelianization_rank(7) == 18
     # the rows are read off the curve program: no presentation is built,
     # neither the curve's nor one on kernel generators
     assert built == []
-    # the recording sees a presentation that is built
+    # the recording sees a presentation built either way
     presentation_pi1_reduced(3)
-    assert built == [source]
+    presentation_G()
+    assert built == [source, ("e", "l1", "l2")]
 
 
 def random_sparse_matrix(rng):

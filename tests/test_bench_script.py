@@ -8,7 +8,8 @@ The counters wrap private names (`homcount._build_plan`,
 `words._least_rotation`, `words.Counter`, `abelian._reduce`,
 `rewriting._FoxProgram`, `geometry._power_fibres`, `geometry._plane_rows`,
 `geometry._form_vanishes_on_line`), so a rename in the package fails here
-at once.  A report names a version outside a git checkout by its path.
+at once; a builtin they shadow (`pow` in geometry) must be one the module
+calls.  A report names a version outside a git checkout by its path.
 
 Then a smoke test of one small case of each suite, run the way the script
 runs its measurements, in a fresh interpreter
@@ -20,6 +21,7 @@ the script runs each case in a fresh interpreter, with the package of its
 choice.
 """
 
+import builtins
 import hashlib
 import importlib.util
 import inspect
@@ -31,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import cuspidal
+from cuspidal import geometry
 from cuspidal.presentations import derive_pi1_via_rs
 from cuspidal.words import format_presentation
 
@@ -66,9 +69,19 @@ def test_every_patched_name_exists():
     for paths, name, items, _ in bench.PATCHES:
         for path in paths.split():
             owner = bench.resolve(path)
+            if not hasattr(owner, name):  # a builtin, shadowed
+                assert hasattr(builtins, name), (path, name)
+                assert f"{name}(" in inspect.getsource(owner), (path, name)
+                continue
             assert hasattr(owner, name), (path, name)
             if items:
                 assert inspect.isgeneratorfunction(getattr(owner, name))
+
+
+def test_a_shadowed_builtin_is_restored():
+    work = bench.count_work(lambda: geometry.superabundance_multi(5))
+    assert work["geometry_pows"] > 0
+    assert not hasattr(geometry, "pow")
 
 
 def test_a_version_outside_a_checkout_is_named_by_its_path(tmp_path):
@@ -143,7 +156,7 @@ def test_geometry_suite_scan():
     assert run["answer"]["points"] == 21  # 3n singular points
     # the splitting's counters read 0 on a scan
     assert ran(run["work"]) == {"curve_forms", "values_evaluated",
-                                "form_evaluations"}
+                                "form_evaluations", "geometry_pows"}
 
 
 def test_geometry_suite_splitting():
@@ -157,7 +170,7 @@ def test_geometry_suite_splitting():
             work["form_evaluations"]) == (26, 13, 57)
     # the scan's counter reads 0 on a splitting
     assert ran(work) == {"curve_forms", "form_evaluations", "lines_tested",
-                         "rows_skipped"}
+                         "rows_skipped", "geometry_pows"}
 
 
 def test_geometry_suite_superabundance():
@@ -168,6 +181,28 @@ def test_geometry_suite_superabundance():
     assert work["matrix"] == [15, 12]  # 3n rows, 3n - 3 used columns
     for key in ("row_updates", "entry_updates"):
         assert work[key] > 0, key
+
+
+def test_build_suite():
+    # the builders take their words reduced by construction: none passes
+    # through reduce_word
+    run = child("presentation_pi1_reduced(5)")
+    assert run["answer"]["letters"] == 1296
+    work = run["work"]
+    assert (work["pi1_reduced"], work["expanded_letters"]) == (1, 1296)
+    assert work["reduced_letters"] == 0
+    # each of the 30 nonempty relators ties between the word and its
+    # inverse, so both orientations are scanned: two calls and twice its
+    # letters each
+    assert (work["least_rotation_calls"],
+            work["least_rotation_letters"]) == (60, 2 * 1296)
+    run = child("curve_program(21)")
+    assert run["answer"]["nodes"] == 21 * 21 - 4
+    assert ran(run["work"]) == set()
+    run = child("superabundance_multi(5)")
+    # per prime, the 3n points share (2n + 1) power lists of n entries:
+    # 55 pow calls where one list per coordinate took 9n^2 = 225
+    assert run["work"]["geometry_pows"] == 2366
 
 
 def test_verify_suite():

@@ -7,8 +7,8 @@ import pytest
 
 from cuspidal.errors import BudgetExceeded, InvalidParameter
 from cuspidal.homcount import (_build_plan, _compile, _evaluate, _search,
-                               _symmetric_group, compose, count_homs,
-                               invert_perm, relator_triviality_check)
+                               _symmetric_group, count_homs, invert_perm,
+                               relator_triviality_check)
 from cuspidal.presentations import (derive_pi1_via_rs, oka_quotient,
                                     presentation_G, presentation_G_raw,
                                     presentation_oka, presentation_pi1,
@@ -19,6 +19,11 @@ from cuspidal.words import GroupMap, Presentation
 
 def identity_perm(k: int):
     return tuple(range(k))
+
+
+def compose(a, b):
+    """a then b."""
+    return tuple(b[x] for x in a)
 
 
 def word_image(w, assignment):
@@ -84,6 +89,17 @@ def test_permutation_algebra():
     assert compose(a, b) == tuple(b[x] for x in a)
     assert compose(a, invert_perm(a)) == identity_perm(3)
     assert word_image((1, -1), {1: a}) == identity_perm(3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_symmetric_group_tables_match_compose(k):
+    group = _symmetric_group(k)
+    index = {perm: i for i, perm in enumerate(group.elements)}
+    assert group.elements == tuple(itertools.permutations(range(k)))
+    assert group.mul == tuple(tuple(index[compose(a, b)]
+                                    for b in group.elements)
+                              for a in group.elements)
+    assert group.inv == tuple(index[invert_perm(a)] for a in group.elements)
 
 
 def test_count_matches_naive_enumeration():

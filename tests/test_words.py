@@ -8,7 +8,9 @@ import pytest
 from cuspidal import rewriting, words
 from cuspidal.errors import NoDefiningRelator
 from cuspidal.homcount import relator_triviality_check
-from cuspidal.presentations import (derive_pi1_via_rs, presentation_pi1,
+from cuspidal.presentations import (_CURVE_GENERATORS, _curve_nodes,
+                                    _pi1_relators, curve_program,
+                                    derive_pi1_via_rs, presentation_pi1,
                                     presentation_pi1_reduced)
 from cuspidal.words import (GroupMap, Presentation, StraightLineProgram,
                             commutator, conjugate, cyclic_normal_form,
@@ -145,6 +147,30 @@ def test_cyclic_normal_form_on_every_short_word():
     assert ties > 1000
 
 
+def test_relator_form_matches_cyclic_normal_form_and_its_range_check():
+    # _relator_form reads a freely reduced word's least and greatest
+    # letters once; the oracle normalizes it, then scans the normal form
+    # for the first letter out of range
+    rng = random.Random(16)
+    formed = rejected = 0
+    for _ in range(4000):
+        ngen = rng.randrange(1, 6)
+        w = random_word(rng, ngen=ngen, maxlen=rng.choice((4, 12, 40)))
+        limit = ngen - rng.randrange(2)
+        nf = cyclic_normal_form(w)
+        bad = [x for x in nf if not 0 < abs(x) <= limit]
+        if bad:
+            with pytest.raises(ValueError) as caught:
+                words._relator_form(w, limit)
+            assert str(caught.value) == f"relator letter {bad[0]} out of " \
+                                        "range", w
+            rejected += 1
+        else:
+            assert words._relator_form(w, limit) == nf, w
+            formed += 1
+    assert min(formed, rejected) > 1000, (formed, rejected)
+
+
 def test_least_rotation_matches_the_every_start_oracle():
     # _least_rotation starts only at the least letter; the oracle tries
     # every start.  Words need not be reduced, and powers are periodic.
@@ -159,7 +185,8 @@ def test_least_rotation_matches_the_every_start_oracle():
     periodic = 0
     for w in filter(None, cases):
         for u in (w, invert(w)):
-            assert words._least_rotation(u) == least_rotation_oracle(u), u
+            assert words._least_rotation(u, min(u)) == \
+                least_rotation_oracle(u), u
         periodic += len(w) <= 42 and any(w == w[k:] + w[:k]
                                          for k in range(1, len(w)))
     assert periodic > 1000
@@ -496,6 +523,52 @@ def schreier_kernels(monkeypatch, ns):
     return kernels
 
 
+def same_fields(built, oracle) -> None:
+    """built equals oracle field by field, each field of the same type."""
+    assert type(built) is type(oracle)
+    for name in built.__slots__:
+        value, expected = getattr(built, name), getattr(oracle, name)
+        assert type(value) is type(expected), name
+        assert value == expected, name
+
+
+def pi1_reduced_oracle(n):
+    """presentation_pi1_reduced(n) through the public constructors, which
+    reduce every word again."""
+    nodes, symbols, definitions = _curve_nodes(n)
+    expanded = StraightLineProgram(_CURVE_GENERATORS, nodes, ()).expand()
+    images = [expanded[s - 1] for s in symbols]
+    return Presentation(_CURVE_GENERATORS, [
+        () if k in definitions else substitute(r, images)
+        for k, r in enumerate(_pi1_relators(n))])
+
+
+def test_make_builders_match_the_public_constructors(monkeypatch):
+    # the builders whose words are reduced by construction skip the
+    # constructors' reduction and build through _make; each is listed here:
+    # presentation_pi1_reduced, subgroup_presentation (the kernels of
+    # derive_pi1_via_rs) and curve_program
+    for n in range(2, 14):
+        same_fields(presentation_pi1_reduced(n), pi1_reduced_oracle(n))
+    rewrite = rewriting.SchreierSystem.rewrite
+    rewritten = []
+
+    def recording(self, w, start_coset):
+        rewritten.append(rewrite(self, w, start_coset))
+        return rewritten[-1]
+
+    monkeypatch.setattr(rewriting.SchreierSystem, "rewrite", recording)
+    for kernel in schreier_kernels(monkeypatch, range(2, 7)):
+        words_in = rewritten[:len(kernel.relators)]
+        del rewritten[:len(kernel.relators)]
+        same_fields(kernel, Presentation(kernel.generators, words_in))
+    assert rewritten == []
+    for n in range(2, 22):
+        c = curve_program(n)
+        same_fields(c, StraightLineProgram(c.generators, c.nodes,
+                                           c.relators))
+
+
 def test_simplify_with_map_matches_full_retidy_oracle(monkeypatch):
     rng = random.Random(15)
     cases = [random_presentation(rng) for _ in range(300)]
@@ -529,9 +602,9 @@ def test_simplify_normalizes_only_its_input_and_output(monkeypatch):
     scanned, survivors = [], []
     least_rotation, renumber = words._least_rotation, words._renumber
 
-    def counting(w):
+    def counting(w, lo):
         scanned.append(len(w))
-        return least_rotation(w)
+        return least_rotation(w, lo)
 
     def renumbering(w, new_id):  # _tietze renumbers each survivor once
         survivors.append(len(w))
