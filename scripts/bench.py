@@ -36,6 +36,10 @@ startup    `import cuspidal.cli` in the fresh interpreter, after only the
 build      the builders: `presentation_pi1_reduced(n)` and `curve_program(n)`
            from n alone, the kernel presentation `derive_pi1_via_rs(8)`
            builds, and the power tables of `superabundance_multi(n)`
+schreier   the coset table alone: `SchreierSystem` on `curve_program(n)` over
+           Z/2n (`schreier_curve(n)`) and on `presentation_G()` over
+           (Z/n)^2 (`schreier_G(n)`), program and target built untimed; the
+           answer is a digest of the names, `_next` and `_kernel_letter`
 
 Each version also reports its work (`count_work`): the call is made again
 with the names of PATCHES wrapped, and every case reports all COUNTERS,
@@ -148,6 +152,8 @@ SUITES["build"] = (cases("presentation_pi1_reduced({})", 7, 9, 11, 13)
                    + cases("curve_program({})", 21, 61)
                    + cases("derive_pi1_via_rs({})", 8)
                    + cases("superabundance_multi({})", 25, 41))
+SUITES["schreier"] = (cases("schreier_curve({})", 31, 101)
+                      + cases("schreier_G({})", 21, 61))
 REPEAT = 5
 
 
@@ -173,6 +179,18 @@ def imported(*args):
     imported."""
     importlib.import_module("cuspidal.cli")
     return args
+
+
+def kernel_target(p, moduli, images):
+    """p and the AbelianTarget of the given moduli and images, one per
+    generator of p."""
+    return p, cu("rewriting").AbelianTarget(moduli, p.generators, images)
+
+
+def coset_table(system, *args) -> dict:
+    return {"sha256": digest((system.generator_names, system._next,
+                              system._kernel_letter)),
+            "kernel_generators": len(system.generator_names)}
 
 
 def polynomial(result, *args) -> dict:
@@ -240,6 +258,16 @@ KINDS = {
         imported, lambda n: cu("geometry").superabundance_multi(n),
         lambda rep, n: {"s": rep.s, "h0": rep.h0, "rank": rep.rank,
                         "prime": rep.prime}),
+    "schreier_curve": (
+        lambda n: kernel_target(cu("presentations").curve_program(n),
+                                (2 * n,), ((1,),) * 4),
+        lambda p, target: cu("rewriting").SchreierSystem(p, target),
+        coset_table),
+    "schreier_G": (
+        lambda n: kernel_target(cu("presentations").presentation_G(), (n, n),
+                                ((0, 0), (1, 0), (0, 1))),
+        lambda p, target: cu("rewriting").SchreierSystem(p, target),
+        coset_table),
     "startup": (
         lambda: (), lambda: importlib.import_module("cuspidal.cli"),
         lambda cli: {"sha256": digest(importlib.import_module(

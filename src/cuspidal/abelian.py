@@ -138,7 +138,8 @@ def _diagonalize(m: IntegerMatrix, modulus: int = 0):
     """Smith-form elimination of m: returns (diagonal, U, V) with the
     diagonal d1 | d2 | ... of length min(rows, cols), di >= 0.  Without a
     modulus, U and V are the unimodular row and column transforms (as row
-    lists) with U*m*V diagonal.
+    lists) with U*m*V diagonal, built by the row and column operations in
+    identity blocks to the right of m and below it.
 
     Each round moves the least nonzero absolute value of the block from
     (k, k) on to (k, k), then reduces column k once by floor quotients of
@@ -152,7 +153,7 @@ def _diagonalize(m: IntegerMatrix, modulus: int = 0):
     matrix diagonalization", J. Symbolic Comput. 24, 1997) discuss against
     entry explosion.  Once pivot k is done, row k and column k are zero off
     the diagonal, so the operations of later steps touch only the block
-    from (k, k) on.
+    from (k, k) on, and the blocks beside it.
 
     With a nonzero `modulus` D, entries are kept as residues mod D, of
     absolute value at most D/2, and the diagonal is returned as gcd(di, D):
@@ -162,10 +163,6 @@ def _diagonalize(m: IntegerMatrix, modulus: int = 0):
     not unimodular over Z, so U and V are then None and never built.
     """
     rows, cols = m.rows, m.cols
-    a = [row[:] for row in m.data]
-    track = not modulus
-    u = IntegerMatrix.identity(rows).data if track else None
-    v = IntegerMatrix.identity(cols).data if track else None
     k = 0
     half = modulus // 2
 
@@ -174,25 +171,23 @@ def _diagonalize(m: IntegerMatrix, modulus: int = 0):
         return x - modulus if x > half else x
 
     if modulus:
-        a = [[residue(x) for x in row] for row in a]
+        a = [[residue(x) for x in row] for row in m.data]
+    else:  # m with the identity to its right, over the identity
+        a = [row + unit for row, unit in
+             zip(m.data, IntegerMatrix.identity(rows).data)]
+        a += IntegerMatrix.identity(cols).data
 
-    def row_op(i, j, q):  # row_i -= q * row_j
+    def row_op(i, j, q, support):  # row_i -= q * row_j, row_j 0 off support
         ai, aj = a[i], a[j]
-        for c in range(k, cols):
-            ai[c] -= q * aj[c]
-        if modulus:
-            ai[k:] = map(residue, ai[k:])
-        if track:
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        for c in support:
+            x = ai[c] - q * aj[c]
+            ai[c] = residue(x) if modulus else x
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in a[k:]:
             r[i] -= q * r[j]
             if modulus:
                 r[i] = residue(r[i])
-        if track:
-            for r in v:
-                r[i] -= q * r[j]
 
     n = min(rows, cols)
     while k < n:
@@ -202,39 +197,36 @@ def _diagonalize(m: IntegerMatrix, modulus: int = 0):
         pi, pj = piv
         if pi != k:
             a[pi], a[k] = a[k], a[pi]
-            if track:
-                u[pi], u[k] = u[k], u[pi]
         if pj != k:
-            for r in a[k:] + (v or []):
+            for r in a[k:]:
                 r[pj], r[k] = r[k], r[pj]
         pivot = a[k][k]
+        support = [c for c, x in enumerate(a[k]) if x]
         for i in range(k + 1, rows):
             if a[i][k]:
-                row_op(i, k, a[i][k] // pivot)
+                row_op(i, k, a[i][k] // pivot, support)
         if any(a[i][k] for i in range(k + 1, rows)):
             continue  # a remainder, less than |pivot|, is the next pivot
         for j in range(k + 1, cols):
             if a[k][j]:
                 col_op(j, k, a[k][j] // pivot)
-        if any(a[k][k + 1:]):
+        if any(a[k][k + 1:cols]):
             continue
         # enforce divisibility of the remaining block by the pivot; a unit
         # pivot divides everything
         if abs(pivot) > 1:
             bad = next((i for i in range(k + 1, rows)
-                        if any(x % pivot for x in a[i][k + 1:])), None)
-            if bad is not None:
-                row_op(k, bad, -1)  # add row bad to row k, and go round again
+                        if any(x % pivot for x in a[i][k + 1:cols])), None)
+            if bad is not None:  # add row bad to row k, and go round again
+                row_op(k, bad, -1, [c for c, x in enumerate(a[bad]) if x])
                 continue
         if pivot < 0:
-            a[k][k] = -pivot
-            if track:
-                u[k] = [-x for x in u[k]]
+            a[k] = [-x for x in a[k]]
         k += 1
     diagonal = [a[i][i] for i in range(n)]
     if modulus:
-        diagonal = [gcd(d, modulus) for d in diagonal]
-    return diagonal, u, v
+        return [gcd(d, modulus) for d in diagonal], None, None
+    return diagonal, [row[cols:] for row in a[:rows]], a[rows:]
 
 
 def smith_normal_form(m: IntegerMatrix):

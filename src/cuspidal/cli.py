@@ -32,6 +32,15 @@ from .words import Presentation, format_presentation
 
 FAMILIES = ("G", "G-raw", "pi1", "pi1-reduced", "zariski3", "oka",
             "oka-quotient")
+# the largest --n of each family, where its builder stays under about 1 GB:
+# pi1(n) has n^2 generators, pi1-reduced(n) 2n^4 letters, oka(n) n letters
+MAX_N = {"pi1": 500, "pi1-reduced": 61, "oka": 10**6, "oka-quotient": 500}
+
+
+def check_n(family: str, n: int, bound: int) -> None:
+    if n > bound:
+        raise InvalidParameter(
+            f"--n must be at most {bound} for family {family!r}")
 
 
 def build_family(family: str, n: int | None, variant: str) -> Presentation:
@@ -46,6 +55,7 @@ def build_family(family: str, n: int | None, variant: str) -> Presentation:
         return presentation_zariski3(variant)
     if n is None:
         raise InvalidParameter(f"--n is required for family {family!r}")
+    check_n(family, n, MAX_N.get(family, n))
     if family == "pi1":
         return presentation_pi1(n)
     if family == "pi1-reduced":
@@ -119,8 +129,10 @@ def cmd_present(args, run: Run) -> None:
 
 def read_family(family: str, n: int | None, variant: str):
     """The family as abelianize and alexander read it: pi1-reduced as its
-    straight-line program, so its relators are never expanded."""
+    straight-line program of about n^2 nodes, under pi1's bound on n, so its
+    relators are never expanded."""
     if family == "pi1-reduced" and n is not None:
+        check_n(family, n, MAX_N["pi1"])
         return curve_program(n)
     return build_family(family, n, variant)
 

@@ -79,7 +79,9 @@ def presentation_pi1(n: int) -> Presentation:
     if n < 2:
         raise InvalidParameter("n must be >= 2")
     gens = tuple(eps_name(i, j) for i in range(n) for j in range(n))
-    return Presentation(gens, _pi1_relators(n))
+    # adjacent letters never cancel (indices differ by 1, or both positive)
+    return Presentation._make(gens, tuple(_relator_form(r, n * n)
+                                          for r in _pi1_relators(n)))
 
 
 def _pi1_relators(n: int) -> list[Word]:
@@ -314,7 +316,8 @@ def oka_quotient(n: int):
     quotient, image_map = simplify_with_map(Presentation(
         generators, [substitute(r, rows) for r in _pi1_relators(n)]))
     images = tuple(image_map[name] for name in generators for _ in range(n))
-    return GroupMap(presentation_pi1(n), quotient, images), quotient
+    # simplify_with_map's images are reduced, over the quotient's generators
+    return GroupMap._make(presentation_pi1(n), quotient, images), quotient
 
 
 class Battery(Record):

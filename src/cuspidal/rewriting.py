@@ -14,7 +14,6 @@ the Alexander matrix shares.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import compress, product
 from math import prod
 from operator import add, itemgetter, neg
@@ -24,8 +23,7 @@ from ._record import Record
 from .errors import InvalidParameter, NotGenerating, NotInKernel
 from .packing import Packing
 from .words import (Presentation, Word, _check_letters, _check_names,
-                    _relator_form, expanded_letters, invert, multiply,
-                    simplify)
+                    _relator_form, expanded_letters, simplify)
 
 
 class AbelianTarget(Record):
@@ -72,13 +70,6 @@ class AbelianTarget(Record):
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
 
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def image_of_letter(self, x: int) -> tuple[int, ...]:
-        img = self.images[abs(x) - 1]
-        return img if x > 0 else self.neg(img)
-
 
 class SchreierSystem:
     """The coset table of the kernel of p ->> target and its Schreier
@@ -91,8 +82,9 @@ class SchreierSystem:
     0 trying the generators in declaration order; the images generate the
     target, so it reaches every coset.
     The Schreier generator of (coset c, generator g) is
-    rep(c) * g * rep(c g)^-1; those that freely reduce to the identity are
-    never emitted, the rest are named <generator>_<residues of c>.
+    rep(c) * g * rep(c g)^-1.  The representatives are positive words, so it
+    reduces freely to 1 exactly when (c, g) is the tree edge into c g, and
+    is never emitted then; the rest are named <generator>_<residues of c>.
     """
 
     def __init__(self, p, target: AbelianTarget):
@@ -100,57 +92,49 @@ class SchreierSystem:
             raise ValueError(
                 "target images must be indexed by p's generators")
         self.target = target
-        elements = list(product(*(range(m) for m in target.moduli)))
-        index = {el: i for i, el in enumerate(elements)}
-        ngen = len(p.generators)
+        ngen, size = len(p.generators), target.size
         # Both tables are flat lists of one block of 2 * ngen + 1 entries per
         # coset.  The slot of coset c is the middle of its block, so the
         # entry of (c, signed source letter x) sits at slot + x.
         width = 2 * ngen + 1
-        self._slots = range(ngen, len(elements) * width, width)
+        slots = self._slots = range(ngen, size * width, width)
         # (coset, letter) -> the slot of the coset reached
-        self._next = [0] * (len(elements) * width)
-        for ci, el in enumerate(elements):
+        self._next = [0] * (size * width)
+        for g, image in enumerate(target.images, 1):
+            # g takes coset ci = cj - image to cj
+            for cj, ci in enumerate(_moved(range(size), target.moduli,
+                                           image)):
+                self._next[slots[ci] + g] = slots[cj]
+                self._next[slots[cj] - g] = slots[ci]
+        # the edge (coset, generator) that first reaches a coset is a tree edge
+        reps: list[Word | None] = [()] + [None] * (size - 1)
+        tree, order = set(), [0]
+        for ci in order:
             for g in range(1, ngen + 1):
-                cj = index[target.add(el, target.image_of_letter(g))]
-                self._next[self._slots[ci] + g] = self._slots[cj]
-                self._next[self._slots[cj] - g] = self._slots[ci]
-        reps: list[Word | None] = [None] * len(elements)
-        reps[0] = ()
-        queue = deque([0])
-        while queue:
-            ci = queue.popleft()
-            for g in range(1, ngen + 1):
-                cj = self._next[self._slots[ci] + g] // width
+                cj = self._next[slots[ci] + g] // width
                 if reps[cj] is None:
                     reps[cj] = reps[ci] + (g,)
-                    queue.append(cj)
+                    tree.add(slots[ci] + g)
+                    order.append(cj)
         self.representatives: tuple[Word, ...] = tuple(reps)
         # (coset, letter) -> the signed kernel letter read on the way (0 for
-        # a redundant generator)
-        self._kernel_letter = [0] * (len(elements) * width)
+        # a tree edge)
+        self._kernel_letter = [0] * (size * width)
         # The edge (coset c, generator g) is numbered c * ngen + g - 1.
         names: list[str] = []
-        words: list[Word] = []
-        # the edge of each kernel generator
         edges: list[int] = []
-        for ci, el in enumerate(elements):
-            suffix = "_".join(str(r) for r in el)
+        self._elements = list(product(*(range(m) for m in target.moduli)))
+        for ci, el in enumerate(self._elements):
+            suffix = "_".join(map(str, el))
             for g in range(1, ngen + 1):
-                cj = self._next[self._slots[ci] + g] // width
-                word = multiply(multiply(reps[ci], (g,)), invert(reps[cj]))
-                letter = 0
-                if word:
+                slot = slots[ci] + g
+                if slot not in tree:
                     names.append(f"{p.generators[g - 1]}_{suffix}")
-                    words.append(word)
-                    letter = len(names)
                     edges.append(ci * ngen + g - 1)
-                self._kernel_letter[self._slots[ci] + g] = letter
-                self._kernel_letter[self._slots[cj] - g] = -letter
+                    self._kernel_letter[slot] = len(names)
+                    self._kernel_letter[self._next[slot] - g] = -len(names)
         self.generator_names = tuple(names)
-        self.generator_words = tuple(words)
         self._generator_edges = edges
-        self._elements = elements
         self._nodes = p.nodes
 
     def rewrite(self, w: Word, start_coset: int) -> Word:
@@ -254,18 +238,26 @@ class SchreierSystem:
 
     def _translated_edges(self, c: int) -> list[int]:
         """The edge of each kernel generator, moved from its coset d to the
-        coset d - c: every edge, turned along each summand Z/m by c's
-        residue there, read at the kernel generators' edges."""
+        coset d - c: every edge, moved by c's residues, read at the kernel
+        generators' edges."""
         ngen = len(self.target.generators)
-        edges = list(range(len(self._slots) * ngen))
-        run = len(edges)
-        for m, r in zip(self.target.moduli, self._elements[c]):
-            edges = _turned(edges, run, r * run // m)
-            run //= m
+        edges = _moved(range(len(self._slots) * ngen), self.target.moduli,
+                       self._elements[c])
         return list(map(edges.__getitem__, self._generator_edges))
 
 
-def _turned(v: list[int], run: int, by: int) -> list[int]:
+def _moved(v, moduli, residues) -> list:
+    """v, one run of entries per coset of the sum of Z/moduli[k] in
+    row-major order, with the run of each coset d put at coset d + residues:
+    each summand Z/m turns every run of its blocks (`_turned`)."""
+    run = len(v)
+    for m, r in zip(moduli, residues):
+        v = _turned(v, run, r * run // m)
+        run //= m
+    return v
+
+
+def _turned(v, run: int, by: int) -> list[int]:
     """v with every run of `run` entries turned by `by` places: the entry
     at place i of a run moves to place (i + by) mod run."""
     cut, out = run - by, []

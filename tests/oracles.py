@@ -1,18 +1,20 @@
 """Direct constructions that several test files compare the fast paths
-against: the exponent-sum matrix of a presentation, a kernel presentation
-before any Tietze step and its H1 by the exact dense Smith form, the
-kernel's exponent rows with every orbit read whole, and the least rotation
-of a word trying every start.  `watch_orbits` counts the row orbits a
-reader leaves unread; `check_smith_form` takes a Smith form under a
-deadline and checks it."""
+against: the exponent-sum matrix of a presentation, the image of a word in
+an abelian target, the coset table from residue tuples, a kernel
+presentation before any Tietze step and its H1 by the exact dense Smith
+form, the kernel's exponent rows with every orbit read whole, and the
+least rotation of a word trying every start.  `watch_orbits` counts the
+row orbits a reader leaves unread; `check_smith_form` takes a Smith form
+under a deadline and checks it."""
 
 import signal
-from itertools import chain
+from collections import deque
+from itertools import chain, product
 
 from cuspidal.abelian import (AbelianStructure, IntegerMatrix,
                               invariant_factors, smith_normal_form)
 from cuspidal.rewriting import SchreierSystem
-from cuspidal.words import Presentation
+from cuspidal.words import Presentation, invert, multiply
 
 
 def exponent_vector(w, ngen: int) -> list[int]:
@@ -27,6 +29,72 @@ def relator_matrix(p: Presentation) -> IntegerMatrix:
     ngen = len(p.generators)
     return IntegerMatrix(len(p.relators), ngen,
                          [exponent_vector(r, ngen) for r in p.relators])
+
+
+def image_of_word(target, w) -> tuple[int, ...]:
+    """The image of a word in an AbelianTarget, the sum of its letters'
+    images read off target.images."""
+    sums = [0] * len(target.moduli)
+    for x in w:
+        for k, r in enumerate(target.images[abs(x) - 1]):
+            sums[k] += r if x > 0 else -r
+    return tuple(s % m for s, m in zip(sums, target.moduli))
+
+
+def coset_table_oracle(p, target) -> dict:
+    """The coset table of SchreierSystem(p, target) from residue tuples:
+    the coset a letter reaches is the row-major index of the sum of the
+    coset's residues and the letter's image; the transversal is built
+    breadth-first in declaration order; the kernel generators are the
+    edges (coset c, generator g) whose rep(c) g rep(c g)^-1 does not reduce
+    freely to 1, multiplied out.  Returns the system's `_next`,
+    `_kernel_letter`, `generator_names` and `representatives` under those
+    names, and under "translated" the list of its `_translated_edges(c)`
+    for every coset c: each kernel generator's edge (d, g) moved to the
+    coset of d's residues less c's."""
+    elements = list(product(*(range(m) for m in target.moduli)))
+    index = {el: i for i, el in enumerate(elements)}
+
+    def coset(residues):
+        return index[tuple(r % m for r, m in zip(residues, target.moduli))]
+
+    ngen = len(p.generators)
+    width = 2 * ngen + 1
+    slots = range(ngen, len(elements) * width, width)
+    nxt = [0] * (len(elements) * width)
+    for ci, el in enumerate(elements):
+        for g in range(1, ngen + 1):
+            cj = coset(map(sum, zip(el, target.images[g - 1])))
+            nxt[slots[ci] + g] = slots[cj]
+            nxt[slots[cj] - g] = slots[ci]
+    reps = [None] * len(elements)
+    reps[0] = ()
+    queue = deque([0])
+    while queue:
+        ci = queue.popleft()
+        for g in range(1, ngen + 1):
+            cj = nxt[slots[ci] + g] // width
+            if reps[cj] is None:
+                reps[cj] = reps[ci] + (g,)
+                queue.append(cj)
+    letters = [0] * (len(elements) * width)
+    names, edges = [], []
+    for ci, el in enumerate(elements):
+        for g in range(1, ngen + 1):
+            cj = nxt[slots[ci] + g] // width
+            if multiply(multiply(reps[ci], (g,)), invert(reps[cj])):
+                names.append(f"{p.generators[g - 1]}_"
+                             + "_".join(str(r) for r in el))
+                edges.append((ci, g))
+                letters[slots[ci] + g] = len(names)
+                letters[slots[cj] - g] = -len(names)
+    translated = []
+    for c in elements:
+        less_c = [coset(map(int.__sub__, d, c)) for d in elements]
+        translated.append([less_c[d] * ngen + g - 1 for d, g in edges])
+    return {"_next": nxt, "_kernel_letter": letters,
+            "generator_names": tuple(names),
+            "representatives": tuple(reps), "translated": translated}
 
 
 def raw_kernel(p, target):

@@ -240,6 +240,19 @@ def test_smith_suite():
             run["work"]["simplify_letters"]) == (5, 4 * 25 + 10)
 
 
+def test_schreier_suite():
+    assert bench.SUITES["schreier"] == [
+        "schreier_curve(31)", "schreier_curve(101)", "schreier_G(21)",
+        "schreier_G(61)"]
+    run = child("schreier_G(5)")
+    # Schreier's formula: 25 cosets, three generators, 25 * 2 + 1
+    assert run["answer"]["kernel_generators"] == 51
+    # only the table is built: no counted layer runs
+    assert ran(run["work"]) == set()
+    run = child("schreier_curve(3)")
+    assert run["answer"]["kernel_generators"] == 6 * 3 + 1
+
+
 def test_startup_suite():
     run = child("import cuspidal.cli")
     digest = hashlib.sha256(str(cuspidal.__all__).encode()).hexdigest()

@@ -68,6 +68,32 @@ def test_missing_n_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["99999999999999999999", "1000000000000"])
+@pytest.mark.parametrize("argv", [
+    ("present", "--family", "oka"), ("abelianize", "--family", "oka"),
+    ("alexander", "--family", "oka"), ("homcount", "--family", "oka"),
+    ("compare", "oka", "G")], ids=lambda argv: argv[0])
+def test_an_n_past_the_family_bound_is_a_usage_error(capsys, argv, n):
+    # each once ended in a traceback, an OverflowError from (2,) * n or a
+    # MemoryError
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert (code, out) == (2, "")
+    assert err == "error: --n must be at most 1000000 for family 'oka'\n"
+
+
+@pytest.mark.parametrize("command", ["present", "abelianize", "alexander"])
+@pytest.mark.parametrize("family", sorted(cli.MAX_N))
+def test_every_family_bound_is_enforced(capsys, command, family):
+    # abelianize and alexander read pi1-reduced as its program, of about n^2
+    # nodes, which takes pi1's bound
+    program = family == "pi1-reduced" and command != "present"
+    bound = cli.MAX_N["pi1" if program else family]
+    code, _, err = run(capsys, command, "--family", family,
+                       "--n", str(bound + 1))
+    assert (code, err) == (
+        2, f"error: --n must be at most {bound} for family {family!r}\n")
+
+
 @pytest.mark.parametrize("command", [
     ("present",), ("abelianize",), ("alexander",), ("homcount", "--k", "3")])
 def test_zariski3_needs_no_n(capsys, command):

@@ -23,8 +23,9 @@ from cuspidal.rewriting import AbelianTarget, SchreierSystem, _FoxProgram
 from cuspidal.words import (Presentation, StraightLineProgram,
                             cyclic_normal_form, invert, reduce_word)
 
-from oracles import (all_rows, check_smith_form, kernel_abelianization_oracle,
-                     raw_kernel, relator_matrix, watch_orbits)
+from oracles import (all_rows, check_smith_form, image_of_word,
+                     kernel_abelianization_oracle, raw_kernel, relator_matrix,
+                     watch_orbits)
 
 
 def expansion(program):
@@ -167,13 +168,11 @@ def kernel_relators(rng, target, program):
     for _ in range(rng.randint(1, 5)):
         w = tuple(rng.choice((1, -1)) * rng.randint(1, nsym)
                   for _ in range(rng.randint(1, 6)))
-        image = target.identity()
-        for x in expand(w, words):
-            image = target.add(image, target.image_of_letter(x))
+        image = image_of_word(target, expand(w, words))
         while image != target.identity():
             g = rng.randint(1, ngen)
             w += (g,)
-            image = target.add(image, target.image_of_letter(g))
+            image = target.add(image, target.images[g - 1])
         out.append(w)
     return out
 
@@ -212,10 +211,7 @@ def test_a_relator_outside_the_kernel_is_refused(moduli, images):
         words = expansion(shape)
         # a node or generator whose image is not 0, at the end
         for s in range(len(words), 0, -1):
-            image = target.identity()
-            for x in words[s - 1]:
-                image = target.add(image, target.image_of_letter(x))
-            if image != target.identity():
+            if image_of_word(target, words[s - 1]) != target.identity():
                 relators.append((s,))
                 break
         else:

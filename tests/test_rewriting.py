@@ -9,19 +9,11 @@ from cuspidal.presentations import (presentation_G, presentation_oka,
                                     presentation_pi1_reduced)
 from cuspidal.rewriting import (AbelianTarget, SchreierSystem, _FoxProgram,
                                 subgroup_presentation)
-from cuspidal.words import (Presentation, commutator, format_presentation,
-                            invert, multiply, reduce_word, simplify,
-                            substitute)
+from cuspidal.words import (Presentation, StraightLineProgram, commutator,
+                            format_presentation, invert, multiply,
+                            reduce_word, simplify, substitute)
 
-from oracles import all_rows, raw_kernel
-
-
-def image_of_word(target, w):
-    """The image of a word in the target, letter by letter."""
-    acc = target.identity()
-    for x in w:
-        acc = target.add(acc, target.image_of_letter(x))
-    return acc
+from oracles import all_rows, coset_table_oracle, image_of_word, raw_kernel
 
 
 def kernel_word(target, w):
@@ -30,12 +22,13 @@ def kernel_word(target, w):
     words = {target.identity(): ()}
     queue = [target.identity()]
     for el in queue:
-        for g in range(1, len(target.generators) + 1):
-            reached = target.add(el, target.image_of_letter(g))
+        for g, image in enumerate(target.images, 1):
+            reached = target.add(el, image)
             if reached not in words:
                 words[reached] = words[el] + (g,)
                 queue.append(reached)
-    return reduce_word(w + words[target.neg(image_of_word(target, w))])
+    # w^-1 has the image that cancels w's
+    return reduce_word(w + words[image_of_word(target, invert(w))])
 
 
 def test_target_validation():
@@ -88,10 +81,31 @@ def test_transversal_schreier_property(generators, images):
     assert reps[4][0] == 1
 
 
+def schreier_generator_words(system) -> list:
+    """The words rep(c) g rep(c g)^-1 of the edges (coset c, generator g)
+    in order, c g found by the image of rep(c) g, less those that reduce
+    freely to 1: the kernel generators' words, built from the
+    representatives alone."""
+    reps = system.representatives
+    coset_of = {image_of_word(system.target, rep): c
+                for c, rep in enumerate(reps)}
+    words = []
+    for rep in reps:
+        for g in range(1, len(system.target.generators) + 1):
+            reached = reps[coset_of[image_of_word(system.target,
+                                                  rep + (g,))]]
+            word = multiply(multiply(rep, (g,)), invert(reached))
+            if word:
+                words.append(word)
+    return words
+
+
 def test_rewrite_of_kernel_word_expands_back():
     t = AbelianTarget((2, 2), ("a", "b"), ((1, 0), (0, 1)))
     free = Presentation(("a", "b"), [])
     system = SchreierSystem(free, t)
+    generator_words = schreier_generator_words(system)
+    assert len(generator_words) == len(system.generator_names)
     rng = random.Random(41)
     for _ in range(200):
         w = reduce_word(tuple(rng.choice((1, -1, 2, -2))
@@ -104,7 +118,7 @@ def test_rewrite_of_kernel_word_expands_back():
             w = multiply(w, w)  # even power is always in the kernel here
         assert image_of_word(t, w) == t.identity()
         rewritten = system.rewrite(w, 0)
-        assert substitute(rewritten, system.generator_words) == w
+        assert substitute(rewritten, generator_words) == w
 
 
 def test_free_group_kernel_has_nielsen_schreier_rank():
@@ -159,6 +173,42 @@ def test_relators_must_lie_in_kernel():
         subgroup_presentation(p, t, [])
 
 
+def random_targets(rng, count):
+    """count random targets with images that generate: 1 to 3 summands,
+    moduli 1..7, 1 to 4 generators."""
+    targets = []
+    while len(targets) < count:
+        moduli = tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 3)))
+        generators = ("a", "b", "c", "d")[:rng.randint(1, 4)]
+        images = tuple(tuple(rng.randrange(m) for m in moduli)
+                       for _ in generators)
+        try:
+            targets.append(AbelianTarget(moduli, generators, images))
+        except NotGenerating:
+            pass
+    return targets
+
+
+def test_coset_table_matches_the_residue_tuple_oracle():
+    rng = random.Random(36)
+    for i, t in enumerate(random_targets(rng, 200)):
+        ngen = len(t.generators)
+        # every other target is read from a straight-line program, whose
+        # inner nodes leave the table as it is
+        p = (Presentation(t.generators, []) if i % 2 else
+             StraightLineProgram(t.generators, [(1, 1), (-1, ngen + 1)], []))
+        system = SchreierSystem(p, t)
+        oracle = coset_table_oracle(p, t)
+        for name in ("_next", "_kernel_letter", "generator_names",
+                     "representatives"):
+            assert getattr(system, name) == oracle[name], (t, name)
+        assert [system._translated_edges(c) for c in range(t.size)] == \
+            oracle["translated"], t
+        # Schreier's index formula for a subgroup of index |T| of the free
+        # group on ngen generators
+        assert len(system.generator_names) == t.size * (ngen - 1) + 1
+
+
 def test_rewrite_from_identity_coset():
     t = AbelianTarget((2,), ("a", "b"), ((1,), (0,)))
     free = Presentation(("a", "b"), [])
@@ -196,12 +246,12 @@ def coset_arithmetic_rewrite(system, w, start_coset=0):
     for x in w:
         if x < 0:
             coset = index[target.add(elements[coset],
-                                     target.image_of_letter(x))]
+                                     image_of_word(target, (x,)))]
         suffix = "_".join(str(r) for r in elements[coset])
         letter = letters.get(f"{target.generators[abs(x) - 1]}_{suffix}")
         if x > 0:
             coset = index[target.add(elements[coset],
-                                     target.image_of_letter(x))]
+                                     image_of_word(target, (x,)))]
         if letter is not None:
             out = list(multiply(out, (letter if x > 0 else -letter,)))
     return tuple(out)

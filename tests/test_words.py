@@ -10,7 +10,8 @@ from cuspidal.errors import NoDefiningRelator
 from cuspidal.homcount import relator_triviality_check
 from cuspidal.presentations import (_CURVE_GENERATORS, _curve_nodes,
                                     _pi1_relators, curve_program,
-                                    derive_pi1_via_rs, presentation_pi1,
+                                    derive_pi1_via_rs, eps_name,
+                                    oka_quotient, presentation_pi1,
                                     presentation_pi1_reduced)
 from cuspidal.words import (GroupMap, Presentation, StraightLineProgram,
                             commutator, conjugate, cyclic_normal_form,
@@ -546,10 +547,19 @@ def pi1_reduced_oracle(n):
 def test_make_builders_match_the_public_constructors(monkeypatch):
     # the builders whose words are reduced by construction skip the
     # constructors' reduction and build through _make; each is listed here:
-    # presentation_pi1_reduced, subgroup_presentation (the kernels of
-    # derive_pi1_via_rs) and curve_program
+    # presentation_pi1_reduced, presentation_pi1, oka_quotient's map,
+    # subgroup_presentation (the kernels of derive_pi1_via_rs) and
+    # curve_program
     for n in range(2, 14):
         same_fields(presentation_pi1_reduced(n), pi1_reduced_oracle(n))
+    for n in range(2, 32):
+        same_fields(presentation_pi1(n), Presentation(
+            [eps_name(i, j) for i in range(n) for j in range(n)],
+            _pi1_relators(n)))
+    for n in range(3, 16):
+        image_map, quotient = oka_quotient(n)
+        same_fields(image_map, GroupMap(presentation_pi1(n), quotient,
+                                        image_map.images))
     rewrite = rewriting.SchreierSystem.rewrite
     rewritten = []
 
